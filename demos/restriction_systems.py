@@ -5,22 +5,16 @@ extension maps linking the two layers."""
 import numpy as np
 
 import skewalg as sk
+from skewalg.system import system_checkers
 
 
 def describe(sysm, name):
     print(f"== {name} ==")
     print(f"objects: {sysm.object_count}, morphisms: {sysm.morphism_count}")
-    reports = {
-        "structure": sk.check_structure(sysm),
-        "restriction axioms": sk.check_restriction_axioms(sysm),
-        "extension axioms": sk.check_extension_axioms(sysm),
-        "linking laws": sk.check_linking(sysm),
-        "derived identities": sk.verify_derived_identities(sysm),
-    }
-    for label, rep in reports.items():
+    for family, checker in system_checkers():
+        rep = checker(sysm)
         required = [c for c in rep.checks() if c.required]
-        print(f"  {label}: ok={rep.ok} ({len(required)} required checks)")
-    return reports
+        print(f"  {family}: ok={rep.ok} ({len(required)} required checks)")
 
 
 # A discrete system: only identity morphisms, everything collapses.

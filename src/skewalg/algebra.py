@@ -17,13 +17,7 @@ import numpy as np
 
 from .errors import SkeletonNotClosedError
 from .report import AxiomReport
-from .tables import (
-    OperationTable,
-    SkewLatticeTable,
-    associativity_witness,
-    check_associative,
-    check_skew_lattice,
-)
+from .tables import OperationTable, SkewLatticeTable, check_skew_lattice, padded
 
 __all__ = [
     "BiBandAlgebra",
@@ -35,27 +29,6 @@ __all__ = [
     "plus_minus",
     "skehr_statement_flags",
 ]
-
-
-def _pad_square(core: np.ndarray) -> np.ndarray:
-    out = np.full((core.shape[0] + 1, core.shape[1] + 1), -1, dtype=np.int64)
-    out[:-1, :-1] = core
-    return out
-
-
-def _pad_vec(core: np.ndarray) -> np.ndarray:
-    out = np.full(core.shape[0] + 1, -1, dtype=np.int64)
-    out[:-1] = core
-    return out
-
-
-def _mask_flag(report: AxiomReport, name: str, mask, required=True, note=None):
-    mask = np.asarray(mask)
-    if bool(mask.all()):
-        report.record(name, True, required=required, note=note)
-    else:
-        witness = tuple(int(v) for v in np.argwhere(~mask)[0])
-        report.record(name, False, witness, required=required, note=note)
 
 
 class BiBandAlgebra:
@@ -115,66 +88,59 @@ def check_axioms(S: BiBandAlgebra) -> AxiomReport:
     n = S.order
     idx = np.arange(n)
 
-    for name, table in (("assoc_join", S.join), ("assoc_meet", S.meet)):
-        if check_associative(table):
-            report.record(name, True)
-        else:
-            report.record(name, False, associativity_witness(table))
+    for name, t in (("assoc_join", jt), ("assoc_meet", mt)):
+        report.record_mask(name, t[t, :] == t[:, t])
 
-    _mask_flag(report, "star_involution", st[st] == idx)
+    report.record_mask("star_involution", st[st] == idx)
 
     pos_join = jt[idx, st]
     pos_meet = mt[idx, st]
-    _mask_flag(report, "positive_parts_agree", pos_join == pos_meet)
-    _mask_flag(report, "positive_part_fixed", st[pos_meet] == pos_meet)
+    report.record_mask("positive_parts_agree", pos_join == pos_meet)
+    report.record_mask("positive_part_fixed", st[pos_meet] == pos_meet)
 
-    _mask_flag(report, "regularity_join", jt[pos_join, idx] == idx)
-    _mask_flag(report, "regularity_meet", mt[pos_meet, idx] == idx)
+    report.record_mask("regularity_join", jt[pos_join, idx] == idx)
+    report.record_mask("regularity_meet", mt[pos_meet, idx] == idx)
 
     idem = mt[idx, idx] == idx
-    _mask_flag(report, "idempotent_self_star_meet", ~idem | (st == idx))
+    report.record_mask("idempotent_self_star_meet", ~idem | (st == idx))
     idem = jt[idx, idx] == idx
-    _mask_flag(report, "idempotent_self_star_join", ~idem | (st == idx))
+    report.record_mask("idempotent_self_star_join", ~idem | (st == idx))
 
     neg_join = jt[st, idx]
     neg_meet = mt[st, idx]
 
     # s∨s*∨(s∧t*∧t) = s and the meet/lateral variants
     inner = mt[mt[idx[:, None], st[None, :]], idx[None, :]]
-    _mask_flag(report, "absorb_join_meet", jt[pos_join[:, None], inner] == idx[:, None])
+    report.record_mask("absorb_join_meet", jt[pos_join[:, None], inner] == idx[:, None])
     inner = jt[jt[idx[:, None], st[None, :]], idx[None, :]]
-    _mask_flag(report, "absorb_meet_join", mt[pos_meet[:, None], inner] == idx[:, None])
+    report.record_mask("absorb_meet_join", mt[pos_meet[:, None], inner] == idx[:, None])
     inner = mt[pos_meet[None, :], idx[:, None]]
-    _mask_flag(
-        report, "absorb_meet_then_join", jt[inner, neg_join[:, None]] == idx[:, None]
-    )
+    report.record_mask("absorb_meet_then_join", jt[inner, neg_join[:, None]] == idx[:, None])
     inner = jt[pos_join[None, :], idx[:, None]]
-    _mask_flag(
-        report, "absorb_join_then_meet", mt[inner, neg_meet[:, None]] == idx[:, None]
-    )
+    report.record_mask("absorb_join_then_meet", mt[inner, neg_meet[:, None]] == idx[:, None])
 
     # (e∨t)∨t* = (e∨t)∨(e∨t)* for e = s∨s*, plus meet and suffix variants
     y = jt[pos_join[:, None], idx[None, :]]
-    _mask_flag(report, "domain_prefix_join", jt[y, st[None, :]] == jt[y, st[y]])
+    report.record_mask("domain_prefix_join", jt[y, st[None, :]] == jt[y, st[y]])
     y = mt[pos_meet[:, None], idx[None, :]]
-    _mask_flag(report, "domain_prefix_meet", mt[y, st[None, :]] == mt[y, st[y]])
+    report.record_mask("domain_prefix_meet", mt[y, st[None, :]] == mt[y, st[y]])
     y = jt[idx[None, :], neg_join[:, None]]
-    _mask_flag(report, "range_suffix_join", jt[st[None, :], y] == jt[st[y], y])
+    report.record_mask("range_suffix_join", jt[st[None, :], y] == jt[st[y], y])
     y = mt[idx[None, :], neg_meet[:, None]]
-    _mask_flag(report, "range_suffix_meet", mt[st[None, :], y] == mt[st[y], y])
+    report.record_mask("range_suffix_meet", mt[st[None, :], y] == mt[st[y], y])
 
     # s*∨s = t∨t* forces the endpoint idempotents of both products
     hyp = neg_join[:, None] == pos_join[None, :]
     prod = jt[idx[:, None], idx[None, :]]
     law = jt[prod, st[prod]] == pos_join[:, None]
-    _mask_flag(report, "composable_positive_join", ~hyp | law)
+    report.record_mask("composable_positive_join", ~hyp | law)
     law = jt[st[prod], prod] == neg_join[None, :]
-    _mask_flag(report, "composable_negative_join", ~hyp | law)
+    report.record_mask("composable_negative_join", ~hyp | law)
     prod = mt[idx[:, None], idx[None, :]]
     law = mt[prod, st[prod]] == pos_meet[:, None]
-    _mask_flag(report, "composable_positive_meet", ~hyp | law)
+    report.record_mask("composable_positive_meet", ~hyp | law)
     law = mt[st[prod], prod] == neg_meet[None, :]
-    _mask_flag(report, "composable_negative_meet", ~hyp | law)
+    report.record_mask("composable_negative_meet", ~hyp | law)
     return report
 
 
@@ -187,10 +153,10 @@ def skehr_statement_flags(report: AxiomReport, prefix: str, op, star) -> None:
     star = np.asarray(star, dtype=np.int64)
     m = op.shape[0]
     idx = np.arange(m)
-    op_p = _pad_square(op)
+    op_p = padded(op)
     plus = op_p[idx, star]
     minus = op_p[star, idx]
-    plus_p, minus_p = _pad_vec(plus), _pad_vec(minus)
+    plus_p, minus_p = padded(plus), padded(minus)
 
     ok = (
         (op_p[plus, plus] == plus)
@@ -202,12 +168,12 @@ def skehr_statement_flags(report: AxiomReport, prefix: str, op, star) -> None:
         & (plus >= 0)
         & (minus >= 0)
     )
-    _mask_flag(report, f"{prefix}_i", ok)
+    report.record_mask(f"{prefix}_i", ok)
 
-    _mask_flag(report, f"{prefix}_ii", (op_p[plus, idx] == idx) & (op_p[idx, minus] == idx))
+    report.record_mask(f"{prefix}_ii", (op_p[plus, idx] == idx) & (op_p[idx, minus] == idx))
 
     idem = op[idx, idx] == idx
-    _mask_flag(report, f"{prefix}_iii", ~idem | ((plus == idx) & (minus == idx)))
+    report.record_mask(f"{prefix}_iii", ~idem | ((plus == idx) & (minus == idx)))
 
     lhs = plus_p[op]
     rhs = plus_p[op_p[idx[:, None], plus[None, :]]]
@@ -215,7 +181,7 @@ def skehr_statement_flags(report: AxiomReport, prefix: str, op, star) -> None:
     lhs = minus_p[op]
     rhs = minus_p[op_p[minus[:, None], idx[None, :]]]
     ok &= (lhs == rhs) & (lhs >= 0)
-    _mask_flag(report, f"{prefix}_iv", ok)
+    report.record_mask(f"{prefix}_iv", ok)
 
     lhs = plus_p[op_p[plus[:, None], idx[None, :]]]
     rhs = op_p[plus[:, None], plus[None, :]]
@@ -223,7 +189,7 @@ def skehr_statement_flags(report: AxiomReport, prefix: str, op, star) -> None:
     lhs = minus_p[op_p[idx[:, None], minus[None, :]]]
     rhs = op_p[minus[:, None], minus[None, :]]
     ok &= (lhs == rhs) & (lhs >= 0)
-    _mask_flag(report, f"{prefix}_v", ok)
+    report.record_mask(f"{prefix}_v", ok)
 
 
 def _right_ideal_rows(op: np.ndarray) -> np.ndarray:
@@ -257,7 +223,7 @@ def check_skehr(S: BiBandAlgebra) -> AxiomReport:
 
     plus = mt[idx, st]
     minus = mt[st, idx]
-    _mask_flag(report, "star_swaps_sides", (mt[st, st[st]] == minus) & (mt[st[st], st] == plus))
+    report.record_mask("star_swaps_sides", (mt[st, st[st]] == minus) & (mt[st[st], st] == plus))
 
     r_rel = greens_r(mt)
     l_rel = greens_l(mt)
@@ -267,7 +233,7 @@ def check_skehr(S: BiBandAlgebra) -> AxiomReport:
         & l_rel[plus, st]
         & r_rel[st, minus]
     )
-    _mask_flag(report, "green_positions", ok)
+    report.record_mask("green_positions", ok)
 
     # x is an inverse of s when s∧x∧s = s and x∧s∧x = x
     t1 = mt[mt, idx[:, None]]
@@ -276,7 +242,7 @@ def check_skehr(S: BiBandAlgebra) -> AxiomReport:
     located = inverse_pair & l_rel[plus[:, None], idx[None, :]] & r_rel[idx[None, :], minus[:, None]]
     unique = located.sum(axis=1) == 1
     at_star = located[idx, st]
-    _mask_flag(report, "star_unique_inverse", unique & at_star)
+    report.record_mask("star_unique_inverse", unique & at_star)
     return report
 
 

@@ -38,15 +38,7 @@ from .models import MAX_SUITE_BAND, MAX_SUITE_GROUP, generate_model_suite
 from .reconstruction import reconstruct, roundtrip_algebra, roundtrip_groupoid
 from .report import AxiomReport
 from .serialize import load_structure, save_structure, structure_to_dict
-from .system import (
-    RestrictionSystem,
-    build_algebra,
-    check_extension_axioms,
-    check_linking,
-    check_restriction_axioms,
-    check_structure,
-    verify_derived_identities,
-)
+from .system import RestrictionSystem, build_algebra, system_checkers
 from .tables import SkewLatticeTable, check_skew_lattice
 
 EXIT_OK = 0
@@ -63,6 +55,14 @@ class _UsageError(SkewalgError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def positive_int(text: str) -> int:
+    """An enumeration order: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"order must be positive, got {n}")
+    return n
 
 
 def _build_parser() -> _Parser:
@@ -88,11 +88,11 @@ def _build_parser() -> _Parser:
         "enum-bands", parents=[common],
         help="canonical idempotent operation tables",
     )
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=positive_int)
     p.add_argument("--max", type=int, default=DEFAULT_MAX_ORDER)
 
     p = sub.add_parser("enum-skew", parents=[common], help="canonical skew lattices")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=positive_int)
     p.add_argument("--max", type=int, default=DEFAULT_MAX_ORDER)
 
     for name, help_text in (
@@ -135,11 +135,8 @@ def _load_typed(path: str, cls, what: str):
 
 def _system_report(sys_: RestrictionSystem) -> AxiomReport:
     merged = AxiomReport("restriction system")
-    merged.extend(check_structure(sys_), "structure.")
-    merged.extend(check_restriction_axioms(sys_), "restriction.")
-    merged.extend(check_extension_axioms(sys_), "extension.")
-    merged.extend(check_linking(sys_), "linking.")
-    merged.extend(verify_derived_identities(sys_), "derived.")
+    for family, checker in system_checkers():
+        merged.extend(checker(sys_), f"{family}.")
     return merged
 
 

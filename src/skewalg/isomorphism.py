@@ -60,15 +60,19 @@ def signature_of(structure) -> tuple[int, tuple[np.ndarray, ...], tuple[np.ndarr
     raise SignatureMismatchError(f"unsupported structure type {type(structure).__name__}")
 
 
-def _refine_colors(n, binops, unops, rounds=None):
-    """Iterated invariant refinement; returns a stable color per element."""
+def _refine_colors(n, binops, unops):
+    """Iterated invariant refinement; returns a stable color per element.
+
+    Each new color hashes the old one, so a round can only split classes;
+    once a round adds no class the partition is stable. Isomorphic inputs
+    reach that round together, so their colors stay comparable.
+    """
     colors = [0] * n
     for op in binops:
         diag = op[np.arange(n), np.arange(n)]
         colors = [hash((c, bool(diag[x] == x))) for x, c in enumerate(colors)]
-    if rounds is None:
-        rounds = n
-    for _ in range(rounds):
+    classes = len(set(colors))
+    for _ in range(n):
         new = []
         for x in range(n):
             parts = [colors[x]]
@@ -80,9 +84,10 @@ def _refine_colors(n, binops, unops, rounds=None):
             for u in unops:
                 parts.append(colors[int(u[x])])
             new.append(hash(tuple(parts)))
-        if new == colors:
+        colors, before = new, classes
+        classes = len(set(colors))
+        if classes == before:
             break
-        colors = new
     return colors
 
 

@@ -140,18 +140,10 @@ def check_action(action: GroupAction) -> AxiomReport:
     jt = action.lattice.join.array
     nb = action.band_order
 
-    def flag(name, mask):
-        mask = np.asarray(mask)
-        if bool(mask.all()):
-            report.record(name, True)
-        else:
-            witness = tuple(int(v) for v in np.argwhere(~mask)[0])
-            report.record(name, False, witness)
-
-    flag("identity_action", act[:, action.group.identity] == np.arange(nb))
-    flag("composition_action", act[act] == act[:, gt])
-    flag("automorphism_meet", act[mt] == mt[act[:, None, :], act[None, :, :]])
-    flag("automorphism_join", act[jt] == jt[act[:, None, :], act[None, :, :]])
+    report.record_mask("identity_action", act[:, action.group.identity] == np.arange(nb))
+    report.record_mask("composition_action", act[act] == act[:, gt])
+    report.record_mask("automorphism_meet", act[mt] == mt[act[:, None, :], act[None, :, :]])
+    report.record_mask("automorphism_join", act[jt] == jt[act[:, None, :], act[None, :, :]])
     return report
 
 
@@ -355,12 +347,13 @@ def generate_model_suite(
         raise BoundExceededError(
             f"band bound {max_band} exceeds configured maximum {MAX_SUITE_BAND}"
         )
+    lattices = {nb: enumerate_skew_lattices(nb) for nb in range(1, max_band + 1)}
     suite: list[ModelInstance] = []
     for gname, group in GROUP_CATALOG.items():
         if group.order > max_group:
             continue
-        for nb in range(1, max_band + 1):
-            for bi, lattice in enumerate(enumerate_skew_lattices(nb)):
+        for nb, band_lattices in lattices.items():
+            for bi, lattice in enumerate(band_lattices):
                 actions = dedupe_actions(enumerate_actions(group, lattice))
                 for k, action in enumerate(actions):
                     name = f"{gname}xB{nb}.{bi}a{k}"

@@ -23,6 +23,7 @@ from .errors import (
 )
 from .groupoid import FiniteGroupoid
 from .isomorphism import Isomorphism
+from .report import AxiomReport
 from .system import RestrictionSystem, build_algebra
 from .tables import SkewLatticeTable
 
@@ -47,10 +48,7 @@ class ReconstructedGroupoid:
 def reconstruct(S: BiBandAlgebra, check: bool = True) -> ReconstructedGroupoid:
     """The groupoid whose morphisms are the triples (s∨s*, s, s*∨s)."""
     if check:
-        report = check_axioms(S)
-        if not report.ok:
-            bad = report.first_failure()
-            raise AxiomViolationError(bad.name, bad.witness)
+        check_axioms(S).require()
 
     n = S.order
     jt, mt, st = S.join.array, S.meet.array, S.star
@@ -112,10 +110,7 @@ def reconstruct(S: BiBandAlgebra, check: bool = True) -> ReconstructedGroupoid:
     groupoid = FiniteGroupoid(nb, dom, cod, comp, inv)
     system = RestrictionSystem(groupoid, lattice, restL, restR, extL, extR)
     if check:
-        report = system.full_report()
-        if not report.ok:
-            bad = report.first_failure()
-            raise AxiomViolationError(bad.name, bad.witness)
+        system.full_report().require()
 
     triples = tuple(
         (int(d_el[s]), int(s), int(r_el[s])) for s in range(n)
@@ -123,19 +118,19 @@ def reconstruct(S: BiBandAlgebra, check: bool = True) -> ReconstructedGroupoid:
     return ReconstructedGroupoid(system, tuple(objects), object_index, triples)
 
 
-def _first_diff(a: np.ndarray, b: np.ndarray):
-    bad = np.argwhere(a != b)
-    return tuple(int(v) for v in bad[0]) if len(bad) else None
+def _require_equal(pairs) -> None:
+    """Raise roundtrip_<name> at the first entry where a pair of tables differs."""
+    report = AxiomReport("roundtrip")
+    for name, lhs, rhs in pairs:
+        report.record_mask(f"roundtrip_{name}", lhs == rhs)
+    report.require()
 
 
 def roundtrip_groupoid(sys: RestrictionSystem) -> Isomorphism:
     """Certify g ↦ (𝐝g, g, 𝐫g) as an isomorphism onto the groupoid rebuilt
     from the system's own algebra; morphism indices are preserved, so the
     certificate is the identity mapping once every table matches."""
-    report = sys.full_report()
-    if not report.ok:
-        bad = report.first_failure()
-        raise AxiomViolationError(bad.name, bad.witness)
+    sys.full_report().require()
     S = build_algebra(sys, check=False)
     rec = reconstruct(S, check=False)
     new = rec.system
@@ -159,28 +154,21 @@ def roundtrip_groupoid(sys: RestrictionSystem) -> Isomorphism:
     ]
     if len(np.unique(objmap)) != sys.object_count or new.object_count != sys.object_count:
         raise AxiomViolationError("roundtrip_object_bijection", (sys.object_count,))
-    for name, lhs, rhs in pairs:
-        spot = _first_diff(lhs, rhs)
-        if spot is not None:
-            raise AxiomViolationError(f"roundtrip_{name}", spot)
+    _require_equal(pairs)
     return Isomorphism(m, m, tuple(range(m)))
 
 
 def roundtrip_algebra(S: BiBandAlgebra) -> Isomorphism:
     """Certify that rebuilding the groupoid and taking its algebra returns
     S itself: morphisms are keyed by element, so the mapping is identity."""
-    report = check_axioms(S)
-    if not report.ok:
-        bad = report.first_failure()
-        raise AxiomViolationError(bad.name, bad.witness)
+    check_axioms(S).require()
     rec = reconstruct(S, check=False)
     T = build_algebra(rec.system, check=False)
-    for name, lhs, rhs in [
-        ("join", T.join.array, S.join.array),
-        ("meet", T.meet.array, S.meet.array),
-        ("star", T.star, S.star),
-    ]:
-        spot = _first_diff(lhs, rhs)
-        if spot is not None:
-            raise AxiomViolationError(f"roundtrip_{name}", spot)
+    _require_equal(
+        [
+            ("join", T.join.array, S.join.array),
+            ("meet", T.meet.array, S.meet.array),
+            ("star", T.star, S.star),
+        ]
+    )
     return Isomorphism(S.order, S.order, tuple(range(S.order)))

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .errors import AxiomViolationError
+
 
 def _py(value):
     """Convert numpy scalars / nested tuples to plain Python for JSON output."""
@@ -48,6 +52,15 @@ class AxiomReport:
     def record(self, name, ok, witness=None, required=True, note=None) -> None:
         self.add(Check(name, bool(ok), _py(witness), required, note))
 
+    def record_mask(self, name, mask, required=True, note=None) -> None:
+        """Record a law given as a boolean mask over its domain; the witness
+        is the first index tuple where the mask is False, in row-major order."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.all():
+            self.record(name, True, required=required, note=note)
+        else:
+            self.record(name, False, tuple(np.argwhere(~mask)[0]), required, note)
+
     def extend(self, other: "AxiomReport", prefix: str = "") -> None:
         for c in other.checks():
             self.add(Check(prefix + c.name, c.ok, c.witness, c.required, c.note))
@@ -74,6 +87,12 @@ class AxiomReport:
     def first_failure(self) -> Check | None:
         bad = self.failures()
         return bad[0] if bad else None
+
+    def require(self) -> None:
+        """Raise AxiomViolationError at the first failing required check."""
+        bad = self.first_failure()
+        if bad is not None:
+            raise AxiomViolationError(bad.name, bad.witness)
 
     def to_dict(self) -> dict:
         return {

@@ -25,10 +25,10 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BiBandAlgebra, skehr_statement_flags
-from .errors import AxiomViolationError, MalformedSystemError
+from .errors import MalformedSystemError
 from .groupoid import FiniteGroupoid, check_groupoid, discrete_groupoid, group_groupoid
 from .report import AxiomReport
-from .tables import GroupTable, SkewLatticeTable, check_skew_lattice
+from .tables import GroupTable, SkewLatticeTable, check_skew_lattice, padded
 
 __all__ = [
     "RestrictionSystem",
@@ -39,32 +39,9 @@ __all__ = [
     "check_structure",
     "discrete_system",
     "group_system",
+    "system_checkers",
     "verify_derived_identities",
 ]
-
-
-def _pad2(core: np.ndarray) -> np.ndarray:
-    """Append an absorbing -1 row and column; index -1 then reads the pad."""
-    r, c = core.shape
-    out = np.full((r + 1, c + 1), -1, dtype=np.int64)
-    out[:r, :c] = core
-    return out
-
-
-def _pad1(core: np.ndarray) -> np.ndarray:
-    out = np.full(core.shape[0] + 1, -1, dtype=np.int64)
-    out[:-1] = core
-    return out
-
-
-def _record_mask(report: AxiomReport, name: str, mask, required=True, note=None):
-    """Flag from a boolean law mask; first violating index tuple as witness."""
-    mask = np.asarray(mask)
-    if bool(mask.all()):
-        report.record(name, True, required=required, note=note)
-    else:
-        witness = tuple(int(v) for v in np.argwhere(~mask)[0])
-        report.record(name, False, witness, required=required, note=note)
 
 
 def _check_partial(name: str, table, shape, hi: int) -> np.ndarray:
@@ -123,12 +100,12 @@ class RestrictionSystem:
         self.ge_right = join.T == idx_n[:, None]
 
         self._meet, self._join = meet, join
-        self._dom_p = _pad1(dom)
-        self._cod_p = _pad1(cod)
-        self._inv_p = _pad1(self.groupoid.inv)
-        self._comp_p = _pad2(self.groupoid.comp)
+        self._dom_p = padded(dom)
+        self._cod_p = padded(cod)
+        self._inv_p = padded(self.groupoid.inv)
+        self._comp_p = padded(self.groupoid.comp)
         self._e = self.groupoid.identity_of
-        self._e_p = _pad1(self._e)
+        self._e_p = padded(self._e)
 
         # total operator tables; holes in the partial input surface as -1
         self._mr = self.restL[meet[idx_n[:, None], dom[None, :]], idx_m[None, :]]
@@ -145,12 +122,12 @@ class RestrictionSystem:
             self.extR[idx_m[:, None], cj], self.extL[cj, idx_m[None, :]]
         ]
 
-        self._mr_p = _pad2(self._mr)
-        self._mc_p = _pad2(self._mc)
-        self._je_p = _pad2(self._je)
-        self._jc_p = _pad2(self._jc)
-        self._pm_p = _pad2(self._pm)
-        self._pj_p = _pad2(self._pj)
+        self._mr_p = padded(self._mr)
+        self._mc_p = padded(self._mc)
+        self._je_p = padded(self._je)
+        self._jc_p = padded(self._jc)
+        self._pm_p = padded(self._pm)
+        self._pj_p = padded(self._pj)
 
     def _get(self, table: np.ndarray, i: int, j: int, what: str) -> int:
         v = int(table[i, j])
@@ -195,10 +172,7 @@ class RestrictionSystem:
 
         Guarded: raises unless the system passes its full report.
         """
-        report = self.full_report()
-        if not report.ok:
-            bad = report.first_failure()
-            raise AxiomViolationError(bad.name, bad.witness)
+        self.full_report().require()
         table = self._pm if op == "meet" else self._pj if op == "join" else None
         if table is None:
             raise ValueError(f"op must be 'meet' or 'join', got {op!r}")
@@ -208,10 +182,9 @@ class RestrictionSystem:
         """All structural, restriction, extension and linking checks, cached."""
         if self._report is None:
             merged = AxiomReport("restriction system")
-            merged.extend(check_structure(self))
-            merged.extend(check_restriction_axioms(self))
-            merged.extend(check_extension_axioms(self))
-            merged.extend(check_linking(self))
+            for family, checker in system_checkers():
+                if family != "derived":
+                    merged.extend(checker(self))
             self._report = merged
         return self._report
 
@@ -220,6 +193,22 @@ class RestrictionSystem:
             f"RestrictionSystem(objects={self.object_count}, "
             f"morphisms={self.morphism_count})"
         )
+
+
+def system_checkers() -> list:
+    """Every system checker as (family, checker), in report order: the four
+    axiom families that full_report gathers, then the derived identities.
+
+    Built on each call from the module's current attributes, so a checker
+    rebound after import (by a tracing wrapper, say) is the one that runs.
+    """
+    return [
+        ("structure", check_structure),
+        ("restriction", check_restriction_axioms),
+        ("extension", check_extension_axioms),
+        ("linking", check_linking),
+        ("derived", verify_derived_identities),
+    ]
 
 
 def check_structure(sys: RestrictionSystem) -> AxiomReport:
@@ -236,11 +225,7 @@ def check_structure(sys: RestrictionSystem) -> AxiomReport:
     report.record("preorder_converse_pairing", pairing, None if pairing else (0,))
 
     report.extend(check_groupoid(sys.groupoid), prefix="groupoid_")
-    report.record(
-        "identity_coverage",
-        bool((sys._e >= 0).all()),
-        None if (sys._e >= 0).all() else (int(np.argmin(sys._e >= 0)),),
-    )
+    report.record_mask("identity_coverage", sys._e >= 0)
 
     dom, cod = sys.groupoid.dom, sys.groupoid.cod
     n, m = sys.object_count, sys.morphism_count
@@ -248,9 +233,9 @@ def check_structure(sys: RestrictionSystem) -> AxiomReport:
 
     def pattern(table, region, endpoint_eq, endpoint_le, name):
         defined = table >= 0
-        _record_mask(report, f"{name}_defined_iff", defined == region)
+        report.record_mask(f"{name}_defined_iff", defined == region)
         good = ~defined | (endpoint_eq & endpoint_le)
-        _record_mask(report, f"{name}_endpoints", good)
+        report.record_mask(f"{name}_endpoints", good)
 
     # restL[a,g]: defined iff a leL dom g; then dom = a, cod leL cod g
     region = sys.le_left[:, dom]
@@ -293,8 +278,8 @@ def check_structure(sys: RestrictionSystem) -> AxiomReport:
         "extR",
     )
 
-    _record_mask(report, "meet_pseudoproduct_total", sys._pm >= 0)
-    _record_mask(report, "join_pseudoproduct_total", sys._pj >= 0)
+    report.record_mask("meet_pseudoproduct_total", sys._pm >= 0)
+    report.record_mask("join_pseudoproduct_total", sys._pj >= 0)
     return report
 
 
@@ -321,17 +306,17 @@ def check_restriction_axioms(sys: RestrictionSystem) -> AxiomReport:
     comp_p, cod_p, dom_p = sys._comp_p, sys._cod_p, sys._dom_p
     e = sys._e
 
-    _record_mask(report, "restL_identity", mr[dom, idx_m] == idx_m)
-    _record_mask(report, "restR_identity", mc[idx_m, cod] == idx_m)
+    report.record_mask("restL_identity", mr[dom, idx_m] == idx_m)
+    report.record_mask("restR_identity", mc[idx_m, cod] == idx_m)
 
     # a leL b  =>  _a|i_b = i_a
     val = mr_p[idx_n[:, None], e[None, :]]
     law = (val == e[:, None]) & (val >= 0)
-    _record_mask(report, "restL_preorder", ~sys.le_left | law)
+    report.record_mask("restL_preorder", ~sys.le_left | law)
     # a leR b  =>  i_b|_a = i_a
     val = mc_p[e[None, :], idx_n[:, None]]
     law = (val == e[:, None]) & (val >= 0)
-    _record_mask(report, "restR_preorder", ~sys.le_right | law)
+    report.record_mask("restR_preorder", ~sys.le_right | law)
 
     # a leL b leL dom g  =>  _a|g = _(a∧b)|g = _a|(_b|g)
     hyp = sys.le_left[:, :, None] & sys.le_left[:, dom][None, :, :]
@@ -339,14 +324,14 @@ def check_restriction_axioms(sys: RestrictionSystem) -> AxiomReport:
     y = mr_p[meet[:, :, None], idx_m[None, None, :]]
     z = mr_p[idx_n[:, None, None], mr[None, :, :]]
     law = (x == y) & (x == z) & (x >= 0)
-    _record_mask(report, "restL_transitivity", ~hyp | law)
+    report.record_mask("restL_transitivity", ~hyp | law)
     # a leR b leR cod g  =>  g|_a = g|_(b∧a) = (g|_b)|_a
     hyp = sys.le_right[:, :, None] & sys.le_right[:, cod][None, :, :]
     x = mc.T[:, None, :]
     y = mc_p[idx_m[None, None, :], meet.T[:, :, None]]
     z = mc_p[mc.T[None, :, :], idx_n[:, None, None]]
     law = (x == y) & (x == z) & (x >= 0)
-    _record_mask(report, "restR_transitivity", ~hyp | law)
+    report.record_mask("restR_transitivity", ~hyp | law)
 
     composable = comp >= 0
     # _a|(f∘g) = (_a|f)∘(_(cod _a|f)|g)
@@ -355,33 +340,33 @@ def check_restriction_axioms(sys: RestrictionSystem) -> AxiomReport:
     h2 = mr_p[cod_p[mr][:, :, None], idx_m[None, None, :]]
     rhs = comp_p[h1, h2]
     law = (lhs == rhs) & (lhs >= 0)
-    _record_mask(report, "restL_composition", ~composable[None, :, :] | law)
+    report.record_mask("restL_composition", ~composable[None, :, :] | law)
     # (f∘g)|_d = (f|_(dom g|_d))∘(g|_d)
     lhs = mc_p[comp[:, :, None], idx_n[None, None, :]]
     h2 = mc[None, :, :]
     h1 = mc_p[idx_m[:, None, None], dom_p[mc][None, :, :]]
     rhs = comp_p[h1, h2]
     law = (lhs == rhs) & (lhs >= 0)
-    _record_mask(report, "restR_composition", ~composable[:, :, None] | law)
+    report.record_mask("restR_composition", ~composable[:, :, None] | law)
 
     # (a∧b)∧g = a∧(b∧g) and (g∧a)∧b = g∧(a∧b), all tuples
     lhs = mr_p[meet[:, :, None], idx_m[None, None, :]]
     rhs = mr_p[idx_n[:, None, None], mr[None, :, :]]
-    _record_mask(report, "meet_chain_left", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("meet_chain_left", (lhs == rhs) & (lhs >= 0))
     lhs = mc_p[mc[:, :, None], idx_n[None, None, :]]
     rhs = mc_p[idx_m[:, None, None], meet[None, :, :]]
-    _record_mask(report, "meet_chain_right", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("meet_chain_right", (lhs == rhs) & (lhs >= 0))
 
     # dom(a∧g) = a∧dom g and cod(g∧a) = (cod g)∧a
     law = (dom_p[mr] == meet[idx_n[:, None], dom[None, :]]) & (mr >= 0)
-    _record_mask(report, "meet_endpoint_left", law)
+    report.record_mask("meet_endpoint_left", law)
     law = (cod_p[mc] == meet[cod[:, None], idx_n[None, :]]) & (mc >= 0)
-    _record_mask(report, "meet_endpoint_right", law)
+    report.record_mask("meet_endpoint_right", law)
 
     # (a∧f)∧b = a∧(f∧b)
     lhs = mc_p[mr[:, :, None], idx_n[None, None, :]]
     rhs = mr_p[idx_n[:, None, None], mc[None, :, :]]
-    _record_mask(report, "meet_compatibility", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("meet_compatibility", (lhs == rhs) & (lhs >= 0))
     return report
 
 
@@ -398,19 +383,19 @@ def check_extension_axioms(sys: RestrictionSystem) -> AxiomReport:
     comp_p, cod_p, dom_p = sys._comp_p, sys._cod_p, sys._dom_p
     e, e_p = sys._e, sys._e_p
 
-    _record_mask(report, "extL_identity", je[dom, idx_m] == idx_m)
-    _record_mask(report, "extR_identity", jc[idx_m, cod] == idx_m)
+    report.record_mask("extL_identity", je[dom, idx_m] == idx_m)
+    report.record_mask("extR_identity", jc[idx_m, cod] == idx_m)
 
     # a geR b  =>  a∨i_b = i_(a∨b)
     val = je_p[idx_n[:, None], e[None, :]]
     target = e_p[join]
     law = (val == target) & (val >= 0)
-    _record_mask(report, "extL_preorder", ~sys.ge_right | law)
+    report.record_mask("extL_preorder", ~sys.ge_right | law)
     # a geL b  =>  i_b∨a = i_(b∨a)
     val = jc_p[e[None, :], idx_n[:, None]]
     target = e_p[join.T]
     law = (val == target) & (val >= 0)
-    _record_mask(report, "extR_preorder", ~sys.ge_left | law)
+    report.record_mask("extR_preorder", ~sys.ge_left | law)
 
     # a geL b geL dom g  =>  a∨g = (a∨b)∨g = a∨(b∨g)
     # (a geL b makes a∨b = a; the content is the right-nested form)
@@ -419,14 +404,14 @@ def check_extension_axioms(sys: RestrictionSystem) -> AxiomReport:
     y = je_p[join[:, :, None], idx_m[None, None, :]]
     z = je_p[idx_n[:, None, None], je[None, :, :]]
     law = (x == y) & (x == z) & (x >= 0)
-    _record_mask(report, "extL_transitivity", ~hyp | law)
+    report.record_mask("extL_transitivity", ~hyp | law)
     # a geR b geR cod g  =>  g∨a = g∨(b∨a) = (g∨b)∨a
     hyp = sys.ge_right[:, :, None] & sys.ge_right[:, cod][None, :, :]
     x = jc.T[:, None, :]
     y = jc_p[idx_m[None, None, :], join.T[:, :, None]]
     z = jc_p[jc.T[None, :, :], idx_n[:, None, None]]
     law = (x == y) & (x == z) & (x >= 0)
-    _record_mask(report, "extR_transitivity", ~hyp | law)
+    report.record_mask("extR_transitivity", ~hyp | law)
 
     composable = comp >= 0
     # a∨(f∘g) = (a∨f)∘((cod a∨f)∨g)
@@ -435,33 +420,33 @@ def check_extension_axioms(sys: RestrictionSystem) -> AxiomReport:
     h2 = je_p[cod_p[je][:, :, None], idx_m[None, None, :]]
     rhs = comp_p[h1, h2]
     law = (lhs == rhs) & (lhs >= 0)
-    _record_mask(report, "extL_composition", ~composable[None, :, :] | law)
+    report.record_mask("extL_composition", ~composable[None, :, :] | law)
     # (f∘g)∨a = (f∨(dom g∨a))∘(g∨a)
     lhs = jc_p[comp[:, :, None], idx_n[None, None, :]]
     h2 = jc[None, :, :]
     h1 = jc_p[idx_m[:, None, None], dom_p[jc][None, :, :]]
     rhs = comp_p[h1, h2]
     law = (lhs == rhs) & (lhs >= 0)
-    _record_mask(report, "extR_composition", ~composable[:, :, None] | law)
+    report.record_mask("extR_composition", ~composable[:, :, None] | law)
 
     # (a∨b)∨g = a∨(b∨g) and (g∨a)∨b = g∨(a∨b)
     lhs = je_p[join[:, :, None], idx_m[None, None, :]]
     rhs = je_p[idx_n[:, None, None], je[None, :, :]]
-    _record_mask(report, "join_chain_left", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("join_chain_left", (lhs == rhs) & (lhs >= 0))
     lhs = jc_p[jc[:, :, None], idx_n[None, None, :]]
     rhs = jc_p[idx_m[:, None, None], join[None, :, :]]
-    _record_mask(report, "join_chain_right", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("join_chain_right", (lhs == rhs) & (lhs >= 0))
 
     # dom(a∨g) = a∨dom g and cod(g∨a) = (cod g)∨a
     law = (dom_p[je] == join[idx_n[:, None], dom[None, :]]) & (je >= 0)
-    _record_mask(report, "join_endpoint_left", law)
+    report.record_mask("join_endpoint_left", law)
     law = (cod_p[jc] == join[cod[:, None], idx_n[None, :]]) & (jc >= 0)
-    _record_mask(report, "join_endpoint_right", law)
+    report.record_mask("join_endpoint_right", law)
 
     # (a∨f)∨b = a∨(f∨b)
     lhs = jc_p[je[:, :, None], idx_n[None, None, :]]
     rhs = je_p[idx_n[:, None, None], jc[None, :, :]]
-    _record_mask(report, "join_compatibility", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("join_compatibility", (lhs == rhs) & (lhs >= 0))
     return report
 
 
@@ -481,29 +466,29 @@ def check_linking(sys: RestrictionSystem) -> AxiomReport:
 
     # f = (a∧f)∨(f*f): restrict to a, then coextend back up to cod f
     val = jc_p[mr, cod[None, :]]
-    _record_mask(report, "linking_meet_join", val == idx_m[None, :])
+    report.record_mask("linking_meet_join", val == idx_m[None, :])
 
     # equivalently ff* = (a∧f)∨f*: join pseudoproduct with the inverse
     val = pj_p[mr, inv[None, :]]
     target = e_p[dom][None, :]
-    _record_mask(report, "linking_equiv_pseudo", (val == target) & (val >= 0))
+    report.record_mask("linking_equiv_pseudo", (val == target) & (val >= 0))
 
     # lateral: f = (ff*)∨(f∧a)
     val = je_p[dom[None, :], mc.T]
-    _record_mask(report, "linking_lateral", val == idx_m[None, :])
+    report.record_mask("linking_lateral", val == idx_m[None, :])
 
     # order dual: f = (a∨f)∧(f*f)
     val = mc_p[je, cod[None, :]]
-    _record_mask(report, "linking_order_dual", val == idx_m[None, :])
+    report.record_mask("linking_order_dual", val == idx_m[None, :])
 
     # order lateral: f = (ff*)∧(f∨a)
     val = mr_p[dom[None, :], jc.T]
-    _record_mask(report, "linking_order_lateral", val == idx_m[None, :])
+    report.record_mask("linking_order_lateral", val == idx_m[None, :])
 
     # on identity morphisms the axiom degenerates to skew-lattice absorption
     val = jc_p[mr_p[idx_n[:, None], e[None, :]], idx_n[None, :]]
     law = (val == e[None, :]) & (val >= 0)
-    _record_mask(report, "idempotent_absorption", law)
+    report.record_mask("idempotent_absorption", law)
     return report
 
 
@@ -531,57 +516,57 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     # (f∧e)∧g = f∧(e∧g) over morphism, object, morphism
     lhs = pm_p[mc[:, :, None], idx_m[None, None, :]]
     rhs = pm_p[idx_m[:, None, None], mr[None, :, :]]
-    _record_mask(report, "mixed_assoc_meet", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("mixed_assoc_meet", (lhs == rhs) & (lhs >= 0))
     lhs = pj_p[jc[:, :, None], idx_m[None, None, :]]
     rhs = pj_p[idx_m[:, None, None], je[None, :, :]]
-    _record_mask(report, "mixed_assoc_join", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("mixed_assoc_join", (lhs == rhs) & (lhs >= 0))
 
     # e^(f∧g) = (e^f)^g over object, morphism, morphism
     lhs = cod_p[mr_p[idx_n[:, None, None], pm[None, :, :]]]
     rhs = cod_p[mr_p[cod_p[mr][:, :, None], idx_m[None, None, :]]]
-    _record_mask(report, "action_chain_meet", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("action_chain_meet", (lhs == rhs) & (lhs >= 0))
     lhs = cod_p[je_p[idx_n[:, None, None], pj[None, :, :]]]
     rhs = cod_p[je_p[cod_p[je][:, :, None], idx_m[None, None, :]]]
-    _record_mask(report, "action_chain_join", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("action_chain_join", (lhs == rhs) & (lhs >= 0))
 
     # _e|(f∧g) = (_e|f)∧g
     lhs = mr_p[idx_n[:, None, None], pm[None, :, :]]
     rhs = pm_p[mr[:, :, None], idx_m[None, None, :]]
-    _record_mask(report, "restrict_into_product_meet", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("restrict_into_product_meet", (lhs == rhs) & (lhs >= 0))
     lhs = je_p[idx_n[:, None, None], pj[None, :, :]]
     rhs = pj_p[je[:, :, None], idx_m[None, None, :]]
-    _record_mask(report, "extend_into_product_join", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("extend_into_product_join", (lhs == rhs) & (lhs >= 0))
 
     # both pseudoproducts associative over all morphism triples
     lhs = pm_p[pm][:, :, :m]
     rhs = pm_p[idx_m[:, None, None], pm[None, :, :]]
-    _record_mask(report, "assoc_meet", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("assoc_meet", (lhs == rhs) & (lhs >= 0))
     lhs = pj_p[pj][:, :, :m]
     rhs = pj_p[idx_m[:, None, None], pj[None, :, :]]
-    _record_mask(report, "assoc_join", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("assoc_join", (lhs == rhs) & (lhs >= 0))
 
     # pseudoproduct extends composition and the object operations
     composable = comp >= 0
-    _record_mask(report, "extends_composition_meet", ~composable | (pm == comp))
-    _record_mask(report, "extends_composition_join", ~composable | (pj == comp))
+    report.record_mask("extends_composition_meet", ~composable | (pm == comp))
+    report.record_mask("extends_composition_join", ~composable | (pj == comp))
     val = pm_p[e[:, None], e[None, :]]
     law = (val == e_p[meet]) & (val >= 0)
-    _record_mask(report, "identity_product_meet", law)
+    report.record_mask("identity_product_meet", law)
     val = pj_p[e[:, None], e[None, :]]
     law = (val == e_p[join]) & (val >= 0)
-    _record_mask(report, "identity_product_join", law)
+    report.record_mask("identity_product_join", law)
 
     # idempotents of each pseudoproduct are exactly the identity morphisms
     id_set = np.zeros(m, dtype=bool)
     id_set[e[e >= 0]] = True
-    _record_mask(report, "idempotents_meet", (pm[idx_m, idx_m] == idx_m) == id_set)
-    _record_mask(report, "idempotents_join", (pj[idx_m, idx_m] == idx_m) == id_set)
+    report.record_mask("idempotents_meet", (pm[idx_m, idx_m] == idx_m) == id_set)
+    report.record_mask("idempotents_join", (pj[idx_m, idx_m] == idx_m) == id_set)
 
     # regularity: g∧g*∧g = g and the join analogue
     val = pm_p[pm[idx_m, inv], idx_m]
-    _record_mask(report, "regularity_meet", val == idx_m)
+    report.record_mask("regularity_meet", val == idx_m)
     val = pj_p[pj[idx_m, inv], idx_m]
-    _record_mask(report, "regularity_join", val == idx_m)
+    report.record_mask("regularity_join", val == idx_m)
 
     # the plus/minus calculus for both operations
     skehr_statement_flags(report, "skehr_meet", pm, inv)
@@ -590,33 +575,32 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     # (_a|f)^-1 = _(a^f)|f^-1 and the join analogue
     lhs = inv_p[mr]
     rhs = mr_p[cod_p[mr], inv[None, :]]
-    _record_mask(report, "invert_restriction", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("invert_restriction", (lhs == rhs) & (lhs >= 0))
     lhs = inv_p[je]
     rhs = je_p[cod_p[je], inv[None, :]]
-    _record_mask(report, "invert_extension", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("invert_extension", (lhs == rhs) & (lhs >= 0))
 
     # a^(i_b) = a∧b and a_(i_b) = a∨b
     val = cod_p[mr_p[idx_n[:, None], e[None, :]]]
-    _record_mask(report, "identity_action_meet", (val == meet) & (val >= 0))
+    report.record_mask("identity_action_meet", (val == meet) & (val >= 0))
     val = cod_p[je_p[idx_n[:, None], e[None, :]]]
-    _record_mask(report, "identity_action_join", (val == join) & (val >= 0))
+    report.record_mask("identity_action_join", (val == join) & (val >= 0))
 
     # a∧f∧f* = a∧f∧(a∧f)* and the printed join form a∨f∨f* = a∨f∨(a∨f)*
     lhs = pm_p[mr, inv[None, :]]
     rhs = pm_p[mr, inv_p[mr]]
-    _record_mask(report, "range_invariance_meet", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("range_invariance_meet", (lhs == rhs) & (lhs >= 0))
     lhs = pj_p[je, inv[None, :]]
     rhs = pj_p[je, inv_p[je]]
-    _record_mask(report, "range_invariance_join", (lhs == rhs) & (lhs >= 0))
+    report.record_mask("range_invariance_join", (lhs == rhs) & (lhs >= 0))
 
     # observations: these may fail, and for genuinely skew objects they should
     plus = pm[idx_m, inv]
     minus = pm[inv, idx_m]
-    plus_p, minus_p = _pad1(plus), _pad1(minus)
+    plus_p, minus_p = padded(plus), padded(minus)
     lhs = pm_p[plus_p[pm], idx_m[:, None]]
     rhs = pm_p[idx_m[:, None], plus[None, :]]
-    _record_mask(
-        report,
+    report.record_mask(
         "obs_restriction_identity_left",
         (lhs == rhs) & (lhs >= 0),
         required=False,
@@ -624,8 +608,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     )
     lhs = pm_p[idx_m[None, :], minus_p[pm]]
     rhs = pm_p[minus[:, None], idx_m[None, :]]
-    _record_mask(
-        report,
+    report.record_mask(
         "obs_restriction_identity_right",
         (lhs == rhs) & (lhs >= 0),
         required=False,
@@ -633,16 +616,14 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     )
     lhs = cod_p[mr].T
     rhs = dom_p[mc_p[inv[:, None], idx_n[None, :]]]
-    _record_mask(
-        report,
+    report.record_mask(
         "obs_action_inverse",
         lhs == rhs,
         required=False,
         note="a^f = ^(f^-1)|a is not an axiom",
     )
     rhs = mc_p[idx_m[None, :], cod_p[mr]]
-    _record_mask(
-        report,
+    report.record_mask(
         "obs_restrict_swap",
         mr == rhs,
         required=False,
@@ -658,10 +639,7 @@ def build_algebra(sys: RestrictionSystem, check: bool = True) -> BiBandAlgebra:
     With check=True (the default) the system must pass its full report.
     """
     if check:
-        report = sys.full_report()
-        if not report.ok:
-            bad = report.first_failure()
-            raise AxiomViolationError(bad.name, bad.witness)
+        sys.full_report().require()
     for name, table in (("meet", sys._pm), ("join", sys._pj)):
         if (table < 0).any():
             hole = tuple(int(v) for v in np.argwhere(table < 0)[0])

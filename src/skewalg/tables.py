@@ -152,6 +152,19 @@ class GreensPair:
         return self.l_class_of[a] == self.l_class_of[b]
 
 
+def padded(core) -> np.ndarray:
+    """core with a -1 border appended along every axis.
+
+    numpy reads index -1 as the last position, so a gather through the
+    padded table maps an undefined (-1) index to -1 again and holes flow
+    through chained lookups without any masking.
+    """
+    core = np.asarray(core, dtype=np.int64)
+    out = np.full(tuple(k + 1 for k in core.shape), -1, dtype=np.int64)
+    out[(slice(-1),) * core.ndim] = core
+    return out
+
+
 def check_associative(t: OperationTable) -> bool:
     """True iff t(t(a,b),c) = t(a,t(b,c)) for all triples."""
     arr = t.array
@@ -177,13 +190,6 @@ def check_band(t: OperationTable) -> bool:
     return check_idempotent(t) and check_associative(t)
 
 
-def _first_bad(mask: np.ndarray) -> tuple | None:
-    bad = np.argwhere(~mask)
-    if len(bad) == 0:
-        return None
-    return tuple(int(x) for x in bad[0])
-
-
 def check_skew_lattice(s: SkewLatticeTable) -> AxiomReport:
     """Check both band structures and the four absorption identities."""
     m, j = s.meet.array, s.join.array
@@ -192,22 +198,17 @@ def check_skew_lattice(s: SkewLatticeTable) -> AxiomReport:
     col = idx[:, None]
     row = idx[None, :]
     report = AxiomReport("skew lattice")
-    report.record("meet_idempotent", check_idempotent(s.meet), _first_bad(np.diag(m) == idx))
-    report.record("meet_associative", check_associative(s.meet), associativity_witness(s.meet))
-    report.record("join_idempotent", check_idempotent(s.join), _first_bad(np.diag(j) == idx))
-    report.record("join_associative", check_associative(s.join), associativity_witness(s.join))
+    for name, t in (("meet", m), ("join", j)):
+        report.record_mask(f"{name}_idempotent", np.diag(t) == idx)
+        report.record_mask(f"{name}_associative", t[t, :] == t[:, t])
     # a ∨ (a ∧ b) = a
-    mask = j[col, m] == col
-    report.record("absorb_join_meet", mask.all(), _first_bad(mask))
+    report.record_mask("absorb_join_meet", j[col, m] == col)
     # a ∧ (a ∨ b) = a
-    mask = m[col, j] == col
-    report.record("absorb_meet_join", mask.all(), _first_bad(mask))
+    report.record_mask("absorb_meet_join", m[col, j] == col)
     # (a ∧ b) ∨ b = b
-    mask = j[m, row] == row
-    report.record("absorb_meet_then_join", mask.all(), _first_bad(mask))
+    report.record_mask("absorb_meet_then_join", j[m, row] == row)
     # (a ∨ b) ∧ b = b
-    mask = m[j, row] == row
-    report.record("absorb_join_then_meet", mask.all(), _first_bad(mask))
+    report.record_mask("absorb_join_then_meet", m[j, row] == row)
     return report
 
 
@@ -223,12 +224,12 @@ def natural_preorders(s: SkewLatticeTable) -> PreorderPair:
     le_right = m.T == idx[:, None]
     ge_left = j == idx[:, None]
     ge_right = j.T == idx[:, None]
-    if not np.array_equal(le_left, ge_right.T):
-        witness = _first_bad(le_left == ge_right.T)
-        raise ValueError(f"le_left is not the converse of ge_right at {witness}")
-    if not np.array_equal(le_right, ge_left.T):
-        witness = _first_bad(le_right == ge_left.T)
-        raise ValueError(f"le_right is not the converse of ge_left at {witness}")
+    pairing = AxiomReport("converse pairing")
+    pairing.record_mask("le_left is not the converse of ge_right", le_left == ge_right.T)
+    pairing.record_mask("le_right is not the converse of ge_left", le_right == ge_left.T)
+    bad = pairing.first_failure()
+    if bad is not None:
+        raise ValueError(f"{bad.name} at {bad.witness}")
     return PreorderPair(le_left, le_right, ge_left, ge_right)
 
 

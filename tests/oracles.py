@@ -205,3 +205,86 @@ def action_orbit_count(actions, group, meet, join):
                 )
                 seen.add(moved)
     return classes
+
+
+def groupoid_units(n, dom, cod, comp):
+    """units[b] = the morphism acting as identity at object b, or -1; on a
+    broken table offering several, the last one found wins."""
+    m = len(dom)
+    units = [-1] * n
+    for e in range(m):
+        b = dom[e]
+        if cod[e] != b or comp[e][e] != e:
+            continue
+        if all(
+            (dom[f] != b or comp[e][f] == f) and (cod[f] != b or comp[f][e] == f)
+            for f in range(m)
+        ):
+            units[b] = e
+    return units
+
+
+def groupoid_laws(n, dom, cod, comp, inv):
+    """The groupoid-law report as AxiomReport.to_dict() lays it out: each
+    law scanned by nested loops, witness = first failing index tuple."""
+    m = len(dom)
+    units = groupoid_units(n, dom, cod, comp)
+    checks = {}
+
+    def record(name, witness, required=True):
+        checks[name] = {
+            "ok": witness is None,
+            "witness": list(witness) if witness is not None else None,
+            "required": required,
+            "note": None,
+        }
+
+    def first(bad, arity=1, size=m):
+        cells = product(range(size), repeat=arity)
+        return next((c for c in cells if bad(*c)), None)
+
+    def pattern_bad(f, h):
+        v = comp[f][h]
+        if (v >= 0) != (cod[f] == dom[h]):
+            return True
+        return v >= 0 and (dom[v] != dom[f] or cod[v] != cod[h])
+
+    record("composition_pattern", first(pattern_bad, 2))
+
+    def assoc_bad(f, h, k):
+        fh, hk = comp[f][h], comp[h][k]
+        if fh < 0 or hk < 0:
+            return False
+        left, right = comp[fh][k], comp[f][hk]
+        return left >= 0 and right >= 0 and left != right
+
+    record("associativity", first(assoc_bad, 3))
+
+    missing = first(lambda b: units[b] < 0, size=n)
+    if missing is None:
+        missing = first(
+            lambda f: comp[units[dom[f]]][f] != f or comp[f][units[cod[f]]] != f
+        )
+    record("identities", missing)
+
+    def inverse_bad(f):
+        fi = inv[f]
+        if dom[fi] != cod[f] or cod[fi] != dom[f]:
+            return True
+        return comp[f][fi] != units[dom[f]] or comp[fi][f] != units[cod[f]]
+
+    record("inverse_laws", first(inverse_bad))
+    record("involution", first(lambda f: inv[inv[f]] != f), required=False)
+    record(
+        "anti_involution",
+        first(lambda f, h: comp[f][h] >= 0 and inv[comp[f][h]] != comp[inv[h]][inv[f]], 2),
+        required=False,
+    )
+    unit_set = {e for e in units if e >= 0}
+    record(
+        "idempotents_are_identities",
+        first(lambda f: (comp[f][f] == f) != (f in unit_set)),
+        required=False,
+    )
+    required_ok = all(c["ok"] for c in checks.values() if c["required"])
+    return {"title": "groupoid laws", "ok": required_ok, "checks": checks}

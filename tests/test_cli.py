@@ -9,12 +9,17 @@ from skewalg import (
     BiBandAlgebra,
     RestrictionSystem,
     chain_lattice,
+    check_extension_axioms,
+    check_linking,
+    check_restriction_axioms,
+    check_structure,
     enumerate_skew_lattices,
     load_structure,
     save_structure,
     semidirect_algebra,
     semidirect_groupoid,
     trivial_action,
+    verify_derived_identities,
 )
 from skewalg.cli import dispatch, main
 from skewalg.models import GROUP_CATALOG, GroupAction
@@ -106,6 +111,30 @@ def test_unknown_subcommand_is_exit_three():
 def test_missing_argument_is_exit_three():
     _, code = dispatch(["check-algebra"])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [["enum-bands", "0"], ["enum-skew", "0"], ["enum-skew", "-1"]])
+def test_non_positive_order_is_exit_three(argv):
+    run, code = dispatch(argv)
+    assert code == 3
+    assert run["error"]["kind"] == "usage"
+    json.dumps(run)
+
+
+def test_check_system_report_is_the_five_checkers_in_order(swap_system_file):
+    sysm = load_structure(swap_system_file)
+    families = [
+        ("structure.", check_structure),
+        ("restriction.", check_restriction_axioms),
+        ("extension.", check_extension_axioms),
+        ("linking.", check_linking),
+        ("derived.", verify_derived_identities),
+    ]
+    run, _ = dispatch(["check-system", swap_system_file])
+    expected = [p + c.name for p, checker in families for c in checker(sysm).checks()]
+    assert list(run["report"]["checks"]) == expected
+    axioms = [c.name for _, checker in families[:4] for c in checker(sysm).checks()]
+    assert [c.name for c in sysm.full_report().checks()] == axioms
 
 
 def test_bound_violation_is_exit_four():

@@ -1,5 +1,8 @@
+import random
+
 import numpy as np
 import pytest
+from oracles import groupoid_laws, groupoid_units
 
 from skewalg import (
     FiniteGroupoid,
@@ -95,3 +98,24 @@ def test_identity_of_reports_missing_units():
     assert g.identity_of[0] == 0
     assert g.identity_of[1] == -1
     assert not check_groupoid(g).ok
+
+
+def test_groupoid_laws_match_scalar_oracle_on_suite_and_mutants(suite):
+    # witnesses included: the first failing tuple in row-major order
+    rng = random.Random(1810)
+    for inst in suite:
+        g = inst.system.groupoid
+        m = g.morphism_count
+        variants = [g]
+        for _ in range(3):
+            comp, inv = g.comp.copy(), g.inv.copy()
+            if rng.random() < 0.7:
+                comp[rng.randrange(m), rng.randrange(m)] = rng.randrange(-1, m)
+            else:
+                inv[rng.randrange(m)] = rng.randrange(m)
+            variants.append(FiniteGroupoid(g.object_count, g.dom, g.cod, comp, inv))
+        for h in variants:
+            n, dom, cod = h.object_count, h.dom.tolist(), h.cod.tolist()
+            comp, inv = h.comp.tolist(), h.inv.tolist()
+            assert h.identity_of.tolist() == groupoid_units(n, dom, cod, comp), inst.name
+            assert check_groupoid(h).to_dict() == groupoid_laws(n, dom, cod, comp, inv), inst.name

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skewalg import (
+    BiBandAlgebra,
     GroupTable,
     OperationTable,
     SignatureMismatchError,
@@ -17,7 +18,7 @@ from skewalg import (
     right_zero,
     signature_of,
 )
-from skewalg.isomorphism import relabel
+from skewalg.isomorphism import relabel, relabel_unary
 
 
 def cyclic(n):
@@ -78,3 +79,16 @@ def test_isomorphism_respects_unary_operation():
     # the unique nontrivial automorphism of C3 swaps the generators
     autos = group_automorphisms(g)
     assert (0, 2, 1) in autos
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_relabeled_suite_algebra_is_found(suite, data):
+    S = data.draw(st.sampled_from(suite)).algebra
+    perm = tuple(data.draw(st.permutations(range(S.order))))
+    moved = BiBandAlgebra(
+        relabel(S.join.array, perm), relabel(S.meet.array, perm), relabel_unary(S.star, perm)
+    )
+    iso = find_isomorphism(S, moved)
+    assert iso is not None
+    assert preserves_operations(signature_of(S), signature_of(moved), iso.mapping)
