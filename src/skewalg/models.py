@@ -9,12 +9,18 @@ both band operations. From one action we build
   * the groupoid with objects B and morphisms (b, g) : b -> b^g, carrying
     the restriction and extension operators by object-wise conjugation,
   * the congruence kernels K_a collected from the largest congruence of the
-    pair algebra that separates idempotents.
+    pair algebra that separates idempotents.  That congruence is computed
+    by partition refinement (Moore's algorithm, as in DFA minimisation):
+    start from the pairs with equal s∧s* and s*∧s and split classes by the
+    classes of their images under the star and every one-sided product
+    until nothing splits; a certificate then checks that the partition is a
+    congruence, separates the idempotents, and contains every congruence
+    that does.
 
 generate_model_suite instantiates the whole catalog of small groups against
 every skew lattice up to the bound, deduplicated up to simultaneous group
-and band automorphisms; this suite is the test-bed for every checker in the
-package.
+and band automorphisms (computed once per group and per lattice); this
+suite is the test-bed for every checker in the package.
 """
 
 from __future__ import annotations
@@ -275,7 +281,10 @@ def enumerate_actions(group: GroupTable, lattice: SkewLatticeTable) -> list[Grou
     a^{uv} = (a^u)^v, so the assignment is determined by the images of a
     generating set; all combinations are tried and validated.
     """
-    auts = automorphisms_of(lattice)
+    return _enumerate_actions(group, lattice, automorphisms_of(lattice))
+
+
+def _enumerate_actions(group, lattice, auts) -> list[GroupAction]:
     gens = _generating_set(group)
     words = _element_words(group, gens)
     n = group.order
@@ -301,25 +310,26 @@ def dedupe_actions(actions: list[GroupAction]) -> list[GroupAction]:
     """One representative per orbit under Aut(G) x Aut(B) relabelings."""
     if not actions:
         return []
-    group = actions[0].group
-    lattice = actions[0].lattice
-    gauts = group_automorphisms(group)
-    bauts = automorphisms_of(lattice)
+    return _dedupe_actions(
+        actions,
+        group_automorphisms(actions[0].group),
+        automorphisms_of(actions[0].lattice),
+    )
+
+
+def _dedupe_actions(actions, gauts, bauts) -> list[GroupAction]:
+    relabelings = []
+    for sigma in map(np.asarray, bauts):
+        sigma_inv = np.empty_like(sigma)
+        sigma_inv[sigma] = np.arange(len(sigma))
+        relabelings.extend(
+            (sigma[:, None], np.asarray(tau)[None, :], sigma_inv) for tau in gauts
+        )
     seen: set[bytes] = set()
     out: list[GroupAction] = []
     for action in actions:
         act = action.act
-        best = None
-        for tau in gauts:
-            tau = np.asarray(tau)
-            for sigma in bauts:
-                sigma = np.asarray(sigma)
-                sigma_inv = np.empty_like(sigma)
-                sigma_inv[sigma] = np.arange(len(sigma))
-                moved = sigma_inv[act[sigma[:, None], tau[None, :]]]
-                key = moved.tobytes()
-                if best is None or key < best:
-                    best = key
+        best = min(inv[act[rows, cols]].tobytes() for rows, cols, inv in relabelings)
         if best not in seen:
             seen.add(best)
             out.append(action)
@@ -347,14 +357,21 @@ def generate_model_suite(
         raise BoundExceededError(
             f"band bound {max_band} exceeds configured maximum {MAX_SUITE_BAND}"
         )
-    lattices = {nb: enumerate_skew_lattices(nb) for nb in range(1, max_band + 1)}
+    # automorphisms are computed once per lattice and per group, not per pair
+    lattices = {
+        nb: [(lattice, automorphisms_of(lattice)) for lattice in enumerate_skew_lattices(nb)]
+        for nb in range(1, max_band + 1)
+    }
     suite: list[ModelInstance] = []
     for gname, group in GROUP_CATALOG.items():
         if group.order > max_group:
             continue
+        gauts = group_automorphisms(group)
         for nb, band_lattices in lattices.items():
-            for bi, lattice in enumerate(band_lattices):
-                actions = dedupe_actions(enumerate_actions(group, lattice))
+            for bi, (lattice, bauts) in enumerate(band_lattices):
+                actions = _dedupe_actions(
+                    _enumerate_actions(group, lattice, bauts), gauts, bauts
+                )
                 for k, action in enumerate(actions):
                     name = f"{gname}xB{nb}.{bi}a{k}"
                     suite.append(
@@ -368,93 +385,72 @@ def generate_model_suite(
     return suite
 
 
-def _translation_maps(S: BiBandAlgebra) -> list[np.ndarray]:
-    """Unary maps every congruence must respect: star plus one-sided
-    multiplication by each fixed element, for both operations."""
-    n = S.order
-    maps = [S.star]
-    for table in (S.meet.array, S.join.array):
-        maps.extend(table[i, :] for i in range(n))
-        maps.extend(table[:, i] for i in range(n))
-    return maps
+def _unary_images(S: BiBandAlgebra) -> np.ndarray:
+    """Column k holds the k-th of the 4n+1 unary maps every congruence must
+    respect: the star, then x -> i∧x, x∧i, i∨x, x∨i for each element i."""
+    mt, jt = S.meet.array, S.join.array
+    return np.hstack([S.star[:, None], mt.T, mt, jt.T, jt])
 
 
-def _find(parent: list[int], x: int) -> int:
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
-
-
-def _close(parent: list[int], maps, seed) -> None:
-    """Merge the seed pairs and everything compatibility forces: when two
-    classes join, each translation map must identify their images too."""
-    work = list(seed)
-    while work:
-        x, y = work.pop()
-        if _find(parent, x) == _find(parent, y):
-            continue
-        parent[_find(parent, y)] = _find(parent, x)
-        work.extend((int(m[x]), int(m[y])) for m in maps)
+def _row_labels(rows: np.ndarray) -> np.ndarray:
+    """Labels 0..k-1 with equal labels exactly on equal rows.  Each row is
+    viewed as one opaque byte string, which np.unique sorts some twenty
+    times faster than np.unique(axis=0) sorts rows of 97 integer fields."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return np.unique(keys, return_inverse=True)[1].reshape(-1)
 
 
 def _max_idempotent_separating_congruence(S: BiBandAlgebra):
     """Class labels of the largest congruence of the full (2,2,1)-algebra
-    whose classes contain at most one idempotent, plus a certificate.
+    whose classes contain at most one idempotent, plus its per-element
+    certificate.
 
-    Greedy join of principal congruences: a pair is adopted when the
-    congruence it generates on top of the current one still separates the
-    idempotents.  The result is maximal by construction; it is the unique
-    maximum iff no pair outside it generates a separating congruence on
-    its own, which the second pass checks and reports.
+    Moore refinement, as in DFA minimisation (Howie's μ for semigroups):
+    start from E = {(s,t) : s∧s* = t∧t* and s*∧s = t*∧t} and split classes
+    by the labels of their images under every unary map until the class
+    count stops growing.  The result is the coarsest refinement of E that
+    every map respects, i.e. the largest congruence inside E.
     """
     n = S.order
-    maps = _translation_maps(S)
-    mt, jt, st = S.meet.array, S.join.array, S.star
+    mt, st = S.meet.array, S.star
     idx = np.arange(n)
-    idem = np.flatnonzero((mt[idx, idx] == idx) | (jt[idx, idx] == idx))
-    pos, neg = mt[idx, st], mt[st, idx]
+    images = _unary_images(S)
+    labels = _row_labels(np.stack([mt[idx, st], mt[st, idx]], axis=1))
+    count = labels.max(initial=-1) + 1
+    while True:
+        labels = _row_labels(np.hstack([labels[:, None], labels[images]]))
+        grown = labels.max(initial=-1) + 1
+        if grown == count:
+            return labels, _certificate(S, labels)
+        count = grown
 
-    def separating(parent):
-        roots = {_find(parent, int(e)) for e in idem}
-        return len(roots) == len(idem)
 
-    def doomed(s, t):
-        # merging s,t forces s∧s* ~ t∧t* and s*∧s ~ t*∧t; if either is a
-        # pair of distinct idempotents, no separating congruence holds s~t
-        return pos[s] != pos[t] or neg[s] != neg[t]
+def _certificate(S: BiBandAlgebra, labels) -> np.ndarray:
+    """Per element x, whether x passes the certificate that the refined
+    `labels` are the maximum idempotent-separating congruence:
 
-    parent = list(range(n))
-    changed = True
-    while changed:
-        changed = False
-        for s in range(n):
-            for t in range(s + 1, n):
-                if doomed(s, t) or _find(parent, s) == _find(parent, t):
-                    continue
-                trial = parent.copy()
-                _close(trial, maps, [(s, t)])
-                if separating(trial):
-                    parent = trial
-                    changed = True
+      * the images of x under every unary map lie in the classes of the
+        images of the first element of its class (a congruence);
+      * x is not an idempotent whose class holds an earlier idempotent
+        (the congruence separates idempotents);
+      * x∧x* and x*∧x are idempotents, so an idempotent-separating
+        congruence only identifies pairs whose parts agree and lies in E.
 
-    is_max = True
-    for s in range(n):
-        for t in range(s + 1, n):
-            if doomed(s, t) or _find(parent, s) == _find(parent, t):
-                continue
-            solo = list(range(n))
-            _close(solo, maps, [(s, t)])
-            if separating(solo):
-                is_max = False
-                break
-        if not is_max:
-            break
-
-    labels = np.asarray([_find(parent, x) for x in range(n)])
-    return np.unique(labels, return_inverse=True)[1], is_max
+    Applied to the largest congruence inside E, all True makes it the
+    maximum.
+    """
+    images = _unary_images(S)
+    n = S.order
+    mt, jt, st = S.meet.array, S.join.array, S.star
+    _, first, labels = np.unique(labels, return_index=True, return_inverse=True)
+    idx = np.arange(n)
+    idem = (mt[idx, idx] == idx) | (jt[idx, idx] == idx)
+    idem_at = np.flatnonzero(idem)
+    lone = ~idem
+    lone[idem_at[np.unique(labels[idem_at], return_index=True)[1]]] = True
+    compatible = (labels[images] == labels[images[first[labels]]]).all(axis=1)
+    return compatible & lone & idem[mt[idx, st]] & idem[mt[st, idx]]
 
 
 def congruence_kernels(action: GroupAction):
@@ -462,10 +458,15 @@ def congruence_kernels(action: GroupAction):
     idempotent-separating congruence of the pair algebra, with a report on
     the chain K_a ⊆ K_{a∨b} ⊆ K_{(a∨b)∧b} = K_b, equality of all kernels,
     and normality of the common kernel.
+
+    congruence_maximum_exists records _certificate and names the first
+    element of the pair algebra that fails it; the chain flags
+    carry the first failing (a, b), kernels_equal the first object a whose
+    kernel differs from K_0, and kernel_normal the first (w, u) with u in
+    K_0 but w u w^-1 outside it.
     """
-    _guard(action)
     S = semidirect_algebra(action)
-    labels, is_max = _max_idempotent_separating_congruence(S)
+    labels, certified = _max_idempotent_separating_congruence(S)
     gt = action.group.table.array
     ginv = action.group.inverse
     jt = action.lattice.join.array
@@ -473,103 +474,62 @@ def congruence_kernels(action: GroupAction):
     e = int(action.group.identity)
     nb, ng = action.band_order, action.group_order
 
-    kernels = {
-        a: frozenset(
-            u for u in range(ng) if labels[S.encode(u, a)] == labels[S.encode(e, a)]
-        )
-        for a in range(nb)
-    }
+    # member[a, u]: (u, a) lies in the class of (1, a)
+    grid = labels.reshape(ng, nb).T
+    member = grid == grid[:, [e]]
+    kernels = {a: frozenset(np.flatnonzero(member[a]).tolist()) for a in range(nb)}
+
+    def within(sub, sup):
+        return (~member[sub] | member[sup]).all(axis=-1)
+
+    upper = mt[jt, np.arange(nb)[None, :]]
+    first = member[0]
+    conjugates = gt[gt, ginv[:, None]]
 
     report = AxiomReport("congruence kernels")
-    report.record("congruence_maximum_exists", is_max, None if is_max else (0,))
-    chain_lo = all(
-        kernels[a] <= kernels[int(jt[a, b])] for a in range(nb) for b in range(nb)
-    )
-    report.record("chain_lower", chain_lo, None if chain_lo else (0,))
-    chain_hi = all(
-        kernels[int(jt[a, b])] <= kernels[int(mt[jt[a, b], b])]
-        for a in range(nb)
-        for b in range(nb)
-    )
-    report.record("chain_upper", chain_hi, None if chain_hi else (0,))
-    closes = all(int(mt[jt[a, b], b]) == b for a in range(nb) for b in range(nb))
-    report.record("chain_closes", closes, None if closes else (0,))
-    first = kernels[0]
-    equal = all(kernels[a] == first for a in range(nb))
-    report.record("kernels_equal", equal, None if equal else (0,))
-    normal = all(
-        int(gt[gt[w, u], ginv[w]]) in first for w in range(ng) for u in first
-    )
-    report.record("kernel_normal", normal, None if normal else (0,))
+    report.record_mask("congruence_maximum_exists", certified)
+    report.record_mask("chain_lower", within(np.arange(nb)[:, None], jt))
+    report.record_mask("chain_upper", within(jt, upper))
+    report.record_mask("chain_closes", upper == np.arange(nb)[None, :])
+    report.record_mask("kernels_equal", (member == first).all(axis=1))
+    report.record_mask("kernel_normal", ~first[None, :] | first[conjugates])
     return kernels, report
 
 
-def _top_of(lattice: SkewLatticeTable):
-    mt, jt = lattice.meet.array, lattice.join.array
-    idx = np.arange(lattice.order)
-    for t in range(lattice.order):
-        if (
-            (mt[t, :] == idx).all()
-            and (mt[:, t] == idx).all()
-            and (jt[t, :] == t).all()
-            and (jt[:, t] == t).all()
-        ):
-            return t
-    return None
-
-
-def _bottom_of(lattice: SkewLatticeTable):
-    mt, jt = lattice.meet.array, lattice.join.array
-    idx = np.arange(lattice.order)
-    for z in range(lattice.order):
-        if (
-            (jt[z, :] == idx).all()
-            and (jt[:, z] == idx).all()
-            and (mt[z, :] == z).all()
-            and (mt[:, z] == z).all()
-        ):
-            return z
-    return None
+def _extreme(neutral: np.ndarray, absorbing: np.ndarray):
+    """The first element that is two-sided neutral for one operation and
+    two-sided absorbing for the other, or None: the top is neutral for meet
+    and absorbing for join, the bottom the other way round."""
+    idx = np.arange(len(neutral))
+    found = np.flatnonzero(
+        (neutral == idx).all(axis=1)
+        & (neutral.T == idx).all(axis=1)
+        & (absorbing == idx[:, None]).all(axis=1)
+        & (absorbing.T == idx[:, None]).all(axis=1)
+    )
+    return int(found[0]) if found.size else None
 
 
 def normal_form_report(action: GroupAction) -> AxiomReport:
     """(u,a) = u∧a with u embedded as (u, top), and (u,a) = u∨a with u
     embedded as (u, bottom); each checked only when the needed extreme
-    element exists, otherwise recorded as skipped."""
-    _guard(action)
+    element exists, otherwise recorded as skipped.  A failing flag names
+    the first (u, a) where the product differs from (u, a)."""
     S = semidirect_algebra(action)
     e = int(action.group.identity)
     nb, ng = action.band_order, action.group_order
+    pair = np.arange(ng * nb).reshape(ng, nb)
     report = AxiomReport("normal form")
 
-    top = _top_of(action.lattice)
-    if top is None:
-        report.record(
-            "normal_form_meet", True, required=False, note="skipped: objects have no top"
-        )
-    else:
-        mt = S.meet.array
-        ok = all(
-            mt[S.encode(u, top), S.encode(e, a)] == S.encode(u, a)
-            for u in range(ng)
-            for a in range(nb)
-        )
-        report.record("normal_form_meet", ok, None if ok else (0,))
-
-    bottom = _bottom_of(action.lattice)
-    if bottom is None:
-        report.record(
-            "normal_form_join",
-            True,
-            required=False,
-            note="skipped: objects have no bottom",
-        )
-    else:
-        jt = S.join.array
-        ok = all(
-            jt[S.encode(u, bottom), S.encode(e, a)] == S.encode(u, a)
-            for u in range(ng)
-            for a in range(nb)
-        )
-        report.record("normal_form_join", ok, None if ok else (0,))
+    mt, jt = action.lattice.meet.array, action.lattice.join.array
+    for name, extreme, table, missing in (
+        ("normal_form_meet", _extreme(mt, jt), S.meet.array, "top"),
+        ("normal_form_join", _extreme(jt, mt), S.join.array, "bottom"),
+    ):
+        if extreme is None:
+            report.record(
+                name, True, required=False, note=f"skipped: objects have no {missing}"
+            )
+        else:
+            report.record_mask(name, table[pair[:, [extreme]], pair[[e], :]] == pair)
     return report

@@ -11,12 +11,15 @@ One format per structure, distinguished by their key sets:
   group action   {"group": [[...]], "lattice": {...}, "act": [[...]]}
 
 Loading dispatches on those keys; files that fit no shape raise
-MalformedSystemError, as do tables the constructors reject.
+MalformedSystemError, as do tables the constructors reject, table entries
+that are not JSON integers (floats and true/false are refused, never
+coerced) and an "order" that differs from the table size.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -74,42 +77,65 @@ def structure_to_dict(obj) -> dict:
     raise MalformedSystemError(f"cannot serialize {type(obj).__name__}")
 
 
+def _integers(value, what: str):
+    """The decoded value, refused unless it is an integer or a list (of
+    lists) of integers.  JSON true/false decode to bool, a subclass of int,
+    so the test is on the exact type."""
+
+    def leaves():
+        rows = value if isinstance(value, list) else [value]
+        return chain.from_iterable(rows) if rows and isinstance(rows[0], list) else rows
+
+    if not set(map(type, leaves())) <= {int}:
+        bad = next(v for v in leaves() if type(v) is not int)
+        raise MalformedSystemError(f"{what}: entry {bad!r} is not an integer")
+    return value
+
+
+def _tables(data: dict, *keys: str) -> list:
+    return [_integers(data[key], key) for key in keys]
+
+
+def _check_order(data: dict, size: int) -> None:
+    if "order" in data and _integers(data["order"], "order") != size:
+        raise MalformedSystemError(
+            f"order {data['order']} does not match the table size {size}"
+        )
+
+
 def structure_from_dict(data: dict):
     """Rebuild a structure from its JSON dict; the key set picks the type."""
     if not isinstance(data, dict):
         raise MalformedSystemError("top-level JSON value must be an object")
     try:
         if "act" in data:
-            return GroupAction(
-                GroupTable(data["group"]),
-                structure_from_dict(data["lattice"]),
-                data["act"],
-            )
+            group, act = _tables(data, "group", "act")
+            return GroupAction(GroupTable(group), structure_from_dict(data["lattice"]), act)
         if "restL" in data:
             return RestrictionSystem(
                 structure_from_dict(data["groupoid"]),
                 structure_from_dict(data["objects"]),
-                data["restL"],
-                data["restR"],
-                data["extL"],
-                data["extR"],
+                *_tables(data, "restL", "restR", "extL", "extR"),
             )
         if "morphisms" in data:
             morphisms = data["morphisms"]
             return FiniteGroupoid(
-                data["objects"],
-                [m["dom"] for m in morphisms],
-                [m["cod"] for m in morphisms],
-                data["comp"],
-                data["inv"],
+                *_tables(data, "objects"),
+                _integers([m["dom"] for m in morphisms], "dom"),
+                _integers([m["cod"] for m in morphisms], "cod"),
+                *_tables(data, "comp", "inv"),
             )
         if "star" in data:
-            return BiBandAlgebra(data["join"], data["meet"], data["star"])
+            join, meet, star = _tables(data, "join", "meet", "star")
+            _check_order(data, len(star))
+            return BiBandAlgebra(join, meet, star)
         if "ops" in data:
-            return SkewLatticeTable(data["ops"]["meet"], data["ops"]["join"])
+            meet, join = _tables(data["ops"], "meet", "join")
+            _check_order(data, len(meet))
+            return SkewLatticeTable(meet, join)
     except SkewalgError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise MalformedSystemError(f"bad structure file: {exc}") from exc
     raise MalformedSystemError(
         "unrecognized structure: expected one of the documented key sets"

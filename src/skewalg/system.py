@@ -219,10 +219,10 @@ def check_structure(sys: RestrictionSystem) -> AxiomReport:
     report.extend(check_skew_lattice(sys.objects), prefix="objects_")
 
     idx = np.arange(sys.object_count)
-    pairing = np.array_equal(sys.le_left, sys.ge_right.T) and np.array_equal(
-        sys.le_right, sys.ge_left.T
+    report.record_mask(
+        "preorder_converse_pairing",
+        (sys.le_left == sys.ge_right.T) & (sys.le_right == sys.ge_left.T),
     )
-    report.record("preorder_converse_pairing", pairing, None if pairing else (0,))
 
     report.extend(check_groupoid(sys.groupoid), prefix="groupoid_")
     report.record_mask("identity_coverage", sys._e >= 0)

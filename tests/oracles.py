@@ -288,3 +288,101 @@ def groupoid_laws(n, dom, cod, comp, inv):
     )
     required_ok = all(c["ok"] for c in checks.values() if c["required"])
     return {"title": "groupoid laws", "ok": required_ok, "checks": checks}
+
+
+def unary_maps(meet, join, star):
+    """The star and the one-sided products x -> i∧x, x∧i, i∨x, x∨i, as lists."""
+    n = len(star)
+    maps = [list(star)]
+    for table in (meet, join):
+        maps.extend(list(table[i]) for i in range(n))
+        maps.extend([table[x][i] for x in range(n)] for i in range(n))
+    return maps
+
+
+def greedy_separating_congruence(meet, join, star):
+    """The largest idempotent-separating congruence of a (2,2,1)-algebra,
+    by a greedy join of principal congruences, plus a maximality flag.
+
+    A pair (s, t) is adopted when the congruence it generates on top of the
+    current one still separates the idempotents; a second pass then checks
+    that no pair outside the result generates a separating congruence on
+    its own.  Returns (set of frozenset classes, is_maximum).
+    """
+    n = len(star)
+    maps = unary_maps(meet, join, star)
+    idem = [x for x in range(n) if meet[x][x] == x or join[x][x] == x]
+    pos = [meet[x][star[x]] for x in range(n)]
+    neg = [meet[star[x]][x] for x in range(n)]
+
+    def find(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def close(parent, s, t):
+        work = [(s, t)]
+        while work:
+            x, y = work.pop()
+            rx, ry = find(parent, x), find(parent, y)
+            if rx != ry:
+                parent[ry] = rx
+                work.extend((m[x], m[y]) for m in maps)
+
+    def separating(parent):
+        return len({find(parent, e) for e in idem}) == len(idem)
+
+    def candidates(parent):
+        # merging s, t forces s∧s* ~ t∧t* and s*∧s ~ t*∧t
+        return [
+            (s, t)
+            for s in range(n)
+            for t in range(s + 1, n)
+            if pos[s] == pos[t] and neg[s] == neg[t] and find(parent, s) != find(parent, t)
+        ]
+
+    parent = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for s, t in candidates(parent):
+            if find(parent, s) == find(parent, t):
+                continue
+            trial = parent.copy()
+            close(trial, s, t)
+            if separating(trial):
+                parent, changed = trial, True
+
+    is_max = True
+    for s, t in candidates(parent):
+        solo = list(range(n))
+        close(solo, s, t)
+        if separating(solo):
+            is_max = False
+            break
+
+    classes = {}
+    for x in range(n):
+        classes.setdefault(find(parent, x), set()).add(x)
+    return {frozenset(c) for c in classes.values()}, is_max
+
+
+def largest_congruence_inside_parts(meet, join, star):
+    """Table filling, as in Myhill-Nerode DFA minimisation: s and t are kept
+    apart when s∧s*, s*∧s differ from t∧t*, t*∧t, or when some star or
+    one-sided product sends them to a pair already kept apart.  The pairs
+    never kept apart form the largest congruence inside E; returned as a
+    set of frozenset classes."""
+    n = len(star)
+    maps = unary_maps(meet, join, star)
+    parts = [(meet[x][star[x]], meet[star[x]][x]) for x in range(n)]
+    apart = {(s, t) for s in range(n) for t in range(n) if parts[s] != parts[t]}
+    changed = True
+    while changed:
+        changed = False
+        for s in range(n):
+            for t in range(n):
+                if (s, t) not in apart and any((m[s], m[t]) in apart for m in maps):
+                    apart.add((s, t))
+                    changed = True
+    return {frozenset(t for t in range(n) if (s, t) not in apart) for s in range(n)}

@@ -250,3 +250,26 @@ def test_global_flags_parse_after_subcommand(swap_algebra_file, capsys):
 def test_seed_flag_is_accepted_and_unused(swap_algebra_file):
     run, code = dispatch(["--seed", "7", "check-algebra", swap_algebra_file])
     assert code == 0
+
+
+def chain2(meet=((0, 0), (0, 1)), order=2):
+    return {"order": order, "ops": {"meet": [list(r) for r in meet], "join": [[0, 1], [1, 1]]}}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (chain2(meet=((0, 0.7), (0, 1))), "0.7 is not an integer"),
+        (chain2(meet=((False, 0), (0, True))), "False is not an integer"),
+        (chain2(order=5), "order 5 does not match"),
+        (chain2(meet=((0, 10**30), (0, 1))), "too large"),
+    ],
+    ids=["float", "boolean", "order-mismatch", "beyond-int64"],
+)
+def test_table_that_would_be_coerced_is_exit_two(tmp_path, data, message):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(data))
+    run, code = dispatch(["check-skew", str(path)])
+    assert code == 2
+    assert run["error"]["kind"] == "malformed"
+    assert message in run["error"]["message"]

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import action_orbit_count, brute_force_action_maps
+from oracles import (
+    action_orbit_count,
+    brute_force_action_maps,
+    greedy_separating_congruence,
+    largest_congruence_inside_parts,
+)
 from skewalg import (
     ActionInvalidError,
+    BiBandAlgebra,
     BoundExceededError,
     GroupTable,
     check_action,
@@ -22,7 +29,12 @@ from skewalg import (
     symmetric_group3,
     trivial_action,
 )
-from skewalg.models import GROUP_CATALOG, GroupAction
+from skewalg.models import (
+    GROUP_CATALOG,
+    GroupAction,
+    _certificate,
+    _max_idempotent_separating_congruence,
+)
 
 SUITE_SIZE = 379          # |G| in {1,2,3,4,6}, |B| <= 4, deduped
 SUITE_SIZE_BAND3 = 102    # same groups, |B| <= 3; equals the oracle count
@@ -197,3 +209,66 @@ def test_normal_form_skipped_without_top():
     meet = report["normal_form_meet"]
     assert not meet.required
     assert meet.note
+
+
+def partition_of(labels):
+    classes = {}
+    for x, label in enumerate(labels):
+        classes.setdefault(int(label), set()).add(x)
+    return {frozenset(c) for c in classes.values()}
+
+
+def test_congruence_matches_greedy_oracle_on_suite(suite):
+    for inst in suite:
+        S = inst.algebra
+        labels, certified = _max_idempotent_separating_congruence(S)
+        expect, is_max = greedy_separating_congruence(
+            S.meet.tolist(), S.join.tolist(), S.star.tolist()
+        )
+        assert partition_of(labels) == expect, inst.name
+        assert certified.all() and is_max, inst.name
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_refinement_is_the_largest_congruence_inside_parts(data):
+    # arbitrary tables, most of them no algebra: the refinement must still
+    # find the coarsest partition of E that every unary map respects
+    n = data.draw(st.integers(1, 6))
+    entry = st.integers(0, n - 1)
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    meet, join = data.draw(square), data.draw(square)
+    star = data.draw(st.lists(entry, min_size=n, max_size=n))
+    labels, _ = _max_idempotent_separating_congruence(BiBandAlgebra(join, meet, star))
+    assert partition_of(labels) == largest_congruence_inside_parts(meet, join, star)
+
+
+def test_refinement_runs_until_no_class_splits():
+    # E = {0}, {1..4}; the star shifts x to x-1, so each round splits off
+    # one more element and only the fourth round leaves the count unchanged
+    n = 5
+    meet = [[0] * n for _ in range(n)]
+    meet[0][0] = 1
+    join = [[0] * n for _ in range(n)]
+    star = [0, 0, 1, 2, 3]
+    labels, _ = _max_idempotent_separating_congruence(BiBandAlgebra(join, meet, star))
+    expect = {frozenset({x}) for x in range(n)}
+    assert partition_of(labels) == expect == largest_congruence_inside_parts(meet, join, star)
+
+
+def test_certificate_fails_when_one_label_is_corrupted(suite):
+    # the partition is the maximum, so moving any one element into another
+    # class gives a partition that is no separating congruence
+    checked = 0
+    for inst in suite[::19]:
+        S = inst.algebra
+        labels, certified = _max_idempotent_separating_congruence(S)
+        assert certified.all()
+        for x in range(S.order):
+            for other in set(labels.tolist()) - {int(labels[x])}:
+                broken = labels.copy()
+                broken[x] = other
+                assert not _certificate(S, broken).all(), (inst.name, x, other)
+                checked += 1
+    assert checked > 100
+

@@ -182,3 +182,17 @@ def test_build_algebra_guard_rejects_damaged_system():
     broken = damaged(sysm, "restR", spot, (int(sysm.restR[spot]) + 1) % sysm.morphism_count)
     with pytest.raises(AxiomViolationError):
         build_algebra(broken)
+
+
+def test_broken_meet_is_named_by_the_preorder_pairing_witness():
+    from skewalg import chain_lattice
+    from skewalg.tables import SkewLatticeTable
+
+    chain = chain_lattice(3)
+    meet = chain.meet.array.copy()
+    meet[2, 1] = 2
+    report = check_structure(discrete_system(SkewLatticeTable(meet, chain.join.array)))
+    pairing = report["preorder_converse_pairing"]
+    assert not pairing.ok
+    # (1, 2): 1 <=_R 2 reads the broken meet[2, 1], while 2 >=_L 1 still holds
+    assert pairing.witness == (1, 2)
