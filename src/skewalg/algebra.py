@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SkeletonNotClosedError
 from .report import AxiomReport
-from .tables import OperationTable, SkewLatticeTable, check_skew_lattice, padded
+from .tables import OperationTable, SkewLatticeTable, check_skew_lattice, padded, right_ideals
 
 __all__ = [
     "BiBandAlgebra",
@@ -192,17 +192,8 @@ def skehr_statement_flags(report: AxiomReport, prefix: str, op, star) -> None:
     report.record_mask(f"{prefix}_v", ok)
 
 
-def _right_ideal_rows(op: np.ndarray) -> np.ndarray:
-    """membership[s, v] = v in sS^1; rows equal iff Green's R-related."""
-    m = op.shape[0]
-    member = np.zeros((m, m), dtype=bool)
-    member[np.arange(m), np.arange(m)] = True
-    np.put_along_axis(member, op, True, axis=1)
-    return member
-
-
 def greens_r(op: np.ndarray) -> np.ndarray:
-    member = _right_ideal_rows(op)
+    member = right_ideals(op)
     return (member[:, None, :] == member[None, :, :]).all(axis=2)
 
 

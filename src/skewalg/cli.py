@@ -5,14 +5,16 @@ checkers, prints a machine-readable run report to standard output and a
 human summary to standard error.  Reports are deterministic for identical
 inputs apart from the trailing elapsed_s field.
 
-Exit codes: 0 all checks passed, 1 a check failed (or a requested witness
-is absent), 2 malformed input file, 3 usage error, 4 enumeration bound
+Exit codes: 0 all checks passed (or help was asked for; the record holds
+the text under "help"), 1 a check failed (or a requested witness is
+absent), 2 malformed input file, 3 usage error, 4 enumeration bound
 exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -52,9 +54,16 @@ class _UsageError(SkewalgError):
     pass
 
 
+class _HelpShown(Exception):
+    """--help was parsed; carries the help text instead of printing it."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        raise _HelpShown(self.format_help())
 
 
 def positive_int(text: str) -> int:
@@ -65,10 +74,11 @@ def positive_int(text: str) -> int:
     return n
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built once; parse_args leaves it unchanged."""
     # global flags live on a parent so they parse on either side of the
-    # subcommand; SUPPRESS keeps the subparser from clobbering a value the
-    # main parser already set
+    # subcommand; main reads --format from argv itself (_format_of)
     common = _Parser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "text"), default=argparse.SUPPRESS
@@ -81,7 +91,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="skewalg", description=__doc__.splitlines()[0], parents=[common]
     )
-    parser.set_defaults(format="json", seed=None)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser(
@@ -254,10 +263,14 @@ def dispatch(argv) -> tuple[dict, int]:
         return run, code
 
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command is None:
             raise _UsageError("a command is required (try --help)")
         inputs, report, payload = _run(args)
+    except _HelpShown as exc:
+        run["ok"] = True
+        run["help"] = str(exc)
+        return finish(EXIT_OK)
     except _UsageError as exc:
         run["error"] = {"kind": "usage", "message": str(exc)}
         return finish(EXIT_USAGE)
@@ -311,6 +324,8 @@ def _summary(run: dict) -> str:
         lines.append(f"  witness: {run['witness']}")
     if "written" in run:
         lines.append(f"  wrote {len(run['written'])} file(s)")
+    if "help" in run:
+        lines.append(run["help"].rstrip())
     return "\n".join(lines)
 
 

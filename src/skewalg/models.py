@@ -37,7 +37,7 @@ from .groupoid import FiniteGroupoid
 from .isomorphism import automorphisms_of, group_automorphisms
 from .report import AxiomReport
 from .system import RestrictionSystem
-from .tables import GroupTable, SkewLatticeTable
+from .tables import GroupTable, PreorderPair, SkewLatticeTable
 
 __all__ = [
     "GROUP_CATALOG",
@@ -212,7 +212,6 @@ def semidirect_groupoid(action: GroupAction) -> RestrictionSystem:
     m = nb * ng
     i = np.arange(m)
     b, g = i // ng, i % ng
-    obj = np.arange(nb)
 
     dom = b
     cod = act[b, g]
@@ -221,19 +220,16 @@ def semidirect_groupoid(action: GroupAction) -> RestrictionSystem:
     )
     inv = cod * ng + ginv[g]
 
-    le_left = mt == obj[:, None]
-    le_right = mt.T == obj[:, None]
-    ge_left = jt == obj[:, None]
-    ge_right = jt.T == obj[:, None]
-
-    restL = np.where(le_left[:, dom], mt[obj[:, None], dom[None, :]] * ng + g[None, :], -1)
-    extL = np.where(ge_left[:, dom], jt[obj[:, None], dom[None, :]] * ng + g[None, :], -1)
-    back = act[obj[None, :], ginv[g][:, None]] * ng + g[:, None]
-    restR = np.where(le_right[obj[None, :], cod[:, None]], back, -1)
-    extR = np.where(ge_right[obj[None, :], cod[:, None]], back, -1)
+    pre = PreorderPair.of(action.lattice)
+    obj = np.arange(nb)[:, None]
+    back = act[obj.T, ginv[g][:, None]] * ng + g[:, None]
+    tables = []  # restL, restR, extL, extR
+    for op, left, right in ((mt, pre.le_left, pre.le_right), (jt, pre.ge_left, pre.ge_right)):
+        tables.append(np.where(left[obj, dom], op[obj, dom] * ng + g, -1))
+        tables.append(np.where(right[obj.T, cod[:, None]], back, -1))
 
     groupoid = FiniteGroupoid(nb, dom, cod, comp, inv)
-    return RestrictionSystem(groupoid, action.lattice, restL, restR, extL, extR)
+    return RestrictionSystem(groupoid, action.lattice, *tables)
 
 
 def _generating_set(group: GroupTable) -> list[int]:

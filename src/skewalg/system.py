@@ -18,9 +18,15 @@ pseudoproducts, all as full numpy tables. Undefined entries stay -1: each
 lookup table is padded with a -1 border row/column, and since numpy reads
 index -1 as the last position, sentinels flow through chained gathers
 without any masking logic.
+
+The join side (extL, extR, ∨) is the order dual of the meet side (restL,
+restR, ∧). Each side is one _Side record, and every law that has a dual is
+written once and evaluated on both records.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +34,7 @@ from .algebra import BiBandAlgebra, skehr_statement_flags
 from .errors import MalformedSystemError
 from .groupoid import FiniteGroupoid, check_groupoid, discrete_groupoid, group_groupoid
 from .report import AxiomReport
-from .tables import GroupTable, SkewLatticeTable, check_skew_lattice, padded
+from .tables import GroupTable, PreorderPair, SkewLatticeTable, check_skew_lattice, padded
 
 __all__ = [
     "RestrictionSystem",
@@ -52,6 +58,36 @@ def _check_partial(name: str, table, shape, hi: int) -> np.ndarray:
         raise MalformedSystemError(f"{name} entries must lie in -1..{hi - 1}")
     arr.setflags(write=False)
     return arr
+
+
+@dataclass(slots=True)
+class _Side:
+    """One order side of a system: the meet side (restriction, restL, restR,
+    ∧) or its order dual, the join side (extension, extL, extR, ∨).
+
+    L[a, g] = a∧g and R[g, a] = g∧a are the total operators, P the
+    pseudoproduct and the *_p fields their -1-padded forms. `order` holds
+    the (left, right) relations that bound the definedness regions and the
+    transitivity hypotheses; `preorder` the relations the two preorder flags
+    read, which on the join side are the lateral ones (ge_right for extL,
+    ge_left for extR).
+    """
+
+    op: str
+    noun: str
+    verb: str
+    left: str
+    right: str
+    table: np.ndarray
+    partial: tuple
+    L: np.ndarray
+    R: np.ndarray
+    L_p: np.ndarray
+    R_p: np.ndarray
+    P: np.ndarray
+    P_p: np.ndarray
+    order: tuple
+    preorder: tuple
 
 
 class RestrictionSystem:
@@ -86,48 +122,40 @@ class RestrictionSystem:
         return self.groupoid.morphism_count
 
     def _derive(self) -> None:
-        n, m = self.object_count, self.morphism_count
-        meet = self.objects.meet.array
-        join = self.objects.join.array
-        dom, cod = self.groupoid.dom, self.groupoid.cod
-        idx_n = np.arange(n)
-        idx_m = np.arange(m)
-
-        # natural preorders of the two bands, straight from the definitions
-        self.le_left = meet == idx_n[:, None]
-        self.le_right = meet.T == idx_n[:, None]
-        self.ge_left = join == idx_n[:, None]
-        self.ge_right = join.T == idx_n[:, None]
-
-        self._meet, self._join = meet, join
-        self._dom_p = padded(dom)
-        self._cod_p = padded(cod)
+        pre = PreorderPair.of(self.objects)
+        self.le_left, self.le_right = pre.le_left, pre.le_right
+        self.ge_left, self.ge_right = pre.ge_left, pre.ge_right
+        self._dom_p = padded(self.groupoid.dom)
+        self._cod_p = padded(self.groupoid.cod)
         self._inv_p = padded(self.groupoid.inv)
         self._comp_p = padded(self.groupoid.comp)
         self._e = self.groupoid.identity_of
         self._e_p = padded(self._e)
+        self._meet = self._side(
+            ("meet", "restriction", "restrict", "restL", "restR"),
+            self.objects.meet.array, (self.restL, self.restR),
+            order=(pre.le_left, pre.le_right), preorder=(pre.le_left, pre.le_right),
+        )
+        self._join = self._side(
+            ("join", "extension", "extend", "extL", "extR"),
+            self.objects.join.array, (self.extL, self.extR),
+            order=(pre.ge_left, pre.ge_right), preorder=(pre.ge_right, pre.ge_left),
+        )
+        self._pm, self._pj = self._meet.P, self._join.P
 
+    def _side(self, names, op, partial, order, preorder) -> _Side:
+        left, right = partial
+        idx_n, idx_m = np.arange(self.object_count), np.arange(self.morphism_count)
+        dom, cod = self.groupoid.dom, self.groupoid.cod
         # total operator tables; holes in the partial input surface as -1
-        self._mr = self.restL[meet[idx_n[:, None], dom[None, :]], idx_m[None, :]]
-        self._mc = self.restR[idx_m[:, None], meet[cod[:, None], idx_n[None, :]]]
-        self._je = self.extL[join[idx_n[:, None], dom[None, :]], idx_m[None, :]]
-        self._jc = self.extR[idx_m[:, None], join[cod[:, None], idx_n[None, :]]]
-
-        cm = meet[cod[:, None], dom[None, :]]
-        self._pm = self._comp_p[
-            self.restR[idx_m[:, None], cm], self.restL[cm, idx_m[None, :]]
-        ]
-        cj = join[cod[:, None], dom[None, :]]
-        self._pj = self._comp_p[
-            self.extR[idx_m[:, None], cj], self.extL[cj, idx_m[None, :]]
-        ]
-
-        self._mr_p = padded(self._mr)
-        self._mc_p = padded(self._mc)
-        self._je_p = padded(self._je)
-        self._jc_p = padded(self._jc)
-        self._pm_p = padded(self._pm)
-        self._pj_p = padded(self._pj)
+        L = left[op[idx_n[:, None], dom], idx_m]
+        R = right[idx_m[:, None], op[cod, :]]
+        c = op[cod[:, None], dom[None, :]]
+        P = self._comp_p[right[idx_m[:, None], c], left[c, idx_m[None, :]]]
+        return _Side(
+            *names, table=op, partial=partial, L=L, R=R, L_p=padded(L), R_p=padded(R),
+            P=P, P_p=padded(P), order=order, preorder=preorder,
+        )
 
     def _get(self, table: np.ndarray, i: int, j: int, what: str) -> int:
         v = int(table[i, j])
@@ -139,19 +167,19 @@ class RestrictionSystem:
 
     def meet_restrict(self, a: int, g: int) -> int:
         """a∧g, the restriction of g to a∧(dom g); total on valid systems."""
-        return self._get(self._mr, a, g, "meet_restrict")
+        return self._get(self._meet.L, a, g, "meet_restrict")
 
     def meet_corestrict(self, g: int, a: int) -> int:
         """g∧a, the corestriction of g to (cod g)∧a."""
-        return self._get(self._mc, g, a, "meet_corestrict")
+        return self._get(self._meet.R, g, a, "meet_corestrict")
 
     def join_extend(self, a: int, g: int) -> int:
         """a∨g, the extension of g to a∨(dom g)."""
-        return self._get(self._je, a, g, "join_extend")
+        return self._get(self._join.L, a, g, "join_extend")
 
     def join_coextend(self, g: int, a: int) -> int:
         """g∨a, the coextension of g to (cod g)∨a."""
-        return self._get(self._jc, g, a, "join_coextend")
+        return self._get(self._join.R, g, a, "join_coextend")
 
     def actions(self, a: int, g: int) -> tuple[int, int, int, int]:
         """The four conjugate objects read off the operator endpoints.
@@ -211,6 +239,11 @@ def system_checkers() -> list:
     ]
 
 
+def _equal(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lhs == rhs with lhs defined: a hole (-1) never satisfies a law."""
+    return (lhs == rhs) & (lhs >= 0)
+
+
 def check_structure(sys: RestrictionSystem) -> AxiomReport:
     """Well-formedness: objects form a skew lattice, the groupoid laws hold,
     and each operator table is defined exactly on its preorder region with
@@ -227,227 +260,110 @@ def check_structure(sys: RestrictionSystem) -> AxiomReport:
     report.extend(check_groupoid(sys.groupoid), prefix="groupoid_")
     report.record_mask("identity_coverage", sys._e >= 0)
 
-    dom, cod = sys.groupoid.dom, sys.groupoid.cod
-    n, m = sys.object_count, sys.morphism_count
     dom_p, cod_p = sys._dom_p, sys._cod_p
-
-    def pattern(table, region, endpoint_eq, endpoint_le, name):
-        defined = table >= 0
-        report.record_mask(f"{name}_defined_iff", defined == region)
-        good = ~defined | (endpoint_eq & endpoint_le)
-        report.record_mask(f"{name}_endpoints", good)
-
     # restL[a,g]: defined iff a leL dom g; then dom = a, cod leL cod g
-    region = sys.le_left[:, dom]
-    val = sys.restL
-    pattern(
-        val,
-        region,
-        dom_p[val] == idx[:, None],
-        _le_lookup(sys.le_left, cod_p[val], cod[None, :].repeat(n, axis=0)),
-        "restL",
-    )
     # restR[g,a]: defined iff a leR cod g; then cod = a, dom leR dom g
-    region = sys.le_right[idx[None, :], cod[:, None]]
-    val = sys.restR
-    pattern(
-        val,
-        region,
-        cod_p[val] == idx[None, :],
-        _le_lookup(sys.le_right, dom_p[val], dom[:, None].repeat(n, axis=1)),
-        "restR",
-    )
-    # extL[a,g]: defined iff a geL dom g; then dom = a, cod geL cod g
-    region = sys.ge_left[:, dom]
-    val = sys.extL
-    pattern(
-        val,
-        region,
-        dom_p[val] == idx[:, None],
-        _le_lookup(sys.ge_left, cod_p[val], cod[None, :].repeat(n, axis=0)),
-        "extL",
-    )
-    # extR[g,a]: defined iff a geR cod g; then cod = a, dom geR dom g
-    region = sys.ge_right[idx[None, :], cod[:, None]]
-    val = sys.extR
-    pattern(
-        val,
-        region,
-        cod_p[val] == idx[None, :],
-        _le_lookup(sys.ge_right, dom_p[val], dom[:, None].repeat(n, axis=1)),
-        "extR",
-    )
+    # and extL, extR alike with geL, geR. Each table is read as t[a, g]
+    # (restR, extR transposed); near is the endpoint that a replaces and far
+    # the other, both padded; `back` returns a mask to the table's own
+    # orientation
+    for side in (sys._meet, sys._join):
+        for name, partial, rel, near_p, far_p, back in zip(
+            (side.left, side.right), side.partial, side.order,
+            (dom_p, cod_p), (cod_p, dom_p), (np.asarray, np.transpose),
+        ):
+            table = back(partial)
+            defined = table >= 0
+            report.record_mask(f"{name}_defined_iff", back(defined == rel[:, near_p[:-1]]))
+            far_ok = (padded(rel) > 0)[far_p[table], far_p[:-1]]  # False at holes
+            ends = (near_p[table] == idx[:, None]) & far_ok
+            report.record_mask(f"{name}_endpoints", back(~defined | ends))
 
     report.record_mask("meet_pseudoproduct_total", sys._pm >= 0)
     report.record_mask("join_pseudoproduct_total", sys._pj >= 0)
     return report
 
 
-def _le_lookup(relation: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """relation[left, right] elementwise, False wherever an index is -1."""
-    ok = (left >= 0) & (right >= 0)
-    out = np.zeros(left.shape, dtype=bool)
-    out[ok] = relation[left[ok], right[ok]]
-    return out
+def _order_axioms(sys: RestrictionSystem, side: _Side) -> AxiomReport:
+    """The postulates of one side in left and right form: identities,
+    preorders, transitivity, composition, the two chaining equations on the
+    generalized operation, endpoints and compatibility. Comments state the
+    meet side; the join side reads ∨ for ∧ and ge for le, except that its
+    preorder flags read the lateral relations (see _Side)."""
+    report = AxiomReport(f"{side.noun} axioms")
+    n, m = sys.object_count, sys.morphism_count
+    op, L, R, L_p, R_p = side.table, side.L, side.R, side.L_p, side.R_p
+    dom, cod = sys.groupoid.dom, sys.groupoid.cod
+    comp = sys.groupoid.comp
+    idx_n, idx_m = np.arange(n), np.arange(m)
+    comp_p, cod_p, dom_p = sys._comp_p, sys._cod_p, sys._dom_p
+    e, e_p = sys._e, sys._e_p
+    left, right = side.left, side.right
+
+    report.record_mask(f"{left}_identity", L[dom, idx_m] == idx_m)
+    report.record_mask(f"{right}_identity", R[idx_m, cod] == idx_m)
+
+    # a leL b  =>  _a|i_b = i_(a∧b), which is i_a
+    val = L_p[idx_n[:, None], e[None, :]]
+    report.record_mask(f"{left}_preorder", ~side.preorder[0] | _equal(val, e_p[op]))
+    # a leR b  =>  i_b|_a = i_(b∧a), which is i_a
+    val = R_p[e[None, :], idx_n[:, None]]
+    report.record_mask(f"{right}_preorder", ~side.preorder[1] | _equal(val, e_p[op.T]))
+
+    # a leL b leL dom g  =>  _a|g = _(a∧b)|g = _a|(_b|g)
+    rel = side.order[0]
+    hyp = rel[:, :, None] & rel[:, dom][None, :, :]
+    x = L[:, None, :]
+    y = L_p[op[:, :, None], idx_m[None, None, :]]
+    z = L_p[idx_n[:, None, None], L[None, :, :]]
+    report.record_mask(f"{left}_transitivity", ~hyp | ((x == y) & _equal(x, z)))
+    # a leR b leR cod g  =>  g|_a = g|_(b∧a) = (g|_b)|_a
+    rel = side.order[1]
+    hyp = rel[:, :, None] & rel[:, cod][None, :, :]
+    x = R.T[:, None, :]
+    y = R_p[idx_m[None, None, :], op.T[:, :, None]]
+    z = R_p[R.T[None, :, :], idx_n[:, None, None]]
+    report.record_mask(f"{right}_transitivity", ~hyp | ((x == y) & _equal(x, z)))
+
+    composable = comp >= 0
+    # _a|(f∘g) = (_a|f)∘(_(cod _a|f)|g)
+    lhs = L_p[idx_n[:, None, None], comp[None, :, :]]
+    rhs = comp_p[L[:, :, None], L_p[cod_p[L][:, :, None], idx_m[None, None, :]]]
+    report.record_mask(f"{left}_composition", ~composable[None, :, :] | _equal(lhs, rhs))
+    # (f∘g)|_d = (f|_(dom g|_d))∘(g|_d)
+    lhs = R_p[comp[:, :, None], idx_n[None, None, :]]
+    rhs = comp_p[R_p[idx_m[:, None, None], dom_p[R][None, :, :]], R[None, :, :]]
+    report.record_mask(f"{right}_composition", ~composable[:, :, None] | _equal(lhs, rhs))
+
+    # (a∧b)∧g = a∧(b∧g) and (g∧a)∧b = g∧(a∧b), all tuples
+    lhs = L_p[op[:, :, None], idx_m[None, None, :]]
+    rhs = L_p[idx_n[:, None, None], L[None, :, :]]
+    report.record_mask(f"{side.op}_chain_left", _equal(lhs, rhs))
+    lhs = R_p[R[:, :, None], idx_n[None, None, :]]
+    rhs = R_p[idx_m[:, None, None], op[None, :, :]]
+    report.record_mask(f"{side.op}_chain_right", _equal(lhs, rhs))
+
+    # dom(a∧g) = a∧dom g and cod(g∧a) = (cod g)∧a
+    report.record_mask(f"{side.op}_endpoint_left", _equal(dom_p[L], op[idx_n[:, None], dom]))
+    report.record_mask(f"{side.op}_endpoint_right", _equal(cod_p[R], op[cod, :]))
+
+    # (a∧f)∧b = a∧(f∧b)
+    lhs = R_p[L[:, :, None], idx_n[None, None, :]]
+    rhs = L_p[idx_n[:, None, None], R[None, :, :]]
+    report.record_mask(f"{side.op}_compatibility", _equal(lhs, rhs))
+    return report
 
 
 def check_restriction_axioms(sys: RestrictionSystem) -> AxiomReport:
     """The restriction postulates: identities, preorders, transitivity and
     composition in left and right form, the two chaining equations on the
     generalized operation, and meet compatibility."""
-    report = AxiomReport("restriction axioms")
-    n, m = sys.object_count, sys.morphism_count
-    meet = sys._meet
-    dom, cod = sys.groupoid.dom, sys.groupoid.cod
-    comp = sys.groupoid.comp
-    idx_n, idx_m = np.arange(n), np.arange(m)
-    mr, mc = sys._mr, sys._mc
-    mr_p, mc_p = sys._mr_p, sys._mc_p
-    comp_p, cod_p, dom_p = sys._comp_p, sys._cod_p, sys._dom_p
-    e = sys._e
-
-    report.record_mask("restL_identity", mr[dom, idx_m] == idx_m)
-    report.record_mask("restR_identity", mc[idx_m, cod] == idx_m)
-
-    # a leL b  =>  _a|i_b = i_a
-    val = mr_p[idx_n[:, None], e[None, :]]
-    law = (val == e[:, None]) & (val >= 0)
-    report.record_mask("restL_preorder", ~sys.le_left | law)
-    # a leR b  =>  i_b|_a = i_a
-    val = mc_p[e[None, :], idx_n[:, None]]
-    law = (val == e[:, None]) & (val >= 0)
-    report.record_mask("restR_preorder", ~sys.le_right | law)
-
-    # a leL b leL dom g  =>  _a|g = _(a∧b)|g = _a|(_b|g)
-    hyp = sys.le_left[:, :, None] & sys.le_left[:, dom][None, :, :]
-    x = mr[:, None, :]
-    y = mr_p[meet[:, :, None], idx_m[None, None, :]]
-    z = mr_p[idx_n[:, None, None], mr[None, :, :]]
-    law = (x == y) & (x == z) & (x >= 0)
-    report.record_mask("restL_transitivity", ~hyp | law)
-    # a leR b leR cod g  =>  g|_a = g|_(b∧a) = (g|_b)|_a
-    hyp = sys.le_right[:, :, None] & sys.le_right[:, cod][None, :, :]
-    x = mc.T[:, None, :]
-    y = mc_p[idx_m[None, None, :], meet.T[:, :, None]]
-    z = mc_p[mc.T[None, :, :], idx_n[:, None, None]]
-    law = (x == y) & (x == z) & (x >= 0)
-    report.record_mask("restR_transitivity", ~hyp | law)
-
-    composable = comp >= 0
-    # _a|(f∘g) = (_a|f)∘(_(cod _a|f)|g)
-    lhs = mr_p[idx_n[:, None, None], comp[None, :, :]]
-    h1 = mr[:, :, None]
-    h2 = mr_p[cod_p[mr][:, :, None], idx_m[None, None, :]]
-    rhs = comp_p[h1, h2]
-    law = (lhs == rhs) & (lhs >= 0)
-    report.record_mask("restL_composition", ~composable[None, :, :] | law)
-    # (f∘g)|_d = (f|_(dom g|_d))∘(g|_d)
-    lhs = mc_p[comp[:, :, None], idx_n[None, None, :]]
-    h2 = mc[None, :, :]
-    h1 = mc_p[idx_m[:, None, None], dom_p[mc][None, :, :]]
-    rhs = comp_p[h1, h2]
-    law = (lhs == rhs) & (lhs >= 0)
-    report.record_mask("restR_composition", ~composable[:, :, None] | law)
-
-    # (a∧b)∧g = a∧(b∧g) and (g∧a)∧b = g∧(a∧b), all tuples
-    lhs = mr_p[meet[:, :, None], idx_m[None, None, :]]
-    rhs = mr_p[idx_n[:, None, None], mr[None, :, :]]
-    report.record_mask("meet_chain_left", (lhs == rhs) & (lhs >= 0))
-    lhs = mc_p[mc[:, :, None], idx_n[None, None, :]]
-    rhs = mc_p[idx_m[:, None, None], meet[None, :, :]]
-    report.record_mask("meet_chain_right", (lhs == rhs) & (lhs >= 0))
-
-    # dom(a∧g) = a∧dom g and cod(g∧a) = (cod g)∧a
-    law = (dom_p[mr] == meet[idx_n[:, None], dom[None, :]]) & (mr >= 0)
-    report.record_mask("meet_endpoint_left", law)
-    law = (cod_p[mc] == meet[cod[:, None], idx_n[None, :]]) & (mc >= 0)
-    report.record_mask("meet_endpoint_right", law)
-
-    # (a∧f)∧b = a∧(f∧b)
-    lhs = mc_p[mr[:, :, None], idx_n[None, None, :]]
-    rhs = mr_p[idx_n[:, None, None], mc[None, :, :]]
-    report.record_mask("meet_compatibility", (lhs == rhs) & (lhs >= 0))
-    return report
+    return _order_axioms(sys, sys._meet)
 
 
 def check_extension_axioms(sys: RestrictionSystem) -> AxiomReport:
     """The extension postulates, vertical duals of the restriction ones."""
-    report = AxiomReport("extension axioms")
-    n, m = sys.object_count, sys.morphism_count
-    join = sys._join
-    dom, cod = sys.groupoid.dom, sys.groupoid.cod
-    comp = sys.groupoid.comp
-    idx_n, idx_m = np.arange(n), np.arange(m)
-    je, jc = sys._je, sys._jc
-    je_p, jc_p = sys._je_p, sys._jc_p
-    comp_p, cod_p, dom_p = sys._comp_p, sys._cod_p, sys._dom_p
-    e, e_p = sys._e, sys._e_p
-
-    report.record_mask("extL_identity", je[dom, idx_m] == idx_m)
-    report.record_mask("extR_identity", jc[idx_m, cod] == idx_m)
-
-    # a geR b  =>  a∨i_b = i_(a∨b)
-    val = je_p[idx_n[:, None], e[None, :]]
-    target = e_p[join]
-    law = (val == target) & (val >= 0)
-    report.record_mask("extL_preorder", ~sys.ge_right | law)
-    # a geL b  =>  i_b∨a = i_(b∨a)
-    val = jc_p[e[None, :], idx_n[:, None]]
-    target = e_p[join.T]
-    law = (val == target) & (val >= 0)
-    report.record_mask("extR_preorder", ~sys.ge_left | law)
-
-    # a geL b geL dom g  =>  a∨g = (a∨b)∨g = a∨(b∨g)
-    # (a geL b makes a∨b = a; the content is the right-nested form)
-    hyp = sys.ge_left[:, :, None] & sys.ge_left[:, dom][None, :, :]
-    x = je[:, None, :]
-    y = je_p[join[:, :, None], idx_m[None, None, :]]
-    z = je_p[idx_n[:, None, None], je[None, :, :]]
-    law = (x == y) & (x == z) & (x >= 0)
-    report.record_mask("extL_transitivity", ~hyp | law)
-    # a geR b geR cod g  =>  g∨a = g∨(b∨a) = (g∨b)∨a
-    hyp = sys.ge_right[:, :, None] & sys.ge_right[:, cod][None, :, :]
-    x = jc.T[:, None, :]
-    y = jc_p[idx_m[None, None, :], join.T[:, :, None]]
-    z = jc_p[jc.T[None, :, :], idx_n[:, None, None]]
-    law = (x == y) & (x == z) & (x >= 0)
-    report.record_mask("extR_transitivity", ~hyp | law)
-
-    composable = comp >= 0
-    # a∨(f∘g) = (a∨f)∘((cod a∨f)∨g)
-    lhs = je_p[idx_n[:, None, None], comp[None, :, :]]
-    h1 = je[:, :, None]
-    h2 = je_p[cod_p[je][:, :, None], idx_m[None, None, :]]
-    rhs = comp_p[h1, h2]
-    law = (lhs == rhs) & (lhs >= 0)
-    report.record_mask("extL_composition", ~composable[None, :, :] | law)
-    # (f∘g)∨a = (f∨(dom g∨a))∘(g∨a)
-    lhs = jc_p[comp[:, :, None], idx_n[None, None, :]]
-    h2 = jc[None, :, :]
-    h1 = jc_p[idx_m[:, None, None], dom_p[jc][None, :, :]]
-    rhs = comp_p[h1, h2]
-    law = (lhs == rhs) & (lhs >= 0)
-    report.record_mask("extR_composition", ~composable[:, :, None] | law)
-
-    # (a∨b)∨g = a∨(b∨g) and (g∨a)∨b = g∨(a∨b)
-    lhs = je_p[join[:, :, None], idx_m[None, None, :]]
-    rhs = je_p[idx_n[:, None, None], je[None, :, :]]
-    report.record_mask("join_chain_left", (lhs == rhs) & (lhs >= 0))
-    lhs = jc_p[jc[:, :, None], idx_n[None, None, :]]
-    rhs = jc_p[idx_m[:, None, None], join[None, :, :]]
-    report.record_mask("join_chain_right", (lhs == rhs) & (lhs >= 0))
-
-    # dom(a∨g) = a∨dom g and cod(g∨a) = (cod g)∨a
-    law = (dom_p[je] == join[idx_n[:, None], dom[None, :]]) & (je >= 0)
-    report.record_mask("join_endpoint_left", law)
-    law = (cod_p[jc] == join[cod[:, None], idx_n[None, :]]) & (jc >= 0)
-    report.record_mask("join_endpoint_right", law)
-
-    # (a∨f)∨b = a∨(f∨b)
-    lhs = jc_p[je[:, :, None], idx_n[None, None, :]]
-    rhs = je_p[idx_n[:, None, None], jc[None, :, :]]
-    report.record_mask("join_compatibility", (lhs == rhs) & (lhs >= 0))
-    return report
+    return _order_axioms(sys, sys._join)
 
 
 def check_linking(sys: RestrictionSystem) -> AxiomReport:
@@ -460,18 +376,16 @@ def check_linking(sys: RestrictionSystem) -> AxiomReport:
     dom, cod = sys.groupoid.dom, sys.groupoid.cod
     inv = sys.groupoid.inv
     e, e_p = sys._e, sys._e_p
-    mr, mc, je, jc = sys._mr, sys._mc, sys._je, sys._jc
-    mr_p, mc_p, je_p, jc_p = sys._mr_p, sys._mc_p, sys._je_p, sys._jc_p
-    pj_p = sys._pj_p
+    mr, mc, mr_p, mc_p = sys._meet.L, sys._meet.R, sys._meet.L_p, sys._meet.R_p
+    je, jc, je_p, jc_p = sys._join.L, sys._join.R, sys._join.L_p, sys._join.R_p
 
     # f = (a∧f)∨(f*f): restrict to a, then coextend back up to cod f
     val = jc_p[mr, cod[None, :]]
     report.record_mask("linking_meet_join", val == idx_m[None, :])
 
     # equivalently ff* = (a∧f)∨f*: join pseudoproduct with the inverse
-    val = pj_p[mr, inv[None, :]]
-    target = e_p[dom][None, :]
-    report.record_mask("linking_equiv_pseudo", (val == target) & (val >= 0))
+    val = sys._join.P_p[mr, inv[None, :]]
+    report.record_mask("linking_equiv_pseudo", _equal(val, e_p[dom][None, :]))
 
     # lateral: f = (ff*)∨(f∧a)
     val = je_p[dom[None, :], mc.T]
@@ -487,8 +401,7 @@ def check_linking(sys: RestrictionSystem) -> AxiomReport:
 
     # on identity morphisms the axiom degenerates to skew-lattice absorption
     val = jc_p[mr_p[idx_n[:, None], e[None, :]], idx_n[None, :]]
-    law = (val == e[None, :]) & (val >= 0)
-    report.record_mask("idempotent_absorption", law)
+    report.record_mask("idempotent_absorption", _equal(val, e[None, :]))
     return report
 
 
@@ -499,102 +412,83 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     inversion of restrictions, identity actions, range invariance. The
     flags that the source identities explicitly do NOT promise (action
     inversion, restriction swap, the semilattice-only identities) are
-    recorded as observations, never required."""
+    recorded as observations, never required.
+
+    Each paired law is written for the meet side (∧) and recorded for the
+    meet side, then the join side."""
     report = AxiomReport("derived identities")
     n, m = sys.object_count, sys.morphism_count
     idx_n, idx_m = np.arange(n), np.arange(m)
-    meet, join = sys._meet, sys._join
-    dom, cod = sys.groupoid.dom, sys.groupoid.cod
     comp, inv = sys.groupoid.comp, sys.groupoid.inv
     e, e_p = sys._e, sys._e_p
     dom_p, cod_p, inv_p = sys._dom_p, sys._cod_p, sys._inv_p
-    mr, mc, je, jc = sys._mr, sys._mc, sys._je, sys._jc
-    mr_p, mc_p, je_p = sys._mr_p, sys._mc_p, sys._je_p
-    pm, pj = sys._pm, sys._pj
-    pm_p, pj_p = sys._pm_p, sys._pj_p
+    sides = (sys._meet, sys._join)
 
     # (f∧e)∧g = f∧(e∧g) over morphism, object, morphism
-    lhs = pm_p[mc[:, :, None], idx_m[None, None, :]]
-    rhs = pm_p[idx_m[:, None, None], mr[None, :, :]]
-    report.record_mask("mixed_assoc_meet", (lhs == rhs) & (lhs >= 0))
-    lhs = pj_p[jc[:, :, None], idx_m[None, None, :]]
-    rhs = pj_p[idx_m[:, None, None], je[None, :, :]]
-    report.record_mask("mixed_assoc_join", (lhs == rhs) & (lhs >= 0))
+    for s in sides:
+        lhs = s.P_p[s.R[:, :, None], idx_m[None, None, :]]
+        rhs = s.P_p[idx_m[:, None, None], s.L[None, :, :]]
+        report.record_mask(f"mixed_assoc_{s.op}", _equal(lhs, rhs))
 
     # e^(f∧g) = (e^f)^g over object, morphism, morphism
-    lhs = cod_p[mr_p[idx_n[:, None, None], pm[None, :, :]]]
-    rhs = cod_p[mr_p[cod_p[mr][:, :, None], idx_m[None, None, :]]]
-    report.record_mask("action_chain_meet", (lhs == rhs) & (lhs >= 0))
-    lhs = cod_p[je_p[idx_n[:, None, None], pj[None, :, :]]]
-    rhs = cod_p[je_p[cod_p[je][:, :, None], idx_m[None, None, :]]]
-    report.record_mask("action_chain_join", (lhs == rhs) & (lhs >= 0))
+    for s in sides:
+        lhs = cod_p[s.L_p[idx_n[:, None, None], s.P[None, :, :]]]
+        rhs = cod_p[s.L_p[cod_p[s.L][:, :, None], idx_m[None, None, :]]]
+        report.record_mask(f"action_chain_{s.op}", _equal(lhs, rhs))
 
     # _e|(f∧g) = (_e|f)∧g
-    lhs = mr_p[idx_n[:, None, None], pm[None, :, :]]
-    rhs = pm_p[mr[:, :, None], idx_m[None, None, :]]
-    report.record_mask("restrict_into_product_meet", (lhs == rhs) & (lhs >= 0))
-    lhs = je_p[idx_n[:, None, None], pj[None, :, :]]
-    rhs = pj_p[je[:, :, None], idx_m[None, None, :]]
-    report.record_mask("extend_into_product_join", (lhs == rhs) & (lhs >= 0))
+    for s in sides:
+        lhs = s.L_p[idx_n[:, None, None], s.P[None, :, :]]
+        rhs = s.P_p[s.L[:, :, None], idx_m[None, None, :]]
+        report.record_mask(f"{s.verb}_into_product_{s.op}", _equal(lhs, rhs))
 
     # both pseudoproducts associative over all morphism triples
-    lhs = pm_p[pm][:, :, :m]
-    rhs = pm_p[idx_m[:, None, None], pm[None, :, :]]
-    report.record_mask("assoc_meet", (lhs == rhs) & (lhs >= 0))
-    lhs = pj_p[pj][:, :, :m]
-    rhs = pj_p[idx_m[:, None, None], pj[None, :, :]]
-    report.record_mask("assoc_join", (lhs == rhs) & (lhs >= 0))
+    for s in sides:
+        lhs = s.P_p[s.P][:, :, :m]
+        rhs = s.P_p[idx_m[:, None, None], s.P[None, :, :]]
+        report.record_mask(f"assoc_{s.op}", _equal(lhs, rhs))
 
     # pseudoproduct extends composition and the object operations
     composable = comp >= 0
-    report.record_mask("extends_composition_meet", ~composable | (pm == comp))
-    report.record_mask("extends_composition_join", ~composable | (pj == comp))
-    val = pm_p[e[:, None], e[None, :]]
-    law = (val == e_p[meet]) & (val >= 0)
-    report.record_mask("identity_product_meet", law)
-    val = pj_p[e[:, None], e[None, :]]
-    law = (val == e_p[join]) & (val >= 0)
-    report.record_mask("identity_product_join", law)
+    for s in sides:
+        report.record_mask(f"extends_composition_{s.op}", ~composable | (s.P == comp))
+    for s in sides:
+        val = s.P_p[e[:, None], e[None, :]]
+        report.record_mask(f"identity_product_{s.op}", _equal(val, e_p[s.table]))
 
     # idempotents of each pseudoproduct are exactly the identity morphisms
     id_set = np.zeros(m, dtype=bool)
     id_set[e[e >= 0]] = True
-    report.record_mask("idempotents_meet", (pm[idx_m, idx_m] == idx_m) == id_set)
-    report.record_mask("idempotents_join", (pj[idx_m, idx_m] == idx_m) == id_set)
+    for s in sides:
+        report.record_mask(f"idempotents_{s.op}", (s.P[idx_m, idx_m] == idx_m) == id_set)
 
-    # regularity: g∧g*∧g = g and the join analogue
-    val = pm_p[pm[idx_m, inv], idx_m]
-    report.record_mask("regularity_meet", val == idx_m)
-    val = pj_p[pj[idx_m, inv], idx_m]
-    report.record_mask("regularity_join", val == idx_m)
+    # regularity: g∧g*∧g = g
+    for s in sides:
+        report.record_mask(f"regularity_{s.op}", s.P_p[s.P[idx_m, inv], idx_m] == idx_m)
 
     # the plus/minus calculus for both operations
-    skehr_statement_flags(report, "skehr_meet", pm, inv)
-    skehr_statement_flags(report, "skehr_join", pj, inv)
+    for s in sides:
+        skehr_statement_flags(report, f"skehr_{s.op}", s.P, inv)
 
-    # (_a|f)^-1 = _(a^f)|f^-1 and the join analogue
-    lhs = inv_p[mr]
-    rhs = mr_p[cod_p[mr], inv[None, :]]
-    report.record_mask("invert_restriction", (lhs == rhs) & (lhs >= 0))
-    lhs = inv_p[je]
-    rhs = je_p[cod_p[je], inv[None, :]]
-    report.record_mask("invert_extension", (lhs == rhs) & (lhs >= 0))
+    # (_a|f)^-1 = _(a^f)|f^-1
+    for s in sides:
+        rhs = s.L_p[cod_p[s.L], inv[None, :]]
+        report.record_mask(f"invert_{s.noun}", _equal(inv_p[s.L], rhs))
 
-    # a^(i_b) = a∧b and a_(i_b) = a∨b
-    val = cod_p[mr_p[idx_n[:, None], e[None, :]]]
-    report.record_mask("identity_action_meet", (val == meet) & (val >= 0))
-    val = cod_p[je_p[idx_n[:, None], e[None, :]]]
-    report.record_mask("identity_action_join", (val == join) & (val >= 0))
+    # a^(i_b) = a∧b
+    for s in sides:
+        val = cod_p[s.L_p[idx_n[:, None], e[None, :]]]
+        report.record_mask(f"identity_action_{s.op}", _equal(val, s.table))
 
-    # a∧f∧f* = a∧f∧(a∧f)* and the printed join form a∨f∨f* = a∨f∨(a∨f)*
-    lhs = pm_p[mr, inv[None, :]]
-    rhs = pm_p[mr, inv_p[mr]]
-    report.record_mask("range_invariance_meet", (lhs == rhs) & (lhs >= 0))
-    lhs = pj_p[je, inv[None, :]]
-    rhs = pj_p[je, inv_p[je]]
-    report.record_mask("range_invariance_join", (lhs == rhs) & (lhs >= 0))
+    # a∧f∧f* = a∧f∧(a∧f)*, and the printed join form a∨f∨f* = a∨f∨(a∨f)*
+    for s in sides:
+        lhs = s.P_p[s.L, inv[None, :]]
+        rhs = s.P_p[s.L, inv_p[s.L]]
+        report.record_mask(f"range_invariance_{s.op}", _equal(lhs, rhs))
 
     # observations: these may fail, and for genuinely skew objects they should
+    pm, pm_p = sys._meet.P, sys._meet.P_p
+    mr, mc_p = sys._meet.L, sys._meet.R_p
     plus = pm[idx_m, inv]
     minus = pm[inv, idx_m]
     plus_p, minus_p = padded(plus), padded(minus)
@@ -602,7 +496,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     rhs = pm_p[idx_m[:, None], plus[None, :]]
     report.record_mask(
         "obs_restriction_identity_left",
-        (lhs == rhs) & (lhs >= 0),
+        _equal(lhs, rhs),
         required=False,
         note="(s∧t)+∧s = s∧t+: holds only over a semilattice of objects",
     )
@@ -610,7 +504,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     rhs = pm_p[minus[:, None], idx_m[None, :]]
     report.record_mask(
         "obs_restriction_identity_right",
-        (lhs == rhs) & (lhs >= 0),
+        _equal(lhs, rhs),
         required=False,
         note="t∧(s∧t)- = s-∧t: holds only over a semilattice of objects",
     )
@@ -651,20 +545,15 @@ def discrete_system(objects: SkewLatticeTable) -> RestrictionSystem:
     """Identity morphisms only; the operators act by the object operations."""
     if not isinstance(objects, SkewLatticeTable):
         objects = SkewLatticeTable(*objects)
-    n = objects.order
-    meet, join = objects.meet.array, objects.join.array
-    gpd = discrete_groupoid(n)
-    idx = np.arange(n)
-    le_left = meet == idx[:, None]
-    le_right = meet.T == idx[:, None]
-    ge_left = join == idx[:, None]
-    ge_right = join.T == idx[:, None]
-    # morphism b is the identity at b, so e.g. restL[a, b] = i_(a∧b) = a∧b
-    restL = np.where(le_left, meet, -1)
-    restR = np.where(le_right.T, meet, -1)
-    extL = np.where(ge_left, join, -1)
-    extR = np.where(ge_right.T, join, -1)
-    return RestrictionSystem(gpd, objects, restL, restR, extL, extR)
+    pre = PreorderPair.of(objects)
+    tables = []  # restL, restR, extL, extR
+    for op, left, right in (
+        (objects.meet.array, pre.le_left, pre.le_right),
+        (objects.join.array, pre.ge_left, pre.ge_right),
+    ):
+        # morphism b is the identity at b, so e.g. restL[a, b] = i_(a∧b) = a∧b
+        tables += [np.where(left, op, -1), np.where(right.T, op, -1)]
+    return RestrictionSystem(discrete_groupoid(objects.order), objects, *tables)
 
 
 def group_system(group: GroupTable) -> RestrictionSystem:

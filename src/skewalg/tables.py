@@ -135,6 +135,13 @@ class PreorderPair:
     ge_left: np.ndarray
     ge_right: np.ndarray
 
+    @classmethod
+    def of(cls, s: SkewLatticeTable) -> "PreorderPair":
+        """The four relations straight from the definitions, unchecked."""
+        idx = np.arange(s.order)[:, None]
+        m, j = s.meet.array, s.join.array
+        return cls(m == idx, m.T == idx, j == idx, j.T == idx)
+
 
 @dataclass(frozen=True)
 class GreensPair:
@@ -218,34 +225,31 @@ def natural_preorders(s: SkewLatticeTable) -> PreorderPair:
     In a skew lattice le_left is the converse of ge_right and le_right the
     converse of ge_left; a violation signals the input is not a skew lattice.
     """
-    m, j = s.meet.array, s.join.array
-    idx = np.arange(s.order)
-    le_left = m == idx[:, None]
-    le_right = m.T == idx[:, None]
-    ge_left = j == idx[:, None]
-    ge_right = j.T == idx[:, None]
+    pre = PreorderPair.of(s)
     pairing = AxiomReport("converse pairing")
-    pairing.record_mask("le_left is not the converse of ge_right", le_left == ge_right.T)
-    pairing.record_mask("le_right is not the converse of ge_left", le_right == ge_left.T)
+    pairing.record_mask("le_left is not the converse of ge_right", pre.le_left == pre.ge_right.T)
+    pairing.record_mask("le_right is not the converse of ge_left", pre.le_right == pre.ge_left.T)
     bad = pairing.first_failure()
     if bad is not None:
         raise ValueError(f"{bad.name} at {bad.witness}")
-    return PreorderPair(le_left, le_right, ge_left, ge_right)
+    return pre
+
+
+def right_ideals(op: np.ndarray) -> np.ndarray:
+    """member[s, v] = v in sS^1, the principal right ideal of s (identity
+    adjoined); rows are equal iff Green's R-related. The transpose of op
+    gives the left ideals S^1s."""
+    m = op.shape[0]
+    member = np.eye(m, dtype=bool)
+    np.put_along_axis(member, op, True, axis=1)
+    return member
 
 
 def greens_relations(t: OperationTable) -> GreensPair:
     """Green's R and L partitions via principal one-sided ideals (identity adjoined)."""
     if not check_associative(t):
         raise ValueError(f"greens_relations needs an associative table; witness {associativity_witness(t)}")
-    arr = t.array
     n = t.order
-    eye = np.eye(n, dtype=bool)
-    # right ideal of a: {a} ∪ aS ; left ideal: {a} ∪ Sa
-    right = eye.copy()
-    left = eye.copy()
-    for a in range(n):
-        right[a, arr[a, :]] = True
-        left[a, arr[:, a]] = True
 
     def partition(ideals):
         keys = {}
@@ -259,8 +263,8 @@ def greens_relations(t: OperationTable) -> GreensPair:
                 class_of[a] = i
         return tuple(classes), tuple(class_of)
 
-    r_classes, r_of = partition(right)
-    l_classes, l_of = partition(left)
+    r_classes, r_of = partition(right_ideals(t.array))
+    l_classes, l_of = partition(right_ideals(t.array.T))
     return GreensPair(r_classes, l_classes, r_of, l_of)
 
 

@@ -386,3 +386,110 @@ def largest_congruence_inside_parts(meet, join, star):
                     apart.add((s, t))
                     changed = True
     return {frozenset(t for t in range(n) if (s, t) not in apart) for s in range(n)}
+
+
+def order_axioms(n, dom, cod, comp, op, left, right, side):
+    """The restriction report (side "meet": op the meet, left/right the
+    partial restL/restR) or the extension report (side "join": the join,
+    extL/extR) as AxiomReport.to_dict() lays it out. Each law is scanned by
+    nested loops straight from its statement; witness = first failing index
+    tuple. Entries of -1 are undefined and fail every law they reach."""
+    m = len(dom)
+    units = groupoid_units(n, dom, cod, comp)
+    lname, rname = ("restL", "restR") if side == "meet" else ("extL", "extR")
+    checks = {}
+
+    def at(table, i, j):
+        return -1 if i < 0 or j < 0 else table[i][j]
+
+    def lt(a, g):  # a∧g: restrict g to a∧dom g
+        return -1 if g < 0 else at(left, op[a][dom[g]], g)
+
+    def rt(g, a):  # g∧a: corestrict g to cod g∧a
+        return -1 if g < 0 else at(right, g, op[cod[g]][a])
+
+    def dom_of(f):
+        return -1 if f < 0 else dom[f]
+
+    def cod_of(f):
+        return -1 if f < 0 else cod[f]
+
+    def same(x, *ys):
+        return x >= 0 and all(x == y for y in ys)
+
+    def lrel(a, b):  # a leL b (a geL b on the join side): a = a∧b
+        return op[a][b] == a
+
+    def rrel(a, b):  # a leR b: a = b∧a
+        return op[b][a] == a
+
+    def record(name, bad, *sizes):
+        cells = product(*(range(s) for s in sizes))
+        witness = next((c for c in cells if bad(*c)), None)
+        checks[name] = {
+            "ok": witness is None,
+            "witness": list(witness) if witness is not None else None,
+            "required": True,
+            "note": None,
+        }
+
+    record(f"{lname}_identity", lambda g: lt(dom[g], g) != g, m)
+    record(f"{rname}_identity", lambda g: rt(g, cod[g]) != g, m)
+
+    # a leL b => _a|i_b = i_a; the join side reads a geR b => a∨i_b = i_(a∨b)
+    if side == "meet":
+        record(f"{lname}_preorder", lambda a, b: lrel(a, b) and not same(lt(a, units[b]), units[a]), n, n)
+        record(f"{rname}_preorder", lambda a, b: rrel(a, b) and not same(rt(units[b], a), units[a]), n, n)
+    else:
+        record(f"{lname}_preorder", lambda a, b: rrel(a, b) and not same(lt(a, units[b]), units[op[a][b]]), n, n)
+        record(f"{rname}_preorder", lambda a, b: lrel(a, b) and not same(rt(units[b], a), units[op[b][a]]), n, n)
+
+    # a leL b leL dom g => _a|g = _(a∧b)|g = _a|(_b|g)
+    def ltrans_bad(a, b, g):
+        if not (lrel(a, b) and lrel(b, dom[g])):
+            return False
+        return not same(lt(a, g), lt(op[a][b], g), lt(a, lt(b, g)))
+
+    record(f"{lname}_transitivity", ltrans_bad, n, n, m)
+
+    # a leR b leR cod g => g|_a = g|_(b∧a) = (g|_b)|_a
+    def rtrans_bad(a, b, g):
+        if not (rrel(a, b) and rrel(b, cod[g])):
+            return False
+        return not same(rt(g, a), rt(g, op[b][a]), rt(rt(g, b), a))
+
+    record(f"{rname}_transitivity", rtrans_bad, n, n, m)
+
+    # _a|(f∘g) = (_a|f)∘(_(cod _a|f)|g) whenever f∘g is defined
+    def lcomp_bad(a, f, g):
+        if comp[f][g] < 0:
+            return False
+        h1 = lt(a, f)
+        h2 = -1 if h1 < 0 else lt(cod[h1], g)
+        return not same(lt(a, comp[f][g]), at(comp, h1, h2))
+
+    record(f"{lname}_composition", lcomp_bad, n, m, m)
+
+    # (f∘g)|_d = (f|_(dom g|_d))∘(g|_d) whenever f∘g is defined
+    def rcomp_bad(f, g, d):
+        if comp[f][g] < 0:
+            return False
+        h2 = rt(g, d)
+        h1 = -1 if h2 < 0 else rt(f, dom[h2])
+        return not same(rt(comp[f][g], d), at(comp, h1, h2))
+
+    record(f"{rname}_composition", rcomp_bad, m, m, n)
+
+    # (a∧b)∧g = a∧(b∧g) and (g∧a)∧b = g∧(a∧b)
+    record(f"{side}_chain_left", lambda a, b, g: not same(lt(op[a][b], g), lt(a, lt(b, g))), n, n, m)
+    record(f"{side}_chain_right", lambda g, a, b: not same(rt(rt(g, a), b), rt(g, op[a][b])), m, n, n)
+
+    # dom(a∧g) = a∧dom g and cod(g∧a) = (cod g)∧a
+    record(f"{side}_endpoint_left", lambda a, g: not same(dom_of(lt(a, g)), op[a][dom[g]]), n, m)
+    record(f"{side}_endpoint_right", lambda g, a: not same(cod_of(rt(g, a)), op[cod[g]][a]), m, n)
+
+    # (a∧f)∧b = a∧(f∧b)
+    record(f"{side}_compatibility", lambda a, f, b: not same(rt(lt(a, f), b), lt(a, rt(f, b))), n, m, n)
+
+    title = "restriction axioms" if side == "meet" else "extension axioms"
+    return {"title": title, "ok": all(c["ok"] for c in checks.values()), "checks": checks}

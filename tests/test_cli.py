@@ -273,3 +273,54 @@ def test_table_that_would_be_coerced_is_exit_two(tmp_path, data, message):
     assert code == 2
     assert run["error"]["kind"] == "malformed"
     assert message in run["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["--help"], "usage: skewalg [-h]"),
+        (["-h"], "usage: skewalg [-h]"),
+        (["check-skew", "--help"], "usage: skewalg check-skew [-h]"),
+    ],
+)
+def test_help_returns_a_run_record(argv, usage, capsys):
+    run, code = dispatch(argv)
+    assert code == 0
+    assert run["ok"] is True
+    assert run["help"].startswith(usage)
+    assert list(run) == ["command", "inputs", "ok", "help", "elapsed_s"]
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    shown = capsys.readouterr()
+    assert json.loads(shown.out)["help"] == run["help"]
+    assert usage in shown.err
+    assert main(["--format", "text", *argv]) == 0
+    assert usage in capsys.readouterr().out
+
+
+def test_commands_in_a_row_match_single_runs(swap_algebra_file, swap_system_file):
+    import skewalg.cli as cli
+
+    commands = [
+        ["enum-bands", "2"],
+        ["--format", "text", "check-algebra", swap_algebra_file],
+        ["check-system", swap_system_file, "--seed", "3"],
+        ["check-algebra"],
+        ["check-skew", "--help"],
+        ["enum-skew", "3", "--max", "4"],
+        ["roundtrip", swap_algebra_file],
+        ["--help"],
+        ["check-system", swap_algebra_file],
+    ]
+
+    def record(argv):
+        run, code = dispatch(argv)
+        run.pop("elapsed_s")
+        return run, code
+
+    in_a_row = [record(argv) for argv in commands]
+    single = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        single.append(record(argv))
+    assert in_a_row == single

@@ -1,8 +1,11 @@
 """Checks for the partial-operator layer: structure, axiom batteries,
 derived identities, and the generalized total operations."""
 
+import random
+
 import numpy as np
 import pytest
+from oracles import order_axioms
 
 from skewalg import (
     AxiomViolationError,
@@ -196,3 +199,27 @@ def test_broken_meet_is_named_by_the_preorder_pairing_witness():
     assert not pairing.ok
     # (1, 2): 1 <=_R 2 reads the broken meet[2, 1], while 2 >=_L 1 still holds
     assert pairing.witness == (1, 2)
+
+
+def test_axiom_families_match_scalar_oracle_on_suite_and_mutants(suite):
+    # witnesses included: the first failing tuple in row-major order; each
+    # operator table gets one mutant with a -1 hole and one with a new value
+    rng = random.Random(1810)
+    names = ("restL", "restR", "extL", "extR")
+    for inst in rng.sample(suite, 60):
+        sysm = inst.system
+        variants = [sysm]
+        for name in names:
+            for value in (-1, rng.randrange(sysm.morphism_count)):
+                tables = {t: getattr(sysm, t).copy() for t in names}
+                tables[name][tuple(rng.randrange(k) for k in tables[name].shape)] = value
+                variants.append(RestrictionSystem(sysm.groupoid, sysm.objects, **tables))
+        for v in variants:
+            g = v.groupoid
+            args = (v.object_count, g.dom.tolist(), g.cod.tolist(), g.comp.tolist())
+            for checker, side, op, left, right in (
+                (check_restriction_axioms, "meet", v.objects.meet, v.restL, v.restR),
+                (check_extension_axioms, "join", v.objects.join, v.extL, v.extR),
+            ):
+                want = order_axioms(*args, op.tolist(), left.tolist(), right.tolist(), side)
+                assert checker(v).to_dict() == want, (inst.name, side)

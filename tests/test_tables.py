@@ -14,6 +14,7 @@ from skewalg import (
     rectangular_skew,
     right_zero,
 )
+from skewalg.algebra import greens_l, greens_r
 
 
 def test_left_zero_projects_onto_first_argument():
@@ -97,6 +98,22 @@ def test_greens_relations_chain_are_trivial():
     g = greens_relations(chain_lattice(3).meet)
     assert g.r_classes == ((0,), (1,), (2,))
     assert g.l_classes == ((0,), (1,), (2,))
+
+
+def test_greens_relations_partitions_match_greens_r_and_l(suite):
+    for inst in suite:
+        for table in (inst.algebra.meet, inst.algebra.join):
+            g = greens_relations(table)
+            r_of, l_of = np.array(g.r_class_of), np.array(g.l_class_of)
+            assert np.array_equal(greens_r(table.array), r_of[:, None] == r_of[None, :])
+            assert np.array_equal(greens_l(table.array), l_of[:, None] == l_of[None, :])
+            assert sorted(sum(g.r_classes, ())) == list(range(table.order))
+
+
+def test_greens_relations_refuses_non_associative_table():
+    # (0*0)*1 = 1*1 = 0 but 0*(0*1) = 0*0 = 1
+    with pytest.raises(ValueError, match="associative"):
+        greens_relations(OperationTable([[1, 0], [0, 0]]))
 
 
 def test_group_table_finds_identity_and_inverses():
