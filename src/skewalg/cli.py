@@ -341,11 +341,19 @@ def _format_of(argv) -> str:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     run, code = dispatch(argv)
-    if _format_of(argv) == "text":
-        print(_summary(run))
-    else:
-        json.dump(run, sys.stdout, indent=1)
-        sys.stdout.write("\n")
+    text = _format_of(argv) == "text"
+    try:
+        if text:
+            print(_summary(run))
+        else:
+            json.dump(run, sys.stdout, indent=1)
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (e.g. `| head`); point stdout at
+        # devnull so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if not text:
         print(_summary(run), file=sys.stderr)
     return code
 

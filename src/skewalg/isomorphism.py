@@ -1,10 +1,24 @@
 """Isomorphism search and canonical forms for finite algebras given by tables.
 
 A structure's signature is (carrier size, binary operation tables, unary
-operation maps).  The search backtracks over images in increasing order, so
-the first isomorphism found is the least one in lexicographic order; candidate
-images are pruned by iterated invariant refinement seeded with the idempotent
-profile of every binary operation.
+operation maps).  find_isomorphism returns the least isomorphism in
+lexicographic order, or None, in three stages:
+
+  * joint colour refinement (1-WL, as in McKay & Piperno's nauty/Traces)
+    over the disjoint union of both structures, seeded with the idempotent
+    profile of every binary operation; both sides share one set of labels,
+    so unequal colour multisets prove non-isomorphism, and x may only map
+    to elements of its own colour;
+  * a backtracking search that tries images in increasing order, so the
+    first complete mapping found is the least one.  A precomputed schedule
+    lists, per step x, the operation cells (p, q) -> v of the source decided
+    once 0..x have images (max(p, q, v) = x; max(p, u(p)) = x for a unary
+    u); each candidate x -> y is checked against all of them with one
+    gather from the target's tables through the partial image array;
+  * a full preserves_operations certificate of the mapping found.
+
+Refinement only discards images that no isomorphism uses, so the mapping
+returned is the one the unpruned lexicographic search would find.
 """
 
 from __future__ import annotations
@@ -15,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SignatureMismatchError
-from .tables import GroupTable, OperationTable, SkewLatticeTable
+from .tables import GroupTable, OperationTable, SkewLatticeTable, row_labels
 
 
 @dataclass(frozen=True)
@@ -60,35 +74,59 @@ def signature_of(structure) -> tuple[int, tuple[np.ndarray, ...], tuple[np.ndarr
     raise SignatureMismatchError(f"unsupported structure type {type(structure).__name__}")
 
 
-def _refine_colors(n, binops, unops):
-    """Iterated invariant refinement; returns a stable color per element.
+def _joint_colours(n, sig_a, sig_b) -> np.ndarray:
+    """Stable colours of the 2n elements of the disjoint union of a and b.
 
-    Each new color hashes the old one, so a round can only split classes;
-    once a round adds no class the partition is stable. Isomorphic inputs
-    reach that round together, so their colors stay comparable.
+    Element x of a is union element x and element y of b is n + y.  Each
+    round labels, with one row_labels call, the matrix whose row x holds
+    the old colour of x; colour[u(x)] for every unary map u; and, for every
+    binary operation, the sorted codes colour[x.y]*k + colour[y] of its row
+    and colour[y.x]*k + colour[y] of its column, y ranging over the side of
+    x and k the class count.  A round can only split classes, so the first
+    round that adds none leaves the stable partition.
     """
-    colors = [0] * n
-    for op in binops:
-        diag = op[np.arange(n), np.arange(n)]
-        colors = [hash((c, bool(diag[x] == x))) for x, c in enumerate(colors)]
-    classes = len(set(colors))
-    for _ in range(n):
-        new = []
-        for x in range(n):
-            parts = [colors[x]]
-            for op in binops:
-                row = sorted((colors[int(op[x, y])], colors[y]) for y in range(n))
-                col = sorted((colors[int(op[y, x])], colors[y]) for y in range(n))
-                parts.append(tuple(row))
-                parts.append(tuple(col))
-            for u in unops:
-                parts.append(colors[int(u[x])])
-            new.append(hash(tuple(parts)))
-        colors, before = new, classes
-        classes = len(set(colors))
-        if classes == before:
-            break
-    return colors
+    side = np.repeat(np.array([0, n]), n)
+    union = np.arange(2 * n)
+    ys = side[:, None] + np.arange(n)
+    pairs = list(zip(sig_a[1], sig_b[1]))
+    # tables[x, t] is the row (t < len(pairs)) or column of x in operation t
+    tables = np.stack(
+        [np.vstack([a, b]) for a, b in pairs] + [np.vstack([a.T, b.T]) for a, b in pairs], axis=1
+    ) + side[:, None, None]
+    # maps[x] is x itself, then its image under each unary map
+    maps = np.stack([union] + [np.concatenate([a, b + n]) for a, b in zip(sig_a[2], sig_b[2])], axis=1)
+    # seed: the idempotent profile, read off the diagonal of each operation
+    colour = row_labels(tables[union, : len(pairs), union % n] == union[:, None])
+    count = colour.max() + 1
+    while True:
+        codes = np.sort(colour[tables] * count + colour[ys][:, None, :], axis=2)
+        colour = row_labels(np.hstack([colour[maps], codes.reshape(2 * n, -1)]))
+        grown = colour.max() + 1
+        if grown == count:
+            return colour
+        count = grown
+
+
+def _flat_tables(n, sig) -> np.ndarray:
+    """Every operation as one n x n block of a flat array; a unary map u is
+    the block (p, q) -> u[p]."""
+    return np.concatenate([op.ravel() for op in sig[1]] + [np.repeat(u, n) for u in sig[2]])
+
+
+def _cell_schedule(n, sig):
+    """The cells of _flat_tables(n, sig) in the order of the step x at which
+    0..x have images and so decide them: max(p, q, v) = x for a cell
+    (p, q) -> v, taking only p = q in a unary block.  Returns the block
+    offsets, a 3-row array of p, q and v, and the bounds of each step."""
+    flat = _flat_tables(n, sig)
+    block, cell = np.divmod(np.arange(flat.size), n * n)
+    p, q = np.divmod(cell, n)
+    keep = (block < len(sig[1])) | (p == q)
+    cells = np.stack([p[keep], q[keep], flat[keep]])
+    step = cells.max(axis=0)
+    order = np.argsort(step, kind="stable")
+    bounds = np.searchsorted(step[order], np.arange(n + 1)).tolist()
+    return (block[keep] * (n * n))[order], cells[:, order], bounds
 
 
 def preserves_operations(sig_a, sig_b, mapping) -> bool:
@@ -117,70 +155,40 @@ def find_isomorphism(a, b) -> Isomorphism | None:
     if n != sig_b[0]:
         return None
 
-    colors_a = _refine_colors(n, sig_a[1], sig_a[2])
-    colors_b = _refine_colors(n, sig_b[1], sig_b[2])
-    if sorted(colors_a) != sorted(colors_b):
+    colour = _joint_colours(n, sig_a, sig_b)
+    colours_a, colours_b = colour[:n], colour[n:]
+    if not np.array_equal(np.sort(colours_a), np.sort(colours_b)):
         return None
-    candidates = [
-        [y for y in range(n) if colors_b[y] == colors_a[x]] for x in range(n)
-    ]
-
-    binops_a, unops_a = sig_a[1], sig_a[2]
-    binops_b, unops_b = sig_b[1], sig_b[2]
-    image = [-1] * n
+    members: dict[int, list[int]] = {}
+    for y, c in enumerate(colours_b.tolist()):
+        members.setdefault(c, []).append(y)
+    candidates = [members[c] for c in colours_a.tolist()]
+    offsets, cells, bounds = _cell_schedule(n, sig_a)
+    flat_b = _flat_tables(n, sig_b)
+    image = np.zeros(n, dtype=np.int64)
     used = [False] * n
-
-    def consistent(x, y):
-        # elements 0..x-1 are assigned; test every op cell that becomes
-        # fully determined (operands and value) once x -> y is added
-        def img(w):
-            if w < x:
-                return image[w]
-            return y if w == x else -1
-
-        for op_a, op_b in zip(binops_a, binops_b):
-            for z in range(x + 1):
-                iz = img(z)
-                v = img(int(op_a[x, z]))
-                if v >= 0 and int(op_b[y, iz]) != v:
-                    return False
-                v = img(int(op_a[z, x]))
-                if v >= 0 and int(op_b[iz, y]) != v:
-                    return False
-            # cells among earlier elements whose value is x itself
-            for z1 in range(x):
-                row = op_a[z1]
-                for z2 in range(x):
-                    if int(row[z2]) == x and int(op_b[image[z1], image[z2]]) != y:
-                        return False
-        for u_a, u_b in zip(unops_a, unops_b):
-            v = img(int(u_a[x]))
-            if v >= 0 and int(u_b[y]) != v:
-                return False
-            for z in range(x):
-                if int(u_a[z]) == x and int(u_b[image[z]]) != y:
-                    return False
-        return True
 
     def search(x):
         if x == n:
             return True
+        lo, hi = bounds[x], bounds[x + 1]
+        offset, decided = offsets[lo:hi], cells[:, lo:hi]
         for y in candidates[x]:
             if used[y]:
                 continue
-            if not consistent(x, y):
-                continue
             image[x] = y
+            p, q, v = image[decided]
+            if not (flat_b[offset + p * n + q] == v).all():
+                continue
             used[y] = True
             if search(x + 1):
                 return True
-            image[x] = -1
             used[y] = False
         return False
 
     if not search(0):
         return None
-    mapping = tuple(image)
+    mapping = tuple(image.tolist())
     if not preserves_operations(sig_a, sig_b, mapping):
         raise AssertionError("backtracking produced an uncertified mapping")
     return Isomorphism(n, n, mapping)

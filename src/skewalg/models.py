@@ -37,7 +37,7 @@ from .groupoid import FiniteGroupoid
 from .isomorphism import automorphisms_of, group_automorphisms
 from .report import AxiomReport
 from .system import RestrictionSystem
-from .tables import GroupTable, PreorderPair, SkewLatticeTable
+from .tables import GroupTable, PreorderPair, SkewLatticeTable, row_labels
 
 __all__ = [
     "GROUP_CATALOG",
@@ -165,6 +165,16 @@ class SemidirectAlgebra(BiBandAlgebra):
 
     def __init__(self, action: GroupAction):
         _guard(action)
+        self._build(action)
+
+    @classmethod
+    def _of_checked(cls, action: GroupAction) -> "SemidirectAlgebra":
+        """The algebra of an action that has already passed check_action."""
+        algebra = cls.__new__(cls)
+        algebra._build(action)
+        return algebra
+
+    def _build(self, action: GroupAction) -> None:
         gt = action.group.table.array
         ginv = action.group.inverse
         mt = action.lattice.meet.array
@@ -203,6 +213,11 @@ def semidirect_groupoid(action: GroupAction) -> RestrictionSystem:
     gives (a∧b, g) and corestricting to c <=_R b^g gives (c^{g^-1}, g).
     """
     _guard(action)
+    return _semidirect_groupoid(action)
+
+
+def _semidirect_groupoid(action: GroupAction) -> RestrictionSystem:
+    """semidirect_groupoid of an action that has already passed check_action."""
     gt = action.group.table.array
     ginv = action.group.inverse
     mt = action.lattice.meet.array
@@ -368,14 +383,16 @@ def generate_model_suite(
                 actions = _dedupe_actions(
                     _enumerate_actions(group, lattice, bauts), gauts, bauts
                 )
+                # every kept action passed check_action while enumerated,
+                # so the builders below skip the guard
                 for k, action in enumerate(actions):
                     name = f"{gname}xB{nb}.{bi}a{k}"
                     suite.append(
                         ModelInstance(
                             name,
                             action,
-                            semidirect_algebra(action),
-                            semidirect_groupoid(action),
+                            SemidirectAlgebra._of_checked(action),
+                            _semidirect_groupoid(action),
                         )
                     )
     return suite
@@ -386,15 +403,6 @@ def _unary_images(S: BiBandAlgebra) -> np.ndarray:
     respect: the star, then x -> i∧x, x∧i, i∨x, x∨i for each element i."""
     mt, jt = S.meet.array, S.join.array
     return np.hstack([S.star[:, None], mt.T, mt, jt.T, jt])
-
-
-def _row_labels(rows: np.ndarray) -> np.ndarray:
-    """Labels 0..k-1 with equal labels exactly on equal rows.  Each row is
-    viewed as one opaque byte string, which np.unique sorts some twenty
-    times faster than np.unique(axis=0) sorts rows of 97 integer fields."""
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    return np.unique(keys, return_inverse=True)[1].reshape(-1)
 
 
 def _max_idempotent_separating_congruence(S: BiBandAlgebra):
@@ -412,10 +420,10 @@ def _max_idempotent_separating_congruence(S: BiBandAlgebra):
     mt, st = S.meet.array, S.star
     idx = np.arange(n)
     images = _unary_images(S)
-    labels = _row_labels(np.stack([mt[idx, st], mt[st, idx]], axis=1))
+    labels = row_labels(np.stack([mt[idx, st], mt[st, idx]], axis=1))
     count = labels.max(initial=-1) + 1
     while True:
-        labels = _row_labels(np.hstack([labels[:, None], labels[images]]))
+        labels = row_labels(np.hstack([labels[:, None], labels[images]]))
         grown = labels.max(initial=-1) + 1
         if grown == count:
             return labels, _certificate(S, labels)

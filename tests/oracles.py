@@ -493,3 +493,89 @@ def order_axioms(n, dom, cod, comp, op, left, right, side):
 
     title = "restriction axioms" if side == "meet" else "extension axioms"
     return {"title": title, "ok": all(c["ok"] for c in checks.values()), "checks": checks}
+
+
+def refine_colours(n, binops, unops):
+    """Iterated invariant refinement of one structure given as lists: a
+    stable colour per element, hashed from the idempotent profile, the
+    sorted (colour of x.y, colour of y) pairs of each row and column and
+    the colours of the unary images, until a round adds no class."""
+    colours = [0] * n
+    for op in binops:
+        colours = [hash((c, op[x][x] == x)) for x, c in enumerate(colours)]
+    classes = len(set(colours))
+    for _ in range(n):
+        new = []
+        for x in range(n):
+            parts = [colours[x]]
+            for op in binops:
+                parts.append(tuple(sorted((colours[op[x][y]], colours[y]) for y in range(n))))
+                parts.append(tuple(sorted((colours[op[y][x]], colours[y]) for y in range(n))))
+            for u in unops:
+                parts.append(colours[u[x]])
+            new.append(hash(tuple(parts)))
+        colours, before = new, classes
+        classes = len(set(colours))
+        if classes == before:
+            break
+    return colours
+
+
+def least_isomorphism(n, binops_a, unops_a, binops_b, unops_b):
+    """Least bijection in lexicographic order carrying every operation of a
+    onto b, as a tuple, or None.  Plain backtracking over images in
+    increasing order; an image must have the source's refine_colours
+    colour, and after each step every cell whose operands and value are
+    all assigned is tested."""
+    colours_a = refine_colours(n, binops_a, unops_a)
+    colours_b = refine_colours(n, binops_b, unops_b)
+    if sorted(colours_a) != sorted(colours_b):
+        return None
+    candidates = [[y for y in range(n) if colours_b[y] == colours_a[x]] for x in range(n)]
+    image = [-1] * n
+    used = [False] * n
+
+    def consistent(x, y):
+        def img(w):
+            if w < x:
+                return image[w]
+            return y if w == x else -1
+
+        for op_a, op_b in zip(binops_a, binops_b):
+            for z in range(x + 1):
+                iz = img(z)
+                v = img(op_a[x][z])
+                if v >= 0 and op_b[y][iz] != v:
+                    return False
+                v = img(op_a[z][x])
+                if v >= 0 and op_b[iz][y] != v:
+                    return False
+            # cells among earlier elements whose value is x itself
+            for z1 in range(x):
+                for z2 in range(x):
+                    if op_a[z1][z2] == x and op_b[image[z1]][image[z2]] != y:
+                        return False
+        for u_a, u_b in zip(unops_a, unops_b):
+            v = img(u_a[x])
+            if v >= 0 and u_b[y] != v:
+                return False
+            for z in range(x):
+                if u_a[z] == x and u_b[image[z]] != y:
+                    return False
+        return True
+
+    def search(x):
+        if x == n:
+            return True
+        for y in candidates[x]:
+            if used[y] or not consistent(x, y):
+                continue
+            image[x] = y
+            used[y] = True
+            if search(x + 1):
+                return True
+            image[x] = -1
+            used[y] = False
+        return False
+
+    return tuple(image) if search(0) else None

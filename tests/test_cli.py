@@ -1,9 +1,16 @@
 """End-to-end runs of the command line interface through dispatch()."""
 
+import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import skewalg
 
 from skewalg import (
     BiBandAlgebra,
@@ -23,6 +30,7 @@ from skewalg import (
 )
 from skewalg.cli import dispatch, main
 from skewalg.models import GROUP_CATALOG, GroupAction
+from skewalg.serialize import structure_to_dict
 
 
 def swap_action():
@@ -324,3 +332,69 @@ def test_commands_in_a_row_match_single_runs(swap_algebra_file, swap_system_file
         cli._parser.cache_clear()
         single.append(record(argv))
     assert in_a_row == single
+
+
+def test_closed_stdout_pipe_exits_cleanly():
+    # the reader is gone before the first write, as with `| head -c 10`
+    src = os.path.dirname(os.path.dirname(skewalg.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skewalg.cli", "enum-skew", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 0
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err
+    assert "enum-skew 4: ok" in err
+
+
+FILE_COMMANDS = [
+    "check-skew", "check-groupoid", "check-system", "check-algebra",
+    "build-algebra", "reconstruct", "roundtrip", "witness-anti",
+]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _valid_dicts():
+    a = swap_action()
+    system = semidirect_groupoid(a)
+    return [
+        structure_to_dict(s)
+        for s in (chain_lattice(2), system.groupoid, system, semidirect_algebra(a), a)
+    ]
+
+
+@st.composite
+def near_valid_json(draw):
+    """A valid structure dict with one value, anywhere in it, replaced."""
+    data = copy.deepcopy(draw(st.sampled_from(_valid_dicts())))
+    node = data
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return data
+        key = draw(st.sampled_from(keys))
+        if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+            continue
+        node[key] = draw(json_values)
+        return data
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(FILE_COMMANDS), data=json_values | near_valid_json())
+def test_dispatch_on_any_json_file_returns_a_record(tmp_path, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    run, code = dispatch([command, str(path)])
+    assert code in (0, 1, 2, 3, 4)
+    assert run["command"] == [command, str(path)]
+    assert json.loads(json.dumps(run)) == run

@@ -32,9 +32,11 @@ from skewalg import (
 from skewalg.models import (
     GROUP_CATALOG,
     GroupAction,
+    SemidirectAlgebra,
     _certificate,
     _max_idempotent_separating_congruence,
 )
+from skewalg.serialize import structure_to_dict
 
 SUITE_SIZE = 379          # |G| in {1,2,3,4,6}, |B| <= 4, deduped
 SUITE_SIZE_BAND3 = 102    # same groups, |B| <= 3; equals the oracle count
@@ -272,3 +274,29 @@ def test_certificate_fails_when_one_label_is_corrupted(suite):
                 checked += 1
     assert checked > 100
 
+
+
+def test_public_builders_keep_their_guard():
+    bad = GroupAction(GROUP_CATALOG["C3"], rect2(), [[0, 1, 1], [1, 0, 0]])
+    for build in (semidirect_algebra, semidirect_groupoid, SemidirectAlgebra):
+        with pytest.raises(ActionInvalidError):
+            build(bad)
+
+
+def test_suite_checks_each_action_once(monkeypatch):
+    import skewalg.models as models
+
+    seen = []
+
+    def counted(action):
+        seen.append(id(action))
+        return check_action(action)
+
+    monkeypatch.setattr(models, "check_action", counted)
+    suite = generate_model_suite(max_group=3, max_band=2)
+    assert suite
+    assert len(seen) == len(set(seen))
+    for inst in suite:
+        assert inst.algebra == semidirect_algebra(inst.action)
+        assert inst.algebra.action is inst.action
+        assert structure_to_dict(inst.system) == structure_to_dict(semidirect_groupoid(inst.action))

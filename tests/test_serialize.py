@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skewalg import (
     BiBandAlgebra,
@@ -115,3 +116,24 @@ def test_json_output_is_plain_ints(tmp_path):
     raw = json.loads(path.read_text())
     assert all(isinstance(v, int) for v in raw["star"])
     assert all(isinstance(v, int) for row in raw["meet"] for v in row)
+
+
+KINDS = {
+    "lattice": lambda inst: inst.action.lattice,
+    "groupoid": lambda inst: inst.system.groupoid,
+    "system": lambda inst: inst.system,
+    "algebra": lambda inst: inst.algebra,
+    "action": lambda inst: inst.action,
+}
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), kind=st.sampled_from(sorted(KINDS)))
+def test_save_then_load_is_the_identity_for_every_kind(tmp_path, suite, data, kind):
+    obj = KINDS[kind](data.draw(st.sampled_from(suite)))
+    path = tmp_path / f"{kind}.json"
+    save_structure(path, obj)
+    again = load_structure(path)
+    assert structure_to_dict(again) == structure_to_dict(obj)
+    if kind != "system":  # RestrictionSystem defines no equality
+        assert again == obj
