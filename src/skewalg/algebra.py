@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SkeletonNotClosedError
 from .report import AxiomReport
-from .tables import OperationTable, SkewLatticeTable, check_skew_lattice, padded, right_ideals
+from .tables import OperationTable, SkewLatticeTable, check_skew_lattice, frozen, padded, right_ideals
 
 __all__ = [
     "BiBandAlgebra",
@@ -41,12 +41,11 @@ class BiBandAlgebra:
             raise ValueError(
                 f"join order {self.join.order} != meet order {self.meet.order}"
             )
-        star = np.asarray(star, dtype=np.int64)
+        star = frozen(star)
         if star.shape != (self.join.order,):
             raise ValueError(f"star must have shape ({self.join.order},)")
         if star.size and (star.min() < 0 or star.max() >= self.join.order):
             raise ValueError("star entries out of range")
-        star.setflags(write=False)
         self.star = star
 
     @property

@@ -297,6 +297,9 @@ def dispatch(argv) -> tuple[dict, int]:
     except SkewalgError as exc:
         run["error"] = {"kind": type(exc).__name__, "message": str(exc)}
         return finish(EXIT_CHECK_FAILED)
+    except OSError as exc:  # a failed read is a MalformedSystemError, so a write under --out
+        run["error"] = {"kind": "usage", "message": f"cannot write under --out: {exc}"}
+        return finish(EXIT_USAGE)
 
     run["inputs"] = inputs
     run["ok"] = report.ok if report is not None else True

@@ -1,12 +1,16 @@
 """Exhaustive generation of small bands and skew lattices up to isomorphism.
 
 The search space is kept desk-scale: idempotency pins the table diagonal,
-associativity is enforced incrementally while cells are chosen, and each
-completed table is reduced to the lexicographically least relabeling so
-isomorphic duplicates collapse to a single representative.
+associativity is enforced incrementally while cells are chosen.  Each
+completed table, or meet/join pair, is keyed by canonical_tables, the least
+flattened row among its relabellings by all n! permutations, so isomorphic
+tables share a key; the distinct keys in increasing order, reshaped back
+into tables, are the representatives.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import BoundExceededError
 from .isomorphism import canonical_tables
@@ -83,22 +87,18 @@ def labeled_bands(n: int, max_order: int = DEFAULT_MAX_ORDER) -> list[OperationT
     return out
 
 
+def _classes(n: int, labelled) -> np.ndarray:
+    """The distinct canonical_tables keys of the labelled table tuples in
+    increasing order, as an array of shape (classes, tables, n, n)."""
+    keys = sorted({canonical_tables(n, tables) for tables in labelled})
+    return np.array(keys, dtype=np.int64).reshape(len(keys), -1, n, n)
+
+
 def enumerate_bands(n: int, max_order: int = DEFAULT_MAX_ORDER) -> list[OperationTable]:
     """One canonical representative per isomorphism class of bands of order n."""
     _check_bound(n, max_order)
-    seen: set[tuple[int, ...]] = set()
-    reps: list[tuple[int, ...]] = []
-    for band in labeled_bands(n, max_order):
-        key = canonical_tables(n, [band.array], [])
-        if key not in seen:
-            seen.add(key)
-            reps.append(key)
-    reps.sort()
-    return [OperationTable(_unflatten(key, n)) for key in reps]
-
-
-def _unflatten(flat: tuple[int, ...], n: int) -> list[list[int]]:
-    return [list(flat[i * n : (i + 1) * n]) for i in range(n)]
+    labelled = ([band.array] for band in labeled_bands(n, max_order))
+    return [OperationTable(band) for (band,) in _classes(n, labelled)]
 
 
 def _join_candidates(meet: list[list[int]], a: int, b: int, n: int) -> list[int]:
@@ -114,24 +114,12 @@ def enumerate_skew_lattices(
     Isomorphism here is a single bijection preserving meet and join at once.
     """
     _check_bound(n, max_order)
-    seen: set[tuple[int, ...]] = set()
-    keys: list[tuple[int, ...]] = []
-    for band in labeled_bands(n, max_order):
-        meet = band.tolist()
-        for join in _complete_joins(meet, n):
-            key = canonical_tables(n, [band.array, OperationTable(join).array], [])
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-    keys.sort()
-    out = []
-    for key in keys:
-        out.append(
-            SkewLatticeTable(
-                _unflatten(key[: n * n], n), _unflatten(key[n * n :], n)
-            )
-        )
-    return out
+    labelled = (
+        [band.array, np.array(join)]
+        for band in labeled_bands(n, max_order)
+        for join in _complete_joins(band.tolist(), n)
+    )
+    return [SkewLatticeTable(meet, join) for meet, join in _classes(n, labelled)]
 
 
 def _complete_joins(meet: list[list[int]], n: int) -> list[list[list[int]]]:

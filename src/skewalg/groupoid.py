@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import MalformedSystemError, UndefinedCompositionError
 from .report import AxiomReport
-from .tables import GroupTable, padded
+from .tables import GroupTable, frozen, padded
 
 __all__ = [
     "FiniteGroupoid",
@@ -29,10 +29,7 @@ class FiniteGroupoid:
 
     def __init__(self, object_count, dom, cod, comp, inv):
         self.object_count = int(object_count)
-        self.dom = np.asarray(dom, dtype=np.int64)
-        self.cod = np.asarray(cod, dtype=np.int64)
-        self.comp = np.asarray(comp, dtype=np.int64)
-        self.inv = np.asarray(inv, dtype=np.int64)
+        self.dom, self.cod, self.comp, self.inv = map(frozen, (dom, cod, comp, inv))
         m = self.dom.shape[0]
         if self.cod.shape != (m,) or self.inv.shape != (m,):
             raise MalformedSystemError("dom, cod, inv must have equal length")
@@ -51,10 +48,6 @@ class FiniteGroupoid:
                 raise MalformedSystemError(f"{name} entries out of range")
         if self.comp.size and (self.comp.min() < -1 or self.comp.max() >= m):
             raise MalformedSystemError("composition entries out of range")
-        self.dom.setflags(write=False)
-        self.cod.setflags(write=False)
-        self.comp.setflags(write=False)
-        self.inv.setflags(write=False)
         self.identity_of = self._find_identities()
 
     @property

@@ -1,24 +1,26 @@
 """Isomorphism search and canonical forms for finite algebras given by tables.
 
 A structure's signature is (carrier size, binary operation tables, unary
-operation maps).  find_isomorphism returns the least isomorphism in
-lexicographic order, or None, in three stages:
+operation maps).  One search, _isomorphisms, yields every isomorphism a -> b
+in increasing lexicographic order:
 
   * joint colour refinement (1-WL, as in McKay & Piperno's nauty/Traces)
     over the disjoint union of both structures, seeded with the idempotent
     profile of every binary operation; both sides share one set of labels,
     so unequal colour multisets prove non-isomorphism, and x may only map
     to elements of its own colour;
-  * a backtracking search that tries images in increasing order, so the
-    first complete mapping found is the least one.  A precomputed schedule
-    lists, per step x, the operation cells (p, q) -> v of the source decided
-    once 0..x have images (max(p, q, v) = x; max(p, u(p)) = x for a unary
-    u); each candidate x -> y is checked against all of them with one
-    gather from the target's tables through the partial image array;
-  * a full preserves_operations certificate of the mapping found.
+  * a backtracking search that tries the images of 0, 1, ... in
+    increasing order.  A precomputed schedule lists, per step x, the source
+    cells (p, q) -> v with max(p, q) = x (p = q, v = u(p) for a unary u);
+    for a candidate x -> y one gather through the partial image array gives
+    the image each cell demands of v.  It must equal v's image, or the image
+    an earlier cell forced on v; otherwise it is forced on v, and it is the
+    only candidate the search tries at v.
 
-Refinement only discards images that no isomorphism uses, so the mapping
-returned is the one the unpruned lexicographic search would find.
+Refinement and forcing only discard images no isomorphism uses.
+find_isomorphism takes the first and certifies it with preserves_operations;
+automorphisms_of lists all of a structure onto itself.  Every relabelling is
+one gather, relabellings; canonical_tables is their least_row over all n!.
 """
 
 from __future__ import annotations
@@ -115,15 +117,15 @@ def _flat_tables(n, sig) -> np.ndarray:
 
 def _cell_schedule(n, sig):
     """The cells of _flat_tables(n, sig) in the order of the step x at which
-    0..x have images and so decide them: max(p, q, v) = x for a cell
-    (p, q) -> v, taking only p = q in a unary block.  Returns the block
-    offsets, a 3-row array of p, q and v, and the bounds of each step."""
+    0..x have images and so fix the image of their value: max(p, q) = x for
+    a cell (p, q) -> v, taking only p = q in a unary block.  Returns the
+    block offsets, a 3-row array of p, q and v, and the bounds of each step."""
     flat = _flat_tables(n, sig)
     block, cell = np.divmod(np.arange(flat.size), n * n)
     p, q = np.divmod(cell, n)
     keep = (block < len(sig[1])) | (p == q)
     cells = np.stack([p[keep], q[keep], flat[keep]])
-    step = cells.max(axis=0)
+    step = cells[:2].max(axis=0)
     order = np.argsort(step, kind="stable")
     bounds = np.searchsorted(step[order], np.arange(n + 1)).tolist()
     return (block[keep] * (n * n))[order], cells[:, order], bounds
@@ -143,6 +145,56 @@ def preserves_operations(sig_a, sig_b, mapping) -> bool:
     return True
 
 
+def _isomorphisms(sig_a, sig_b):
+    """Every isomorphism a -> b as a tuple, in increasing lexicographic order."""
+    n = sig_a[0]
+    if n != sig_b[0]:
+        return
+    if n == 0:  # the empty map; refinement needs an element
+        yield ()
+        return
+    colour = _joint_colours(n, sig_a, sig_b)
+    colours_a, colours_b = colour[:n], colour[n:]
+    if not np.array_equal(np.sort(colours_a), np.sort(colours_b)):
+        return
+    candidates = [np.flatnonzero(colours_b == c).tolist() for c in colours_a]
+    offsets, cells, bounds = _cell_schedule(n, sig_a)
+    flat_b = _flat_tables(n, sig_b)
+    used = [False] * n
+
+    def search(x, image):
+        # image[w] is the image of w for w < x, and for w >= x the image an
+        # earlier cell forced, or -1; a step that forces nothing passes
+        # image itself on, so every step restores image[x] when it is done
+        if x == n:
+            yield tuple(image.tolist())
+            return
+        lo, hi = bounds[x], bounds[x + 1]
+        offset, step = offsets[lo:hi], cells[:, lo:hi]
+        forced = image[x]
+        for y in candidates[x] if forced < 0 else [forced]:
+            if used[y]:
+                continue
+            image[x] = y
+            p, q, v = image[step]
+            got = flat_b[offset + p * n + q]
+            fresh = v < 0
+            if not ((v == got) | fresh).all():
+                continue
+            nxt = image
+            if fresh.any():
+                nxt = image.copy()
+                nxt[step[2, fresh]] = got[fresh]
+                if not (nxt[step[2]] == got).all():
+                    continue
+            used[y] = True
+            yield from search(x + 1, nxt)
+            used[y] = False
+        image[x] = forced
+
+    yield from search(0, np.full(n, -1))
+
+
 def find_isomorphism(a, b) -> Isomorphism | None:
     """Least isomorphism a -> b, or None; raises on signature mismatch."""
     sig_a = signature_of(a)
@@ -151,58 +203,19 @@ def find_isomorphism(a, b) -> Isomorphism | None:
         raise SignatureMismatchError(
             f"cannot compare {type(a).__name__} with {type(b).__name__}"
         )
-    n = sig_a[0]
-    if n != sig_b[0]:
+    mapping = next(_isomorphisms(sig_a, sig_b), None)
+    if mapping is None:
         return None
-
-    colour = _joint_colours(n, sig_a, sig_b)
-    colours_a, colours_b = colour[:n], colour[n:]
-    if not np.array_equal(np.sort(colours_a), np.sort(colours_b)):
-        return None
-    members: dict[int, list[int]] = {}
-    for y, c in enumerate(colours_b.tolist()):
-        members.setdefault(c, []).append(y)
-    candidates = [members[c] for c in colours_a.tolist()]
-    offsets, cells, bounds = _cell_schedule(n, sig_a)
-    flat_b = _flat_tables(n, sig_b)
-    image = np.zeros(n, dtype=np.int64)
-    used = [False] * n
-
-    def search(x):
-        if x == n:
-            return True
-        lo, hi = bounds[x], bounds[x + 1]
-        offset, decided = offsets[lo:hi], cells[:, lo:hi]
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            image[x] = y
-            p, q, v = image[decided]
-            if not (flat_b[offset + p * n + q] == v).all():
-                continue
-            used[y] = True
-            if search(x + 1):
-                return True
-            used[y] = False
-        return False
-
-    if not search(0):
-        return None
-    mapping = tuple(image.tolist())
     if not preserves_operations(sig_a, sig_b, mapping):
         raise AssertionError("backtracking produced an uncertified mapping")
-    return Isomorphism(n, n, mapping)
+    return Isomorphism(sig_a[0], sig_b[0], mapping)
 
 
 def automorphisms_of(structure) -> list[tuple[int, ...]]:
-    """All automorphisms of a supported structure, by exhaustive check."""
+    """All automorphisms of a supported structure in lexicographic order:
+    every isomorphism the search finds from the structure onto itself."""
     sig = signature_of(structure)
-    n = sig[0]
-    out = []
-    for perm in itertools.permutations(range(n)):
-        if preserves_operations(sig, sig, perm):
-            out.append(perm)
-    return out
+    return list(_isomorphisms(sig, sig))
 
 
 def band_automorphisms(s: SkewLatticeTable) -> list[tuple[int, ...]]:
@@ -215,31 +228,41 @@ def group_automorphisms(g: GroupTable) -> list[tuple[int, ...]]:
     return automorphisms_of(g)
 
 
+def relabellings(table, rows, cols, values) -> np.ndarray:
+    """out[k, i, j] = values[k, table[rows[k, i], cols[k, j]]]: renaming
+    x -> p[x] is rows = cols = p^-1 and values = p, and a unary map u is
+    the table u[:, None] with cols = [0]."""
+    k = np.arange(len(values))[:, None, None]
+    return values[k, table[rows[:, :, None], cols[:, None, :]]]
+
+
+def least_row(rows: np.ndarray) -> np.ndarray:
+    """The lexicographically least row of a matrix."""
+    return rows[np.lexsort(rows.T[::-1])[0]]
+
+
+def _flat_relabellings(perms, binops, unops) -> np.ndarray:
+    """Row k holds every table renamed by x -> perms[k][x], each flattened
+    row-major, the binary tables first."""
+    p = np.asarray(perms, dtype=np.int64)
+    inv, column = np.argsort(p, axis=1), np.zeros((len(p), 1), dtype=np.int64)
+    return np.hstack(
+        [relabellings(np.asarray(op), inv, inv, p).reshape(len(p), -1) for op in binops]
+        + [relabellings(np.asarray(u)[:, None], inv, column, p).reshape(len(p), -1) for u in unops]
+    )
+
+
 def relabel(table: np.ndarray, perm) -> np.ndarray:
     """The table of the same operation after renaming x -> perm[x]."""
-    p = np.asarray(perm, dtype=np.int64)
-    out = np.empty_like(table)
-    out[p[:, None], p[None, :]] = p[table]
-    return out
+    return _flat_relabellings([perm], [table], ()).reshape(len(perm), len(perm))
 
 
 def relabel_unary(u: np.ndarray, perm) -> np.ndarray:
-    p = np.asarray(perm, dtype=np.int64)
-    out = np.empty_like(u)
-    out[p] = p[u]
-    return out
+    return _flat_relabellings([perm], (), [u])[0]
 
 
 def canonical_tables(n: int, binops, unops=()) -> tuple:
-    """Lexicographically least relabeling of a tuple of operation tables."""
-    best = None
-    for perm in itertools.permutations(range(n)):
-        flat = []
-        for op in binops:
-            flat.extend(relabel(op, perm).ravel().tolist())
-        for u in unops:
-            flat.extend(relabel_unary(u, perm).tolist())
-        key = tuple(flat)
-        if best is None or key < best:
-            best = key
-    return best
+    """Lexicographically least relabeling of a tuple of operation tables:
+    the least row of _flat_relabellings over all n! permutations."""
+    keys = _flat_relabellings(list(itertools.permutations(range(n))), binops, unops)
+    return tuple(least_row(keys).tolist())

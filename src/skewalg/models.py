@@ -34,10 +34,10 @@ from .algebra import BiBandAlgebra
 from .enumeration import enumerate_skew_lattices
 from .errors import ActionInvalidError, BoundExceededError
 from .groupoid import FiniteGroupoid
-from .isomorphism import automorphisms_of, group_automorphisms
+from .isomorphism import automorphisms_of, group_automorphisms, least_row, relabellings
 from .report import AxiomReport
 from .system import RestrictionSystem
-from .tables import GroupTable, PreorderPair, SkewLatticeTable, row_labels
+from .tables import GroupTable, PreorderPair, SkewLatticeTable, frozen, row_labels
 
 __all__ = [
     "GROUP_CATALOG",
@@ -97,7 +97,7 @@ class GroupAction:
     def __init__(self, group: GroupTable, lattice: SkewLatticeTable, act):
         if not isinstance(lattice, SkewLatticeTable):
             lattice = SkewLatticeTable(*lattice)
-        act = np.asarray(act, dtype=np.int64)
+        act = frozen(act)
         if act.shape != (lattice.order, group.order):
             raise ActionInvalidError(
                 f"action table must have shape {(lattice.order, group.order)}, "
@@ -105,7 +105,6 @@ class GroupAction:
             )
         if act.size and (act.min() < 0 or act.max() >= lattice.order):
             raise ActionInvalidError("action entries out of range")
-        act.setflags(write=False)
         self.group = group
         self.lattice = lattice
         self.act = act
@@ -329,22 +328,17 @@ def dedupe_actions(actions: list[GroupAction]) -> list[GroupAction]:
 
 
 def _dedupe_actions(actions, gauts, bauts) -> list[GroupAction]:
-    relabelings = []
-    for sigma in map(np.asarray, bauts):
-        sigma_inv = np.empty_like(sigma)
-        sigma_inv[sigma] = np.arange(len(sigma))
-        relabelings.extend(
-            (sigma[:, None], np.asarray(tau)[None, :], sigma_inv) for tau in gauts
-        )
-    seen: set[bytes] = set()
-    out: list[GroupAction] = []
+    """The first action of each orbit.  An action's relabellings by
+    (σ, τ) in Aut(B) x Aut(G) are act'[a, u] = σ^-1(act[σ(a), τ(u)]), one
+    relabellings gather; the least of them, flattened, names its orbit."""
+    sigma = np.repeat(np.asarray(bauts), len(gauts), axis=0)
+    tau = np.tile(np.asarray(gauts), (len(bauts), 1))
+    sigma_inv = np.argsort(sigma, axis=1)
+    firsts: dict[bytes, GroupAction] = {}
     for action in actions:
-        act = action.act
-        best = min(inv[act[rows, cols]].tobytes() for rows, cols, inv in relabelings)
-        if best not in seen:
-            seen.add(best)
-            out.append(action)
-    return out
+        moved = relabellings(action.act, sigma, tau, sigma_inv)
+        firsts.setdefault(least_row(moved.reshape(len(sigma), -1)).tobytes(), action)
+    return list(firsts.values())
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,6 @@ def reconstruct(S: BiBandAlgebra, check: bool = True) -> ReconstructedGroupoid:
             f"{int(mt[s, t])} by meet, {int(jt[s, t])} by join"
         )
     comp = np.where(composable, mt, -1)
-    inv = st.copy()
 
     # operator tables, morphisms keyed by their middle element
     ge_l = jt[obj[:, None], d_el[None, :]] == obj[:, None]
@@ -107,7 +106,7 @@ def reconstruct(S: BiBandAlgebra, check: bool = True) -> ReconstructedGroupoid:
     extR = np.where(ge_r, jt[idx[:, None], obj[None, :]], -1)
     restR = np.where(le_r, mt[idx[:, None], obj[None, :]], -1)
 
-    groupoid = FiniteGroupoid(nb, dom, cod, comp, inv)
+    groupoid = FiniteGroupoid(nb, dom, cod, comp, st)
     system = RestrictionSystem(groupoid, lattice, restL, restR, extL, extR)
     if check:
         system.full_report().require()

@@ -34,7 +34,7 @@ from .algebra import BiBandAlgebra, skehr_statement_flags
 from .errors import MalformedSystemError
 from .groupoid import FiniteGroupoid, check_groupoid, discrete_groupoid, group_groupoid
 from .report import AxiomReport
-from .tables import GroupTable, PreorderPair, SkewLatticeTable, check_skew_lattice, padded
+from .tables import GroupTable, PreorderPair, SkewLatticeTable, check_skew_lattice, frozen, padded
 
 __all__ = [
     "RestrictionSystem",
@@ -51,12 +51,11 @@ __all__ = [
 
 
 def _check_partial(name: str, table, shape, hi: int) -> np.ndarray:
-    arr = np.asarray(table, dtype=np.int64)
+    arr = frozen(table)
     if arr.shape != shape:
         raise MalformedSystemError(f"{name} must have shape {shape}, got {arr.shape}")
     if arr.size and (arr.min() < -1 or arr.max() >= hi):
         raise MalformedSystemError(f"{name} entries must lie in -1..{hi - 1}")
-    arr.setflags(write=False)
     return arr
 
 
@@ -538,7 +537,7 @@ def build_algebra(sys: RestrictionSystem, check: bool = True) -> BiBandAlgebra:
         if (table < 0).any():
             hole = tuple(int(v) for v in np.argwhere(table < 0)[0])
             raise MalformedSystemError(f"{name} pseudoproduct undefined at {hole}")
-    return BiBandAlgebra(sys._pj.copy(), sys._pm.copy(), sys.groupoid.inv.copy())
+    return BiBandAlgebra(sys._pj, sys._pm, sys.groupoid.inv)
 
 
 def discrete_system(objects: SkewLatticeTable) -> RestrictionSystem:
@@ -558,14 +557,7 @@ def discrete_system(objects: SkewLatticeTable) -> RestrictionSystem:
 
 def group_system(group: GroupTable) -> RestrictionSystem:
     """A group as a one-object system; all four operators are trivial."""
-    gpd = group_groupoid(group)
-    m = group.order
-    col = np.arange(m, dtype=np.int64)
-    return RestrictionSystem(
-        gpd,
-        SkewLatticeTable([[0]], [[0]]),
-        col[None, :].copy(),
-        col[:, None].copy(),
-        col[None, :].copy(),
-        col[:, None].copy(),
-    )
+    col = np.arange(group.order)
+    # restL = extL is the row (0, g) -> g, restR = extR the column (g, 0) -> g
+    tables = (col[None, :], col[:, None]) * 2
+    return RestrictionSystem(group_groupoid(group), SkewLatticeTable([[0]], [[0]]), *tables)

@@ -16,8 +16,16 @@ import numpy as np
 from .report import AxiomReport
 
 
+def frozen(values) -> np.ndarray:
+    """A read-only int64 copy of values.  Structures keep their tables this
+    way, so a later write to the caller's array cannot change them."""
+    arr = np.array(values, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_table(table) -> np.ndarray:
-    arr = np.asarray(table, dtype=np.int64)
+    arr = frozen(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"operation table must be square, got shape {arr.shape}")
     n = arr.shape[0]

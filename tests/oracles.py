@@ -44,6 +44,26 @@ def relabel(table, perm):
     )
 
 
+def relabel_unary(u, perm):
+    inverse = [0] * len(u)
+    for i, p in enumerate(perm):
+        inverse[p] = i
+    return tuple(perm[u[inverse[i]]] for i in range(len(u)))
+
+
+def least_relabelling(n, binops, unops=()):
+    """The least relabelling of the tables over all permutations of
+    range(n), flattened into one tuple: the binary tables row-major, then
+    the unary maps."""
+    best = None
+    for perm in permutations(range(n)):
+        key = tuple(v for t in binops for row in relabel(t, perm) for v in row)
+        key += tuple(v for u in unops for v in relabel_unary(u, perm))
+        if best is None or key < best:
+            best = key
+    return best
+
+
 def count_classes(tables):
     """Number of isomorphism classes, by explicit permutation orbits."""
     if not tables:
@@ -178,22 +198,23 @@ def brute_force_action_maps(group, identity, meet, join):
     return out
 
 
-def action_orbit_count(actions, group, meet, join):
-    """Equivalence classes of actions under relabeling the group by one of
-    its automorphisms and the band by one of its automorphisms."""
+def orbit_representatives(actions, group, meet, join):
+    """The first action of each equivalence class under relabeling the
+    group by one of its automorphisms and the band by one of its
+    automorphisms, in the order given."""
     if not actions:
-        return 0
+        return []
     ng, nb = len(group), len(meet)
     gauts = automorphism_perms([tuple(tuple(r) for r in group)], ng)
     bauts = automorphism_perms(
         [tuple(tuple(r) for r in meet), tuple(tuple(r) for r in join)], nb
     )
     seen = set()
-    classes = 0
+    firsts = []
     for act in actions:
         if act in seen:
             continue
-        classes += 1
+        firsts.append(act)
         for tau in gauts:
             for sigma in bauts:
                 sigma_inv = [0] * nb
@@ -204,7 +225,13 @@ def action_orbit_count(actions, group, meet, join):
                     for a in range(nb)
                 )
                 seen.add(moved)
-    return classes
+    return firsts
+
+
+def action_orbit_count(actions, group, meet, join):
+    """Equivalence classes of actions under relabeling the group by one of
+    its automorphisms and the band by one of its automorphisms."""
+    return len(orbit_representatives(actions, group, meet, join))
 
 
 def groupoid_units(n, dom, cod, comp):

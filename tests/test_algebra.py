@@ -5,6 +5,7 @@ import pytest
 
 from oracles import PairOracle
 from skewalg import (
+    BiBandAlgebra,
     anti_automorphism_witness,
     check_axioms,
     check_skehr,
@@ -223,3 +224,15 @@ def test_sandwich_multiplication_recovers_the_base():
             for b in range(nb):
                 left = int(mt[mt[u * nb + a, uinv_top], u * nb + b])
                 assert left == u * nb + int(chain.meet.array[a, b])
+
+
+def test_an_algebra_keeps_its_own_tables_and_leaves_the_callers_writable(suite):
+    S = suite[-1].algebra
+    join, meet, star = (np.array(t) for t in (S.join.array, S.meet.array, S.star))
+    T = BiBandAlgebra(join, meet, star)
+    before = check_axioms(T).to_dict()
+    for t in (join, meet, star):
+        assert t.flags.writeable
+        t[...] = 0
+    assert T == S
+    assert check_axioms(T).to_dict() == before

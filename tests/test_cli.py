@@ -145,6 +145,14 @@ def test_check_system_report_is_the_five_checkers_in_order(swap_system_file):
     assert [c.name for c in sysm.full_report().checks()] == axioms
 
 
+def test_out_that_cannot_be_a_directory_is_exit_three(swap_system_file):
+    for out in (swap_system_file, os.path.join(swap_system_file, "x")):
+        for argv in (["build-algebra", swap_system_file], ["gen-models", "--max-group", "1", "--max-band", "1"]):
+            run, code = dispatch(argv + ["--out", out])
+            assert code == 3
+            assert run["error"]["kind"] == "usage"
+
+
 def test_bound_violation_is_exit_four():
     run, code = dispatch(["enum-bands", "9"])
     assert code == 4
@@ -397,4 +405,61 @@ def test_dispatch_on_any_json_file_returns_a_record(tmp_path, command, data):
     run, code = dispatch([command, str(path)])
     assert code in (0, 1, 2, 3, 4)
     assert run["command"] == [command, str(path)]
+    assert json.loads(json.dumps(run)) == run
+
+
+SUBCOMMANDS = ["enum-bands", "enum-skew", "gen-models", *FILE_COMMANDS]
+# every integer is at most 4, so that no order or bound passes the default
+NUMBERS = ["-99999999999999999999", "-1", "0", "1", "2", "3", "4", "+2", " 3", "4.0", "0x4", "1e2"]
+WORDS = ["", "-", "--", "--help", "-h", "--bogus", "--format=text", "json", "nan", "é", "a b"]
+# no digit, so int() reads none of them; no leading '-', so none abbreviates --out
+odd_text = st.text(
+    st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="\x00"), max_size=3
+).filter(lambda t: not t.startswith("-"))
+
+
+@st.composite
+def argument_lists(draw, files, outs):
+    """Half the time a subcommand and its positional argument, then options
+    with drawn values and bare words from the CLI's vocabulary, odd values
+    and files.  --out only ever names a place in outs, and gen-models, whose
+    default is the whole suite, comes with small bounds that later options
+    may replace."""
+    values = {
+        "--out": st.sampled_from(outs),
+        "--format": st.sampled_from(["json", "text"]) | odd_text,
+        **dict.fromkeys(["--seed", "--max", "--max-group", "--max-band"], st.sampled_from(NUMBERS)),
+    }
+
+    def expand(word):
+        if word != "gen-models":
+            return [word]
+        small = st.sampled_from(["-1", "0", "1", "2"])
+        return [word, "--max-group", draw(small), "--max-band", draw(small)]
+
+    argv = []
+    if draw(st.booleans()):
+        command = draw(st.sampled_from(SUBCOMMANDS))
+        argv = expand(command)
+        if command != "gen-models":
+            argv.append(draw(st.sampled_from(NUMBERS if command.startswith("enum") else files)))
+    for kind in draw(st.lists(st.integers(0, 3), max_size=3)):
+        if kind:
+            flag = draw(st.sampled_from(list(values)))
+            argv += [flag, draw(values[flag])]
+        else:
+            argv += expand(draw(st.sampled_from(SUBCOMMANDS + NUMBERS + WORDS + files) | odd_text))
+    return argv
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_dispatch_on_any_argument_list_returns_a_record(tmp_path, swap_algebra_file, swap_system_file, data):
+    files = [swap_algebra_file, swap_system_file, str(tmp_path / "missing.json"), str(tmp_path)]
+    # a new directory, an existing one, a file, and a path below a file
+    outs = [str(tmp_path / "out"), str(tmp_path), swap_system_file, swap_system_file + "/x"]
+    argv = data.draw(argument_lists(files, outs))
+    run, code = dispatch(argv)
+    assert code in (0, 1, 2, 3, 4)
+    assert run["command"] == argv
     assert json.loads(json.dumps(run)) == run

@@ -5,26 +5,32 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skewalg import (
+    GROUP_CATALOG,
     BiBandAlgebra,
+    FiniteGroupoid,
     GroupTable,
     OperationTable,
+    RestrictionSystem,
     SignatureMismatchError,
     SkewLatticeTable,
     automorphisms_of,
     band_automorphisms,
     build_algebra,
     chain_lattice,
+    enumerate_skew_lattices,
     find_isomorphism,
     group_automorphisms,
+    labeled_bands,
     left_zero,
     preserves_operations,
     rectangular_skew,
     right_zero,
     signature_of,
 )
-from skewalg.isomorphism import _joint_colours, relabel, relabel_unary
+from skewalg.enumeration import _complete_joins
+from skewalg.isomorphism import _joint_colours, canonical_tables, relabel, relabel_unary
 
-from oracles import least_isomorphism, refine_colours
+from oracles import automorphism_perms, least_isomorphism, least_relabelling, refine_colours
 
 
 def cyclic(n):
@@ -162,6 +168,30 @@ def random_algebras(draw, n):
 
 
 @st.composite
+def symmetric_algebras(draw, n):
+    """A BiBandAlgebra with arbitrary tables that a drawn permutation g
+    preserves, so its automorphism group contains <g>: each orbit of cells
+    under <g> takes one drawn value v, fixed by every power fixing the
+    cell, and its image under each power."""
+    g = draw(st.permutations(range(n)))
+    powers = [list(range(n))]
+    while [g[x] for x in powers[-1]] != powers[0]:
+        powers.append([g[x] for x in powers[-1]])
+
+    def table(shape):
+        out = np.full(shape, -1)
+        for cell in np.ndindex(shape):
+            if out[cell] < 0:
+                stab = [h for h in powers if all(h[x] == x for x in cell)]
+                v = draw(st.sampled_from([v for v in range(n) if all(h[v] == v for h in stab)]))
+                for h in powers:
+                    out[tuple(h[x] for x in cell)] = h[v]
+        return out
+
+    return BiBandAlgebra(table((n, n)), table((n, n)), table((n,)))
+
+
+@st.composite
 def algebra_pairs(draw):
     """Two random algebras of one order, or one and a relabelling of it."""
     n = draw(st.integers(1, 6))
@@ -189,3 +219,82 @@ def test_joint_refinement_restricts_to_each_sides_own_refinement(pair):
     joint = _joint_colours(n, sig_a, sig_b).tolist()
     assert _blocks(joint[:n]) == _blocks(refine_colours(n, *_lists(sig_a)))
     assert _blocks(joint[n:]) == _blocks(refine_colours(n, *_lists(sig_b)))
+
+
+def _oracle_automorphisms(structure):
+    """tests/oracles.automorphism_perms on the signature of a structure; a
+    unary map u enters as the table (x, y) -> u[x], which a permutation
+    preserves exactly when it preserves u."""
+    n, binops, unops = signature_of(structure)
+    tables = [op.tolist() for op in binops] + [[[v] * n for v in u.tolist()] for u in unops]
+    return automorphism_perms([tuple(map(tuple, t)) for t in tables], n)
+
+
+def test_automorphisms_match_the_permutation_oracle_on_lattices_and_groups():
+    structures = [s for n in range(1, 5) for s in enumerate_skew_lattices(n)]
+    for structure in structures + list(GROUP_CATALOG.values()):
+        assert automorphisms_of(structure) == _oracle_automorphisms(structure)
+
+
+def any_algebras(n):
+    return random_algebras(n) | symmetric_algebras(n)
+
+
+def sparse_tables(n):
+    """One operation with most cells on one value: refinement leaves large
+    classes, and an image forced by one cell may be the only check on it."""
+    def around(c):
+        cells = st.lists(st.sampled_from([c] * (3 * n) + list(range(n))), min_size=n * n, max_size=n * n)
+        return cells.map(lambda t: OperationTable(np.reshape(t, (n, n))))
+
+    return st.integers(0, n - 1).flatmap(around)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: any_algebras(n) | sparse_tables(n)))
+def test_automorphisms_match_the_permutation_oracle_on_random_tables(structure):
+    assert automorphisms_of(structure) == _oracle_automorphisms(structure)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        # 3 is only ever the value of 0.0, so refinement cannot tell it from
+        # 2: only the image that cell forces on 3 rules out swapping them
+        [[3, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]],
+        # step 3 forces the image of 4 through 3.0, 3.1 and 3.2 at once, and
+        # only their agreement rules out swapping 2 and 4
+        [[0, 0, 0, 1, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [4, 4, 4, 0, 2], [0, 0, 0, 0, 0]],
+    ],
+)
+def test_forced_images_are_checked(table):
+    t = OperationTable(table)
+    assert automorphisms_of(t) == [tuple(range(len(table)))] == _oracle_automorphisms(t)
+
+
+def test_a_structure_without_elements_has_the_empty_automorphism():
+    groupoid = FiniteGroupoid(1, [], [], np.zeros((0, 0)), [])
+    empty = np.zeros((0, 1))
+    system = RestrictionSystem(groupoid, chain_lattice(1), empty.T, empty, empty.T, empty)
+    assert automorphisms_of(system) == [()]
+    assert find_isomorphism(system, system).mapping == ()
+
+
+def test_canonical_tables_match_the_oracle_on_labelled_bands_and_skew_lattices():
+    for n in range(1, 5):
+        for band in labeled_bands(n):
+            meet = band.tolist()
+            assert canonical_tables(n, [band.array]) == least_relabelling(n, [meet])
+            for join in _complete_joins(meet, n):
+                expected = least_relabelling(n, [meet, join])
+                assert canonical_tables(n, [band.array, np.array(join)]) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(any_algebras), st.booleans())
+def test_canonical_tables_match_the_oracle_on_random_tables(algebra, with_star):
+    n = algebra.order
+    unops = [algebra.star] if with_star else []
+    binops = [algebra.join.array, algebra.meet.array]
+    expected = least_relabelling(n, [t.tolist() for t in binops], [u.tolist() for u in unops])
+    assert canonical_tables(n, binops, unops) == expected

@@ -7,12 +7,15 @@ from oracles import (
     brute_force_action_maps,
     greedy_separating_congruence,
     largest_congruence_inside_parts,
+    orbit_representatives,
 )
 from skewalg import (
     ActionInvalidError,
     BiBandAlgebra,
     BoundExceededError,
+    FiniteGroupoid,
     GroupTable,
+    RestrictionSystem,
     check_action,
     chain_lattice,
     congruence_kernels,
@@ -113,6 +116,10 @@ def test_action_classes_match_orbit_oracle(gname, nb):
         assert len(found) == len(labeled)
         expect = action_orbit_count(labeled, table, meet, join)
         assert len(dedupe_actions(found)) == expect
+        for actions in (found, found[::-1]):
+            tables = [tuple(map(tuple, a.act.tolist())) for a in actions]
+            kept = [tuple(map(tuple, a.act.tolist())) for a in dedupe_actions(actions)]
+            assert kept == orbit_representatives(tables, table, meet, join)
 
 
 def test_suite_size_is_pinned(suite):
@@ -300,3 +307,19 @@ def test_suite_checks_each_action_once(monkeypatch):
         assert inst.algebra == semidirect_algebra(inst.action)
         assert inst.algebra.action is inst.action
         assert structure_to_dict(inst.system) == structure_to_dict(semidirect_groupoid(inst.action))
+
+
+def test_groupoids_systems_and_actions_copy_the_callers_arrays(suite):
+    inst = suite[-1]
+    g, sys_ = inst.system.groupoid, inst.system
+    arrays = [np.array(a) for a in (g.dom, g.cod, g.comp, g.inv)]
+    tables = [np.array(t) for t in (sys_.restL, sys_.restR, sys_.extL, sys_.extR)]
+    act = np.array(inst.action.act)
+    groupoid = FiniteGroupoid(g.object_count, *arrays)
+    system = RestrictionSystem(groupoid, sys_.objects, *tables)
+    action = GroupAction(inst.action.group, inst.action.lattice, act)
+    for a in arrays + tables + [act]:
+        assert a.flags.writeable
+        a[...] = 0
+    assert structure_to_dict(system) == structure_to_dict(sys_)
+    assert action == inst.action

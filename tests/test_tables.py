@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from skewalg import (
     GroupTable,
     OperationTable,
+    SkewLatticeTable,
     chain_lattice,
     check_band,
     check_skew_lattice,
@@ -125,3 +126,15 @@ def test_group_table_finds_identity_and_inverses():
 def test_group_table_rejects_non_group():
     with pytest.raises(ValueError):
         GroupTable([[0, 0], [0, 0]])
+
+
+def test_a_skew_lattice_keeps_its_own_tables():
+    chain = chain_lattice(3)
+    meet, join = np.array(chain.meet.array), np.array(chain.join.array)
+    s = SkewLatticeTable(meet, join)
+    before = check_skew_lattice(s).to_dict()
+    meet[0, 1] = 2  # would break a ∨ (a ∧ b) = a at (0, 1)
+    assert meet.flags.writeable
+    assert s == chain
+    assert check_skew_lattice(s).to_dict() == before
+    assert before["ok"]
