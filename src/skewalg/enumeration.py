@@ -1,11 +1,13 @@
 """Exhaustive generation of small bands and skew lattices up to isomorphism.
 
-The search space is kept desk-scale: idempotency pins the table diagonal,
-associativity is enforced incrementally while cells are chosen.  Each
-completed table, or meet/join pair, is keyed by canonical_tables, the least
-flattened row among its relabellings by all n! permutations, so isomorphic
-tables share a key; the distinct keys in increasing order, reshaped back
-into tables, are the representatives.
+One backtracking table search, _fill, does the work: idempotency pins the
+diagonal, each off-diagonal cell takes its values from a candidate list
+(every value for a band, the absorption-compatible values for a join), and
+associativity is checked incrementally after each cell.  Each completed
+table, or meet/join pair, is keyed by canonical_tables, the least flattened
+row among its relabellings by all n! permutations, so isomorphic tables
+share a key; the distinct keys in increasing order, reshaped back into
+tables, are the representatives.
 """
 
 from __future__ import annotations
@@ -63,21 +65,22 @@ def _associativity_ok(t: list[list[int]], a: int, b: int, n: int) -> bool:
     return True
 
 
-def labeled_bands(n: int, max_order: int = DEFAULT_MAX_ORDER) -> list[OperationTable]:
-    """All band tables on {0..n-1} with labels, not reduced by isomorphism."""
-    _check_bound(n, max_order)
-    t = [[-1] * n for _ in range(n)]
-    for i in range(n):
-        t[i][i] = i
+def _fill(n: int, candidates) -> list[list[list[int]]]:
+    """Every idempotent table on {0..n-1} whose off-diagonal cells, filled in
+    row-major order, take their values from candidates(a, b) and pass
+    _associativity_ok after each cell.  A triple is checked when the last of
+    the four cells it reads is filled, so every completed table is associative.
+    """
+    t = [[a if a == b else -1 for b in range(n)] for a in range(n)]
     cells = [(a, b) for a in range(n) for b in range(n) if a != b]
-    out: list[OperationTable] = []
+    out: list[list[list[int]]] = []
 
     def fill(k: int) -> None:
         if k == len(cells):
-            out.append(OperationTable([row[:] for row in t]))
+            out.append([row[:] for row in t])
             return
         a, b = cells[k]
-        for v in range(n):
+        for v in candidates(a, b):
             t[a][b] = v
             if _associativity_ok(t, a, b, n):
                 fill(k + 1)
@@ -85,6 +88,12 @@ def labeled_bands(n: int, max_order: int = DEFAULT_MAX_ORDER) -> list[OperationT
 
     fill(0)
     return out
+
+
+def labeled_bands(n: int, max_order: int = DEFAULT_MAX_ORDER) -> list[OperationTable]:
+    """All band tables on {0..n-1} with labels, not reduced by isomorphism."""
+    _check_bound(n, max_order)
+    return [OperationTable(t) for t in _fill(n, lambda a, b: range(n))]
 
 
 def _classes(n: int, labelled) -> np.ndarray:
@@ -96,14 +105,8 @@ def _classes(n: int, labelled) -> np.ndarray:
 
 def enumerate_bands(n: int, max_order: int = DEFAULT_MAX_ORDER) -> list[OperationTable]:
     """One canonical representative per isomorphism class of bands of order n."""
-    _check_bound(n, max_order)
     labelled = ([band.array] for band in labeled_bands(n, max_order))
     return [OperationTable(band) for (band,) in _classes(n, labelled)]
-
-
-def _join_candidates(meet: list[list[int]], a: int, b: int, n: int) -> list[int]:
-    # absorption pins a <=L a∨b <=R ... : need a∧(a∨b)=a and (a∨b)∧b=b
-    return [j for j in range(n) if meet[a][j] == a and meet[j][b] == b]
 
 
 def enumerate_skew_lattices(
@@ -113,7 +116,6 @@ def enumerate_skew_lattices(
 
     Isomorphism here is a single bijection preserving meet and join at once.
     """
-    _check_bound(n, max_order)
     labelled = (
         [band.array, np.array(join)]
         for band in labeled_bands(n, max_order)
@@ -123,60 +125,17 @@ def enumerate_skew_lattices(
 
 
 def _complete_joins(meet: list[list[int]], n: int) -> list[list[list[int]]]:
-    """All join tables making (meet, join) a skew lattice, by constrained search."""
-    j = [[-1] * n for _ in range(n)]
-    for i in range(n):
-        j[i][i] = i
+    """All join tables making (meet, join) a skew lattice.
 
-    def place(a: int, b: int, v: int, undo: list[tuple[int, int]]) -> bool:
-        if j[a][b] >= 0:
-            return j[a][b] == v
-        j[a][b] = v
-        undo.append((a, b))
-        return _associativity_ok(j, a, b, n) and _propagate(a, b, undo)
-
-    def _propagate(a: int, b: int, undo: list[tuple[int, int]]) -> bool:
-        # the two absorption laws with join outermost force entries:
-        # a∨(a∧b)=a and (a∧b)∨b=b, instantiated wherever j[a][b] shows up
-        v = j[a][b]
-        if meet[a][v] != a or meet[v][b] != b:
-            return False
-        if not place(a, meet[a][b], a, undo):
-            return False
-        if not place(meet[a][b], b, b, undo):
-            return False
-        return True
-
-    cells = [(a, b) for a in range(n) for b in range(n) if a != b]
-    out: list[list[list[int]]] = []
-
-    def fill(k: int) -> None:
-        if k == len(cells):
-            out.append([row[:] for row in j])
-            return
-        a, b = cells[k]
-        if j[a][b] >= 0:
-            fill(k + 1)
-            return
-        for v in _join_candidates(meet, a, b, n):
-            undo: list[tuple[int, int]] = []
-            if place(a, b, v, undo):
-                fill(k + 1)
-            for x, y in reversed(undo):
-                j[x][y] = -1
-
-    # seed the forced entries coming from the diagonal and given meet cells
-    seed_undo: list[tuple[int, int]] = []
-    ok = True
-    for a in range(n):
-        for b in range(n):
-            if j[a][b] >= 0 and not _propagate(a, b, seed_undo):
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
-        fill(0)
-    for x, y in reversed(seed_undo):
-        j[x][y] = -1
-    return out
+    Cell (a, b) takes the values v with a∧v = a and v∧b = b, which are the
+    absorption laws a∧(a∨b) = a and (a∨b)∧b = b.  The other two,
+    a∨(a∧b) = a and (a∧b)∨b = b, fix cells (a, a∧b) and (a∧b, b); each is
+    narrowed to its fixed value, and two conflicting fixes leave it empty.
+    """
+    cells = [(a, b) for a in range(n) for b in range(n)]
+    fits = {(a, b): [v for v in range(n) if meet[a][v] == a and meet[v][b] == b] for a, b in cells}
+    for a, b in cells:
+        m = meet[a][b]
+        for cell, fixed in (((a, m), a), ((m, b), b)):
+            fits[cell] = [v for v in fits[cell] if v == fixed]
+    return _fill(n, lambda a, b: fits[a, b])

@@ -65,6 +65,12 @@ class AxiomReport:
         for c in other.checks():
             self.add(Check(prefix + c.name, c.ok, c.witness, c.required, c.note))
 
+    def copy(self) -> "AxiomReport":
+        """A report over the same checks that can be extended on its own."""
+        out = AxiomReport(self.title)
+        out._checks = dict(self._checks)
+        return out
+
     def checks(self) -> list[Check]:
         return list(self._checks.values())
 

@@ -151,6 +151,8 @@ class RestrictionSystem:
         R = right[idx_m[:, None], op[cod, :]]
         c = op[cod[:, None], dom[None, :]]
         P = self._comp_p[right[idx_m[:, None], c], left[c, idx_m[None, :]]]
+        for table in (L, R, P):
+            table.setflags(write=False)
         return _Side(
             *names, table=op, partial=partial, L=L, R=R, L_p=padded(L), R_p=padded(R),
             P=P, P_p=padded(P), order=order, preorder=preorder,
@@ -206,14 +208,14 @@ class RestrictionSystem:
         return self._get(table, f, g, f"{op} pseudoproduct")
 
     def full_report(self) -> AxiomReport:
-        """All structural, restriction, extension and linking checks, cached."""
+        """Structural, restriction, extension and linking checks: a copy of the cached report."""
         if self._report is None:
             merged = AxiomReport("restriction system")
             for family, checker in system_checkers():
                 if family != "derived":
                     merged.extend(checker(self))
             self._report = merged
-        return self._report
+        return self._report.copy()
 
     def __repr__(self):
         return (

@@ -112,7 +112,7 @@ class GroupTable:
             if len(hits) != 1 or arr[hits[0], a] != identity:
                 raise ValueError(f"element {a} has no two-sided inverse")
             inverse[a] = hits[0]
-        self.inverse = inverse
+        self.inverse = frozen(inverse)
 
     def __call__(self, a: int, b: int) -> int:
         return int(self.table.array[a, b])
@@ -145,10 +145,12 @@ class PreorderPair:
 
     @classmethod
     def of(cls, s: SkewLatticeTable) -> "PreorderPair":
-        """The four relations straight from the definitions, unchecked."""
+        """The four relations straight from the definitions, unchecked, read-only."""
         idx = np.arange(s.order)[:, None]
         m, j = s.meet.array, s.join.array
-        return cls(m == idx, m.T == idx, j == idx, j.T == idx)
+        rels = np.array((m, m.T, j, j.T)) == idx
+        rels.setflags(write=False)
+        return cls(*rels)
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ class GreensPair:
 
 
 def padded(core) -> np.ndarray:
-    """core with a -1 border appended along every axis.
+    """A read-only copy of core with a -1 border appended along every axis.
 
     numpy reads index -1 as the last position, so a gather through the
     padded table maps an undefined (-1) index to -1 again and holes flow
@@ -177,6 +179,7 @@ def padded(core) -> np.ndarray:
     core = np.asarray(core, dtype=np.int64)
     out = np.full(tuple(k + 1 for k in core.shape), -1, dtype=np.int64)
     out[(slice(-1),) * core.ndim] = core
+    out.setflags(write=False)
     return out
 
 

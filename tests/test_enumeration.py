@@ -1,8 +1,12 @@
 """Enumeration counts are frozen from the brute-force oracles in oracles.py."""
 
+import hashlib
+import json
+
 import pytest
 
 from oracles import (
+    absorption_holds,
     brute_force_bands,
     brute_force_skew_lattices,
     count_classes,
@@ -17,12 +21,29 @@ from skewalg import (
     enumerate_skew_lattices,
     labeled_bands,
 )
+from skewalg.enumeration import _complete_joins
 
 # oracle output, computed once and pinned
 LABELED_BANDS = {1: 1, 2: 4, 3: 35}
 BAND_CLASSES = {1: 1, 2: 3, 3: 10}
 LABELED_SKEW = {1: 1, 2: 4, 3: 20}
 SKEW_CLASSES = {1: 1, 2: 3, 3: 7}
+LABELED_BANDS_4, LABELED_SKEW_4 = 604, 180
+# sha256 over json.dumps of each labeled_bands(n) table, n = 1..4 in turn
+LABELED_BANDS_ORDER_SHA256 = "c2fed303b1d2c8ab820e8202c14ed56d4c632fbaa120b4bd77097d0eb27c7619"
+
+
+def as_tuples(table):
+    return tuple(tuple(row) for row in table)
+
+
+def labelled_pairs(n):
+    """{(meet, join)} from the library's band search and join completion."""
+    return {
+        (as_tuples(meet), as_tuples(join))
+        for meet in (band.tolist() for band in labeled_bands(n))
+        for join in _complete_joins(meet, n)
+    }
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -95,3 +116,24 @@ def test_order_above_bound_is_rejected():
 def test_bound_can_be_raised_explicitly():
     # n=4 is allowed by default; the guard is on the argument, not hardwired
     assert len(enumerate_bands(3, max_order=3)) == 10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_labelled_skew_lattices_equal_the_brute_force_set(n):
+    assert labelled_pairs(n) == set(brute_force_skew_lattices(n))
+
+
+def test_order_four_joins_are_exactly_the_absorbing_band_pairs():
+    bands = [as_tuples(band.tolist()) for band in labeled_bands(4)]
+    assert len(bands) == LABELED_BANDS_4
+    expected = {(m, j) for m in bands for j in bands if absorption_holds(m, j)}
+    assert len(expected) == LABELED_SKEW_4
+    assert labelled_pairs(4) == expected
+
+
+def test_labeled_bands_keep_their_order():
+    digest = hashlib.sha256()
+    for n in range(1, 5):
+        for band in labeled_bands(n):
+            digest.update(json.dumps(band.tolist()).encode())
+    assert digest.hexdigest() == LABELED_BANDS_ORDER_SHA256

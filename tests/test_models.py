@@ -323,3 +323,39 @@ def test_groupoids_systems_and_actions_copy_the_callers_arrays(suite):
         a[...] = 0
     assert structure_to_dict(system) == structure_to_dict(sys_)
     assert action == inst.action
+
+
+def _writable_arrays(obj, path, seen):
+    """Paths of every writeable ndarray reachable from obj through the
+    attributes and slots of package objects, tuples and lists."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [path] if obj.flags.writeable else []
+    if isinstance(obj, (tuple, list)):
+        items = [(f"[{i}]", v) for i, v in enumerate(obj)]
+    elif type(obj).__module__.startswith("skewalg"):
+        fields = dict(getattr(obj, "__dict__", {}))
+        for cls in type(obj).__mro__:
+            fields.update({s: getattr(obj, s) for s in getattr(cls, "__slots__", ()) if hasattr(obj, s)})
+        items = [(f".{k}", v) for k, v in fields.items()]
+    else:
+        return []
+    return [p for key, v in items for p in _writable_arrays(v, path + key, seen)]
+
+
+def test_no_array_of_a_suite_instance_or_catalog_group_is_writeable(suite):
+    # groups are shared across the process, and a system caches its report,
+    # so a writable derived array could change a verdict after the check
+    writable = {
+        p
+        for inst in suite
+        for part in ("action", "algebra", "system")
+        for p in _writable_arrays(getattr(inst, part), f"{inst.name}.{part}", set())
+    }
+    for name, group in GROUP_CATALOG.items():
+        writable.update(_writable_arrays(group, name, set()))
+    assert not writable
+    with pytest.raises(ValueError):
+        GROUP_CATALOG["C3"].inverse[1] = 1

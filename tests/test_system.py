@@ -12,6 +12,7 @@ from skewalg import (
     GroupTable,
     RestrictionSystem,
     build_algebra,
+    chain_lattice,
     check_axioms,
     check_extension_axioms,
     check_linking,
@@ -185,6 +186,17 @@ def test_build_algebra_guard_rejects_damaged_system():
     broken = damaged(sysm, "restR", spot, (int(sysm.restR[spot]) + 1) % sysm.morphism_count)
     with pytest.raises(AxiomViolationError):
         build_algebra(broken)
+
+
+def test_full_report_hands_out_a_report_that_cannot_change_the_cache():
+    sysm = discrete_system(chain_lattice(2))
+    before = sysm.full_report().to_dict()
+    handed = sysm.full_report()
+    handed.record("caller_note", False)
+    handed.extend(check_axioms(build_algebra(sysm)), prefix="caller_")
+    assert sysm.full_report().to_dict() == before
+    assert check_axioms(build_algebra(sysm)).ok
+    assert sysm.pseudoproduct(0, 1) == 0
 
 
 def test_broken_meet_is_named_by_the_preorder_pairing_witness():
