@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import os
 import sys
 import time
@@ -39,7 +38,7 @@ from .groupoid import FiniteGroupoid, check_groupoid
 from .models import MAX_SUITE_BAND, MAX_SUITE_GROUP, generate_model_suite
 from .reconstruction import reconstruct, roundtrip_algebra, roundtrip_groupoid
 from .report import AxiomReport
-from .serialize import load_structure, save_structure, structure_to_dict
+from .serialize import json_text, load_structure, save_structure, structure_to_dict
 from .system import RestrictionSystem, build_algebra, system_checkers
 from .tables import SkewLatticeTable, check_skew_lattice
 
@@ -67,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def positive_int(text: str) -> int:
-    """An enumeration order: an integer of at least 1."""
+    """An enumeration order or suite bound: an integer of at least 1."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"order must be positive, got {n}")
@@ -121,8 +120,8 @@ def _parser() -> _Parser:
     p = sub.add_parser(
         "gen-models", parents=[common], help="generate the semidirect model suite"
     )
-    p.add_argument("--max-group", type=int, default=MAX_SUITE_GROUP)
-    p.add_argument("--max-band", type=int, default=MAX_SUITE_BAND)
+    p.add_argument("--max-group", type=positive_int, default=MAX_SUITE_GROUP)
+    p.add_argument("--max-band", type=positive_int, default=MAX_SUITE_BAND)
     p.add_argument("--out", default=None, help="directory for instance files")
     return parser
 
@@ -349,8 +348,7 @@ def main(argv=None) -> int:
         if text:
             print(_summary(run))
         else:
-            json.dump(run, sys.stdout, indent=1)
-            sys.stdout.write("\n")
+            sys.stdout.write(json_text(run) + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe early (e.g. `| head`); point stdout at

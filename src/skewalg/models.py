@@ -135,20 +135,31 @@ def trivial_action(group: GroupTable, lattice: SkewLatticeTable) -> GroupAction:
     return GroupAction(group, lattice, act)
 
 
+_ACTION_LAWS = ("identity_action", "composition_action", "automorphism_meet", "automorphism_join")
+
+
+def _action_laws(acts, group: GroupTable, lattice: SkewLatticeTable) -> list[np.ndarray]:
+    """The masks of _ACTION_LAWS over a stack acts[c, a, u] of candidate
+    action tables, each led by the candidate axis c: a^e = a over (a),
+    a^{uv} = (a^u)^v over (a, u, v), and (a∧b)^u = a^u ∧ b^u, then the same
+    for ∨, over (a, b, u)."""
+    gt = group.table.array
+    mt, jt = lattice.meet.array, lattice.join.array
+    pairs = acts[:, :, None, :], acts[:, None, :, :]
+    return [
+        acts[..., group.identity] == np.arange(lattice.order),
+        acts[np.arange(len(acts))[:, None, None], acts] == acts[..., gt],
+        acts[:, mt, :] == mt[pairs],
+        acts[:, jt, :] == jt[pairs],
+    ]
+
+
 def check_action(action: GroupAction) -> AxiomReport:
     """Identity and composition laws plus, per group element, preservation
     of both band operations."""
     report = AxiomReport("group action")
-    act = action.act
-    gt = action.group.table.array
-    mt = action.lattice.meet.array
-    jt = action.lattice.join.array
-    nb = action.band_order
-
-    report.record_mask("identity_action", act[:, action.group.identity] == np.arange(nb))
-    report.record_mask("composition_action", act[act] == act[:, gt])
-    report.record_mask("automorphism_meet", act[mt] == mt[act[:, None, :], act[None, :, :]])
-    report.record_mask("automorphism_join", act[jt] == jt[act[:, None, :], act[None, :, :]])
+    for name, mask in zip(_ACTION_LAWS, _action_laws(action.act[None], action.group, action.lattice)):
+        report.record_mask(name, mask[0])
     return report
 
 
@@ -168,7 +179,7 @@ class SemidirectAlgebra(BiBandAlgebra):
 
     @classmethod
     def _of_checked(cls, action: GroupAction) -> "SemidirectAlgebra":
-        """The algebra of an action that has already passed check_action."""
+        """The algebra of an action that has already passed the action laws."""
         algebra = cls.__new__(cls)
         algebra._build(action)
         return algebra
@@ -216,7 +227,7 @@ def semidirect_groupoid(action: GroupAction) -> RestrictionSystem:
 
 
 def _semidirect_groupoid(action: GroupAction) -> RestrictionSystem:
-    """semidirect_groupoid of an action that has already passed check_action."""
+    """semidirect_groupoid of an action that has already passed the action laws."""
     gt = action.group.table.array
     ginv = action.group.inverse
     mt = action.lattice.meet.array
@@ -289,7 +300,9 @@ def enumerate_actions(group: GroupTable, lattice: SkewLatticeTable) -> list[Grou
 
     An action assigns each group element an automorphism of the lattice with
     a^{uv} = (a^u)^v, so the assignment is determined by the images of a
-    generating set; all combinations are tried and validated.
+    generating set; every combination is built as one stack of candidate
+    tables, the action laws are evaluated over the whole stack, and the
+    candidates that pass all of them are kept in product order.
     """
     return _enumerate_actions(group, lattice, automorphisms_of(lattice))
 
@@ -297,23 +310,24 @@ def enumerate_actions(group: GroupTable, lattice: SkewLatticeTable) -> list[Grou
 def _enumerate_actions(group, lattice, auts) -> list[GroupAction]:
     gens = _generating_set(group)
     words = _element_words(group, gens)
-    n = group.order
     nb = lattice.order
-    identity_perm = tuple(range(nb))
-    out: list[GroupAction] = []
-    for assignment in itertools.product(range(len(auts)), repeat=len(gens)):
-        chosen = {g: auts[k] for g, k in zip(gens, assignment)}
-        act = np.empty((nb, n), dtype=np.int64)
-        for u in range(n):
-            # phi(x.g) = phi(g) o phi(x), so fold the word right-to-left
-            perm = identity_perm
-            for g in words[u]:
-                perm = tuple(chosen[g][perm[a]] for a in range(nb))
-            act[:, u] = perm
-        candidate = GroupAction(group, lattice, act)
-        if check_action(candidate).ok:
-            out.append(candidate)
-    return out
+    perms = np.asarray(auts, dtype=np.int64)
+    # picks[c, j]: the automorphism candidate c assigns to generator j
+    picks = np.array(list(itertools.product(range(len(auts)), repeat=len(gens))), dtype=np.intp)
+    chosen = dict(zip(gens, perms[picks.T]))
+    identity = np.broadcast_to(np.arange(nb), (len(picks), nb))
+    columns = []
+    for u in range(group.order):
+        # phi(x.g) = phi(g) o phi(x), so fold the word right-to-left
+        perm = identity
+        for g in words[u]:
+            perm = np.take_along_axis(chosen[g], perm, axis=1)
+        columns.append(perm)
+    acts = np.stack(columns, axis=-1)
+    ok = np.ones(len(acts), dtype=bool)
+    for mask in _action_laws(acts, group, lattice):
+        ok &= mask.reshape(len(acts), -1).all(axis=1)
+    return [GroupAction(group, lattice, act) for act in acts[ok]]
 
 
 def dedupe_actions(actions: list[GroupAction]) -> list[GroupAction]:
@@ -377,8 +391,8 @@ def generate_model_suite(
                 actions = _dedupe_actions(
                     _enumerate_actions(group, lattice, bauts), gauts, bauts
                 )
-                # every kept action passed check_action while enumerated,
-                # so the builders below skip the guard
+                # every kept action passed the action laws while
+                # enumerated, so the builders below skip the guard
                 for k, action in enumerate(actions):
                     name = f"{gname}xB{nb}.{bi}a{k}"
                     suite.append(

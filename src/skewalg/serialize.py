@@ -14,12 +14,17 @@ Loading dispatches on those keys; files that fit no shape raise
 MalformedSystemError, as do tables the constructors reject, table entries
 that are not JSON integers (floats and true/false are refused, never
 coerced) and an "order" that differs from the table size.
+
+Files, and the command line's run records, are written by json_text: the
+text of json.dumps(value, indent=1), joined from whole rows of integers
+instead of one encoder step per entry.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -47,7 +52,7 @@ def structure_to_dict(obj) -> dict:
         return {
             "objects": obj.object_count,
             "morphisms": [
-                {"dom": int(d), "cod": int(c)} for d, c in zip(obj.dom, obj.cod)
+                {"dom": d, "cod": c} for d, c in zip(_ints(obj.dom), _ints(obj.cod))
             ],
             "comp": _ints(obj.comp),
             "inv": _ints(obj.inv),
@@ -142,13 +147,37 @@ def structure_from_dict(data: dict):
     )
 
 
+def json_text(value, pad: str = "") -> str:
+    """json.dumps(value, indent=1) for a value nested at indent `pad`:
+    dicts with str keys, lists and tuples recurse, a list of ints is one
+    join, and any other leaf is encoded by json itself."""
+    inner = pad + " "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
 def save_structure(path: str, obj, extra: dict | None = None) -> None:
     data = structure_to_dict(obj)
     if extra:
         data = {**extra, **data}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+        fh.write(json_text(data) + "\n")
 
 
 def load_structure(path: str):

@@ -234,6 +234,56 @@ def action_orbit_count(actions, group, meet, join):
     return len(orbit_representatives(actions, group, meet, join))
 
 
+def action_law_witnesses(act, group, identity, meet, join):
+    """The first failing index tuple of each action law on the table
+    act[a][u], in row-major order, or None where the law holds: a^e = a
+    over (a,), a^{uv} = (a^u)^v over (a, u, v), and preservation of meet,
+    then join, over (a, b, u)."""
+    ng, nb = len(group), len(meet)
+    cells = [(a, b, u) for a in range(nb) for b in range(nb) for u in range(ng)]
+    return {
+        "identity_action": next(((a,) for a in range(nb) if act[a][identity] != a), None),
+        "composition_action": next(
+            (
+                (a, u, v)
+                for a in range(nb) for u in range(ng) for v in range(ng)
+                if act[act[a][u]][v] != act[a][group[u][v]]
+            ),
+            None,
+        ),
+        "automorphism_meet": next(
+            ((a, b, u) for a, b, u in cells if act[meet[a][b]][u] != meet[act[a][u]][act[b][u]]),
+            None,
+        ),
+        "automorphism_join": next(
+            ((a, b, u) for a, b, u in cells if act[join[a][b]][u] != join[act[a][u]][act[b][u]]),
+            None,
+        ),
+    }
+
+
+def enumerate_actions_loop(group, identity, meet, join, perms, gens, words):
+    """Every candidate table one at a time: each assignment of a permutation
+    in perms to each generator, in itertools.product order, folded along
+    the generator words (element -> tuple of generators, with the
+    generating set taken from the caller so the candidate order matches),
+    and kept when no action law has a witness."""
+    ng, nb = len(group), len(meet)
+    kept = []
+    for assignment in product(range(len(perms)), repeat=len(gens)):
+        chosen = dict(zip(gens, (perms[k] for k in assignment)))
+        columns = []
+        for u in range(ng):
+            perm = tuple(range(nb))
+            for g in words[u]:
+                perm = tuple(chosen[g][perm[a]] for a in range(nb))
+            columns.append(perm)
+        act = tuple(tuple(columns[u][a] for u in range(ng)) for a in range(nb))
+        if not any(action_law_witnesses(act, group, identity, meet, join).values()):
+            kept.append(act)
+    return kept
+
+
 def groupoid_units(n, dom, cod, comp):
     """units[b] = the morphism acting as identity at object b, or -1; on a
     broken table offering several, the last one found wins."""

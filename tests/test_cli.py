@@ -212,6 +212,17 @@ def test_witness_anti_absent_on_commutative_base_is_exit_one(tmp_path):
     assert run["report"]["checks"]["witness_exists"]["witness"] is None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["gen-models", "--max-band", "0"], ["gen-models", "--max-group", "0"], ["gen-models", "--max-band", "-3"]],
+)
+def test_non_positive_suite_bound_is_exit_three(argv):
+    run, code = dispatch(argv)
+    assert code == 3
+    assert run["error"]["kind"] == "usage"
+    assert "count" not in run
+
+
 def test_gen_models_writes_three_files_per_instance(tmp_path):
     out = tmp_path / "models"
     run, code = dispatch(
@@ -246,6 +257,32 @@ def test_main_prints_json_report(capsys, swap_algebra_file):
     assert code == 0
     parsed = json.loads(out)
     assert parsed["ok"] is True
+
+
+@pytest.mark.parametrize("command", ["help", "enum-skew", "passing", "failing"])
+def test_main_prints_the_indent_one_json_of_its_run_record(command, capsys, monkeypatch, tmp_path, swap_algebra_file):
+    S = semidirect_algebra(swap_action())
+    star = S.star.copy()
+    star[2], star[3] = star[3], star[2]
+    broken = tmp_path / "broken.json"
+    save_structure(broken, BiBandAlgebra(S.join.array, S.meet.array, star))
+    argv = {
+        "help": ["--help"],
+        "enum-skew": ["enum-skew", "3"],
+        "passing": ["check-algebra", swap_algebra_file],
+        "failing": ["check-algebra", str(broken)],
+    }[command]
+    runs = []
+
+    def recorded(argv):
+        runs.append(dispatch(argv))
+        return runs[-1]
+
+    monkeypatch.setattr(skewalg.cli, "dispatch", recorded)
+    code = main(argv)
+    ((run, expect_code),) = runs
+    assert code == expect_code == (1 if command == "failing" else 0)
+    assert capsys.readouterr().out == json.dumps(run, indent=1) + "\n"
 
 
 def test_main_text_format_is_human_summary(capsys, swap_algebra_file):

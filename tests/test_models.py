@@ -1,10 +1,15 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    action_law_witnesses,
     action_orbit_count,
+    automorphism_perms,
     brute_force_action_maps,
+    enumerate_actions_loop,
     greedy_separating_congruence,
     largest_congruence_inside_parts,
     orbit_representatives,
@@ -37,12 +42,16 @@ from skewalg.models import (
     GroupAction,
     SemidirectAlgebra,
     _certificate,
+    _element_words,
+    _enumerate_actions,
+    _generating_set,
     _max_idempotent_separating_congruence,
 )
 from skewalg.serialize import structure_to_dict
 
 SUITE_SIZE = 379          # |G| in {1,2,3,4,6}, |B| <= 4, deduped
 SUITE_SIZE_BAND3 = 102    # same groups, |B| <= 3; equals the oracle count
+SMALL_LATTICES = [lattice for nb in range(1, 5) for lattice in enumerate_skew_lattices(nb)]
 
 
 def rect2():
@@ -120,6 +129,54 @@ def test_action_classes_match_orbit_oracle(gname, nb):
             tables = [tuple(map(tuple, a.act.tolist())) for a in actions]
             kept = [tuple(map(tuple, a.act.tolist())) for a in dedupe_actions(actions)]
             assert kept == orbit_representatives(tables, table, meet, join)
+
+
+def _tables(actions):
+    return [tuple(map(tuple, a.act.tolist())) for a in actions]
+
+
+@pytest.mark.parametrize("salted", [False, True])
+def test_batched_enumeration_matches_the_candidate_loop(salted):
+    # every (group, lattice) pair of the suite, order 4 included; salted,
+    # the list also holds permutations that are no automorphism, so the
+    # meet and join laws have candidates to reject
+    pairs = 0
+    for lattice in SMALL_LATTICES:
+        nb, meet, join = lattice.order, lattice.meet.tolist(), lattice.join.tolist()
+        auts = automorphism_perms([tuple(map(tuple, meet)), tuple(map(tuple, join))], nb)
+        others = [p for p in permutations(range(nb)) if p not in auts]
+        perms = others[:1] + auts + others[1:2] if salted else auts
+        for group in GROUP_CATALOG.values():
+            gens = _generating_set(group)
+            words = _element_words(group, gens)
+            found = _tables(_enumerate_actions(group, lattice, perms))
+            expect = enumerate_actions_loop(
+                group.table.tolist(), int(group.identity), meet, join, perms, gens, words
+            )
+            assert found == expect
+            assert found == _tables(enumerate_actions(group, lattice))
+            pairs += 1
+    assert pairs == 192
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_action_flags_and_witnesses_match_the_scalar_laws(data):
+    # arbitrary tables, most of them no action: each law's flag and first
+    # witness must be the scalar oracle's, so the laws stay apart
+    group = data.draw(st.sampled_from(list(GROUP_CATALOG.values())))
+    lattice = data.draw(st.sampled_from(SMALL_LATTICES))
+    nb = lattice.order
+    act = data.draw(
+        st.lists(st.lists(st.integers(0, nb - 1), min_size=group.order, max_size=group.order),
+                 min_size=nb, max_size=nb)
+    )
+    report = check_action(GroupAction(group, lattice, act))
+    expect = action_law_witnesses(
+        act, group.table.tolist(), int(group.identity), lattice.meet.tolist(), lattice.join.tolist()
+    )
+    assert {c.name: c.witness for c in report.checks()} == expect
+    assert report.ok == (not any(expect.values()))
 
 
 def test_suite_size_is_pinned(suite):
@@ -291,19 +348,19 @@ def test_public_builders_keep_their_guard():
 
 
 def test_suite_checks_each_action_once(monkeypatch):
+    # the action laws run once over each stack of candidates while they are
+    # enumerated; no kept action is checked again by check_action or _guard
     import skewalg.models as models
 
     seen = []
-
-    def counted(action):
-        seen.append(id(action))
-        return check_action(action)
-
-    monkeypatch.setattr(models, "check_action", counted)
+    for name in ("check_action", "_guard"):
+        monkeypatch.setattr(models, name, lambda action, name=name: seen.append(name))
     suite = generate_model_suite(max_group=3, max_band=2)
     assert suite
-    assert len(seen) == len(set(seen))
+    assert seen == []
+    monkeypatch.undo()
     for inst in suite:
+        assert check_action(inst.action).ok
         assert inst.algebra == semidirect_algebra(inst.action)
         assert inst.algebra.action is inst.action
         assert structure_to_dict(inst.system) == structure_to_dict(semidirect_groupoid(inst.action))

@@ -18,7 +18,7 @@ from skewalg import (
     semidirect_groupoid,
 )
 from skewalg.models import GROUP_CATALOG, GroupAction
-from skewalg.serialize import structure_from_dict, structure_to_dict
+from skewalg.serialize import json_text, structure_from_dict, structure_to_dict
 
 
 def swap_action():
@@ -137,3 +137,39 @@ def test_save_then_load_is_the_identity_for_every_kind(tmp_path, suite, data, ki
     assert structure_to_dict(again) == structure_to_dict(obj)
     if kind != "system":  # RestrictionSystem defines no equality
         assert again == obj
+
+
+def test_files_are_the_indent_one_json_of_their_dict_for_every_suite_dict(tmp_path, suite):
+    extra = {"name": 'é"\\'}
+    path = tmp_path / "structure.json"
+    for inst in suite:
+        for kind, part in KINDS.items():
+            obj = part(inst)
+            save_structure(path, obj, extra=extra)
+            expect = json.dumps({**extra, **structure_to_dict(obj)}, indent=1) + "\n"
+            assert path.read_bytes() == expect.encode(), (inst.name, kind)
+
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([-1, 0, 2**63 - 1, -(2**63), 2**64, -(2**70) - 3])
+    | st.text()
+    | st.sampled_from(['é"\\', "a\nb", "\\\"", "\u2227\u2228", "\U0001f600", ""])
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.lists(st.integers())
+    | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values)
+def test_writer_is_json_dumps_with_indent_one(value):
+    assert json_text(value) == json.dumps(value, indent=1)
