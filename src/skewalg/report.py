@@ -26,7 +26,7 @@ def _py(value):
     return int(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Check:
     name: str
     ok: bool
@@ -62,8 +62,10 @@ class AxiomReport:
             self.record(name, False, tuple(np.argwhere(~mask)[0]), required, note)
 
     def extend(self, other: "AxiomReport", prefix: str = "") -> None:
+        """Add other's checks, renamed with prefix; a check is frozen, so
+        without a prefix the same one is shared."""
         for c in other.checks():
-            self.add(Check(prefix + c.name, c.ok, c.witness, c.required, c.note))
+            self.add(Check(prefix + c.name, c.ok, c.witness, c.required, c.note) if prefix else c)
 
     def copy(self) -> "AxiomReport":
         """A report over the same checks that can be extended on its own."""

@@ -26,6 +26,7 @@ written once and evaluated on both records.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +110,7 @@ class RestrictionSystem:
         self.restR = _check_partial("restR", restR, (m, n), m)
         self.extL = _check_partial("extL", extL, (n, m), m)
         self.extR = _check_partial("extR", extR, (m, n), m)
-        self._report: AxiomReport | None = None
+        self._reports: dict[str, AxiomReport] = {}  # family -> its checker's report
         self._derive()
 
     @property
@@ -201,21 +202,28 @@ class RestrictionSystem:
 
         Guarded: raises unless the system passes its full report.
         """
-        self.full_report().require()
+        self._require()
         table = self._pm if op == "meet" else self._pj if op == "join" else None
         if table is None:
             raise ValueError(f"op must be 'meet' or 'join', got {op!r}")
         return self._get(table, f, g, f"{op} pseudoproduct")
 
+    def _axiom_reports(self) -> list[AxiomReport]:
+        """The four axiom families in system_checkers() order, each read from
+        the memo, or computed by its checker (which fills the memo)."""
+        checkers = system_checkers()[:4]
+        return [self._reports.get(family) or checker(self) for family, checker in checkers]
+
     def full_report(self) -> AxiomReport:
-        """Structural, restriction, extension and linking checks: a copy of the cached report."""
-        if self._report is None:
-            merged = AxiomReport("restriction system")
-            for family, checker in system_checkers():
-                if family != "derived":
-                    merged.extend(checker(self))
-            self._report = merged
-        return self._report.copy()
+        """Structural, restriction, extension and linking checks, as one new
+        report that the caller owns. Each family is read from the memo that
+        its checker fills, so it is computed at most once per system."""
+        return AxiomReport("restriction system", (c for r in self._axiom_reports() for c in r.checks()))
+
+    def _require(self) -> None:
+        """Raise at full_report's first failing required check, without building it."""
+        for report in self._axiom_reports():
+            report.require()
 
     def __repr__(self):
         return (
@@ -240,11 +248,26 @@ def system_checkers() -> list:
     ]
 
 
+def _memoised(family: str):
+    """Compute the family at most once per system, keep it in the system's
+    memo, and hand every caller a copy."""
+    def decorate(body):
+        @functools.wraps(body)
+        def checker(sys: RestrictionSystem) -> AxiomReport:
+            report = sys._reports.get(family)
+            if report is None:
+                report = sys._reports[family] = body(sys)
+            return report.copy()
+        return checker
+    return decorate
+
+
 def _equal(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """lhs == rhs with lhs defined: a hole (-1) never satisfies a law."""
     return (lhs == rhs) & (lhs >= 0)
 
 
+@_memoised("structure")
 def check_structure(sys: RestrictionSystem) -> AxiomReport:
     """Well-formedness: objects form a skew lattice, the groupoid laws hold,
     and each operator table is defined exactly on its preorder region with
@@ -355,6 +378,7 @@ def _order_axioms(sys: RestrictionSystem, side: _Side) -> AxiomReport:
     return report
 
 
+@_memoised("restriction")
 def check_restriction_axioms(sys: RestrictionSystem) -> AxiomReport:
     """The restriction postulates: identities, preorders, transitivity and
     composition in left and right form, the two chaining equations on the
@@ -362,11 +386,13 @@ def check_restriction_axioms(sys: RestrictionSystem) -> AxiomReport:
     return _order_axioms(sys, sys._meet)
 
 
+@_memoised("extension")
 def check_extension_axioms(sys: RestrictionSystem) -> AxiomReport:
     """The extension postulates, vertical duals of the restriction ones."""
     return _order_axioms(sys, sys._join)
 
 
+@_memoised("linking")
 def check_linking(sys: RestrictionSystem) -> AxiomReport:
     """The linking axiom tying restriction to extension across the two bands:
     (a∧f)∨(cod f) = f, its equivalent pseudoproduct form, the lateral and
@@ -406,6 +432,7 @@ def check_linking(sys: RestrictionSystem) -> AxiomReport:
     return report
 
 
+@_memoised("derived")
 def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     """Consequences the construction is supposed to deliver, verified
     exhaustively: the three mixed-associativity lemmas, associativity and
@@ -534,7 +561,7 @@ def build_algebra(sys: RestrictionSystem, check: bool = True) -> BiBandAlgebra:
     With check=True (the default) the system must pass its full report.
     """
     if check:
-        sys.full_report().require()
+        sys._require()
     for name, table in (("meet", sys._pm), ("join", sys._pj)):
         if (table < 0).any():
             hole = tuple(int(v) for v in np.argwhere(table < 0)[0])

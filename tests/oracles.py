@@ -284,6 +284,37 @@ def enumerate_actions_loop(group, identity, meet, join, perms, gens, words):
     return kept
 
 
+def reconstruct_skeleton(join, meet, star):
+    """The object data reconstruct derives from an algebra, by the dict
+    double loop: (objects, object_index, obj_meet, obj_join, dom, cod),
+    objects in first-occurrence order of s∨s*; or, where reconstruct must
+    raise SkeletonNotClosedError, the message it must raise with."""
+    n = len(star)
+    d_el = [join[s][star[s]] for s in range(n)]
+    r_el = [join[star[s]][s] for s in range(n)]
+    objects, object_index = [], {}
+    for el in d_el:
+        if el not in object_index:
+            object_index[el] = len(objects)
+            objects.append(el)
+    for el in r_el:
+        if el not in object_index:
+            return f"codomain element {el} is not an object"
+    nb = len(objects)
+    obj_meet = [[0] * nb for _ in range(nb)]
+    obj_join = [[0] * nb for _ in range(nb)]
+    for i in range(nb):
+        for j in range(nb):
+            me, jo = meet[objects[i]][objects[j]], join[objects[i]][objects[j]]
+            if me not in object_index or jo not in object_index:
+                return f"objects not closed under the operations at {(i, j)}"
+            obj_meet[i][j] = object_index[me]
+            obj_join[i][j] = object_index[jo]
+    dom = [object_index[e] for e in d_el]
+    cod = [object_index[e] for e in r_el]
+    return objects, object_index, obj_meet, obj_join, dom, cod
+
+
 def groupoid_units(n, dom, cod, comp):
     """units[b] = the morphism acting as identity at object b, or -1; on a
     broken table offering several, the last one found wins."""

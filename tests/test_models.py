@@ -179,6 +179,64 @@ def test_action_flags_and_witnesses_match_the_scalar_laws(data):
     assert report.ok == (not any(expect.values()))
 
 
+def moved_identity(name):
+    """Catalog group `name` with element x renamed (x + 1) % n, so that its
+    identity is 1 and element 0 is not the identity."""
+    group = GROUP_CATALOG[name]
+    perm = (np.arange(group.order) + 1) % group.order
+    back = np.argsort(perm)
+    return GroupTable(perm[group.table.array[np.ix_(back, back)]])
+
+
+MOVED = {name: moved_identity(name) for name in ("C3", "V4", "S3")}
+LATTICES_TO_3 = [lattice for lattice in SMALL_LATTICES if lattice.order <= 3]
+
+
+def test_relabelled_groups_keep_their_identity_away_from_0():
+    for group in MOVED.values():
+        gt, inv = group.table.array, group.inverse
+        assert group.identity == 1
+        assert (gt[np.arange(group.order), inv] == 1).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_action_laws_read_the_identity_of_a_relabelled_group(data):
+    # a law that read element 0 as the identity would differ from the
+    # scalar laws here, on arbitrary tables and on the group's own actions
+    group = MOVED[data.draw(st.sampled_from(sorted(MOVED)))]
+    lattice = data.draw(st.sampled_from(SMALL_LATTICES))
+    nb = lattice.order
+    arbitrary = st.lists(
+        st.lists(st.integers(0, nb - 1), min_size=group.order, max_size=group.order),
+        min_size=nb, max_size=nb,
+    )
+    actions = _tables(enumerate_actions(group, lattice))
+    act = data.draw(st.sampled_from(actions) | arbitrary if actions else arbitrary)
+    report = check_action(GroupAction(group, lattice, act))
+    expect = action_law_witnesses(
+        act, group.table.tolist(), group.identity, lattice.meet.tolist(), lattice.join.tolist()
+    )
+    assert {c.name: c.witness for c in report.checks()} == expect
+    assert report.ok == (not any(expect.values()))
+
+
+@pytest.mark.parametrize("name", sorted(MOVED))
+def test_enumeration_for_a_relabelled_group_matches_the_candidate_loop(name):
+    group = MOVED[name]
+    gens = _generating_set(group)
+    words = _element_words(group, gens)
+    moved = 0  # actions where element 0, not the identity, moves a point
+    for lattice in LATTICES_TO_3:
+        nb, meet, join = lattice.order, lattice.meet.tolist(), lattice.join.tolist()
+        auts = automorphism_perms([tuple(map(tuple, meet)), tuple(map(tuple, join))], nb)
+        found = _tables(_enumerate_actions(group, lattice, auts))
+        expect = enumerate_actions_loop(group.table.tolist(), 1, meet, join, auts, gens, words)
+        assert found == expect
+        moved += sum(any(row[0] != a for a, row in enumerate(act)) for act in found)
+    assert moved
+
+
 def test_suite_size_is_pinned(suite):
     assert len(suite) == SUITE_SIZE
     assert len({inst.name for inst in suite}) == SUITE_SIZE

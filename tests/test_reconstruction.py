@@ -1,5 +1,8 @@
+import random
+
 import numpy as np
 import pytest
+from oracles import reconstruct_skeleton
 
 from skewalg import (
     AxiomViolationError,
@@ -118,3 +121,45 @@ def test_non_idempotent_object_products_raise_skeleton_error():
     broken = BiBandAlgebra(join, meet, [0, 1, 2])
     with pytest.raises(SkeletonNotClosedError):
         reconstruct(broken, check=False)
+
+
+def test_reconstruct_matches_the_skeleton_loop_on_suite_and_mutants(suite):
+    # every suite algebra and two seeded mutants of each, with one to three
+    # entries changed; the objects, their tables, dom, cod and the triples
+    # must be the loop's, and a skeleton error must carry the loop's message,
+    # hence its first failing element or (i, j) in row-major order
+    rng = random.Random(1905)
+    algebras = []
+    for inst in suite:
+        S = inst.algebra
+        algebras.append(S)
+        for _ in range(2):
+            tables = [S.join.array.copy(), S.meet.array.copy(), S.star.copy()]
+            for _ in range(rng.randint(1, 3)):
+                arr = rng.choice(tables)
+                arr[tuple(rng.randrange(k) for k in arr.shape)] = rng.randrange(S.order)
+            algebras.append(BiBandAlgebra(*tables))
+    raised = {"codomain": 0, "objects": 0}
+    for S in algebras:
+        join, meet, star = S.join.tolist(), S.meet.tolist(), S.star.tolist()
+        want = reconstruct_skeleton(join, meet, star)
+        if isinstance(want, str):
+            with pytest.raises(SkeletonNotClosedError) as exc:
+                reconstruct(S, check=False)
+            assert str(exc.value) == want
+            raised[want.split()[0]] += 1
+            continue
+        try:
+            rec = reconstruct(S, check=False)
+        except CompositionAmbiguityError:
+            continue
+        objects, object_index, obj_meet, obj_join, dom, cod = want
+        assert rec.objects == tuple(objects)
+        assert rec.object_index == object_index
+        assert rec.system.objects.meet.tolist() == obj_meet
+        assert rec.system.objects.join.tolist() == obj_join
+        assert rec.system.groupoid.dom.tolist() == dom
+        assert rec.system.groupoid.cod.tolist() == cod
+        n = S.order
+        assert rec.triples == tuple((join[s][star[s]], s, join[star[s]][s]) for s in range(n))
+    assert all(raised.values()), raised

@@ -2,13 +2,18 @@
 derived identities, and the generalized total operations."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import order_axioms
 
+import skewalg.system
 from skewalg import (
+    AxiomReport,
     AxiomViolationError,
+    BiBandAlgebra,
     GroupTable,
     RestrictionSystem,
     build_algebra,
@@ -22,12 +27,15 @@ from skewalg import (
     enumerate_skew_lattices,
     find_isomorphism,
     group_system,
+    roundtrip_groupoid,
     semidirect_algebra,
     semidirect_groupoid,
     trivial_action,
     verify_derived_identities,
 )
+from skewalg.errors import SkewalgError
 from skewalg.models import GROUP_CATALOG, GroupAction
+from skewalg.system import system_checkers
 
 
 def swap_action():
@@ -235,3 +243,86 @@ def test_axiom_families_match_scalar_oracle_on_suite_and_mutants(suite):
             ):
                 want = order_axioms(*args, op.tolist(), left.tolist(), right.tolist(), side)
                 assert checker(v).to_dict() == want, (inst.name, side)
+
+
+def fresh(sysm):
+    """A new system over the same tables, with nothing checked yet."""
+    return RestrictionSystem(
+        sysm.groupoid, sysm.objects, sysm.restL, sysm.restR, sysm.extL, sysm.extR
+    )
+
+
+# every entry point that reads a system's checked families
+MEMO_CALLS = {
+    **dict(system_checkers()),
+    "full_report": RestrictionSystem.full_report,
+    "build_algebra": build_algebra,
+    "meet_pseudoproduct": lambda s: s.pseudoproduct(s.morphism_count - 1, 0),
+    "join_pseudoproduct": lambda s: s.pseudoproduct(0, s.morphism_count - 1, "join"),
+    "roundtrip_groupoid": roundtrip_groupoid,
+}
+FAMILY_TITLES = ("structure", "restriction axioms", "extension axioms", "linking axiom",
+                 "derived identities")
+
+
+def outcome(name, sysm, tamper=False):
+    """One call's result as plain data, or its error's name, check, witness
+    and message; with tamper, a returned report is changed afterwards."""
+    try:
+        value = MEMO_CALLS[name](sysm)
+    except SkewalgError as exc:
+        name_and_witness = getattr(exc, "check_name", None), getattr(exc, "witness", None)
+        return type(exc).__name__, *name_and_witness, str(exc)
+    if isinstance(value, AxiomReport):
+        seen = value.to_dict()
+        if tamper:
+            value.record("caller_note", False, (0,))
+            value.extend(value, prefix="caller_")
+        return seen
+    if isinstance(value, BiBandAlgebra):
+        return value.join.tolist(), value.meet.tolist(), value.star.tolist()
+    return getattr(value, "mapping", value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_call_order_sees_what_a_fresh_system_sees(suite, data):
+    # a suite system, or one with a single operator-table entry changed; each
+    # call in a drawn sequence, its reports changed by the caller in between,
+    # must return what the same call returns on a system never checked before
+    sysm = data.draw(st.sampled_from(suite)).system
+    if data.draw(st.booleans()):
+        table = data.draw(st.sampled_from(("restL", "restR", "extL", "extR")))
+        where = tuple(data.draw(st.integers(0, k - 1)) for k in getattr(sysm, table).shape)
+        sysm = damaged(sysm, table, where, data.draw(st.integers(-1, sysm.morphism_count - 1)))
+    else:
+        sysm = fresh(sysm)
+    calls = data.draw(st.lists(
+        st.tuples(st.sampled_from(sorted(MEMO_CALLS)), st.booleans()), min_size=1, max_size=12
+    ))
+    for name, tamper in calls:
+        assert outcome(name, sysm, tamper) == outcome(name, fresh(sysm)), name
+
+
+def test_each_family_runs_once_per_system(monkeypatch, suite):
+    # count the reports each family body starts, in the certify-suite order
+    # (the five checkers, build_algebra, the groupoid round trip) and with the
+    # guarded calls first
+    started = Counter()
+
+    class Counting(AxiomReport):
+        def __init__(self, title, checks=()):
+            started[title] += 1
+            super().__init__(title, checks)
+
+    monkeypatch.setattr(skewalg.system, "AxiomReport", Counting)
+    checkers = [checker for _, checker in system_checkers()]
+    guarded = [build_algebra, roundtrip_groupoid, RestrictionSystem.full_report,
+               lambda s: s.pseudoproduct(0, 0)]
+    for inst in random.Random(9).sample(suite, 40):
+        for calls in (checkers + guarded, guarded + checkers + checkers):
+            sysm = fresh(inst.system)
+            started.clear()
+            for call in calls:
+                call(sysm)
+            assert [started[t] for t in FAMILY_TITLES] == [1] * 5, inst.name
