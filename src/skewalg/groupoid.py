@@ -92,6 +92,10 @@ class FiniteGroupoid:
         """g^{-1} o g (at cod g)."""
         return int(self.comp[self.inv[g], g])
 
+    def morphisms(self) -> list[tuple[int, int]]:
+        """(dom, cod) pairs in index order, for serialization."""
+        return [(int(d), int(c)) for d, c in zip(self.dom, self.cod)]
+
     def __eq__(self, other):
         if not isinstance(other, FiniteGroupoid):
             return NotImplemented

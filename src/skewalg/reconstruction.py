@@ -99,7 +99,7 @@ def reconstruct(S: BiBandAlgebra, check: bool = True) -> ReconstructedGroupoid:
     groupoid = FiniteGroupoid(nb, dom, cod, comp, st)
     system = RestrictionSystem(groupoid, lattice, restL, restR, extL, extR)
     if check:
-        system._require()
+        system.full_report().require()
 
     objects = obj.tolist()
     triples = tuple(zip(d_el.tolist(), range(n), r_el.tolist()))
@@ -118,7 +118,7 @@ def roundtrip_groupoid(sys: RestrictionSystem) -> Isomorphism:
     """Certify g ↦ (𝐝g, g, 𝐫g) as an isomorphism onto the groupoid rebuilt
     from the system's own algebra; morphism indices are preserved, so the
     certificate is the identity mapping once every table matches."""
-    sys.full_report().require()  # one full_report span per certificate in a trace
+    sys.full_report().require()
     S = build_algebra(sys, check=False)
     rec = reconstruct(S, check=False)
     new = rec.system

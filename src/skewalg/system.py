@@ -110,7 +110,7 @@ class RestrictionSystem:
         self.restR = _check_partial("restR", restR, (m, n), m)
         self.extL = _check_partial("extL", extL, (n, m), m)
         self.extR = _check_partial("extR", extR, (m, n), m)
-        self._reports: dict[str, AxiomReport] = {}  # family -> its checker's report
+        self._reports: dict[str, AxiomReport] = {}  # checker name -> its family's report
         self._derive()
 
     @property
@@ -202,28 +202,18 @@ class RestrictionSystem:
 
         Guarded: raises unless the system passes its full report.
         """
-        self._require()
+        self.full_report().require()
         table = self._pm if op == "meet" else self._pj if op == "join" else None
         if table is None:
             raise ValueError(f"op must be 'meet' or 'join', got {op!r}")
         return self._get(table, f, g, f"{op} pseudoproduct")
 
-    def _axiom_reports(self) -> list[AxiomReport]:
-        """The four axiom families in system_checkers() order, each read from
-        the memo, or computed by its checker (which fills the memo)."""
-        checkers = system_checkers()[:4]
-        return [self._reports.get(family) or checker(self) for family, checker in checkers]
-
     def full_report(self) -> AxiomReport:
-        """Structural, restriction, extension and linking checks, as one new
-        report that the caller owns. Each family is read from the memo that
-        its checker fills, so it is computed at most once per system."""
-        return AxiomReport("restriction system", (c for r in self._axiom_reports() for c in r.checks()))
-
-    def _require(self) -> None:
-        """Raise at full_report's first failing required check, without building it."""
-        for report in self._axiom_reports():
-            report.require()
+        """Structural, restriction, extension and linking checks, as a new
+        report the caller owns. A family's checker is called only when the
+        memo lacks its report, so each family is computed once per system."""
+        reports = (self._reports.get(c.__name__) or c(self) for _, c in system_checkers()[:4])
+        return AxiomReport("restriction system", (c for r in reports for c in r.checks()))
 
     def __repr__(self):
         return (
@@ -248,18 +238,16 @@ def system_checkers() -> list:
     ]
 
 
-def _memoised(family: str):
+def _memoised(body):
     """Compute the family at most once per system, keep it in the system's
-    memo, and hand every caller a copy."""
-    def decorate(body):
-        @functools.wraps(body)
-        def checker(sys: RestrictionSystem) -> AxiomReport:
-            report = sys._reports.get(family)
-            if report is None:
-                report = sys._reports[family] = body(sys)
-            return report.copy()
-        return checker
-    return decorate
+    memo under the checker's name, and hand every caller a copy."""
+    @functools.wraps(body)
+    def checker(sys: RestrictionSystem) -> AxiomReport:
+        report = sys._reports.get(body.__name__)
+        if report is None:
+            report = sys._reports[body.__name__] = body(sys)
+        return report.copy()
+    return checker
 
 
 def _equal(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -267,7 +255,7 @@ def _equal(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return (lhs == rhs) & (lhs >= 0)
 
 
-@_memoised("structure")
+@_memoised
 def check_structure(sys: RestrictionSystem) -> AxiomReport:
     """Well-formedness: objects form a skew lattice, the groupoid laws hold,
     and each operator table is defined exactly on its preorder region with
@@ -378,7 +366,7 @@ def _order_axioms(sys: RestrictionSystem, side: _Side) -> AxiomReport:
     return report
 
 
-@_memoised("restriction")
+@_memoised
 def check_restriction_axioms(sys: RestrictionSystem) -> AxiomReport:
     """The restriction postulates: identities, preorders, transitivity and
     composition in left and right form, the two chaining equations on the
@@ -386,13 +374,13 @@ def check_restriction_axioms(sys: RestrictionSystem) -> AxiomReport:
     return _order_axioms(sys, sys._meet)
 
 
-@_memoised("extension")
+@_memoised
 def check_extension_axioms(sys: RestrictionSystem) -> AxiomReport:
     """The extension postulates, vertical duals of the restriction ones."""
     return _order_axioms(sys, sys._join)
 
 
-@_memoised("linking")
+@_memoised
 def check_linking(sys: RestrictionSystem) -> AxiomReport:
     """The linking axiom tying restriction to extension across the two bands:
     (a∧f)∨(cod f) = f, its equivalent pseudoproduct form, the lateral and
@@ -432,7 +420,7 @@ def check_linking(sys: RestrictionSystem) -> AxiomReport:
     return report
 
 
-@_memoised("derived")
+@_memoised
 def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     """Consequences the construction is supposed to deliver, verified
     exhaustively: the three mixed-associativity lemmas, associativity and
@@ -561,7 +549,7 @@ def build_algebra(sys: RestrictionSystem, check: bool = True) -> BiBandAlgebra:
     With check=True (the default) the system must pass its full report.
     """
     if check:
-        sys._require()
+        sys.full_report().require()
     for name, table in (("meet", sys._pm), ("join", sys._pj)):
         if (table < 0).any():
             hole = tuple(int(v) for v in np.argwhere(table < 0)[0])

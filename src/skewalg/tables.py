@@ -96,17 +96,22 @@ class GroupTable:
         arr = self.table.array
         if not check_associative(self.table):
             raise ValueError("group table is not associative")
-        idx = np.arange(self.order)
-        units = np.flatnonzero((arr == idx).all(axis=1) & (arr.T == idx).all(axis=1))
-        if not units.size:
+        identity = None
+        for e in range(self.order):
+            if np.array_equal(arr[e], np.arange(self.order)) and np.array_equal(
+                arr[:, e], np.arange(self.order)
+            ):
+                identity = e
+                break
+        if identity is None:
             raise ValueError("group table has no identity")
-        self.identity = identity = int(units[0])
-        # inverse[a] = the one b with ab = e, which must also give ba = e
-        hits = arr == identity
-        inverse = hits.argmax(axis=1)
-        lonely = (hits.sum(axis=1) != 1) | (arr[inverse, idx] != identity)
-        if lonely.any():
-            raise ValueError(f"element {int(lonely.argmax())} has no two-sided inverse")
+        self.identity = identity
+        inverse = np.full(self.order, -1, dtype=np.int64)
+        for a in range(self.order):
+            hits = np.nonzero(arr[a] == identity)[0]
+            if len(hits) != 1 or arr[hits[0], a] != identity:
+                raise ValueError(f"element {a} has no two-sided inverse")
+            inverse[a] = hits[0]
         self.inverse = frozen(inverse)
 
     def __call__(self, a: int, b: int) -> int:
