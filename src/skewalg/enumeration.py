@@ -1,13 +1,16 @@
 """Exhaustive generation of small bands and skew lattices up to isomorphism.
 
-One backtracking table search, _fill, does the work: idempotency pins the
-diagonal, each off-diagonal cell takes its values from a candidate list
-(every value for a band, the absorption-compatible values for a join), and
-associativity is checked incrementally after each cell.  Each completed
-table, or meet/join pair, is keyed by canonical_tables, the least flattened
-row among its relabellings by all n! permutations, so isomorphic tables
-share a key; the distinct keys in increasing order, reshaped back into
-tables, are the representatives.
+One breadth-first fill, _fill, does the work on a stack of partial tables,
+each with a root that names its mask of allowed values (every value for a
+band; for a join, the absorption-compatible values over the root's meet).
+Idempotency pins the diagonal.  Each off-diagonal cell in row-major order
+grows every table by the values its mask allows there, in the order of a
+depth-first search, and one vectorised check drops each table in which a
+triple, all four of its products decided, breaks associativity.  Each
+completed table, or meet/join pair, is keyed by canonical_tables, the least
+flattened row among its relabellings by all n! permutations, so isomorphic
+tables share a key; the distinct keys in increasing order, reshaped back
+into tables, are the representatives.
 """
 
 from __future__ import annotations
@@ -38,62 +41,55 @@ def _check_bound(n: int, max_order: int) -> None:
         )
 
 
-def _associativity_ok(t: list[list[int]], a: int, b: int, n: int) -> bool:
-    """Partial associativity test after cell (a, b) was filled.
+# partial tables grown and checked in one numpy pass; bounds the working
+# memory of a fill at order 5
+_CHUNK = 1 << 11
 
-    Checks every triple whose evaluation touches cell (a, b) and whose
-    intermediate products are all already decided (-1 means undecided).
+
+def _fill(allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, tables): every idempotent associative table on {0..n-1} whose
+    off-diagonal cells (a, b) hold values v with allowed[r, a, b, v], for each
+    root r, as tables[k] of root roots[k].  They come in order of root, then
+    of the cell values in row-major order, as a depth-first search finds them.
     """
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if not (
-                    (x == a and y == b)
-                    or (y == a and z == b)
-                    or (t[x][y] == a and z == b)
-                    or (x == a and t[y][z] == b)
-                ):
-                    continue
-                xy = t[x][y]
-                yz = t[y][z]
-                if xy < 0 or yz < 0:
-                    continue
-                left = t[xy][z]
-                right = t[x][yz]
-                if left >= 0 and right >= 0 and left != right:
-                    return False
-    return True
+    count, n = allowed.shape[:2]
+    # n marks an undecided cell; the padded row and column n hold it too, so
+    # a product read through an undecided cell is undecided
+    tables = np.full((count, n + 1, n + 1), n, dtype=np.int8)
+    tables[:, range(n), range(n)] = range(n)
+    roots = np.arange(count)
+    i, j = np.divmod(np.arange(n * n), n)
+    for a, b in ((a, b) for a in range(n) for b in range(n) if a != b):
+        # every triple (x, y, z) whose products read cell (a, b) has x = a or z = b
+        xyz = np.concatenate([[np.full(n * n, a), i, j], [i, j, np.full(n * n, b)]], axis=1)
+        grown = [
+            _grow(tables[s : s + _CHUNK], roots[s : s + _CHUNK], allowed[:, a, b], (a, b), xyz)
+            for s in range(0, len(roots), _CHUNK)
+        ]
+        if not grown:
+            break
+        tables, roots = (np.concatenate(part) for part in zip(*grown))
+    return roots, tables[:, :n, :n]
 
 
-def _fill(n: int, candidates) -> list[list[list[int]]]:
-    """Every idempotent table on {0..n-1} whose off-diagonal cells, filled in
-    row-major order, take their values from candidates(a, b) and pass
-    _associativity_ok after each cell.  A triple is checked when the last of
-    the four cells it reads is filled, so every completed table is associative.
-    """
-    t = [[a if a == b else -1 for b in range(n)] for a in range(n)]
-    cells = [(a, b) for a in range(n) for b in range(n) if a != b]
-    out: list[list[list[int]]] = []
-
-    def fill(k: int) -> None:
-        if k == len(cells):
-            out.append([row[:] for row in t])
-            return
-        a, b = cells[k]
-        for v in candidates(a, b):
-            t[a][b] = v
-            if _associativity_ok(t, a, b, n):
-                fill(k + 1)
-        t[a][b] = -1
-
-    fill(0)
-    return out
+def _grow(tables, roots, options, cell, xyz):
+    """Each table with the cell set to each value options[root] allows, less
+    those where a triple among xyz with all four products decided, x·y, y·z,
+    (x·y)·z and x·(y·z), breaks associativity."""
+    k, v = np.nonzero(options[roots])
+    tables, roots = tables[k], roots[k]
+    tables[:, cell[0], cell[1]] = v
+    x, y, z = xyz
+    k, n = np.arange(len(tables))[:, None], tables.shape[1] - 1
+    left, right = tables[k, tables[:, x, y], z], tables[k, x, tables[:, y, z]]
+    keep = ~((left != right) & (left < n) & (right < n)).any(axis=1)
+    return tables[keep], roots[keep]
 
 
 def labeled_bands(n: int, max_order: int = DEFAULT_MAX_ORDER) -> list[OperationTable]:
     """All band tables on {0..n-1} with labels, not reduced by isomorphism."""
     _check_bound(n, max_order)
-    return [OperationTable(t) for t in _fill(n, lambda a, b: range(n))]
+    return [OperationTable(t) for t in _fill(np.ones((1, n, n, n), dtype=bool))[1]]
 
 
 def _classes(n: int, labelled) -> np.ndarray:
@@ -116,26 +112,28 @@ def enumerate_skew_lattices(
 
     Isomorphism here is a single bijection preserving meet and join at once.
     """
-    labelled = (
-        [band.array, np.array(join)]
-        for band in labeled_bands(n, max_order)
-        for join in _complete_joins(band.tolist(), n)
-    )
-    return [SkewLatticeTable(meet, join) for meet, join in _classes(n, labelled)]
+    meets = np.array([band.array for band in labeled_bands(n, max_order)])
+    roots, joins = _fill(_join_options(meets))
+    return [SkewLatticeTable(meet, join) for meet, join in _classes(n, zip(meets[roots], joins))]
 
 
-def _complete_joins(meet: list[list[int]], n: int) -> list[list[list[int]]]:
-    """All join tables making (meet, join) a skew lattice.
+def _join_options(meets: np.ndarray) -> np.ndarray:
+    """allowed[r, a, b, v] of the joins over each meet r: v with a∧v = a and
+    v∧b = b, which are the absorption laws a∧(a∨b) = a and (a∨b)∧b = b.
 
-    Cell (a, b) takes the values v with a∧v = a and v∧b = b, which are the
-    absorption laws a∧(a∨b) = a and (a∨b)∧b = b.  The other two,
-    a∨(a∧b) = a and (a∧b)∨b = b, fix cells (a, a∧b) and (a∧b, b); each is
-    narrowed to its fixed value, and two conflicting fixes leave it empty.
+    The other two, a∨(a∧b) = a and (a∧b)∨b = b, fix cell (a, m) to a for
+    every m in row a of the meet, and cell (m, b) to b for every m in column
+    b; a cell fixed to two values allows none.
     """
-    cells = [(a, b) for a in range(n) for b in range(n)]
-    fits = {(a, b): [v for v in range(n) if meet[a][v] == a and meet[v][b] == b] for a, b in cells}
-    for a, b in cells:
-        m = meet[a][b]
-        for cell, fixed in (((a, m), a), ((m, b), b)):
-            fits[cell] = [v for v in fits[cell] if v == fixed]
-    return _fill(n, lambda a, b: fits[a, b])
+    v = np.arange(meets.shape[1])
+    # meet_is[r, a, b, v]: a∧b = v in meet r
+    meet_is, eye = meets[..., None] == v, v[:, None] == v
+    allowed = (meets == v[:, None])[:, :, None] & (meets == v).transpose(0, 2, 1)[:, None]
+    allowed &= ~meet_is.any(axis=2)[..., None] | eye[:, None]
+    allowed &= ~meet_is.any(axis=1).transpose(0, 2, 1)[..., None] | eye
+    return allowed
+
+
+def _complete_joins(meet, n: int) -> list[list[list[int]]]:
+    """All join tables making (meet, join) a skew lattice: the fill over one meet."""
+    return _fill(_join_options(np.reshape(meet, (1, n, n))))[1].tolist()

@@ -119,6 +119,84 @@ def count_skew_classes(pairs):
     return classes
 
 
+def associativity_ok(t, a, b, n):
+    """Partial associativity test after cell (a, b) of t was filled.
+
+    Checks every triple whose evaluation touches cell (a, b) and whose
+    intermediate products are all already decided (-1 means undecided).
+    """
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if not (
+                    (x == a and y == b)
+                    or (y == a and z == b)
+                    or (t[x][y] == a and z == b)
+                    or (x == a and t[y][z] == b)
+                ):
+                    continue
+                xy = t[x][y]
+                yz = t[y][z]
+                if xy < 0 or yz < 0:
+                    continue
+                left = t[xy][z]
+                right = t[x][yz]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
+    return True
+
+
+def fill_tables(n, candidates):
+    """Every idempotent table on range(n) whose off-diagonal cells, filled
+    depth first in row-major order, take their values from candidates(a, b)
+    and pass associativity_ok after each cell."""
+    t = [[a if a == b else -1 for b in range(n)] for a in range(n)]
+    cells = [(a, b) for a in range(n) for b in range(n) if a != b]
+    out = []
+
+    def fill(k):
+        if k == len(cells):
+            out.append([row[:] for row in t])
+            return
+        a, b = cells[k]
+        for v in candidates(a, b):
+            t[a][b] = v
+            if associativity_ok(t, a, b, n):
+                fill(k + 1)
+        t[a][b] = -1
+
+    fill(0)
+    return out
+
+
+def fill_roots(allowed):
+    """(root, table) for each root of a nested-list mask allowed[r][a][b][v],
+    in root order, each root's tables by fill_tables over its mask."""
+    n = len(allowed[0]) if allowed else 0
+    return [
+        (r, table)
+        for r, mask in enumerate(allowed)
+        for table in fill_tables(n, lambda a, b: [v for v in range(n) if mask[a][b][v]])
+    ]
+
+
+def join_candidates(meet):
+    """candidates(a, b) for the joins over a band meet: the v with a∧v = a
+    and v∧b = b, with cells (a, a∧b) and (a∧b, b) narrowed to the one value
+    that a∨(a∧b) = a and (a∧b)∨b = b fix (two fixes can leave none)."""
+    n = len(meet)
+    cells = [(a, b) for a in range(n) for b in range(n)]
+    fits = {
+        (a, b): [v for v in range(n) if meet[a][v] == a and meet[v][b] == b]
+        for a, b in cells
+    }
+    for a, b in cells:
+        m = meet[a][b]
+        for cell, fixed in (((a, m), a), ((m, b), b)):
+            fits[cell] = [v for v in fits[cell] if v == fixed]
+    return lambda a, b: fits[a, b]
+
+
 class PairOracle:
     """Scalar arithmetic on explicit (u, a) pairs for a group acting on a
     band pair; the yardstick for every semidirect construction."""

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+from unittest.mock import patch
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     absorption_holds,
@@ -11,6 +14,9 @@ from oracles import (
     brute_force_skew_lattices,
     count_classes,
     count_skew_classes,
+    fill_roots,
+    fill_tables,
+    join_candidates,
     relabel,
 )
 from skewalg import (
@@ -21,7 +27,8 @@ from skewalg import (
     enumerate_skew_lattices,
     labeled_bands,
 )
-from skewalg.enumeration import _complete_joins
+from skewalg import enumeration
+from skewalg.enumeration import _complete_joins, _fill, _join_options
 
 # oracle output, computed once and pinned
 LABELED_BANDS = {1: 1, 2: 4, 3: 35}
@@ -137,3 +144,54 @@ def test_labeled_bands_keep_their_order():
         for band in labeled_bands(n):
             digest.update(json.dumps(band.tolist()).encode())
     assert digest.hexdigest() == LABELED_BANDS_ORDER_SHA256
+
+
+def stacked_fill(allowed):
+    roots, tables = _fill(np.array(allowed, dtype=bool))
+    assert tables.shape == (len(roots), *np.shape(allowed)[1:3])
+    return list(zip(roots.tolist(), tables.tolist()))
+
+
+# the order tests also run with stacks grown in chunks of a few tables, so
+# that the order across chunk boundaries is checked at small orders too
+@pytest.mark.parametrize("chunk", [enumeration._CHUNK, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_band_fill_equals_the_depth_first_search_in_order(n, chunk, monkeypatch):
+    monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+    assert [band.tolist() for band in labeled_bands(n)] == fill_tables(n, lambda a, b: range(n))
+
+
+@pytest.mark.parametrize("chunk", [enumeration._CHUNK, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_join_fill_equals_the_depth_first_search_in_order(n, chunk, monkeypatch):
+    monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+    meets = [band.tolist() for band in labeled_bands(n)]
+    expected = [fill_tables(n, join_candidates(meet)) for meet in meets]
+    assert stacked_fill(_join_options(np.array(meets))) == [
+        (r, join) for r, joins in enumerate(expected) for join in joins
+    ]
+    assert [_complete_joins(meet, n) for meet in meets] == expected
+
+
+@st.composite
+def option_masks(draw):
+    """allowed[r][a][b][v] for 1-3 roots at order 1-4, at a drawn density."""
+    n, roots = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    threshold = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.integers(0, 7), min_size=roots * n**3, max_size=roots * n**3))
+    return np.array([c < threshold for c in cells]).reshape(roots, n, n, n).tolist()
+
+
+def _with_empty_cell():
+    allowed = np.ones((2, 3, 3, 3), dtype=bool)
+    allowed[1, 1, 2] = False
+    return allowed.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(option_masks(), st.sampled_from([3, 1 << 11]))
+@example([[[[True]]], [[[False]]]], 1)
+@example(_with_empty_cell(), 3)
+def test_stacked_fill_equals_the_depth_first_search_on_random_masks(allowed, chunk):
+    with patch.object(enumeration, "_CHUNK", chunk):
+        assert stacked_fill(allowed) == fill_roots(allowed)
