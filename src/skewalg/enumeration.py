@@ -80,8 +80,8 @@ def _grow(tables, roots, options, cell, xyz):
     tables, roots = tables[k], roots[k]
     tables[:, cell[0], cell[1]] = v
     x, y, z = xyz
-    k, n = np.arange(len(tables))[:, None], tables.shape[1] - 1
-    left, right = tables[k, tables[:, x, y], z], tables[k, x, tables[:, y, z]]
+    t, n = np.arange(len(tables))[:, None], tables.shape[1] - 1
+    left, right = tables[t, tables[:, x, y], z], tables[t, x, tables[:, y, z]]
     keep = ~((left != right) & (left < n) & (right < n)).any(axis=1)
     return tables[keep], roots[keep]
 

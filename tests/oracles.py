@@ -172,7 +172,7 @@ def fill_tables(n, candidates):
 def fill_roots(allowed):
     """(root, table) for each root of a nested-list mask allowed[r][a][b][v],
     in root order, each root's tables by fill_tables over its mask."""
-    n = len(allowed[0]) if allowed else 0
+    n = len(allowed[0])
     return [
         (r, table)
         for r, mask in enumerate(allowed)
