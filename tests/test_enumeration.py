@@ -189,7 +189,7 @@ def _with_empty_cell():
 
 
 @settings(max_examples=80, deadline=None)
-@given(option_masks(), st.sampled_from([3, 1 << 11]))
+@given(option_masks(), st.sampled_from([3, enumeration._CHUNK]))
 @example([[[[True]]], [[[False]]]], 1)
 @example(_with_empty_cell(), 3)
 def test_stacked_fill_equals_the_depth_first_search_on_random_masks(allowed, chunk):
