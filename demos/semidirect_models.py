@@ -18,7 +18,7 @@ print(f"|S| = {S.order}  (pairs (u, a) with u in C2, a in B)")
 
 for s in range(S.order):
     u, a = S.decode(s)
-    star_u, star_a = S.decode(S.star_of(s))
+    star_u, star_a = S.decode(int(S.star[s]))
     print(f"  ({u},{a})* = ({star_u},{star_a})   inverses: "
           f"{[S.decode(t) for t in sk.inverses_of(S, s)]}")
 
@@ -32,8 +32,8 @@ if w is None:
     print("star is an anti-automorphism here")
 else:
     s, t = w
-    lhs = S.star_of(S.meet_of(s, t))
-    rhs = S.meet_of(S.star_of(t), S.star_of(s))
+    lhs = int(S.star[S.meet(s, t)])
+    rhs = S.meet(int(S.star[t]), int(S.star[s]))
     print(f"star is NOT an anti-automorphism: (s meet t)* = {S.decode(lhs)} "
           f"but t* meet s* = {S.decode(rhs)} for s={S.decode(s)}, t={S.decode(t)}")
 

@@ -43,9 +43,7 @@ from .groupoid import (
 from .isomorphism import (
     Isomorphism,
     automorphisms_of,
-    band_automorphisms,
     find_isomorphism,
-    group_automorphisms,
     preserves_operations,
     signature_of,
 )
@@ -99,7 +97,6 @@ from .tables import (
     chain_lattice,
     check_associative,
     check_band,
-    check_idempotent,
     check_skew_lattice,
     greens_relations,
     left_zero,

@@ -52,15 +52,6 @@ class BiBandAlgebra:
     def order(self) -> int:
         return self.join.order
 
-    def join_of(self, s: int, t: int) -> int:
-        return int(self.join.array[s, t])
-
-    def meet_of(self, s: int, t: int) -> int:
-        return int(self.meet.array[s, t])
-
-    def star_of(self, s: int) -> int:
-        return int(self.star[s])
-
     def __eq__(self, other):
         if not isinstance(other, BiBandAlgebra):
             return NotImplemented

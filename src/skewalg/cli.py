@@ -280,18 +280,9 @@ def dispatch(argv) -> tuple[dict, int]:
         run["error"] = {"kind": "malformed", "message": str(exc)}
         return finish(EXIT_MALFORMED)
     except AxiomViolationError as exc:
-        run["report"] = {
-            "title": "precondition",
-            "ok": False,
-            "checks": {
-                exc.check_name: {
-                    "ok": False,
-                    "witness": list(exc.witness) if exc.witness is not None else None,
-                    "required": True,
-                    "note": None,
-                }
-            },
-        }
+        report = AxiomReport("precondition")
+        report.record(exc.check_name, False, exc.witness)
+        run["report"] = report.to_dict()
         return finish(EXIT_CHECK_FAILED)
     except SkewalgError as exc:
         run["error"] = {"kind": type(exc).__name__, "message": str(exc)}

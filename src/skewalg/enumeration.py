@@ -39,6 +39,9 @@ def _check_bound(n: int, max_order: int) -> None:
             f"order {n} exceeds the enumeration bound {max_order}; "
             "raise max_order explicitly if you really want this"
         )
+    # the fill's int8 cells hold the values 0..n, n marking an undecided cell
+    if n > np.iinfo(np.int8).max:
+        raise BoundExceededError(f"order {n} exceeds 127, the largest order the int8 table fill holds")
 
 
 # partial tables grown and checked in one numpy pass; bounds the working

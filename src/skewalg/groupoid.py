@@ -84,18 +84,6 @@ class FiniteGroupoid:
     def invert(self, f: int) -> int:
         return int(self.inv[f])
 
-    def d_morphism(self, g: int) -> int:
-        """The identity-shaped composite g o g^{-1} (at dom g)."""
-        return int(self.comp[g, self.inv[g]])
-
-    def r_morphism(self, g: int) -> int:
-        """g^{-1} o g (at cod g)."""
-        return int(self.comp[self.inv[g], g])
-
-    def morphisms(self) -> list[tuple[int, int]]:
-        """(dom, cod) pairs in index order, for serialization."""
-        return [(int(d), int(c)) for d, c in zip(self.dom, self.cod)]
-
     def __eq__(self, other):
         if not isinstance(other, FiniteGroupoid):
             return NotImplemented

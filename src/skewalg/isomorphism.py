@@ -67,7 +67,7 @@ def signature_of(structure) -> tuple[int, tuple[np.ndarray, ...], tuple[np.ndarr
         # the two pseudoproducts and inversion determine the whole system:
         # identities are the shared idempotents, endpoints and the operator
         # tables are then derived expressions, so matching these suffices
-        pm, pj = structure._pm, structure._pj
+        pm, pj = structure._meet.P, structure._join.P
         if (pm < 0).any() or (pj < 0).any():
             raise SignatureMismatchError(
                 "system comparison needs total pseudoproducts"
@@ -216,16 +216,6 @@ def automorphisms_of(structure) -> list[tuple[int, ...]]:
     every isomorphism the search finds from the structure onto itself."""
     sig = signature_of(structure)
     return list(_isomorphisms(sig, sig))
-
-
-def band_automorphisms(s: SkewLatticeTable) -> list[tuple[int, ...]]:
-    """All bijections preserving both meet and join."""
-    return automorphisms_of(s)
-
-
-def group_automorphisms(g: GroupTable) -> list[tuple[int, ...]]:
-    """All bijections preserving the group product."""
-    return automorphisms_of(g)
 
 
 def relabellings(table, rows, cols, values) -> np.ndarray:

@@ -34,7 +34,7 @@ from .algebra import BiBandAlgebra
 from .enumeration import enumerate_skew_lattices
 from .errors import ActionInvalidError, BoundExceededError
 from .groupoid import FiniteGroupoid
-from .isomorphism import automorphisms_of, group_automorphisms, least_row, relabellings
+from .isomorphism import automorphisms_of, least_row, relabellings
 from .report import AxiomReport
 from .system import RestrictionSystem
 from .tables import GroupTable, PreorderPair, SkewLatticeTable, frozen, row_labels
@@ -47,6 +47,7 @@ __all__ = [
     "check_action",
     "congruence_kernels",
     "cyclic_group",
+    "dedupe_actions",
     "enumerate_actions",
     "generate_model_suite",
     "klein_four",
@@ -336,7 +337,7 @@ def dedupe_actions(actions: list[GroupAction]) -> list[GroupAction]:
         return []
     return _dedupe_actions(
         actions,
-        group_automorphisms(actions[0].group),
+        automorphisms_of(actions[0].group),
         automorphisms_of(actions[0].lattice),
     )
 
@@ -385,7 +386,7 @@ def generate_model_suite(
     for gname, group in GROUP_CATALOG.items():
         if group.order > max_group:
             continue
-        gauts = group_automorphisms(group)
+        gauts = automorphisms_of(group)
         for nb, band_lattices in lattices.items():
             for bi, (lattice, bauts) in enumerate(band_lattices):
                 actions = _dedupe_actions(

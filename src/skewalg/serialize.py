@@ -13,7 +13,8 @@ One format per structure, distinguished by their key sets:
 Loading dispatches on those keys; files that fit no shape raise
 MalformedSystemError, as do tables the constructors reject, table entries
 that are not JSON integers (floats and true/false are refused, never
-coerced) and an "order" that differs from the table size.
+coerced), an "order" that differs from the table size, and a groupoid with
+more objects than morphisms (each object needs its identity).
 
 Files, and the command line's run records, are written by json_text: the
 text of json.dumps(value, indent=1), joined from whole rows of integers
@@ -124,8 +125,13 @@ def structure_from_dict(data: dict):
             )
         if "morphisms" in data:
             morphisms = data["morphisms"]
+            (objects,) = _tables(data, "objects")
+            if objects > len(morphisms):
+                raise MalformedSystemError(
+                    f"{objects} objects but {len(morphisms)} morphisms: every object needs an identity"
+                )
             return FiniteGroupoid(
-                *_tables(data, "objects"),
+                objects,
                 _integers([m["dom"] for m in morphisms], "dom"),
                 _integers([m["cod"] for m in morphisms], "cod"),
                 *_tables(data, "comp", "inv"),

@@ -13,11 +13,10 @@ can be represented and then interrogated by the checkers below. Construction
 validates shapes and index ranges only; every law is a named report flag.
 
 From the partial tables the constructor derives the four total operations
-(meet_restrict, meet_corestrict, join_extend, join_coextend) and the two
-pseudoproducts, all as full numpy tables. Undefined entries stay -1: each
-lookup table is padded with a -1 border row/column, and since numpy reads
-index -1 as the last position, sentinels flow through chained gathers
-without any masking logic.
+a∧g, g∧a, a∨g and g∨a and the two pseudoproducts, all as full numpy tables.
+Undefined entries stay -1: each lookup table is padded with a -1 border
+row/column, and since numpy reads index -1 as the last position, sentinels
+flow through chained gathers without any masking logic.
 
 The join side (extL, extR, ∨) is the order dual of the meet side (restL,
 restR, ∧). Each side is one _Side record, and every law that has a dual is
@@ -141,7 +140,6 @@ class RestrictionSystem:
             self.objects.join.array, (self.extL, self.extR),
             order=(pre.ge_left, pre.ge_right), preorder=(pre.ge_right, pre.ge_left),
         )
-        self._pm, self._pj = self._meet.P, self._join.P
 
     def _side(self, names, op, partial, order, preorder) -> _Side:
         left, right = partial
@@ -159,43 +157,6 @@ class RestrictionSystem:
             P=P, P_p=padded(P), order=order, preorder=preorder,
         )
 
-    def _get(self, table: np.ndarray, i: int, j: int, what: str) -> int:
-        v = int(table[i, j])
-        if v < 0:
-            raise MalformedSystemError(
-                f"{what} undefined at {(i, j)}: operator table has a hole"
-            )
-        return v
-
-    def meet_restrict(self, a: int, g: int) -> int:
-        """a∧g, the restriction of g to a∧(dom g); total on valid systems."""
-        return self._get(self._meet.L, a, g, "meet_restrict")
-
-    def meet_corestrict(self, g: int, a: int) -> int:
-        """g∧a, the corestriction of g to (cod g)∧a."""
-        return self._get(self._meet.R, g, a, "meet_corestrict")
-
-    def join_extend(self, a: int, g: int) -> int:
-        """a∨g, the extension of g to a∨(dom g)."""
-        return self._get(self._join.L, a, g, "join_extend")
-
-    def join_coextend(self, g: int, a: int) -> int:
-        """g∨a, the coextension of g to (cod g)∨a."""
-        return self._get(self._join.R, g, a, "join_coextend")
-
-    def actions(self, a: int, g: int) -> tuple[int, int, int, int]:
-        """The four conjugate objects read off the operator endpoints.
-
-        Returns (a^g, ^g|a, a_g, _g|a): codomain of a∧g, domain of g∧a,
-        codomain of a∨g, domain of g∨a.
-        """
-        return (
-            int(self.groupoid.cod[self.meet_restrict(a, g)]),
-            int(self.groupoid.dom[self.meet_corestrict(g, a)]),
-            int(self.groupoid.cod[self.join_extend(a, g)]),
-            int(self.groupoid.dom[self.join_coextend(g, a)]),
-        )
-
     def pseudoproduct(self, f: int, g: int, op: str = "meet") -> int:
         """Total product extending composition: (f|_c)∘(_c|g) at c = cod f ∧ dom g
         for op="meet", and the join analogue at c = cod f ∨ dom g.
@@ -203,10 +164,10 @@ class RestrictionSystem:
         Guarded: raises unless the system passes its full report.
         """
         self.full_report().require()
-        table = self._pm if op == "meet" else self._pj if op == "join" else None
-        if table is None:
+        side = self._meet if op == "meet" else self._join if op == "join" else None
+        if side is None:
             raise ValueError(f"op must be 'meet' or 'join', got {op!r}")
-        return self._get(table, f, g, f"{op} pseudoproduct")
+        return int(side.P[f, g])
 
     def full_report(self) -> AxiomReport:
         """Structural, restriction, extension and linking checks, as a new
@@ -291,8 +252,8 @@ def check_structure(sys: RestrictionSystem) -> AxiomReport:
             ends = (near_p[table] == idx[:, None]) & far_ok
             report.record_mask(f"{name}_endpoints", back(~defined | ends))
 
-    report.record_mask("meet_pseudoproduct_total", sys._pm >= 0)
-    report.record_mask("join_pseudoproduct_total", sys._pj >= 0)
+    report.record_mask("meet_pseudoproduct_total", sys._meet.P >= 0)
+    report.record_mask("join_pseudoproduct_total", sys._join.P >= 0)
     return report
 
 
@@ -550,11 +511,11 @@ def build_algebra(sys: RestrictionSystem, check: bool = True) -> BiBandAlgebra:
     """
     if check:
         sys.full_report().require()
-    for name, table in (("meet", sys._pm), ("join", sys._pj)):
-        if (table < 0).any():
-            hole = tuple(int(v) for v in np.argwhere(table < 0)[0])
-            raise MalformedSystemError(f"{name} pseudoproduct undefined at {hole}")
-    return BiBandAlgebra(sys._pj, sys._pm, sys.groupoid.inv)
+    for side in (sys._meet, sys._join):
+        if (side.P < 0).any():
+            hole = tuple(int(v) for v in np.argwhere(side.P < 0)[0])
+            raise MalformedSystemError(f"{side.op} pseudoproduct undefined at {hole}")
+    return BiBandAlgebra(sys._join.P, sys._meet.P, sys.groupoid.inv)
 
 
 def discrete_system(objects: SkewLatticeTable) -> RestrictionSystem:

@@ -162,12 +162,6 @@ class GreensPair:
     r_class_of: tuple[int, ...]
     l_class_of: tuple[int, ...]
 
-    def same_r(self, a: int, b: int) -> bool:
-        return self.r_class_of[a] == self.r_class_of[b]
-
-    def same_l(self, a: int, b: int) -> bool:
-        return self.l_class_of[a] == self.l_class_of[b]
-
 
 def padded(core) -> np.ndarray:
     """A read-only copy of core with a -1 border appended along every axis.
@@ -209,14 +203,9 @@ def associativity_witness(t: OperationTable) -> tuple[int, int, int] | None:
     return int(a), int(b), int(c)
 
 
-def check_idempotent(t: OperationTable) -> bool:
-    """True iff t(a,a) = a for all a."""
-    return bool(np.array_equal(np.diag(t.array), np.arange(t.order)))
-
-
 def check_band(t: OperationTable) -> bool:
     """True iff t is an idempotent semigroup."""
-    return check_idempotent(t) and check_associative(t)
+    return bool(np.array_equal(np.diag(t.array), np.arange(t.order))) and check_associative(t)
 
 
 def check_skew_lattice(s: SkewLatticeTable) -> AxiomReport:
@@ -300,21 +289,11 @@ def right_zero(n: int) -> OperationTable:
     return OperationTable(np.repeat(np.arange(n)[None, :], n, axis=0))
 
 
-def chain_meet(n: int) -> OperationTable:
-    """min(a, b) on the chain 0 < 1 < ... < n-1."""
-    idx = np.arange(n)
-    return OperationTable(np.minimum(idx[:, None], idx[None, :]))
-
-
-def chain_join(n: int) -> OperationTable:
-    """max(a, b) on the chain 0 < 1 < ... < n-1."""
-    idx = np.arange(n)
-    return OperationTable(np.maximum(idx[:, None], idx[None, :]))
-
-
 def chain_lattice(n: int) -> SkewLatticeTable:
-    """The n-element chain as a (commutative) skew lattice."""
-    return SkewLatticeTable(chain_meet(n), chain_join(n))
+    """The n-element chain 0 < 1 < ... < n-1 as a (commutative) skew
+    lattice: meet is min, join is max."""
+    idx = np.arange(n)
+    return SkewLatticeTable(np.minimum(idx[:, None], idx), np.maximum(idx[:, None], idx))
 
 
 def rectangular_skew(n: int) -> SkewLatticeTable:

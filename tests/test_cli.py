@@ -159,6 +159,18 @@ def test_bound_violation_is_exit_four():
     assert run["error"]["kind"] == "bound"
 
 
+@pytest.mark.parametrize("command", ["enum-bands", "enum-skew"])
+@pytest.mark.parametrize("n", [128, 10**6])
+def test_order_beyond_the_int8_fill_is_exit_four(command, n):
+    # 127 is the largest order whose cells and undecided marker fit in int8
+    run, code = dispatch([command, str(n), "--max", str(n)])
+    assert code == 4
+    assert run["error"] == {
+        "kind": "bound", "message": f"order {n} exceeds 127, the largest order the int8 table fill holds",
+    }
+    json.dumps(run)
+
+
 def test_reports_are_deterministic(swap_system_file):
     first, _ = dispatch(["check-system", swap_system_file])
     second, _ = dispatch(["check-system", swap_system_file])
@@ -194,6 +206,35 @@ def test_roundtrip_accepts_both_kinds(swap_algebra_file, swap_system_file):
         run, code = dispatch(["roundtrip", path])
         assert code == 0
         assert run["ok"] is True
+
+
+def _precondition(name, witness):
+    check = {"ok": False, "witness": witness, "required": True, "note": None}
+    return {"title": "precondition", "ok": False, "checks": {name: check}}
+
+
+def test_failed_precondition_is_a_one_check_record(tmp_path):
+    # reconstruct needs the algebra axioms, build-algebra and roundtrip a
+    # system that passes its full report; each names the first failure
+    S = semidirect_algebra(swap_action())
+    st = S.star.copy()
+    st[2], st[3] = st[3], st[2]
+    sysm = semidirect_groupoid(swap_action())
+    restL = sysm.restL.copy()
+    restL[0, 1] = -1  # a hole although 0 leL dom 1
+    holed = RestrictionSystem(sysm.groupoid, sysm.objects, restL, sysm.restR, sysm.extL, sysm.extR)
+    for command, obj, expected in (
+        ("reconstruct", BiBandAlgebra(S.join.array, S.meet.array, st), _precondition("positive_parts_agree", [2])),
+        ("build-algebra", holed, _precondition("restL_defined_iff", [0, 1])),
+        ("roundtrip", holed, _precondition("restL_defined_iff", [0, 1])),
+    ):
+        path = tmp_path / f"{command}.json"
+        save_structure(path, obj)
+        run, code = dispatch([command, str(path)])
+        assert code == 1
+        assert list(run) == ["command", "inputs", "ok", "report", "elapsed_s"]
+        assert run["ok"] is False and run["inputs"] == {}
+        assert json.dumps(run["report"]) == json.dumps(expected)
 
 
 def test_witness_anti_finds_pair_on_rectangular(swap_algebra_file):
@@ -388,7 +429,8 @@ def test_closed_stdout_pipe_exits_cleanly():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     proc.stdout.close()
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait() == 0
     assert "Traceback" not in err
     assert "BrokenPipeError" not in err
@@ -399,6 +441,23 @@ FILE_COMMANDS = [
     "check-skew", "check-groupoid", "check-system", "check-algebra",
     "build-algebra", "reconstruct", "roundtrip", "witness-anti",
 ]
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_more_objects_than_morphisms_is_exit_two(tmp_path, command):
+    # every object needs its identity morphism; 10**12 objects would not fit in memory
+    groupoid = {"objects": 10**12, "morphisms": [{"dom": 0, "cod": 0}], "comp": [[0]], "inv": [0]}
+    system = {"groupoid": groupoid, "objects": {"order": 1, "ops": {"meet": [[0]], "join": [[0]]}},
+              "restL": [[0]], "restR": [[0]], "extL": [[0]], "extR": [[0]]}
+    for data in (groupoid, system):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        run, code = dispatch([command, str(path)])
+        assert code == 2
+        assert run["error"] == {
+            "kind": "malformed",
+            "message": "1000000000000 objects but 1 morphisms: every object needs an identity",
+        }
+
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.integers()

@@ -46,7 +46,7 @@ def test_pair_groupoid_composition_and_inverse():
         i, j = int(g.dom[f]), int(g.cod[f])
         back = g.invert(f)
         assert int(g.dom[back]) == j and int(g.cod[back]) == i
-        assert g.compose(f, back) == g.d_morphism(f)
+        assert g.compose(f, back) == g.identity_of[i]
 
 
 def test_composition_outside_pattern_raises():

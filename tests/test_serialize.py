@@ -89,6 +89,15 @@ def test_missing_keys_are_malformed():
         structure_from_dict({"objects": 1, "morphisms": [], "comp": [[0]]})
 
 
+def test_more_objects_than_morphisms_is_malformed():
+    # FiniteGroupoid itself accepts it; a file cannot, since each object needs its identity
+    data = {"objects": 2, "morphisms": [{"dom": 0, "cod": 0}], "comp": [[0]], "inv": [0]}
+    assert FiniteGroupoid(2, [0], [0], [[0]], [0]).identity_of.tolist() == [0, -1]
+    with pytest.raises(MalformedSystemError, match="2 objects but 1 morphisms"):
+        structure_from_dict(data)
+    assert structure_from_dict({**data, "objects": 1}).object_count == 1
+
+
 def test_bad_entries_are_malformed():
     with pytest.raises(MalformedSystemError):
         structure_from_dict(

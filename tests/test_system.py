@@ -98,8 +98,8 @@ def test_pseudoproduct_closed_form_on_suite(suite):
         b, g = np.arange(m) // ng, np.arange(m) % ng
         twisted = A.act[b[None, :], ginv[g][:, None]]
         heads = gt[g[:, None], g[None, :]]
-        assert np.array_equal(sysm._pm, mt[b[:, None], twisted] * ng + heads)
-        assert np.array_equal(sysm._pj, jt[b[:, None], twisted] * ng + heads)
+        assert np.array_equal(sysm._meet.P, mt[b[:, None], twisted] * ng + heads)
+        assert np.array_equal(sysm._join.P, jt[b[:, None], twisted] * ng + heads)
 
 
 def test_caution_observations_are_not_theorems(suite):
@@ -205,6 +205,24 @@ def test_full_report_hands_out_a_report_that_cannot_change_the_cache():
     assert sysm.full_report().to_dict() == before
     assert check_axioms(build_algebra(sysm)).ok
     assert sysm.pseudoproduct(0, 1) == 0
+
+
+def test_pseudoproduct_is_the_built_algebra(suite):
+    for sysm in [inst.system for inst in suite[::60]] + [group_system(GROUP_CATALOG["S3"])]:
+        S = build_algebra(sysm)
+        m = sysm.morphism_count
+        for op, table in (("meet", S.meet.array), ("join", S.join.array)):
+            got = [[sysm.pseudoproduct(f, g, op) for g in range(m)] for f in range(m)]
+            assert got == table.tolist()
+            assert {type(v) for row in got for v in row} == {int}
+
+
+def test_pseudoproduct_refuses_an_unknown_op():
+    sysm = semidirect_groupoid(swap_action())
+    assert sysm.full_report().ok
+    for op in ("product", "Meet", None):
+        with pytest.raises(ValueError, match="op must be 'meet' or 'join'"):
+            sysm.pseudoproduct(0, 0, op)
 
 
 def test_broken_meet_is_named_by_the_preorder_pairing_witness():

@@ -92,7 +92,7 @@ def test_greens_relations_left_zero():
     # aS = {a}: R-classes are singletons; Sa = S: one L-class
     assert g.r_classes == ((0,), (1,), (2,))
     assert g.l_classes == ((0, 1, 2),)
-    assert g.same_l(0, 2) and not g.same_r(0, 2)
+    assert g.l_class_of[0] == g.l_class_of[2] and g.r_class_of[0] != g.r_class_of[2]
 
 
 def test_greens_relations_chain_are_trivial():
