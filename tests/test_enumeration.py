@@ -120,13 +120,6 @@ def test_order_above_bound_is_rejected():
         enumerate_skew_lattices(7, max_order=6)
 
 
-@pytest.mark.parametrize("enumerate_", [labeled_bands, enumerate_bands, enumerate_skew_lattices])
-def test_order_beyond_the_int8_fill_is_rejected(enumerate_):
-    for n in (128, 10**6):
-        with pytest.raises(BoundExceededError, match=f"order {n} exceeds 127"):
-            enumerate_(n, max_order=n)
-
-
 def test_bound_can_be_raised_explicitly():
     # n=4 is allowed by default; the guard is on the argument, not hardwired
     assert len(enumerate_bands(3, max_order=3)) == 10
