@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface through dispatch()."""
 
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -559,3 +560,204 @@ def test_dispatch_on_any_argument_list_returns_a_record(tmp_path, swap_algebra_f
     assert code in (0, 1, 2, 3, 4)
     assert run["command"] == argv
     assert json.loads(json.dumps(run)) == run
+
+
+PINNED_INSTANCES = ("C1xB1.0a0", "C2xB3.1a1", "C2xB4.13a0", "C3xB4.3a0", "V4xB4.1a1", "S3xB4.20a3")
+SYSTEM_COMMANDS = ("check-system", "build-algebra", "roundtrip")
+ALGEBRA_COMMANDS = ("check-algebra", "reconstruct", "roundtrip", "witness-anti")
+# sha256 of each run record (elapsed_s dropped, the input path replaced by
+# the file's base name) and its exit code
+PINNED_RECORDS = {
+    "check-system C1xB1.0a0.system.json": (
+        "315f3aec9dc041550fd24ecdfca5d103c221f297409cc9ed3775fa38dd53dfc4", 0,
+    ),
+    "build-algebra C1xB1.0a0.system.json": (
+        "5e84a9ae4f1d0c686a1d2c3b1950db0cc49f51a63bea3c3ed6d17e720f691f7f", 0,
+    ),
+    "roundtrip C1xB1.0a0.system.json": (
+        "3c10ca920464136f0731f472ef3fd278d2db159b499219e42dc8416acf1cc768", 0,
+    ),
+    "check-algebra C1xB1.0a0.algebra.json": (
+        "4bf8aa4abc9e1863e48ecda2bc7629b8ee232d6a3104983c26fdd395fde36502", 0,
+    ),
+    "reconstruct C1xB1.0a0.algebra.json": (
+        "e4da339fd4deed4b25c28dac19b767ca2455149781be041d5259932732f53050", 0,
+    ),
+    "roundtrip C1xB1.0a0.algebra.json": (
+        "cd506b1f5848a922db3b6992678cec81ba215c3307aeea2e03c4b102bb57dc12", 0,
+    ),
+    "witness-anti C1xB1.0a0.algebra.json": (
+        "5cdcd4ba941a03494e6fbb57210383abd77a307ca3fa96b1e530d13848a347e6", 1,
+    ),
+    "check-system C2xB3.1a1.system.json": (
+        "4cf4ee56d3e8d62016db0ca674016e2ce7c51aa627d0950afdb78475ec5c4237", 0,
+    ),
+    "build-algebra C2xB3.1a1.system.json": (
+        "664ba079f0d9748f636e5dd6c839bfc98059a3426b84c34f81a5889fd949a850", 0,
+    ),
+    "roundtrip C2xB3.1a1.system.json": (
+        "bde07b2194a20eadb11cccd714382f99e14b91793994955c0fc3203fde5256b6", 0,
+    ),
+    "check-algebra C2xB3.1a1.algebra.json": (
+        "286d10f25f82579ceebfd75906d8e23bfe128264a44881e215d57a89122361fa", 0,
+    ),
+    "reconstruct C2xB3.1a1.algebra.json": (
+        "ca04092b9872601f3640cedf5dcb5dfa78e1e75d9b70c47fff355a3335b99b46", 0,
+    ),
+    "roundtrip C2xB3.1a1.algebra.json": (
+        "d2a1be4cdd7ab5bf7a5925de0cc885ec83d70aaf8c2e64918e4ba65882bddcd0", 0,
+    ),
+    "witness-anti C2xB3.1a1.algebra.json": (
+        "2b9f9d432abf30b72ed30a71884a60dc2db040b2be2a621afa7a3e46ed453003", 0,
+    ),
+    "check-system C2xB4.13a0.system.json": (
+        "2b9a8078b9298cf91efd27fbb327bd3bbd38b25f01585396190e0e9b852fb55e", 0,
+    ),
+    "build-algebra C2xB4.13a0.system.json": (
+        "81849e25e14f1ca8dd1bafe69494c19b4ecf3874140f9f5d2a5937187e5f47ef", 0,
+    ),
+    "roundtrip C2xB4.13a0.system.json": (
+        "862cd3556d74ee7fb2f72f211a15999e8ddc375393e746957fc4f72b70d1adf9", 0,
+    ),
+    "check-algebra C2xB4.13a0.algebra.json": (
+        "4bbc67a5c53532faf9044880d4ec736d61dc537873f15eea64a0d94e2decf5bc", 0,
+    ),
+    "reconstruct C2xB4.13a0.algebra.json": (
+        "05372b2d11fe510c7538b72108b7611852caeb6386de32fcb9e084bee3730f79", 0,
+    ),
+    "roundtrip C2xB4.13a0.algebra.json": (
+        "7659e13fc5a396785a08fe9eb66aaea2afb3f464b542d1fe5f82456f148c1ee9", 0,
+    ),
+    "witness-anti C2xB4.13a0.algebra.json": (
+        "f0a12310d661280084fe8da3a9cf7dd294c2ea7b931cbfe526b2656092bb3b83", 0,
+    ),
+    "check-system C3xB4.3a0.system.json": (
+        "9fbc938354fee143988a92aadd16fb6f4ba2fb2289187c9b62c58e4c47d587ab", 0,
+    ),
+    "build-algebra C3xB4.3a0.system.json": (
+        "67007674b07d1609fdb94b0246c48a268e908b28e93722c8f8ae302cef57dde0", 0,
+    ),
+    "roundtrip C3xB4.3a0.system.json": (
+        "f1e11ba435359c3a089eaa0dd689a95f58da11faf9e56d532b32c4e32e5bf960", 0,
+    ),
+    "check-algebra C3xB4.3a0.algebra.json": (
+        "d061fe8b02996a55f2e94b1437206e1bc881f4b68e04e964f6d765a071eefd99", 0,
+    ),
+    "reconstruct C3xB4.3a0.algebra.json": (
+        "8b9518fad3142c85825d838c4f8dec9cf29cc7ee27054a8bf3cec73ac52ac2db", 0,
+    ),
+    "roundtrip C3xB4.3a0.algebra.json": (
+        "e836bfab749225d5e7411fce3cb29ff849fc9f279e6b283455daba1b27835e09", 0,
+    ),
+    "witness-anti C3xB4.3a0.algebra.json": (
+        "feb4a3d9da94bc8abd59a0a9a8d092dab710289329c29186dc70cd6f36ccfec3", 0,
+    ),
+    "check-system V4xB4.1a1.system.json": (
+        "a5a12e865e6ea0b10cef1e44b8e966c88ccc7c5737a1b489d142e278bb8108b4", 0,
+    ),
+    "build-algebra V4xB4.1a1.system.json": (
+        "f118bd73df9c2c72c443c936f54abcacfde322d31830a626a6742bafde60cfc7", 0,
+    ),
+    "roundtrip V4xB4.1a1.system.json": (
+        "9fb1f6daaeb27a537dbc72942dea92ca15a82c2440581b61b5f7093cee3f59d8", 0,
+    ),
+    "check-algebra V4xB4.1a1.algebra.json": (
+        "c011dfe5419509cb23aadc81a9a6b09ba6f87ecf023b0b409e6953d81ba146f1", 0,
+    ),
+    "reconstruct V4xB4.1a1.algebra.json": (
+        "dc6122fe47da834ec9fbffc318cc7aa0bba615cb63695ffdd33c482e61f96542", 0,
+    ),
+    "roundtrip V4xB4.1a1.algebra.json": (
+        "544bbb7d719a79cddb914e61364a745ce77346cf25cea0a9d96b10f2dac2e21c", 0,
+    ),
+    "witness-anti V4xB4.1a1.algebra.json": (
+        "618a7b0748f25498d25cdf8474bfe34095a87161b98a39b1095dd448c8d494b1", 0,
+    ),
+    "check-system S3xB4.20a3.system.json": (
+        "7e6204b3f1d1b1081c156d00bcca33bf8c3dbb77200ff94cdb34a19a7fef96b5", 0,
+    ),
+    "build-algebra S3xB4.20a3.system.json": (
+        "e7047be3798e40b2a45748a8fd7b53ed453c3c0598b643d7dac592c4eee7f06c", 0,
+    ),
+    "roundtrip S3xB4.20a3.system.json": (
+        "0c3808f1eef6aee6e29d04d1473f0ada2aea328fed5b494242ce6395e6f9b963", 0,
+    ),
+    "check-algebra S3xB4.20a3.algebra.json": (
+        "3aca6d785d7571a0b37561f58026d08dff2d224d383869f5ca2e2aaf5493ce4c", 0,
+    ),
+    "reconstruct S3xB4.20a3.algebra.json": (
+        "7752ce9fd883d92e13203dbffceff8771943dfb44e966e6244498382d7283b25", 0,
+    ),
+    "roundtrip S3xB4.20a3.algebra.json": (
+        "59ae6f469bdee1dcd06a46e71b50d5778a993b1640306a3d7bc19c3b7238a7ba", 0,
+    ),
+    "witness-anti S3xB4.20a3.algebra.json": (
+        "583bef8452c8c0f97be03727046a53596e1ff87ef148743d245676746746df38", 0,
+    ),
+    "check-system mutant.system.json": (
+        "cf7bede22581a266e363358c78f8d48debd4585bb5b7cd8a221bc36231bf53c9", 1,
+    ),
+    "build-algebra mutant.system.json": (
+        "2a2d85e2b448ec1c6e0af1c36200ca08606166ad9bcef8c15c02c2241b83ce5d", 1,
+    ),
+    "roundtrip mutant.system.json": (
+        "53581a952adeeebcab527397a1d57977ac77485edb0a0e029f25c15c7f850492", 1,
+    ),
+    "check-algebra mutant.algebra.json": (
+        "fb5f2801432f57b48e85f76141c9d60893f66b7a2004e38f8472bb0aedf1b590", 1,
+    ),
+    "reconstruct mutant.algebra.json": (
+        "3ed668a99d670d08bd6da5ab77abcd2f5f6cd302c6fa096f867ee7a01293dd1f", 1,
+    ),
+    "roundtrip mutant.algebra.json": (
+        "9df80404100d3b6f5b70406ecf7aad2655209f41f28d30b051aab9533445aba7", 1,
+    ),
+    "witness-anti mutant.algebra.json": (
+        "4ab98ea265593f86ff7e2ce3d7237ab329f63a9d87f53e3297509946eb971534", 0,
+    ),
+}
+
+
+def _pinned_files(suite, folder):
+    """Six suite instances as system and algebra files, plus one system and
+    one algebra with a single table cell changed so that a check fails."""
+    by_name = {inst.name: inst for inst in suite}
+    files = []
+    for name in PINNED_INSTANCES:
+        for kind in ("system", "algebra"):
+            path = folder / f"{name}.{kind}.json"
+            save_structure(path, getattr(by_name[name], kind))
+            files.append((kind, path))
+    sysm = by_name["C2xB3.1a1"].system
+    restL = sysm.restL.copy()
+    restL[0, 0] = (restL[0, 0] + 1) % sysm.morphism_count
+    path = folder / "mutant.system.json"
+    save_structure(path, RestrictionSystem(
+        sysm.groupoid, sysm.objects, restL, sysm.restR, sysm.extL, sysm.extR))
+    files.append(("system", path))
+    S = by_name["C2xB4.13a0"].algebra
+    meet = S.meet.array.copy()
+    meet[1, 2] = (meet[1, 2] + 1) % S.order
+    path = folder / "mutant.algebra.json"
+    save_structure(path, BiBandAlgebra(S.join.array, meet, S.star))
+    files.append(("algebra", path))
+    return files
+
+
+def _pinned_records(suite, folder) -> dict:
+    seen = {}
+    for kind, path in _pinned_files(suite, folder):
+        for command in SYSTEM_COMMANDS if kind == "system" else ALGEBRA_COMMANDS:
+            run, code = dispatch([command, str(path)])
+            run.pop("elapsed_s")
+            run["command"] = [command, path.name]
+            run["inputs"] = list(run["inputs"].values())
+            digest = hashlib.sha256(json.dumps(run).encode()).hexdigest()
+            seen[f"{command} {path.name}"] = (digest, code)
+    return seen
+
+
+def test_run_records_of_suite_files_and_mutants_are_pinned(tmp_path, suite):
+    seen = _pinned_records(suite, tmp_path)
+    assert {code for _, code in seen.values()} == {0, 1}
+    assert seen == PINNED_RECORDS
