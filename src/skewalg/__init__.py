@@ -27,6 +27,7 @@ from .errors import (
     AxiomViolationError,
     BoundExceededError,
     CompositionAmbiguityError,
+    ElementIndexError,
     MalformedSystemError,
     SignatureMismatchError,
     SkeletonNotClosedError,

@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import SkeletonNotClosedError
 from .report import AxiomReport
-from .tables import OperationTable, SkewLatticeTable, check_skew_lattice, frozen, padded, right_ideals
+from .tables import (
+    OperationTable, SkewLatticeTable, check_skew_lattice, checked_index, frozen, padded, right_ideals,
+)
 
 __all__ = [
     "BiBandAlgebra",
@@ -230,12 +232,14 @@ def check_skehr(S: BiBandAlgebra) -> AxiomReport:
 def plus_minus(S: BiBandAlgebra, s: int) -> tuple[int, int]:
     """(s⁺, s⁻) = (s∧s*, s*∧s)."""
     mt, st = S.meet.array, S.star
+    s = checked_index(s, S.order)
     return int(mt[s, st[s]]), int(mt[st[s], s])
 
 
 def inverses_of(S: BiBandAlgebra, s: int) -> list[int]:
     """All x with s∧x∧s = s and x∧s∧x = x."""
     mt = S.meet.array
+    s = checked_index(s, S.order)
     return [
         x
         for x in range(S.order)

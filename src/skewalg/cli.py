@@ -38,7 +38,7 @@ from .groupoid import FiniteGroupoid, check_groupoid
 from .models import MAX_SUITE_BAND, MAX_SUITE_GROUP, generate_model_suite
 from .reconstruction import reconstruct, roundtrip_algebra, roundtrip_groupoid
 from .report import AxiomReport
-from .serialize import json_text, load_structure, save_structure, structure_to_dict
+from .serialize import json_text, read_structure, save_structure, structure_to_dict
 from .system import RestrictionSystem, build_algebra, system_checkers
 from .tables import SkewLatticeTable, check_skew_lattice
 
@@ -126,16 +126,9 @@ def _parser() -> _Parser:
     return parser
 
 
-def _digest(path: str) -> str:
-    try:
-        with open(path, "rb") as fh:
-            return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-    except OSError as exc:
-        raise MalformedSystemError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_typed(path: str, cls, what: str):
-    obj = load_structure(path)
+def _typed(obj, path: str, cls, what: str):
     if not isinstance(obj, cls):
         raise MalformedSystemError(f"{path} does not contain {what}")
     return obj
@@ -198,27 +191,28 @@ def _run(args) -> tuple[dict, AxiomReport | None, dict]:
             payload["written"] = written
         return {}, None, payload
 
-    inputs = {args.file: _digest(args.file)}
+    raw, obj = read_structure(args.file)
+    inputs = {args.file: "sha256:" + hashlib.sha256(raw).hexdigest()}
     if cmd == "check-skew":
-        lattice = _load_typed(args.file, SkewLatticeTable, "a skew lattice")
+        lattice = _typed(obj, args.file, SkewLatticeTable, "a skew lattice")
         return inputs, check_skew_lattice(lattice), {}
     if cmd == "check-groupoid":
-        groupoid = _load_typed(args.file, FiniteGroupoid, "a groupoid")
+        groupoid = _typed(obj, args.file, FiniteGroupoid, "a groupoid")
         return inputs, check_groupoid(groupoid), {}
     if cmd == "check-system":
-        sys_ = _load_typed(args.file, RestrictionSystem, "a restriction system")
+        sys_ = _typed(obj, args.file, RestrictionSystem, "a restriction system")
         return inputs, _system_report(sys_), {}
     if cmd == "check-algebra":
-        S = _load_typed(args.file, BiBandAlgebra, "an algebra")
+        S = _typed(obj, args.file, BiBandAlgebra, "an algebra")
         return inputs, _algebra_report(S), {}
     if cmd == "build-algebra":
-        sys_ = _load_typed(args.file, RestrictionSystem, "a restriction system")
+        sys_ = _typed(obj, args.file, RestrictionSystem, "a restriction system")
         S = build_algebra(sys_)
         payload = {"algebra": structure_to_dict(S)}
         payload.update(_write_out(args, "algebra.json", S))
         return inputs, None, payload
     if cmd == "reconstruct":
-        S = _load_typed(args.file, BiBandAlgebra, "an algebra")
+        S = _typed(obj, args.file, BiBandAlgebra, "an algebra")
         rec = reconstruct(S)
         payload = {
             "system": structure_to_dict(rec.system),
@@ -227,7 +221,6 @@ def _run(args) -> tuple[dict, AxiomReport | None, dict]:
         payload.update(_write_out(args, "system.json", rec.system))
         return inputs, None, payload
     if cmd == "roundtrip":
-        obj = load_structure(args.file)
         report = AxiomReport("roundtrip")
         if isinstance(obj, RestrictionSystem):
             iso = roundtrip_groupoid(obj)
@@ -241,7 +234,7 @@ def _run(args) -> tuple[dict, AxiomReport | None, dict]:
             )
         return inputs, report, {"mapping": list(iso.mapping)}
     if cmd == "witness-anti":
-        S = _load_typed(args.file, BiBandAlgebra, "an algebra")
+        S = _typed(obj, args.file, BiBandAlgebra, "an algebra")
         witness = anti_automorphism_witness(S)
         report = AxiomReport("anti-automorphism witness")
         report.record("witness_exists", witness is not None, witness)

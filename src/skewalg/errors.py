@@ -20,6 +20,10 @@ class UndefinedCompositionError(SkewalgError):
     """
 
 
+class ElementIndexError(SkewalgError, IndexError):
+    """A scalar entry point was given an index outside 0..n-1."""
+
+
 class MalformedSystemError(SkewalgError):
     """A table required by a total operation is missing or incomplete."""
 

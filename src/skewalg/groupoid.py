@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import MalformedSystemError, UndefinedCompositionError
 from .report import AxiomReport
-from .tables import GroupTable, frozen, padded
+from .tables import GroupTable, checked_index, frozen, padded
 
 __all__ = [
     "FiniteGroupoid",
@@ -74,7 +74,8 @@ class FiniteGroupoid:
 
     def compose(self, f: int, h: int) -> int:
         """f then h; defined only when cod(f) = dom(h)."""
-        v = int(self.comp[f, h])
+        m = self.morphism_count
+        v = int(self.comp[checked_index(f, m), checked_index(h, m)])
         if v < 0:
             raise UndefinedCompositionError(
                 f"cod({f}) = {int(self.cod[f])} != dom({h}) = {int(self.dom[h])}"
@@ -82,7 +83,7 @@ class FiniteGroupoid:
         return v
 
     def invert(self, f: int) -> int:
-        return int(self.inv[f])
+        return int(self.inv[checked_index(f, self.morphism_count)])
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroupoid):

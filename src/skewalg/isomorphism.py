@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SignatureMismatchError
-from .tables import GroupTable, OperationTable, SkewLatticeTable, row_labels
+from .tables import GroupTable, OperationTable, SkewLatticeTable, checked_index, row_labels
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class Isomorphism:
     mapping: tuple[int, ...]
 
     def __call__(self, a: int) -> int:
-        return self.mapping[a]
+        return self.mapping[checked_index(a, self.source_order)]
 
 
 def signature_of(structure) -> tuple[int, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:

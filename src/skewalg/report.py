@@ -8,7 +8,7 @@ identities that are expected to fail outside special cases).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,9 @@ def _py(value):
     return int(value)
 
 
-@dataclass(frozen=True, slots=True)
-class Check:
+class Check(NamedTuple):
+    """One named flag; immutable, so reports can share it."""
+
     name: str
     ok: bool
     witness: tuple | None = None
@@ -52,20 +53,22 @@ class AxiomReport:
     def record(self, name, ok, witness=None, required=True, note=None) -> None:
         self.add(Check(name, bool(ok), _py(witness), required, note))
 
-    def record_mask(self, name, mask, required=True, note=None) -> None:
-        """Record a law given as a boolean mask over its domain; the witness
+    def record_mask(self, name, mask: np.ndarray, required=True, note=None) -> None:
+        """Record a law given as a boolean array over its domain; the witness
         is the first index tuple where the mask is False, in row-major order."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.all():
-            self.record(name, True, required=required, note=note)
-        else:
-            self.record(name, False, tuple(np.argwhere(~mask)[0]), required, note)
+        ok = bool(np.count_nonzero(mask) == mask.size)
+        witness = None if ok else tuple(int(i) for i in np.argwhere(~mask)[0])
+        self.add(Check(name, ok, witness, required, note))
 
     def extend(self, other: "AxiomReport", prefix: str = "") -> None:
-        """Add other's checks, renamed with prefix; a check is frozen, so
+        """Add other's checks, renamed with prefix; a check is immutable, so
         without a prefix the same one is shared."""
-        for c in other.checks():
-            self.add(Check(prefix + c.name, c.ok, c.witness, c.required, c.note) if prefix else c)
+        checks = other._checks
+        if prefix:
+            checks = {prefix + k: c._replace(name=prefix + k) for k, c in checks.items()}
+        if not self._checks.keys().isdisjoint(checks):
+            raise ValueError(f"duplicate check name: {next(k for k in checks if k in self._checks)}")
+        self._checks.update(checks)
 
     def copy(self) -> "AxiomReport":
         """A report over the same checks that can be extended on its own."""

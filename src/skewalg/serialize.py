@@ -36,7 +36,9 @@ from .models import GroupAction
 from .system import RestrictionSystem
 from .tables import GroupTable, SkewLatticeTable
 
-__all__ = ["structure_to_dict", "structure_from_dict", "save_structure", "load_structure"]
+__all__ = [
+    "structure_to_dict", "structure_from_dict", "save_structure", "load_structure", "read_structure",
+]
 
 
 def _ints(a) -> list:
@@ -186,12 +188,21 @@ def save_structure(path: str, obj, extra: dict | None = None) -> None:
         fh.write(json_text(data) + "\n")
 
 
-def load_structure(path: str):
+def read_structure(path: str) -> tuple[bytes, object]:
+    """The bytes of a file, read once, and the structure they hold."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return raw, structure_from_dict(json.loads(raw.decode("utf-8")))
     except OSError as exc:
         raise MalformedSystemError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedSystemError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedSystemError(f"{path} is not valid JSON: {exc}") from exc
-    return structure_from_dict(data)
+    except RecursionError as exc:
+        raise MalformedSystemError(f"{path} is nested too deeply to load") from exc
+
+
+def load_structure(path: str):
+    return read_structure(path)[1]

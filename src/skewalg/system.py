@@ -12,8 +12,10 @@ The tables are input data, not derived, so corrupted or hypothetical systems
 can be represented and then interrogated by the checkers below. Construction
 validates shapes and index ranges only; every law is a named report flag.
 
-From the partial tables the constructor derives the four total operations
-a∧g, g∧a, a∨g and g∨a and the two pseudoproducts, all as full numpy tables.
+On the first read of any of them (not in the constructor, so a system that
+is only written out or compared table by table never pays for them), the
+system derives from the partial tables the object preorders, the four total
+operations a∧g, g∧a, a∨g and g∨a and the two pseudoproducts as numpy tables.
 Undefined entries stay -1: each lookup table is padded with a -1 border
 row/column, and since numpy reads index -1 as the last position, sentinels
 flow through chained gathers without any masking logic.
@@ -34,7 +36,9 @@ from .algebra import BiBandAlgebra, skehr_statement_flags
 from .errors import MalformedSystemError
 from .groupoid import FiniteGroupoid, check_groupoid, discrete_groupoid, group_groupoid
 from .report import AxiomReport
-from .tables import GroupTable, PreorderPair, SkewLatticeTable, check_skew_lattice, frozen, padded
+from .tables import (
+    GroupTable, PreorderPair, SkewLatticeTable, check_skew_lattice, checked_index, frozen, padded,
+)
 
 __all__ = [
     "RestrictionSystem",
@@ -89,6 +93,10 @@ class _Side:
     preorder: tuple
 
 
+_DERIVED = frozenset(("le_left", "le_right", "ge_left", "ge_right", "_dom_p", "_cod_p",
+                      "_inv_p", "_comp_p", "_e", "_e_p", "_meet", "_join"))  # set by _derive
+
+
 class RestrictionSystem:
     """A finite groupoid over skew-lattice objects plus four operator tables."""
 
@@ -110,7 +118,14 @@ class RestrictionSystem:
         self.extL = _check_partial("extL", extL, (n, m), m)
         self.extR = _check_partial("extR", extR, (m, n), m)
         self._reports: dict[str, AxiomReport] = {}  # checker name -> its family's report
+
+    def __getattr__(self, name: str):
+        # reached only for attributes not yet set: derive them all on the
+        # first read of one, then read it as usual
+        if name not in _DERIVED or "_join" in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self._derive()
+        return getattr(self, name)
 
     @property
     def object_count(self) -> int:
@@ -167,14 +182,17 @@ class RestrictionSystem:
         side = self._meet if op == "meet" else self._join if op == "join" else None
         if side is None:
             raise ValueError(f"op must be 'meet' or 'join', got {op!r}")
-        return int(side.P[f, g])
+        m = self.morphism_count
+        return int(side.P[checked_index(f, m), checked_index(g, m)])
 
     def full_report(self) -> AxiomReport:
         """Structural, restriction, extension and linking checks, as a new
         report the caller owns. A family's checker is called only when the
         memo lacks its report, so each family is computed once per system."""
-        reports = (self._reports.get(c.__name__) or c(self) for _, c in system_checkers()[:4])
-        return AxiomReport("restriction system", (c for r in reports for c in r.checks()))
+        report = AxiomReport("restriction system")
+        for _, checker in system_checkers()[:4]:
+            report.extend(self._reports.get(checker.__name__) or checker(self))
+        return report
 
     def __repr__(self):
         return (

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ElementIndexError
 from .report import AxiomReport
 
 
@@ -22,6 +23,13 @@ def frozen(values) -> np.ndarray:
     arr = np.array(values, dtype=np.int64)
     arr.setflags(write=False)
     return arr
+
+
+def checked_index(i: int, n: int) -> int:
+    """i if it lies in 0..n-1; numpy would read a negative index from the end."""
+    if not 0 <= i < n:
+        raise ElementIndexError(f"index {i} is outside 0..{n - 1}")
+    return i
 
 
 def _as_table(table) -> np.ndarray:
@@ -44,7 +52,7 @@ class OperationTable:
         self.order = self.array.shape[0]
 
     def __call__(self, a: int, b: int) -> int:
-        return int(self.array[a, b])
+        return int(self.array[checked_index(a, self.order), checked_index(b, self.order)])
 
     def tolist(self) -> list[list[int]]:
         return self.array.tolist()
@@ -115,10 +123,10 @@ class GroupTable:
         self.inverse = frozen(inverse)
 
     def __call__(self, a: int, b: int) -> int:
-        return int(self.table.array[a, b])
+        return self.table(a, b)
 
     def inv(self, a: int) -> int:
-        return int(self.inverse[a])
+        return int(self.inverse[checked_index(a, self.order)])
 
     def __eq__(self, other):
         return isinstance(other, GroupTable) and self.table == other.table

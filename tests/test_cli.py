@@ -31,7 +31,7 @@ from skewalg import (
 )
 from skewalg.cli import dispatch, main
 from skewalg.models import GROUP_CATALOG, GroupAction
-from skewalg.serialize import structure_to_dict
+from skewalg.serialize import json_text, structure_to_dict
 
 
 def swap_action():
@@ -458,6 +458,24 @@ def test_more_objects_than_morphisms_is_exit_two(tmp_path, command):
             "kind": "malformed",
             "message": "1000000000000 objects but 1 morphisms: every object needs an identity",
         }
+
+
+@pytest.mark.parametrize(
+    ("content", "message"),
+    [
+        (b'\xff\xfe{"order": 1}', "is not UTF-8 text"),
+        (b"[" * 100000 + b"]" * 100000, "is nested too deeply to load"),
+    ],
+)
+def test_an_undecodable_or_too_deep_file_is_exit_two(tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for command in FILE_COMMANDS:
+        run, code = dispatch([command, str(path)])
+        assert code == 2
+        assert run["error"]["kind"] == "malformed"
+        assert run["error"]["message"].startswith(f"{path} {message}")
+        json.loads(json_text(run))
 
 
 json_values = st.recursive(

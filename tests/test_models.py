@@ -462,7 +462,10 @@ def _writable_arrays(obj, path, seen):
 
 def test_no_array_of_a_suite_instance_or_catalog_group_is_writeable(suite):
     # groups are shared across the process, and a system caches its report,
-    # so a writable derived array could change a verdict after the check
+    # so a writable derived array could change a verdict after the check;
+    # a system derives its arrays on first use, so use every one first
+    for inst in suite:
+        assert inst.system.full_report().ok
     writable = {
         p
         for inst in suite
@@ -474,3 +477,8 @@ def test_no_array_of_a_suite_instance_or_catalog_group_is_writeable(suite):
     assert not writable
     with pytest.raises(ValueError):
         GROUP_CATALOG["C3"].inverse[1] = 1
+
+
+def test_generating_the_suite_leaves_its_systems_underived():
+    # writing a system out reads only its input tables
+    assert not any("_meet" in vars(inst.system) for inst in generate_model_suite())

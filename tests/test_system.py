@@ -14,7 +14,9 @@ from skewalg import (
     AxiomReport,
     AxiomViolationError,
     BiBandAlgebra,
+    ElementIndexError,
     GroupTable,
+    MalformedSystemError,
     RestrictionSystem,
     build_algebra,
     chain_lattice,
@@ -27,6 +29,8 @@ from skewalg import (
     enumerate_skew_lattices,
     find_isomorphism,
     group_system,
+    inverses_of,
+    plus_minus,
     roundtrip_groupoid,
     semidirect_algebra,
     semidirect_groupoid,
@@ -344,3 +348,72 @@ def test_each_family_runs_once_per_system(monkeypatch, suite):
             for call in calls:
                 call(sysm)
             assert [started[t] for t in FAMILY_TITLES] == [1] * 5, inst.name
+
+
+@pytest.mark.parametrize("table", ["restL", "restR", "extL", "extR"])
+@pytest.mark.parametrize("damage", ["shape", "below", "above"])
+def test_a_bad_partial_table_is_refused_at_construction(table, damage):
+    sysm = semidirect_groupoid(swap_action())
+    tables = {name: getattr(sysm, name).copy() for name in ("restL", "restR", "extL", "extR")}
+    if damage == "shape":
+        tables[table] = tables[table][:, :-1]
+    else:
+        tables[table][0, 0] = -2 if damage == "below" else sysm.morphism_count
+    with pytest.raises(MalformedSystemError, match=table):
+        RestrictionSystem(sysm.groupoid, sysm.objects, *tables.values())
+
+
+def test_a_system_derives_its_checker_state_on_first_use():
+    sysm = semidirect_groupoid(swap_action())
+    derived = ("_meet", "_join", "_comp_p", "le_left")
+    assert not any(name in vars(sysm) for name in derived)
+    assert sysm.le_left.shape == (sysm.object_count,) * 2
+    assert all(name in vars(sysm) for name in derived)
+    with pytest.raises(AttributeError, match="no attribute 'meet_table'"):
+        sysm.meet_table
+
+
+def test_the_system_a_groupoid_round_trip_rebuilds_stays_underived(monkeypatch):
+    import skewalg.reconstruction
+
+    rebuilt = []
+    real = skewalg.reconstruction.reconstruct
+
+    def spy(*args, **kwargs):
+        rebuilt.append(real(*args, **kwargs))
+        return rebuilt[-1]
+
+    monkeypatch.setattr(skewalg.reconstruction, "reconstruct", spy)
+    roundtrip_groupoid(semidirect_groupoid(swap_action()))
+    assert len(rebuilt) == 1
+    assert "_meet" not in vars(rebuilt[0].system)
+
+
+def _scalar_entry_points():
+    sysm = semidirect_groupoid(swap_action())
+    S = build_algebra(sysm)
+    group = GROUP_CATALOG["S3"]
+    iso = find_isomorphism(S, S)
+    m = sysm.morphism_count
+    one_object = group_system(group).groupoid  # every pair composes
+    return [
+        ("compose", group.order, lambda i: one_object.compose(i, 0), lambda i: one_object.compose(0, i)),
+        ("invert", m, sysm.groupoid.invert),
+        ("pseudoproduct", m, lambda i: sysm.pseudoproduct(i, 0), lambda i: sysm.pseudoproduct(0, i, "join")),
+        ("algebra meet", S.order, lambda i: S.meet(i, 0), lambda i: S.join(0, i)),
+        ("group", group.order, lambda i: group(i, 0), group.inv),
+        ("plus_minus", S.order, lambda i: plus_minus(S, i)),
+        ("inverses_of", S.order, lambda i: inverses_of(S, i)),
+        ("isomorphism", S.order, iso),
+    ]
+
+
+@pytest.mark.parametrize("entry", range(8))
+def test_scalar_entry_points_refuse_indices_outside_the_carrier(entry):
+    name, n, *calls = _scalar_entry_points()[entry]
+    for call in calls:
+        call(n - 1)  # the last index is fine
+        for bad in (-1, n):
+            with pytest.raises(ElementIndexError, match=f"index {bad} is outside 0..{n - 1}"):
+                call(bad)
+    assert issubclass(ElementIndexError, SkewalgError) and issubclass(ElementIndexError, IndexError)
