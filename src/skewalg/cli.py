@@ -126,8 +126,6 @@ def _parser() -> _Parser:
     return parser
 
 
-
-
 def _typed(obj, path: str, cls, what: str):
     if not isinstance(obj, cls):
         raise MalformedSystemError(f"{path} does not contain {what}")

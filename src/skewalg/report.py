@@ -65,7 +65,7 @@ class AxiomReport:
         without a prefix the same one is shared."""
         checks = other._checks
         if prefix:
-            checks = {prefix + k: c._replace(name=prefix + k) for k, c in checks.items()}
+            checks = {prefix + k: Check(prefix + k, *c[1:]) for k, c in checks.items()}
         if not self._checks.keys().isdisjoint(checks):
             raise ValueError(f"duplicate check name: {next(k for k in checks if k in self._checks)}")
         self._checks.update(checks)
