@@ -75,6 +75,7 @@ from .reconstruction import (
 from .report import AxiomReport, Check
 from .serialize import (
     load_structure,
+    read_structure,
     save_structure,
     structure_from_dict,
     structure_to_dict,

@@ -63,11 +63,7 @@ def test_full_report_refuses_two_families_that_share_a_name(monkeypatch):
         sysm.full_report()
 
 
-def test_full_report_is_a_copy_in_family_order():
+def test_full_report_holds_the_four_families_in_order():
     sysm = discrete_system(chain_lattice(2))
-    first, second = sysm.full_report(), sysm.full_report()
-    assert first is not second and first.checks() == second.checks()
-    first.record("caller_note", False)
-    assert "caller_note" not in sysm.full_report()
-    families = [c(sysm).checks() for _, c in system_checkers()[:4]]
-    assert first.checks()[:-1] == [c for family in families for c in family]
+    families = [checker(sysm).checks() for _, checker in system_checkers()[:4]]
+    assert sysm.full_report().checks() == [c for family in families for c in family]
