@@ -264,27 +264,24 @@ def idempotent_skeleton(S: BiBandAlgebra) -> tuple[SkewLatticeTable, tuple[int, 
         raise SkeletonNotClosedError(
             f"element {bad} is idempotent for one operation only"
         )
-    elements = tuple(int(v) for v in idx[e_meet])
-    local = {v: i for i, v in enumerate(elements)}
-    k = len(elements)
-    sub_meet = [[0] * k for _ in range(k)]
-    sub_join = [[0] * k for _ in range(k)]
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            for table, sub in ((mt, sub_meet), (jt, sub_join)):
-                v = int(table[a, b])
-                if v not in local:
-                    raise SkeletonNotClosedError(
-                        f"product of idempotents {a}, {b} gives non-idempotent {v}"
-                    )
-                sub[i][j] = local[v]
-    skeleton = SkewLatticeTable(sub_meet, sub_join)
+    el = idx[e_meet]
+    local = np.full(S.order, -1, dtype=np.int64)  # local[v]: v's index in el, -1 off it
+    local[el] = np.arange(len(el))
+    # prods[i, j] = (el_i ∧ el_j, el_i ∨ el_j): row-major over (i, j, op)
+    prods = np.stack((mt, jt), axis=-1)[el[:, None], el[None, :]]
+    sub = local[prods]
+    if (sub < 0).any():
+        i, j, t = np.argwhere(sub < 0)[0]
+        raise SkeletonNotClosedError(
+            f"product of idempotents {el[i]}, {el[j]} gives non-idempotent {prods[i, j, t]}"
+        )
+    skeleton = SkewLatticeTable(sub[..., 0], sub[..., 1])
     report = check_skew_lattice(skeleton)
     if not report.ok:
         raise SkeletonNotClosedError(
             f"idempotents violate skew lattice law {report.first_failure().name}"
         )
-    return skeleton, elements
+    return skeleton, tuple(el.tolist())
 
 
 def anti_automorphism_witness(S: BiBandAlgebra):

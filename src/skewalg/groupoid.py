@@ -5,9 +5,13 @@ flattened to integer-indexed tables. Composition is a partial binary table
 with -1 marking undefined pairs; endpoints are stored, never recomputed.
 Construction only validates shapes and index ranges so that deliberately
 broken tables can still be built and then interrogated by check_groupoid.
+A groupoid pads its own tables on first use (FiniteGroupoid.padded), and
+check_groupoid and every system over the groupoid gather through them.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -53,6 +57,11 @@ class FiniteGroupoid:
     @property
     def morphism_count(self) -> int:
         return self.dom.shape[0]
+
+    @functools.cached_property
+    def padded(self) -> tuple[np.ndarray, ...]:
+        """(dom, cod, inv, comp, identity_of), each through tables.padded."""
+        return tuple(map(padded, (self.dom, self.cod, self.inv, self.comp, self.identity_of)))
 
     def _find_identities(self) -> np.ndarray:
         """identity_of[b] = the unit morphism at object b, or -1 if absent.
@@ -108,7 +117,7 @@ def check_groupoid(g: FiniteGroupoid) -> AxiomReport:
     report = AxiomReport("groupoid laws")
     dom, cod, comp, inv, e = g.dom, g.cod, g.comp, g.inv, g.identity_of
     idx = np.arange(g.morphism_count)
-    comp_p, dom_p, cod_p, inv_p = padded(comp), padded(dom), padded(cod), padded(inv)
+    dom_p, cod_p, inv_p, comp_p, _ = g.padded
     defined = comp >= 0
 
     # f∘h is defined iff cod f = dom h, and then runs from dom f to cod h

@@ -37,7 +37,7 @@ from .groupoid import FiniteGroupoid
 from .isomorphism import automorphisms_of, least_row, relabellings
 from .report import AxiomReport
 from .system import RestrictionSystem
-from .tables import GroupTable, PreorderPair, SkewLatticeTable, frozen, row_labels
+from .tables import GroupTable, SkewLatticeTable, frozen, row_labels
 
 __all__ = [
     "GROUP_CATALOG",
@@ -246,7 +246,7 @@ def _semidirect_groupoid(action: GroupAction) -> RestrictionSystem:
     )
     inv = cod * ng + ginv[g]
 
-    pre = PreorderPair.of(action.lattice)
+    pre = action.lattice.preorders
     obj = np.arange(nb)[:, None]
     back = act[obj.T, ginv[g][:, None]] * ng + g[:, None]
     tables = []  # restL, restR, extL, extR

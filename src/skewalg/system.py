@@ -12,17 +12,19 @@ The tables are input data, not derived, so corrupted or hypothetical systems
 can be represented and then interrogated by the checkers below. Construction
 validates shapes and index ranges only; every law is a named report flag.
 
-On the first read of any of them (not in the constructor, so a system that
-is only written out or compared table by table never pays for them), the
-system derives from the partial tables the object preorders, the four total
-operations a∧g, g∧a, a∨g and g∨a and the two pseudoproducts as numpy tables.
-Undefined entries stay -1: each lookup table is padded with a -1 border
-row/column, and since numpy reads index -1 as the last position, sentinels
-flow through chained gathers without any masking logic.
+Each derived table has one owner, which computes it on first use and then
+keeps it, so a system that is only written out or compared table by table
+never pays for any of them: the groupoid pads its own tables
+(FiniteGroupoid.padded), the object lattice holds its preorders
+(SkewLatticeTable.preorders), and each side of the system derives its two
+total operations (a∧g and g∧a, or a∨g and g∨a) and its pseudoproduct as
+numpy tables. Undefined entries stay -1: each lookup table is padded with a
+-1 border row/column, and since numpy reads index -1 as the last position,
+sentinels flow through chained gathers without any masking logic.
 
 The join side (extL, extR, ∨) is the order dual of the meet side (restL,
-restR, ∧). Each side is one _Side record, and every law that has a dual is
-written once and evaluated on both records.
+restR, ∧). Each side is one _Side record, derived apart from the other, and
+every law that has a dual is written once and evaluated on both records.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import MalformedSystemError
 from .groupoid import FiniteGroupoid, check_groupoid, discrete_groupoid, group_groupoid
 from .report import AxiomReport
 from .tables import (
-    GroupTable, PreorderPair, SkewLatticeTable, check_skew_lattice, checked_index, frozen, padded,
+    GroupTable, SkewLatticeTable, check_skew_lattice, checked_index, frozen, padded,
 )
 
 __all__ = [
@@ -93,10 +95,6 @@ class _Side:
     preorder: tuple
 
 
-_DERIVED = frozenset(("le_left", "le_right", "ge_left", "ge_right", "_dom_p", "_cod_p",
-                      "_inv_p", "_comp_p", "_e", "_e_p", "_meet", "_join"))  # set by _derive
-
-
 class RestrictionSystem:
     """A finite groupoid over skew-lattice objects plus four operator tables."""
 
@@ -119,14 +117,6 @@ class RestrictionSystem:
         self.extR = _check_partial("extR", extR, (m, n), m)
         self._reports: dict[str, AxiomReport] = {}  # checker name -> its family's report
 
-    def __getattr__(self, name: str):
-        # reached only for attributes not yet set: derive them all on the
-        # first read of one, then read it as usual
-        if name not in _DERIVED or "_join" in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._derive()
-        return getattr(self, name)
-
     @property
     def object_count(self) -> int:
         return self.objects.order
@@ -135,22 +125,19 @@ class RestrictionSystem:
     def morphism_count(self) -> int:
         return self.groupoid.morphism_count
 
-    def _derive(self) -> None:
-        pre = PreorderPair.of(self.objects)
-        self.le_left, self.le_right = pre.le_left, pre.le_right
-        self.ge_left, self.ge_right = pre.ge_left, pre.ge_right
-        self._dom_p = padded(self.groupoid.dom)
-        self._cod_p = padded(self.groupoid.cod)
-        self._inv_p = padded(self.groupoid.inv)
-        self._comp_p = padded(self.groupoid.comp)
-        self._e = self.groupoid.identity_of
-        self._e_p = padded(self._e)
-        self._meet = self._side(
+    @functools.cached_property
+    def _meet(self) -> _Side:
+        pre = self.objects.preorders
+        return self._side(
             ("meet", "restriction", "restrict", "restL", "restR"),
             self.objects.meet.array, (self.restL, self.restR),
             order=(pre.le_left, pre.le_right), preorder=(pre.le_left, pre.le_right),
         )
-        self._join = self._side(
+
+    @functools.cached_property
+    def _join(self) -> _Side:
+        pre = self.objects.preorders
+        return self._side(
             ("join", "extension", "extend", "extL", "extR"),
             self.objects.join.array, (self.extL, self.extR),
             order=(pre.ge_left, pre.ge_right), preorder=(pre.ge_right, pre.ge_left),
@@ -164,7 +151,7 @@ class RestrictionSystem:
         L = left[op[idx_n[:, None], dom], idx_m]
         R = right[idx_m[:, None], op[cod, :]]
         c = op[cod[:, None], dom[None, :]]
-        P = self._comp_p[right[idx_m[:, None], c], left[c, idx_m[None, :]]]
+        P = self.groupoid.padded[3][right[idx_m[:, None], c], left[c, idx_m[None, :]]]  # comp_p
         for table in (L, R, P):
             table.setflags(write=False)
         return _Side(
@@ -243,15 +230,16 @@ def check_structure(sys: RestrictionSystem) -> AxiomReport:
     report.extend(check_skew_lattice(sys.objects), prefix="objects_")
 
     idx = np.arange(sys.object_count)
+    pre = sys.objects.preorders
     report.record_mask(
         "preorder_converse_pairing",
-        (sys.le_left == sys.ge_right.T) & (sys.le_right == sys.ge_left.T),
+        (pre.le_left == pre.ge_right.T) & (pre.le_right == pre.ge_left.T),
     )
 
     report.extend(check_groupoid(sys.groupoid), prefix="groupoid_")
-    report.record_mask("identity_coverage", sys._e >= 0)
+    report.record_mask("identity_coverage", sys.groupoid.identity_of >= 0)
 
-    dom_p, cod_p = sys._dom_p, sys._cod_p
+    dom_p, cod_p = sys.groupoid.padded[:2]
     # restL[a,g]: defined iff a leL dom g; then dom = a, cod leL cod g
     # restR[g,a]: defined iff a leR cod g; then cod = a, dom leR dom g
     # and extL, extR alike with geL, geR. Each table is read as t[a, g]
@@ -285,10 +273,9 @@ def _order_axioms(sys: RestrictionSystem, side: _Side) -> AxiomReport:
     n, m = sys.object_count, sys.morphism_count
     op, L, R, L_p, R_p = side.table, side.L, side.R, side.L_p, side.R_p
     dom, cod = sys.groupoid.dom, sys.groupoid.cod
-    comp = sys.groupoid.comp
+    comp, e = sys.groupoid.comp, sys.groupoid.identity_of
     idx_n, idx_m = np.arange(n), np.arange(m)
-    comp_p, cod_p, dom_p = sys._comp_p, sys._cod_p, sys._dom_p
-    e, e_p = sys._e, sys._e_p
+    dom_p, cod_p, _, comp_p, e_p = sys.groupoid.padded
     left, right = side.left, side.right
 
     report.record_mask(f"{left}_identity", L[dom, idx_m] == idx_m)
@@ -368,8 +355,8 @@ def check_linking(sys: RestrictionSystem) -> AxiomReport:
     n, m = sys.object_count, sys.morphism_count
     idx_n, idx_m = np.arange(n), np.arange(m)
     dom, cod = sys.groupoid.dom, sys.groupoid.cod
-    inv = sys.groupoid.inv
-    e, e_p = sys._e, sys._e_p
+    inv, e = sys.groupoid.inv, sys.groupoid.identity_of
+    e_p = sys.groupoid.padded[4]
     mr, mc, mr_p, mc_p = sys._meet.L, sys._meet.R, sys._meet.L_p, sys._meet.R_p
     je, jc, je_p, jc_p = sys._join.L, sys._join.R, sys._join.L_p, sys._join.R_p
 
@@ -414,9 +401,8 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     report = AxiomReport("derived identities")
     n, m = sys.object_count, sys.morphism_count
     idx_n, idx_m = np.arange(n), np.arange(m)
-    comp, inv = sys.groupoid.comp, sys.groupoid.inv
-    e, e_p = sys._e, sys._e_p
-    dom_p, cod_p, inv_p = sys._dom_p, sys._cod_p, sys._inv_p
+    comp, inv, e = sys.groupoid.comp, sys.groupoid.inv, sys.groupoid.identity_of
+    dom_p, cod_p, inv_p, _, e_p = sys.groupoid.padded
     sides = (sys._meet, sys._join)
 
     # (f∧e)∧g = f∧(e∧g) over morphism, object, morphism
@@ -540,7 +526,7 @@ def discrete_system(objects: SkewLatticeTable) -> RestrictionSystem:
     """Identity morphisms only; the operators act by the object operations."""
     if not isinstance(objects, SkewLatticeTable):
         objects = SkewLatticeTable(*objects)
-    pre = PreorderPair.of(objects)
+    pre = objects.preorders
     tables = []  # restL, restR, extL, extR
     for op, left, right in (
         (objects.meet.array, pre.le_left, pre.le_right),

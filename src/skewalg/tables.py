@@ -9,6 +9,7 @@ come in left/right flavours because neither operation is assumed commutative.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,16 @@ class SkewLatticeTable:
         self.join = join
         self.order = meet.order
 
+    @functools.cached_property
+    def preorders(self) -> PreorderPair:
+        """The four natural preorders straight from the definitions,
+        unchecked and read-only, computed on first use and then kept."""
+        idx = np.arange(self.order)[:, None]
+        m, j = self.meet.array, self.join.array
+        rels = np.array((m, m.T, j, j.T)) == idx
+        rels.setflags(write=False)
+        return PreorderPair(*rels)
+
     def __eq__(self, other):
         return (
             isinstance(other, SkewLatticeTable)
@@ -144,21 +155,14 @@ class PreorderPair:
 
     le_left[a, b]  <=>  a = a ∧ b        ge_left[a, b]  <=>  a = a ∨ b
     le_right[a, b] <=>  a = b ∧ a        ge_right[a, b] <=>  a = b ∨ a
+
+    A lattice computes its pair once, as SkewLatticeTable.preorders.
     """
 
     le_left: np.ndarray
     le_right: np.ndarray
     ge_left: np.ndarray
     ge_right: np.ndarray
-
-    @classmethod
-    def of(cls, s: SkewLatticeTable) -> "PreorderPair":
-        """The four relations straight from the definitions, unchecked, read-only."""
-        idx = np.arange(s.order)[:, None]
-        m, j = s.meet.array, s.join.array
-        rels = np.array((m, m.T, j, j.T)) == idx
-        rels.setflags(write=False)
-        return cls(*rels)
 
 
 @dataclass(frozen=True)
@@ -244,7 +248,7 @@ def natural_preorders(s: SkewLatticeTable) -> PreorderPair:
     In a skew lattice le_left is the converse of ge_right and le_right the
     converse of ge_left; a violation signals the input is not a skew lattice.
     """
-    pre = PreorderPair.of(s)
+    pre = s.preorders
     pairing = AxiomReport("converse pairing")
     pairing.record_mask("le_left is not the converse of ge_right", pre.le_left == pre.ge_right.T)
     pairing.record_mask("le_right is not the converse of ge_left", pre.le_right == pre.ge_left.T)

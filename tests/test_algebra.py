@@ -6,6 +6,7 @@ import pytest
 from oracles import PairOracle
 from skewalg import (
     BiBandAlgebra,
+    SkeletonNotClosedError,
     anti_automorphism_witness,
     check_axioms,
     check_skehr,
@@ -68,6 +69,31 @@ def test_idempotent_skeleton_is_the_base_lattice(suite):
         skeleton, elements = idempotent_skeleton(inst.algebra)
         assert len(elements) == inst.action.lattice.order
         assert find_isomorphism(skeleton, inst.action.lattice) is not None
+
+
+@pytest.mark.parametrize("meet, join, message", [
+    # 1 ∧ 1 = 1 but 1 ∨ 1 = 0
+    ([[0, 0], [0, 1]], [[0, 0], [0, 0]], "element 1 is idempotent for one operation only"),
+    # idempotents 0 and 1, and 0 ∧ 1 = 2
+    ([[0, 2, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+     "product of idempotents 0, 1 gives non-idempotent 2"),
+    # the first open cell in row-major order is named: here a join cell
+    ([[0, 0, 0, 0], [2, 1, 0, 0], [0] * 4, [0] * 4], [[0, 3, 0, 0], [0, 1, 0, 0], [0] * 4, [0] * 4],
+     "product of idempotents 0, 1 gives non-idempotent 3"),
+    # and at one cell, the meet before the join
+    ([[0, 2, 0, 0], [0, 1, 0, 0], [0] * 4, [0] * 4], [[0, 3, 0, 0], [0, 1, 0, 0], [0] * 4, [0] * 4],
+     "product of idempotents 0, 1 gives non-idempotent 2"),
+    # elements are named by their own index, not their place among the idempotents
+    ([[1, 1, 1], [1, 1, 0], [1, 1, 2]], [[1, 1, 1], [1, 1, 1], [1, 1, 2]],
+     "product of idempotents 1, 2 gives non-idempotent 0"),
+    # closed, but a join equal to the meet breaks absorption
+    ([[0, 0], [0, 1]], [[0, 0], [0, 1]], "idempotents violate skew lattice law absorb_join_meet"),
+])
+def test_idempotent_skeleton_names_the_first_failure(meet, join, message):
+    star = list(range(len(meet)))
+    with pytest.raises(SkeletonNotClosedError) as err:
+        idempotent_skeleton(BiBandAlgebra(join, meet, star))
+    assert str(err.value) == message
 
 
 def test_positive_and_negative_parts():

@@ -9,19 +9,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import order_axioms
 
+import skewalg.groupoid
 import skewalg.system
+import skewalg.tables
 from skewalg import (
     AxiomReport,
     AxiomViolationError,
     BiBandAlgebra,
     ElementIndexError,
+    FiniteGroupoid,
     GroupTable,
     MalformedSystemError,
     RestrictionSystem,
+    SkewLatticeTable,
     build_algebra,
     chain_lattice,
     check_axioms,
     check_extension_axioms,
+    check_groupoid,
     check_linking,
     check_restriction_axioms,
     check_structure,
@@ -363,14 +368,43 @@ def test_a_bad_partial_table_is_refused_at_construction(table, damage):
         RestrictionSystem(sysm.groupoid, sysm.objects, *tables.values())
 
 
+def _fresh_system(sysm) -> RestrictionSystem:
+    """sysm over copies of its groupoid and lattice, which share no cache."""
+    g, objects = sysm.groupoid, sysm.objects
+    groupoid = FiniteGroupoid(g.object_count, g.dom, g.cod, g.comp, g.inv)
+    lattice = SkewLatticeTable(objects.meet, objects.join)
+    return RestrictionSystem(groupoid, lattice, sysm.restL, sysm.restR, sysm.extL, sysm.extR)
+
+
 def test_a_system_derives_its_checker_state_on_first_use():
-    sysm = semidirect_groupoid(swap_action())
-    derived = ("_meet", "_join", "_comp_p", "le_left")
-    assert not any(name in vars(sysm) for name in derived)
-    assert sysm.le_left.shape == (sysm.object_count,) * 2
-    assert all(name in vars(sysm) for name in derived)
-    with pytest.raises(AttributeError, match="no attribute 'meet_table'"):
-        sysm.meet_table
+    sysm = _fresh_system(semidirect_groupoid(swap_action()))
+    groupoid, lattice = sysm.groupoid, sysm.objects
+    assert "_meet" not in vars(sysm) and "_join" not in vars(sysm)
+    assert "padded" not in vars(groupoid) and "preorders" not in vars(lattice)
+    meet = sysm._meet
+    assert "_join" not in vars(sysm)
+    # the side read the tables it needs from their owners, which now keep them
+    assert vars(groupoid)["padded"] is groupoid.padded
+    assert vars(lattice)["preorders"] is lattice.preorders
+    assert meet.order[0] is lattice.preorders.le_left
+    assert sysm._meet is meet and sysm._join.op == "join" and "_join" in vars(sysm)
+
+
+def test_each_groupoid_table_is_padded_once(suite, monkeypatch):
+    calls = []
+
+    def counting(core):
+        calls.append(core)
+        return skewalg.tables.padded(core)
+
+    monkeypatch.setattr(skewalg.groupoid, "padded", counting)
+    monkeypatch.setattr(skewalg.system, "padded", counting)
+    sysm = _fresh_system(max(suite, key=lambda inst: inst.system.morphism_count).system)
+    g = sysm.groupoid
+    assert check_groupoid(g).ok and check_groupoid(g).ok
+    assert sysm.full_report().ok
+    own = (g.dom, g.cod, g.inv, g.comp, g.identity_of)
+    assert [sum(core is table for core in calls) for table in own] == [1] * 5
 
 
 def test_the_system_a_groupoid_round_trip_rebuilds_stays_underived(monkeypatch):
