@@ -136,16 +136,15 @@ def check_axioms(S: BiBandAlgebra) -> AxiomReport:
     return report
 
 
-def skehr_statement_flags(report: AxiomReport, prefix: str, op, star) -> None:
+def skehr_statement_flags(report: AxiomReport, prefix: str, op_p, star) -> tuple[np.ndarray, np.ndarray]:
     """The five plus/minus statements for one operation, recorded as
-    {prefix}_i .. {prefix}_v. Accepts -1 holes in op (treated as undefined,
+    {prefix}_i .. {prefix}_v, given the operation's padded table op_p
+    (tables.padded).  Accepts -1 holes in the table (treated as undefined,
     which fails any equation touching them) so partially built products can
-    be interrogated too."""
-    op = np.asarray(op, dtype=np.int64)
+    be interrogated too.  Returns the padded plus s∘s* and minus s*∘s."""
     star = np.asarray(star, dtype=np.int64)
-    m = op.shape[0]
-    idx = np.arange(m)
-    op_p = padded(op)
+    op = op_p[:-1, :-1]
+    idx = np.arange(len(op))
     plus = op_p[idx, star]
     minus = op_p[star, idx]
     plus_p, minus_p = padded(plus), padded(minus)
@@ -182,6 +181,7 @@ def skehr_statement_flags(report: AxiomReport, prefix: str, op, star) -> None:
     rhs = op_p[minus[:, None], minus[None, :]]
     ok &= (lhs == rhs) & (lhs >= 0)
     report.record_mask(f"{prefix}_v", ok)
+    return plus_p, minus_p
 
 
 def greens_r(op: np.ndarray) -> np.ndarray:
@@ -201,8 +201,8 @@ def check_skehr(S: BiBandAlgebra) -> AxiomReport:
     mt, st = S.meet.array, S.star
     n = S.order
     idx = np.arange(n)
-    skehr_statement_flags(report, "skehr_meet", mt, st)
-    skehr_statement_flags(report, "skehr_join", S.join.array, st)
+    skehr_statement_flags(report, "skehr_meet", padded(mt), st)
+    skehr_statement_flags(report, "skehr_join", padded(S.join.array), st)
 
     plus = mt[idx, st]
     minus = mt[st, idx]

@@ -6,11 +6,11 @@ band; for a join, the absorption-compatible values over the root's meet).
 Idempotency pins the diagonal.  Each off-diagonal cell in row-major order
 grows every table by the values its mask allows there, in the order of a
 depth-first search, and one vectorised check drops each table in which a
-triple, all four of its products decided, breaks associativity.  Each
-completed table, or meet/join pair, is keyed by canonical_tables, the least
-flattened row among its relabellings by all n! permutations, so isomorphic
-tables share a key; the distinct keys in increasing order, reshaped back
-into tables, are the representatives.
+triple, all four of its products decided, breaks associativity.  The whole
+stack of completed tables, or meet/join pairs, is keyed at once by
+canonical_tables, the least flattened relabelling by all n! permutations,
+so isomorphic tables share a key; the distinct keys in increasing order,
+reshaped back into tables, are the representatives.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BoundExceededError
-from .isomorphism import canonical_tables
+from .isomorphism import canonical_tables, lex_keys
 from .tables import OperationTable, SkewLatticeTable
 
 DEFAULT_MAX_ORDER = 4
@@ -95,17 +95,18 @@ def labeled_bands(n: int, max_order: int = DEFAULT_MAX_ORDER) -> list[OperationT
     return [OperationTable(t) for t in _fill(np.ones((1, n, n, n), dtype=bool))[1]]
 
 
-def _classes(n: int, labelled) -> np.ndarray:
-    """The distinct canonical_tables keys of the labelled table tuples in
-    increasing order, as an array of shape (classes, tables, n, n)."""
-    keys = sorted({canonical_tables(n, tables) for tables in labelled})
-    return np.array(keys, dtype=np.int64).reshape(len(keys), -1, n, n)
+def _classes(n: int, stacks) -> np.ndarray:
+    """The distinct canonical_tables keys of the structures with tables
+    stacks[b][t] in increasing order, shaped (classes, tables, n, n)."""
+    keys = canonical_tables(n, stacks)
+    first = np.unique(lex_keys(keys), return_index=True)[1]
+    return keys[first].reshape(len(first), -1, n, n)
 
 
 def enumerate_bands(n: int, max_order: int = DEFAULT_MAX_ORDER) -> list[OperationTable]:
     """One canonical representative per isomorphism class of bands of order n."""
-    labelled = ([band.array] for band in labeled_bands(n, max_order))
-    return [OperationTable(band) for (band,) in _classes(n, labelled)]
+    bands = np.array([band.array for band in labeled_bands(n, max_order)])
+    return [OperationTable(band) for (band,) in _classes(n, [bands])]
 
 
 def enumerate_skew_lattices(
@@ -117,7 +118,7 @@ def enumerate_skew_lattices(
     """
     meets = np.array([band.array for band in labeled_bands(n, max_order)])
     roots, joins = _fill(_join_options(meets))
-    return [SkewLatticeTable(meet, join) for meet, join in _classes(n, zip(meets[roots], joins))]
+    return [SkewLatticeTable(meet, join) for meet, join in _classes(n, [meets[roots], joins])]
 
 
 def _join_options(meets: np.ndarray) -> np.ndarray:

@@ -19,8 +19,10 @@ in increasing lexicographic order:
 
 Refinement and forcing only discard images no isomorphism uses.
 find_isomorphism takes the first and certifies it with preserves_operations;
-automorphisms_of lists all of a structure onto itself.  Every relabelling is
-one gather, relabellings; canonical_tables is their least_row over all n!.
+automorphisms_of lists all of a structure onto itself.  A class is named by
+its least relabelling: canonical_tables renames a whole stack of structures
+by all n! permutations, a fixed chunk per relabellings gather, and
+least_rows picks each structure's least row by its lex_keys.
 """
 
 from __future__ import annotations
@@ -219,40 +221,41 @@ def automorphisms_of(structure) -> list[tuple[int, ...]]:
 
 
 def relabellings(table, rows, cols, values) -> np.ndarray:
-    """out[k, i, j] = values[k, table[rows[k, i], cols[k, j]]]: renaming
-    x -> p[x] is rows = cols = p^-1 and values = p, and a unary map u is
-    the table u[:, None] with cols = [0]."""
+    """out[..., k, i, j] = values[k, table[..., rows[k, i], cols[k, j]]] over a
+    stack of tables: renaming x -> p[x] is rows = cols = p^-1 and values = p,
+    and a unary map u is the table u[..., None] with cols = [0]."""
     k = np.arange(len(values))[:, None, None]
-    return values[k, table[rows[:, :, None], cols[:, None, :]]]
+    return values[k, table[..., rows[:, :, None], cols[:, None, :]]]
 
 
-def least_row(rows: np.ndarray) -> np.ndarray:
-    """The lexicographically least row of a matrix."""
-    return rows[np.lexsort(rows.T[::-1])[0]]
+def lex_keys(rows: np.ndarray) -> np.ndarray:
+    """One byte string per row (last axis) of non-negative integers, sorting as
+    the rows do: the row as big-endian unsigned ints of the least width."""
+    width = np.min_scalar_type(rows.max(initial=0)).newbyteorder(">")
+    keys = np.ascontiguousarray(rows, dtype=width)
+    return keys.view(np.dtype((np.void, width.itemsize * rows.shape[-1])))[..., 0]
 
 
-def _flat_relabellings(perms, binops, unops) -> np.ndarray:
-    """Row k holds every table renamed by x -> perms[k][x], each flattened
-    row-major, the binary tables first."""
-    p = np.asarray(perms, dtype=np.int64)
-    inv, column = np.argsort(p, axis=1), np.zeros((len(p), 1), dtype=np.int64)
-    return np.hstack(
-        [relabellings(np.asarray(op), inv, inv, p).reshape(len(p), -1) for op in binops]
-        + [relabellings(np.asarray(u)[:, None], inv, column, p).reshape(len(p), -1) for u in unops]
-    )
+def least_rows(rows: np.ndarray) -> np.ndarray:
+    """The least row of each matrix of a (T, K, L) stack of non-negative ints, as (T, L)."""
+    least = np.argsort(lex_keys(rows), axis=1)[:, :1, None]
+    return np.take_along_axis(rows, least, axis=1)[:, 0]
 
 
-def relabel(table: np.ndarray, perm) -> np.ndarray:
-    """The table of the same operation after renaming x -> perm[x]."""
-    return _flat_relabellings([perm], [table], ()).reshape(len(perm), len(perm))
+_CHUNK = 64  # structures per gather; bounds the working memory at order 5
 
 
-def relabel_unary(u: np.ndarray, perm) -> np.ndarray:
-    return _flat_relabellings([perm], (), [u])[0]
-
-
-def canonical_tables(n: int, binops, unops=()) -> tuple:
-    """Lexicographically least relabeling of a tuple of operation tables:
-    the least row of _flat_relabellings over all n! permutations."""
-    keys = _flat_relabellings(list(itertools.permutations(range(n))), binops, unops)
-    return tuple(least_row(keys).tolist())
+def canonical_tables(n: int, binops, unops=()) -> np.ndarray:
+    """Row t is the least relabelling of structure t, with tables binops[b][t]
+    and unops[u][t]: the least over all n! permutations of its tables renamed
+    and flattened row-major, the binary tables first."""
+    # renamed values lie below n, so the gathers hold them in the least width
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.min_scalar_type(n))
+    inv = np.argsort(perms, axis=1)
+    tables = [(np.asarray(op), inv) for op in binops]
+    tables += [(np.asarray(u)[..., None], np.zeros_like(inv[:, :1])) for u in unops]  # one column each
+    out = np.empty((len(tables[0][0]), len(binops) * n * n + len(unops) * n), dtype=np.int64)
+    for s in range(0, len(out), _CHUNK):
+        moved = [relabellings(t[s : s + _CHUNK], inv, cols, perms) for t, cols in tables]
+        out[s : s + _CHUNK] = least_rows(np.concatenate([m.reshape(*m.shape[:2], -1) for m in moved], 2))
+    return out

@@ -34,7 +34,7 @@ from .algebra import BiBandAlgebra
 from .enumeration import enumerate_skew_lattices
 from .errors import ActionInvalidError, BoundExceededError
 from .groupoid import FiniteGroupoid
-from .isomorphism import automorphisms_of, least_row, relabellings
+from .isomorphism import automorphisms_of, least_rows, lex_keys, relabellings
 from .report import AxiomReport
 from .system import RestrictionSystem
 from .tables import GroupTable, SkewLatticeTable, frozen, row_labels
@@ -332,28 +332,25 @@ def _enumerate_actions(group, lattice, auts) -> list[GroupAction]:
 
 
 def dedupe_actions(actions: list[GroupAction]) -> list[GroupAction]:
-    """One representative per orbit under Aut(G) x Aut(B) relabelings."""
+    """One representative per orbit under Aut(G) x Aut(B) relabelings.
+    Every action must have the first action's group and lattice."""
     if not actions:
         return []
-    return _dedupe_actions(
-        actions,
-        automorphisms_of(actions[0].group),
-        automorphisms_of(actions[0].lattice),
-    )
+    group, lattice = actions[0].group, actions[0].lattice
+    if any(a.group != group or a.lattice != lattice for a in actions):
+        raise ValueError("dedupe_actions needs actions of one group on one lattice")
+    return _dedupe_actions(actions, automorphisms_of(group), automorphisms_of(lattice))
 
 
 def _dedupe_actions(actions, gauts, bauts) -> list[GroupAction]:
-    """The first action of each orbit.  An action's relabellings by
-    (σ, τ) in Aut(B) x Aut(G) are act'[a, u] = σ^-1(act[σ(a), τ(u)]), one
-    relabellings gather; the least of them, flattened, names its orbit."""
+    """The first action of each orbit, in input order.  One relabellings
+    gather renames every action by each (σ, τ) in Aut(B) x Aut(G),
+    act'[a, u] = σ^-1(act[σ(a), τ(u)]); an action's least_rows names its orbit."""
     sigma = np.repeat(np.asarray(bauts), len(gauts), axis=0)
     tau = np.tile(np.asarray(gauts), (len(bauts), 1))
-    sigma_inv = np.argsort(sigma, axis=1)
-    firsts: dict[bytes, GroupAction] = {}
-    for action in actions:
-        moved = relabellings(action.act, sigma, tau, sigma_inv)
-        firsts.setdefault(least_row(moved.reshape(len(sigma), -1)).tobytes(), action)
-    return list(firsts.values())
+    moved = relabellings(np.array([a.act for a in actions]), sigma, tau, np.argsort(sigma, axis=1))
+    keys = lex_keys(least_rows(moved.reshape(*moved.shape[:2], -1)))
+    return [actions[i] for i in np.sort(np.unique(keys, return_index=True)[1])]
 
 
 @dataclass(frozen=True)

@@ -447,9 +447,10 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     for s in sides:
         report.record_mask(f"regularity_{s.op}", s.P_p[s.P[idx_m, inv], idx_m] == idx_m)
 
-    # the plus/minus calculus for both operations
-    for s in sides:
-        skehr_statement_flags(report, f"skehr_{s.op}", s.P, inv)
+    # the plus/minus calculus for both operations; the observations below
+    # read the meet side's plus and minus
+    plus_p, minus_p = skehr_statement_flags(report, "skehr_meet", sys._meet.P_p, inv)
+    skehr_statement_flags(report, "skehr_join", sys._join.P_p, inv)
 
     # (_a|f)^-1 = _(a^f)|f^-1
     for s in sides:
@@ -470,9 +471,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     # observations: these may fail, and for genuinely skew objects they should
     pm, pm_p = sys._meet.P, sys._meet.P_p
     mr, mc_p = sys._meet.L, sys._meet.R_p
-    plus = pm[idx_m, inv]
-    minus = pm[inv, idx_m]
-    plus_p, minus_p = padded(plus), padded(minus)
+    plus, minus = plus_p[:-1], minus_p[:-1]
     lhs = pm_p[plus_p[pm], idx_m[:, None]]
     rhs = pm_p[idx_m[:, None], plus[None, :]]
     report.record_mask(

@@ -26,9 +26,16 @@ from skewalg import (
     signature_of,
 )
 from skewalg.enumeration import _complete_joins
-from skewalg.isomorphism import _joint_colours, canonical_tables, relabel, relabel_unary
+from skewalg.isomorphism import _CHUNK, _joint_colours, canonical_tables
 
-from oracles import automorphism_perms, least_isomorphism, least_relabelling, refine_colours
+from oracles import (
+    automorphism_perms,
+    least_isomorphism,
+    least_relabelling,
+    refine_colours,
+    relabel,
+    relabel_unary,
+)
 
 
 def cyclic(n):
@@ -278,21 +285,49 @@ def test_a_structure_without_elements_has_the_empty_automorphism():
     assert find_isomorphism(system, system).mapping == ()
 
 
+def _outgrow_a_chunk(items):
+    """items repeated cyclically until there are more than one chunk of them."""
+    return [items[i % len(items)] for i in range(max(len(items), _CHUNK + 1))]
+
+
+def _assert_stack_keys(n, binops, unops, expected):
+    """canonical_tables keys a stack longer than one chunk item by item as
+    expected, and the reversed stack in reverse."""
+    binops, unops = [np.array(t) for t in binops], [np.array(u) for u in unops]
+    assert len(expected) > _CHUNK
+    keys = canonical_tables(n, binops, unops)
+    assert [tuple(key) for key in keys.tolist()] == expected
+    reverse = canonical_tables(n, [t[::-1] for t in binops], [u[::-1] for u in unops])
+    assert np.array_equal(reverse, keys[::-1])
+
+
 def test_canonical_tables_match_the_oracle_on_labelled_bands_and_skew_lattices():
+    # every labelled band, and every meet/join pair, of an order in one stack
     for n in range(1, 5):
-        for band in labeled_bands(n):
-            meet = band.tolist()
-            assert canonical_tables(n, [band.array]) == least_relabelling(n, [meet])
-            for join in _complete_joins(meet, n):
-                expected = least_relabelling(n, [meet, join])
-                assert canonical_tables(n, [band.array, np.array(join)]) == expected
+        meets = [band.tolist() for band in labeled_bands(n)]
+        bands = _outgrow_a_chunk(meets)
+        _assert_stack_keys(n, [bands], [], [least_relabelling(n, [meet]) for meet in bands])
+        pairs = _outgrow_a_chunk([(meet, join) for meet in meets for join in _complete_joins(meet, n)])
+        expected = [least_relabelling(n, pair) for pair in pairs]
+        _assert_stack_keys(n, zip(*pairs), [], expected)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6).flatmap(any_algebras), st.booleans())
-def test_canonical_tables_match_the_oracle_on_random_tables(algebra, with_star):
-    n = algebra.order
-    unops = [algebra.star] if with_star else []
-    binops = [algebra.join.array, algebra.meet.array]
-    expected = least_relabelling(n, [t.tolist() for t in binops], [u.tolist() for u in unops])
-    assert canonical_tables(n, binops, unops) == expected
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.lists(any_algebras(n), min_size=1, max_size=3)),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_canonical_tables_match_the_oracle_on_random_tables(bases, with_star, rnd):
+    # relabelled copies of a few random algebras, more than one chunk of
+    # them; each copy has the least relabelling of its base
+    n = bases[0].order
+    keys = [
+        least_relabelling(n, [a.join.tolist(), a.meet.tolist()], [a.star.tolist()] if with_star else [])
+        for a in bases
+    ]
+    size = rnd.randint(_CHUNK + 1, 2 * _CHUNK)
+    picks = [(rnd.randrange(len(bases)), rnd.sample(range(n), n)) for _ in range(size)]
+    binops = [[relabel(getattr(bases[b], op).array, perm) for b, perm in picks] for op in ("join", "meet")]
+    unops = [[relabel_unary(bases[b].star, perm) for b, perm in picks]] if with_star else []
+    _assert_stack_keys(n, binops, unops, [keys[b] for b, _ in picks])

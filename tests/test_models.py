@@ -131,6 +131,20 @@ def test_action_classes_match_orbit_oracle(gname, nb):
             assert kept == orbit_representatives(tables, table, meet, join)
 
 
+def test_dedupe_refuses_actions_over_different_structures():
+    # both pairs once deduped to one action, with the automorphisms of the
+    # first action's structures read against the second's table
+    c2 = GROUP_CATALOG["C2"]
+    first = trivial_action(c2, chain_lattice(2))
+    for other in (
+        trivial_action(c2, rectangular_skew(2)),
+        trivial_action(GROUP_CATALOG["C3"], chain_lattice(3)),
+    ):
+        for actions in ([first, other], [other, first]):
+            with pytest.raises(ValueError, match="one group on one lattice"):
+                dedupe_actions(actions)
+
+
 def _tables(actions):
     return [tuple(map(tuple, a.act.tolist())) for a in actions]
 

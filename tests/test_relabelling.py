@@ -12,7 +12,8 @@ from skewalg import (
     check_skehr,
     check_skew_lattice,
 )
-from skewalg.isomorphism import relabel, relabel_unary
+
+from oracles import relabel, relabel_unary
 
 
 def _verdicts(report):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import order_axioms
 
+import skewalg.algebra
 import skewalg.groupoid
 import skewalg.system
 import skewalg.tables
@@ -405,6 +406,27 @@ def test_each_groupoid_table_is_padded_once(suite, monkeypatch):
     assert sysm.full_report().ok
     own = (g.dom, g.cod, g.inv, g.comp, g.identity_of)
     assert [sum(core is table for core in calls) for table in own] == [1] * 5
+
+
+def test_a_checked_system_pads_nineteen_tables(suite, monkeypatch):
+    # five groupoid tables, three per side, the four preorders the endpoint
+    # flags read, and the plus and minus of each pseudoproduct; the derived
+    # identities read the sides' padded pseudoproducts and reuse the meet
+    # side's plus and minus
+    calls = []
+
+    def counting(core):
+        calls.append(core)
+        return skewalg.tables.padded(core)
+
+    for module in (skewalg.groupoid, skewalg.system, skewalg.algebra):
+        monkeypatch.setattr(module, "padded", counting)
+    for inst in suite[::40]:
+        calls.clear()
+        sysm = _fresh_system(inst.system)
+        for _, checker in system_checkers():
+            checker(sysm)
+        assert len(calls) == 19
 
 
 def test_the_system_a_groupoid_round_trip_rebuilds_stays_underived(monkeypatch):
