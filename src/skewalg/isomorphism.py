@@ -4,11 +4,10 @@ A structure's signature is (carrier size, binary operation tables, unary
 operation maps).  One search, _isomorphisms, yields every isomorphism a -> b
 in increasing lexicographic order:
 
-  * joint colour refinement (1-WL, as in McKay & Piperno's nauty/Traces)
-    over the disjoint union of both structures, seeded with the idempotent
-    profile of every binary operation; both sides share one set of labels,
-    so unequal colour multisets prove non-isomorphism, and x may only map
-    to elements of its own colour;
+  * the idempotent profile of each side: per element, the set of binary
+    operations in which it is idempotent.  An isomorphism preserves it, so
+    unequal profile multisets prove non-isomorphism, and x may only map to
+    elements of b with its profile;
   * a backtracking search that tries the images of 0, 1, ... in
     increasing order.  A precomputed schedule lists, per step x, the source
     cells (p, q) -> v with max(p, q) = x (p = q, v = u(p) for a unary u);
@@ -17,7 +16,7 @@ in increasing lexicographic order:
     an earlier cell forced on v; otherwise it is forced on v, and it is the
     only candidate the search tries at v.
 
-Refinement and forcing only discard images no isomorphism uses.
+The profile and forcing only discard images no isomorphism uses.
 find_isomorphism takes the first and certifies it with preserves_operations;
 automorphisms_of lists all of a structure onto itself.  A class is named by
 its least relabelling: canonical_tables renames a whole stack of structures
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SignatureMismatchError
-from .tables import GroupTable, OperationTable, SkewLatticeTable, checked_index, row_labels
+from .tables import GroupTable, OperationTable, SkewLatticeTable, checked_index
 
 
 @dataclass(frozen=True)
@@ -78,37 +77,11 @@ def signature_of(structure) -> tuple[int, tuple[np.ndarray, ...], tuple[np.ndarr
     raise SignatureMismatchError(f"unsupported structure type {type(structure).__name__}")
 
 
-def _joint_colours(n, sig_a, sig_b) -> np.ndarray:
-    """Stable colours of the 2n elements of the disjoint union of a and b.
-
-    Element x of a is union element x and element y of b is n + y.  Each
-    round labels, with one row_labels call, the matrix whose row x holds
-    the old colour of x; colour[u(x)] for every unary map u; and, for every
-    binary operation, the sorted codes colour[x.y]*k + colour[y] of its row
-    and colour[y.x]*k + colour[y] of its column, y ranging over the side of
-    x and k the class count.  A round can only split classes, so the first
-    round that adds none leaves the stable partition.
-    """
-    side = np.repeat(np.array([0, n]), n)
-    union = np.arange(2 * n)
-    ys = side[:, None] + np.arange(n)
-    pairs = list(zip(sig_a[1], sig_b[1]))
-    # tables[x, t] is the row (t < len(pairs)) or column of x in operation t
-    tables = np.stack(
-        [np.vstack([a, b]) for a, b in pairs] + [np.vstack([a.T, b.T]) for a, b in pairs], axis=1
-    ) + side[:, None, None]
-    # maps[x] is x itself, then its image under each unary map
-    maps = np.stack([union] + [np.concatenate([a, b + n]) for a, b in zip(sig_a[2], sig_b[2])], axis=1)
-    # seed: the idempotent profile, read off the diagonal of each operation
-    colour = row_labels(tables[union, : len(pairs), union % n] == union[:, None])
-    count = colour.max() + 1
-    while True:
-        codes = np.sort(colour[tables] * count + colour[ys][:, None, :], axis=2)
-        colour = row_labels(np.hstack([colour[maps], codes.reshape(2 * n, -1)]))
-        grown = colour.max() + 1
-        if grown == count:
-            return colour
-        count = grown
+def _idempotent_profile(sig) -> np.ndarray:
+    """Per element x, the integer whose bit k is set when x.x = x in binary
+    operation k.  Every isomorphism preserves it."""
+    idx = np.arange(sig[0])
+    return sum((op[idx, idx] == idx).astype(np.int64) << k for k, op in enumerate(sig[1]))
 
 
 def _flat_tables(n, sig) -> np.ndarray:
@@ -152,14 +125,10 @@ def _isomorphisms(sig_a, sig_b):
     n = sig_a[0]
     if n != sig_b[0]:
         return
-    if n == 0:  # the empty map; refinement needs an element
-        yield ()
+    profile_a, profile_b = _idempotent_profile(sig_a), _idempotent_profile(sig_b)
+    if not np.array_equal(np.sort(profile_a), np.sort(profile_b)):
         return
-    colour = _joint_colours(n, sig_a, sig_b)
-    colours_a, colours_b = colour[:n], colour[n:]
-    if not np.array_equal(np.sort(colours_a), np.sort(colours_b)):
-        return
-    candidates = [np.flatnonzero(colours_b == c).tolist() for c in colours_a]
+    candidates = [np.flatnonzero(profile_b == c).tolist() for c in profile_a]
     offsets, cells, bounds = _cell_schedule(n, sig_a)
     flat_b = _flat_tables(n, sig_b)
     used = [False] * n

@@ -37,7 +37,7 @@ from .groupoid import FiniteGroupoid
 from .isomorphism import automorphisms_of, least_rows, lex_keys, relabellings
 from .report import AxiomReport
 from .system import RestrictionSystem
-from .tables import GroupTable, SkewLatticeTable, frozen, row_labels
+from .tables import GroupTable, SkewLatticeTable, frozen
 
 __all__ = [
     "GROUP_CATALOG",
@@ -426,14 +426,14 @@ def _max_idempotent_separating_congruence(S: BiBandAlgebra):
     mt, st = S.meet.array, S.star
     idx = np.arange(n)
     images = _unary_images(S)
-    labels = row_labels(np.stack([mt[idx, st], mt[st, idx]], axis=1))
-    count = labels.max(initial=-1) + 1
+    rows, count = np.stack([mt[idx, st], mt[st, idx]], axis=1), -1
     while True:
-        labels = row_labels(np.hstack([labels[:, None], labels[images]]))
+        # one label per distinct row: equal rows have equal byte keys
+        labels = np.unique(lex_keys(rows), return_inverse=True)[1]
         grown = labels.max(initial=-1) + 1
         if grown == count:
             return labels, _certificate(S, labels)
-        count = grown
+        rows, count = np.hstack([labels[:, None], labels[images]]), grown
 
 
 def _certificate(S: BiBandAlgebra, labels) -> np.ndarray:

@@ -26,13 +26,12 @@ from skewalg import (
     signature_of,
 )
 from skewalg.enumeration import _complete_joins
-from skewalg.isomorphism import _CHUNK, _joint_colours, canonical_tables
+from skewalg.isomorphism import _CHUNK, canonical_tables
 
 from oracles import (
     automorphism_perms,
     least_isomorphism,
     least_relabelling,
-    refine_colours,
     relabel,
     relabel_unary,
 )
@@ -124,12 +123,6 @@ def _oracle(a, b):
     return least_isomorphism(sig_a[0], *_lists(sig_a), *_lists(sig_b))
 
 
-def _blocks(colours):
-    """A colouring as its partition: each element's first class mate."""
-    first = {}
-    return tuple(first.setdefault(c, x) for x, c in enumerate(colours))
-
-
 def _mapping(iso):
     return None if iso is None else iso.mapping
 
@@ -164,8 +157,9 @@ def test_search_matches_the_scalar_oracle_on_same_order_pairs(suite):
 
 @st.composite
 def random_algebras(draw, n):
-    """A BiBandAlgebra with arbitrary tables: no law holds, so refinement
-    rounds and both row and column codes matter."""
+    """A BiBandAlgebra with arbitrary tables: no law holds, so idempotent
+    profiles vary freely and forcing through rows, columns and the star
+    does the pruning."""
     cells = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
     join, meet = (np.array(draw(cells)).reshape(n, n) for _ in range(2))
     star = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
@@ -216,16 +210,6 @@ def test_search_matches_the_scalar_oracle_on_random_tables(pair):
     assert _mapping(find_isomorphism(a, b)) == _oracle(a, b)
 
 
-@settings(max_examples=150, deadline=None)
-@given(algebra_pairs())
-def test_joint_refinement_restricts_to_each_sides_own_refinement(pair):
-    sig_a, sig_b = (signature_of(x) for x in pair)
-    n = sig_a[0]
-    joint = _joint_colours(n, sig_a, sig_b).tolist()
-    assert _blocks(joint[:n]) == _blocks(refine_colours(n, *_lists(sig_a)))
-    assert _blocks(joint[n:]) == _blocks(refine_colours(n, *_lists(sig_b)))
-
-
 def _oracle_automorphisms(structure):
     """tests/oracles.automorphism_perms on the signature of a structure; a
     unary map u enters as the table (x, y) -> u[x], which a permutation
@@ -246,7 +230,7 @@ def any_algebras(n):
 
 
 def sparse_tables(n):
-    """One operation with most cells on one value: refinement leaves large
+    """One operation with most cells on one value: the profile leaves large
     classes, and an image forced by one cell may be the only check on it."""
     def around(c):
         cells = st.lists(st.sampled_from([c] * (3 * n) + list(range(n))), min_size=n * n, max_size=n * n)
@@ -264,7 +248,7 @@ def test_automorphisms_match_the_permutation_oracle_on_random_tables(structure):
 @pytest.mark.parametrize(
     "table",
     [
-        # 3 is only ever the value of 0.0, so refinement cannot tell it from
+        # 3 is only ever the value of 0.0, so the profile cannot tell it from
         # 2: only the image that cell forces on 3 rules out swapping them
         [[3, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]],
         # step 3 forces the image of 4 through 3.0, 3.1 and 3.2 at once, and

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,15 +12,18 @@ from skewalg import (
     SkeletonNotClosedError,
     build_algebra,
     check_axioms,
+    check_skehr,
     enumerate_skew_lattices,
     find_isomorphism,
     reconstruct,
     roundtrip_algebra,
     roundtrip_groupoid,
+    save_structure,
     semidirect_algebra,
     semidirect_groupoid,
     verify_derived_identities,
 )
+from skewalg.cli import dispatch
 from skewalg.models import GROUP_CATALOG, GroupAction
 
 
@@ -112,6 +116,29 @@ def test_disagreeing_products_raise_ambiguity():
     broken = BiBandAlgebra(jt, S.meet.array, S.star)
     with pytest.raises(CompositionAmbiguityError):
         reconstruct(broken, check=False)
+
+
+def test_an_order_5_algebra_passes_the_axioms_but_does_not_reconstruct(tmp_path):
+    # two C5 products that share identity 4 and the inverse map; one object,
+    # so every pair is composable.  check_axioms has no law that meet and
+    # join agree on composable pairs, which reconstruct needs: this pins
+    # that gap as it stands
+    meet = [[2, 4, 3, 1, 0], [4, 3, 0, 2, 1], [3, 0, 1, 4, 2], [1, 2, 4, 0, 3], [0, 1, 2, 3, 4]]
+    join = [[3, 4, 1, 2, 0], [4, 2, 3, 0, 1], [1, 3, 0, 4, 2], [2, 0, 4, 1, 3], [0, 1, 2, 3, 4]]
+    S = BiBandAlgebra(join, meet, [1, 0, 3, 2, 4])
+    assert check_axioms(S).ok and check_skehr(S).ok
+    message = "products disagree on composable pair (0, 0): 2 by meet, 3 by join"
+    with pytest.raises(CompositionAmbiguityError, match=re.escape(message)):
+        reconstruct(S)
+    path = tmp_path / "order-5.json"
+    save_structure(path, S)
+    run, code = dispatch(["check-algebra", str(path)])
+    checks = run["report"]["checks"].values()
+    assert (code, run["ok"], len(checks), sum(c["ok"] for c in checks)) == (0, True, 34, 34)
+    for command in ("reconstruct", "roundtrip"):
+        run, code = dispatch([command, str(path)])
+        assert (code, run["ok"]) == (1, False)
+        assert run["error"] == {"kind": "CompositionAmbiguityError", "message": message}
 
 
 def test_non_idempotent_object_products_raise_skeleton_error():
