@@ -57,8 +57,10 @@ from .models import (
     congruence_kernels,
     cyclic_group,
     dedupe_actions,
+    discrete_system,
     enumerate_actions,
     generate_model_suite,
+    group_system,
     klein_four,
     normal_form_report,
     semidirect_algebra,
@@ -87,8 +89,6 @@ from .system import (
     check_linking,
     check_restriction_axioms,
     check_structure,
-    discrete_system,
-    group_system,
     verify_derived_identities,
 )
 from .tables import (

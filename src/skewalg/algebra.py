@@ -76,63 +76,54 @@ def check_axioms(S: BiBandAlgebra) -> AxiomReport:
     idempotents, the four generalized absorption laws, the four idempotent
     prefix/suffix laws, and the conditional composability consequences."""
     report = AxiomReport("biband axioms")
-    jt, mt, st = S.join.array, S.meet.array, S.star
-    n = S.order
-    idx = np.arange(n)
+    st = S.star
+    idx = np.arange(S.order)
+    # each dual law is written once, for the product t with positive part
+    # s∨s* (pos), negative part s*∨s (neg) and order dual d; comments state
+    # the join form
+    ops = {"join": S.join.array, "meet": S.meet.array}
+    pos = {k: t[idx, st] for k, t in ops.items()}
+    neg = {k: t[st, idx] for k, t in ops.items()}
+    dual = {"join": "meet", "meet": "join"}
 
-    for name, t in (("assoc_join", jt), ("assoc_meet", mt)):
-        report.record_mask(name, t[t, :] == t[:, t])
+    for k, t in ops.items():
+        report.record_mask(f"assoc_{k}", t[t, :] == t[:, t])
 
     report.record_mask("star_involution", st[st] == idx)
 
-    pos_join = jt[idx, st]
-    pos_meet = mt[idx, st]
-    report.record_mask("positive_parts_agree", pos_join == pos_meet)
-    report.record_mask("positive_part_fixed", st[pos_meet] == pos_meet)
+    report.record_mask("positive_parts_agree", pos["join"] == pos["meet"])
+    report.record_mask("positive_part_fixed", st[pos["meet"]] == pos["meet"])
 
-    report.record_mask("regularity_join", jt[pos_join, idx] == idx)
-    report.record_mask("regularity_meet", mt[pos_meet, idx] == idx)
+    for k, t in ops.items():
+        report.record_mask(f"regularity_{k}", t[pos[k], idx] == idx)
 
-    idem = mt[idx, idx] == idx
-    report.record_mask("idempotent_self_star_meet", ~idem | (st == idx))
-    idem = jt[idx, idx] == idx
-    report.record_mask("idempotent_self_star_join", ~idem | (st == idx))
+    for k in ("meet", "join"):
+        idem = ops[k][idx, idx] == idx
+        report.record_mask(f"idempotent_self_star_{k}", ~idem | (st == idx))
 
-    neg_join = jt[st, idx]
-    neg_meet = mt[st, idx]
+    # s∨s*∨(s∧t*∧t) = s
+    for k, t in ops.items():
+        d = ops[dual[k]]
+        inner = d[d[idx[:, None], st[None, :]], idx[None, :]]
+        report.record_mask(f"absorb_{k}_{dual[k]}", t[pos[k][:, None], inner] == idx[:, None])
+    # (t∧t*∧s)∨s*∨s = s
+    for k, t in ops.items():
+        inner = ops[dual[k]][pos[dual[k]][None, :], idx[:, None]]
+        report.record_mask(f"absorb_{dual[k]}_then_{k}", t[inner, neg[k][:, None]] == idx[:, None])
 
-    # s∨s*∨(s∧t*∧t) = s and the meet/lateral variants
-    inner = mt[mt[idx[:, None], st[None, :]], idx[None, :]]
-    report.record_mask("absorb_join_meet", jt[pos_join[:, None], inner] == idx[:, None])
-    inner = jt[jt[idx[:, None], st[None, :]], idx[None, :]]
-    report.record_mask("absorb_meet_join", mt[pos_meet[:, None], inner] == idx[:, None])
-    inner = mt[pos_meet[None, :], idx[:, None]]
-    report.record_mask("absorb_meet_then_join", jt[inner, neg_join[:, None]] == idx[:, None])
-    inner = jt[pos_join[None, :], idx[:, None]]
-    report.record_mask("absorb_join_then_meet", mt[inner, neg_meet[:, None]] == idx[:, None])
-
-    # (e∨t)∨t* = (e∨t)∨(e∨t)* for e = s∨s*, plus meet and suffix variants
-    y = jt[pos_join[:, None], idx[None, :]]
-    report.record_mask("domain_prefix_join", jt[y, st[None, :]] == jt[y, st[y]])
-    y = mt[pos_meet[:, None], idx[None, :]]
-    report.record_mask("domain_prefix_meet", mt[y, st[None, :]] == mt[y, st[y]])
-    y = jt[idx[None, :], neg_join[:, None]]
-    report.record_mask("range_suffix_join", jt[st[None, :], y] == jt[st[y], y])
-    y = mt[idx[None, :], neg_meet[:, None]]
-    report.record_mask("range_suffix_meet", mt[st[None, :], y] == mt[st[y], y])
+    # (e∨t)∨t* = (e∨t)∨(e∨t)* for e = s∨s*, and the suffix form
+    for k, t in ops.items():
+        y = t[pos[k][:, None], idx[None, :]]
+        report.record_mask(f"domain_prefix_{k}", t[y, st[None, :]] == t[y, st[y]])
+    for k, t in ops.items():
+        y = t[idx[None, :], neg[k][:, None]]
+        report.record_mask(f"range_suffix_{k}", t[st[None, :], y] == t[st[y], y])
 
     # s*∨s = t∨t* forces the endpoint idempotents of both products
-    hyp = neg_join[:, None] == pos_join[None, :]
-    prod = jt[idx[:, None], idx[None, :]]
-    law = jt[prod, st[prod]] == pos_join[:, None]
-    report.record_mask("composable_positive_join", ~hyp | law)
-    law = jt[st[prod], prod] == neg_join[None, :]
-    report.record_mask("composable_negative_join", ~hyp | law)
-    prod = mt[idx[:, None], idx[None, :]]
-    law = mt[prod, st[prod]] == pos_meet[:, None]
-    report.record_mask("composable_positive_meet", ~hyp | law)
-    law = mt[st[prod], prod] == neg_meet[None, :]
-    report.record_mask("composable_negative_meet", ~hyp | law)
+    hyp = neg["join"][:, None] == pos["join"][None, :]
+    for k, t in ops.items():
+        report.record_mask(f"composable_positive_{k}", ~hyp | (t[t, st[t]] == pos[k][:, None]))
+        report.record_mask(f"composable_negative_{k}", ~hyp | (t[st[t], t] == neg[k][None, :]))
     return report
 
 

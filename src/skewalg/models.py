@@ -17,6 +17,10 @@ both band operations. From one action we build
     congruence, separates the idempotents, and contains every congruence
     that does.
 
+The discrete system over a lattice and the one-object system of a group
+are the groupoids of trivial actions: the one-element group on the
+lattice, and the group on the one-element lattice.
+
 generate_model_suite instantiates the whole catalog of small groups against
 every skew lattice up to the bound, deduplicated up to simultaneous group
 and band automorphisms (computed once per group and per lattice); this
@@ -48,8 +52,10 @@ __all__ = [
     "congruence_kernels",
     "cyclic_group",
     "dedupe_actions",
+    "discrete_system",
     "enumerate_actions",
     "generate_model_suite",
+    "group_system",
     "klein_four",
     "normal_form_report",
     "semidirect_algebra",
@@ -132,6 +138,8 @@ class GroupAction:
 
 
 def trivial_action(group: GroupTable, lattice: SkewLatticeTable) -> GroupAction:
+    if not isinstance(lattice, SkewLatticeTable):
+        lattice = SkewLatticeTable(*lattice)
     act = np.repeat(np.arange(lattice.order)[:, None], group.order, axis=1)
     return GroupAction(group, lattice, act)
 
@@ -246,54 +254,46 @@ def _semidirect_groupoid(action: GroupAction) -> RestrictionSystem:
     )
     inv = cod * ng + ginv[g]
 
-    pre = action.lattice.preorders
     obj = np.arange(nb)[:, None]
     back = act[obj.T, ginv[g][:, None]] * ng + g[:, None]
-    tables = []  # restL, restR, extL, extR
-    for op, left, right in ((mt, pre.le_left, pre.le_right), (jt, pre.ge_left, pre.ge_right)):
-        tables.append(np.where(left[obj, dom], op[obj, dom] * ng + g, -1))
-        tables.append(np.where(right[obj.T, cod[:, None]], back, -1))
-
     groupoid = FiniteGroupoid(nb, dom, cod, comp, inv)
-    return RestrictionSystem(groupoid, action.lattice, *tables)
+    return RestrictionSystem.on_regions(
+        groupoid, action.lattice, [(op[obj, dom] * ng + g, back) for op in (mt, jt)]
+    )
 
 
-def _generating_set(group: GroupTable) -> list[int]:
+# a trivial action passes every action law whatever its tables, so the two
+# systems below skip the guard
+def discrete_system(objects: SkewLatticeTable) -> RestrictionSystem:
+    """Identity morphisms only; the operators act by the object operations."""
+    return _semidirect_groupoid(trivial_action(cyclic_group(1), objects))
+
+
+def group_system(group: GroupTable) -> RestrictionSystem:
+    """A group as a one-object system; all four operators are trivial."""
+    return _semidirect_groupoid(trivial_action(group, SkewLatticeTable([[0]], [[0]])))
+
+
+def _element_words(group: GroupTable) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """A generating set, each generator the least element outside the
+    subgroup of those before it, and a shortest word in them for every
+    element, found breadth first from the identity."""
     gt = group.table.array
-
-    def closure(seed: set[int]) -> set[int]:
-        reach = set(seed)
-        frontier = list(reach)
-        while frontier:
-            x = frontier.pop()
-            for y in list(reach):
-                for v in (int(gt[x, y]), int(gt[y, x])):
-                    if v not in reach:
-                        reach.add(v)
-                        frontier.append(v)
-        return reach
-
     gens: list[int] = []
-    reach = closure({int(group.identity)})
-    for g in range(group.order):
-        if g not in reach:
-            gens.append(g)
-            reach = closure(reach | {g})
-    return gens
-
-
-def _element_words(group: GroupTable, gens: list[int]) -> dict[int, tuple[int, ...]]:
-    gt = group.table.array
-    words: dict[int, tuple[int, ...]] = {int(group.identity): ()}
-    queue = [int(group.identity)]
-    while queue:
-        x = queue.pop(0)
-        for g in gens:
-            y = int(gt[x, g])
-            if y not in words:
-                words[y] = words[x] + (g,)
-                queue.append(y)
-    return words
+    while True:
+        words: dict[int, tuple[int, ...]] = {int(group.identity): ()}
+        queue = [int(group.identity)]
+        while queue:
+            x = queue.pop(0)
+            for g in gens:
+                y = int(gt[x, g])
+                if y not in words:
+                    words[y] = words[x] + (g,)
+                    queue.append(y)
+        missing = [g for g in range(group.order) if g not in words]
+        if not missing:
+            return gens, words
+        gens.append(missing[0])
 
 
 def enumerate_actions(group: GroupTable, lattice: SkewLatticeTable) -> list[GroupAction]:
@@ -309,8 +309,7 @@ def enumerate_actions(group: GroupTable, lattice: SkewLatticeTable) -> list[Grou
 
 
 def _enumerate_actions(group, lattice, auts) -> list[GroupAction]:
-    gens = _generating_set(group)
-    words = _element_words(group, gens)
+    gens, words = _element_words(group)
     nb = lattice.order
     perms = np.asarray(auts, dtype=np.int64)
     # picks[c, j]: the automorphism candidate c assigns to generator j

@@ -86,18 +86,12 @@ def reconstruct(S: BiBandAlgebra, check: bool = True) -> ReconstructedGroupoid:
         )
     comp = np.where(composable, mt, -1)
 
-    # operator tables, morphisms keyed by their middle element
-    ge_l = jt[obj[:, None], d_el[None, :]] == obj[:, None]
-    le_l = mt[obj[:, None], d_el[None, :]] == obj[:, None]
-    ge_r = jt[r_el[:, None], obj[None, :]] == obj[None, :]
-    le_r = mt[r_el[:, None], obj[None, :]] == obj[None, :]
-    extL = np.where(ge_l, jt[obj[:, None], idx[None, :]], -1)
-    restL = np.where(le_l, mt[obj[:, None], idx[None, :]], -1)
-    extR = np.where(ge_r, jt[idx[:, None], obj[None, :]], -1)
-    restR = np.where(le_r, mt[idx[:, None], obj[None, :]], -1)
-
+    # operator tables, morphisms keyed by their middle element: a∧s, s∧a and
+    # their joins, each cut to its region of the rebuilt lattice
     groupoid = FiniteGroupoid(nb, dom, cod, comp, st)
-    system = RestrictionSystem(groupoid, lattice, restL, restR, extL, extR)
+    system = RestrictionSystem.on_regions(
+        groupoid, lattice, [(t[obj, :], t[:, obj]) for t in (mt, jt)]
+    )
     if check:
         system.full_report().require()
 

@@ -11,6 +11,9 @@ lattice structure, together with four partial operator tables:
 The tables are input data, not derived, so corrupted or hypothetical systems
 can be represented and then interrogated by the checkers below. Construction
 validates shapes and index ranges only; every law is a named report flag.
+RestrictionSystem.on_regions is the one place a builder states the four
+regions: every builder in the package hands it total tables, and it cuts
+each to its region, -1 outside.
 
 Each derived table has one owner, which computes it on first use and then
 keeps it, so a system that is only written out or compared table by table
@@ -36,11 +39,9 @@ import numpy as np
 
 from .algebra import BiBandAlgebra, skehr_statement_flags
 from .errors import MalformedSystemError
-from .groupoid import FiniteGroupoid, check_groupoid, discrete_groupoid, group_groupoid
+from .groupoid import FiniteGroupoid, check_groupoid
 from .report import AxiomReport
-from .tables import (
-    GroupTable, SkewLatticeTable, check_skew_lattice, checked_index, frozen, padded,
-)
+from .tables import SkewLatticeTable, check_skew_lattice, checked_index, frozen, padded
 
 __all__ = [
     "RestrictionSystem",
@@ -49,8 +50,6 @@ __all__ = [
     "check_linking",
     "check_restriction_axioms",
     "check_structure",
-    "discrete_system",
-    "group_system",
     "system_checkers",
     "verify_derived_identities",
 ]
@@ -116,6 +115,24 @@ class RestrictionSystem:
         self.extL = _check_partial("extL", extL, (n, m), m)
         self.extR = _check_partial("extR", extR, (m, n), m)
         self._reports: dict[str, AxiomReport] = {}  # checker name -> its family's report
+
+    @classmethod
+    def on_regions(cls, groupoid, objects, values) -> RestrictionSystem:
+        """The system whose operator tables are total tables cut to their
+        regions, -1 outside. `values` holds one (left, right) pair for the
+        meet side and one for the join side, left[a, g] and right[g, a]:
+        restL lives on a leL dom g, restR on a leR cod g, and extL, extR
+        alike on geL, geR."""
+        pre = objects.preorders
+        tables = []  # restL, restR, extL, extR
+        for (lrel, rrel), (left, right) in zip(
+            ((pre.le_left, pre.le_right), (pre.ge_left, pre.ge_right)), values
+        ):
+            tables += [
+                np.where(lrel[:, groupoid.dom], left, -1),
+                np.where(rrel[:, groupoid.cod].T, right, -1),
+            ]
+        return cls(groupoid, objects, *tables)
 
     @property
     def object_count(self) -> int:
@@ -254,8 +271,9 @@ def check_structure(sys: RestrictionSystem) -> AxiomReport:
             table = back(partial)
             defined = table >= 0
             report.record_mask(f"{name}_defined_iff", back(defined == rel[:, near_p[:-1]]))
-            far_ok = (padded(rel) > 0)[far_p[table], far_p[:-1]]  # False at holes
-            ends = (near_p[table] == idx[:, None]) & far_ok
+            # at a hole far_p reads -1, so rel answers for its last object;
+            # ~defined passes the cell whatever it answers
+            ends = (near_p[table] == idx[:, None]) & rel[far_p[table], far_p[:-1]]
             report.record_mask(f"{name}_endpoints", back(~defined | ends))
 
     report.record_mask("meet_pseudoproduct_total", sys._meet.P >= 0)
@@ -519,26 +537,3 @@ def build_algebra(sys: RestrictionSystem, check: bool = True) -> BiBandAlgebra:
             hole = tuple(int(v) for v in np.argwhere(side.P < 0)[0])
             raise MalformedSystemError(f"{side.op} pseudoproduct undefined at {hole}")
     return BiBandAlgebra(sys._join.P, sys._meet.P, sys.groupoid.inv)
-
-
-def discrete_system(objects: SkewLatticeTable) -> RestrictionSystem:
-    """Identity morphisms only; the operators act by the object operations."""
-    if not isinstance(objects, SkewLatticeTable):
-        objects = SkewLatticeTable(*objects)
-    pre = objects.preorders
-    tables = []  # restL, restR, extL, extR
-    for op, left, right in (
-        (objects.meet.array, pre.le_left, pre.le_right),
-        (objects.join.array, pre.ge_left, pre.ge_right),
-    ):
-        # morphism b is the identity at b, so e.g. restL[a, b] = i_(a∧b) = a∧b
-        tables += [np.where(left, op, -1), np.where(right.T, op, -1)]
-    return RestrictionSystem(discrete_groupoid(objects.order), objects, *tables)
-
-
-def group_system(group: GroupTable) -> RestrictionSystem:
-    """A group as a one-object system; all four operators are trivial."""
-    col = np.arange(group.order)
-    # restL = extL is the row (0, g) -> g, restR = extR the column (g, 0) -> g
-    tables = (col[None, :], col[:, None]) * 2
-    return RestrictionSystem(group_groupoid(group), SkewLatticeTable([[0]], [[0]]), *tables)

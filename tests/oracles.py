@@ -362,6 +362,126 @@ def enumerate_actions_loop(group, identity, meet, join, perms, gens, words):
     return kept
 
 
+def _first(bad, *sizes):
+    """The first index tuple, in row-major order over the given ranges,
+    where bad holds; None where it holds nowhere."""
+    return next((c for c in product(*(range(k) for k in sizes)) if bad(*c)), None)
+
+
+def biband_axiom_witnesses(join, meet, star):
+    """Every check_axioms flag in report order, as (name, first row-major
+    witness or None), each law scanned by loops straight from its statement.
+    J and M are the two products, s* the star."""
+    n = len(star)
+
+    def J(a, b):
+        return join[a][b]
+
+    def M(a, b):
+        return meet[a][b]
+
+    def S(a):
+        return star[a]
+
+    law = []
+    # (s∘t)∘u = s∘(t∘u)
+    for name, T in (("join", J), ("meet", M)):
+        law.append((f"assoc_{name}", _first(lambda s, t, u: T(T(s, t), u) != T(s, T(t, u)), n, n, n)))
+    # s** = s
+    law.append(("star_involution", _first(lambda s: S(S(s)) != s, n)))
+    # s∨s* = s∧s*, and that element is its own star
+    law.append(("positive_parts_agree", _first(lambda s: J(s, S(s)) != M(s, S(s)), n)))
+    law.append(("positive_part_fixed", _first(lambda s: S(M(s, S(s))) != M(s, S(s)), n)))
+    # (s∘s*)∘s = s
+    for name, T in (("join", J), ("meet", M)):
+        law.append((f"regularity_{name}", _first(lambda s: T(T(s, S(s)), s) != s, n)))
+    # s∘s = s implies s* = s
+    for name, T in (("meet", M), ("join", J)):
+        law.append((f"idempotent_self_star_{name}", _first(lambda s: T(s, s) == s and S(s) != s, n)))
+    # s∨s*∨(s∧t*∧t) = s and s∧s*∧(s∨t*∨t) = s, over (s, t)
+    law.append(("absorb_join_meet", _first(lambda s, t: J(J(s, S(s)), M(M(s, S(t)), t)) != s, n, n)))
+    law.append(("absorb_meet_join", _first(lambda s, t: M(M(s, S(s)), J(J(s, S(t)), t)) != s, n, n)))
+    # (t∧t*∧s)∨(s*∨s) = s and (t∨t*∨s)∧(s*∧s) = s, over (s, t)
+    law.append(("absorb_meet_then_join", _first(lambda s, t: J(M(M(t, S(t)), s), J(S(s), s)) != s, n, n)))
+    law.append(("absorb_join_then_meet", _first(lambda s, t: M(J(J(t, S(t)), s), M(S(s), s)) != s, n, n)))
+
+    # y = (s∘s*)∘t gives y∘t* = y∘y*, over (s, t)
+    def prefix_bad(T):
+        def bad(s, t):
+            y = T(T(s, S(s)), t)
+            return T(y, S(t)) != T(y, S(y))
+        return bad
+
+    # y = t∘(s*∘s) gives t*∘y = y*∘y, over (s, t)
+    def suffix_bad(T):
+        def bad(s, t):
+            y = T(t, T(S(s), s))
+            return T(S(t), y) != T(S(y), y)
+        return bad
+
+    for name, T in (("join", J), ("meet", M)):
+        law.append((f"domain_prefix_{name}", _first(prefix_bad(T), n, n)))
+    for name, T in (("join", J), ("meet", M)):
+        law.append((f"range_suffix_{name}", _first(suffix_bad(T), n, n)))
+
+    # s*∨s = t∨t* (s, t composable) gives p∘p* = s∘s* and p*∘p = t*∘t for
+    # p = s∘t, in either product, over (s, t)
+    def composable(s, t):
+        return J(S(s), s) == J(t, S(t))
+
+    for name, T in (("join", J), ("meet", M)):
+        def positive_bad(s, t):
+            p = T(s, t)
+            return composable(s, t) and T(p, S(p)) != T(s, S(s))
+
+        def negative_bad(s, t):
+            p = T(s, t)
+            return composable(s, t) and T(S(p), p) != T(S(t), t)
+
+        law.append((f"composable_positive_{name}", _first(positive_bad, n, n)))
+        law.append((f"composable_negative_{name}", _first(negative_bad, n, n)))
+    return law
+
+
+def partial_table_witnesses(n, dom, cod, op, left, right, side):
+    """The *_defined_iff and *_endpoints flags of one side of check_structure
+    as {name: first row-major witness or None}: side "meet" with op the meet
+    and left/right the partial restL/restR (left[a][g], right[g][a]), side
+    "join" with the join and extL/extR. Each table is scanned in its own
+    orientation; -1 entries are undefined."""
+    m = len(dom)
+    lname, rname = ("restL", "restR") if side == "meet" else ("extL", "extR")
+
+    def lrel(a, b):  # a leL b (a geL b on the join side)
+        return op[a][b] == a
+
+    def rrel(a, b):  # a leR b (a geR b)
+        return op[b][a] == a
+
+    def left_iff(a, g):
+        return (left[a][g] >= 0) != lrel(a, dom[g])
+
+    def right_iff(g, a):
+        return (right[g][a] >= 0) != rrel(a, cod[g])
+
+    # a defined _a|g runs from a to an object below cod g
+    def left_ends(a, g):
+        h = left[a][g]
+        return h >= 0 and not (dom[h] == a and lrel(cod[h], cod[g]))
+
+    # a defined g|_a runs from an object below dom g to a
+    def right_ends(g, a):
+        h = right[g][a]
+        return h >= 0 and not (cod[h] == a and rrel(dom[h], dom[g]))
+
+    return {
+        f"{lname}_defined_iff": _first(left_iff, n, m),
+        f"{lname}_endpoints": _first(left_ends, n, m),
+        f"{rname}_defined_iff": _first(right_iff, m, n),
+        f"{rname}_endpoints": _first(right_ends, m, n),
+    }
+
+
 def reconstruct_skeleton(join, meet, star):
     """The object data reconstruct derives from an algebra, by the dict
     double loop: (objects, object_index, obj_meet, obj_join, dom, cod),

@@ -1,9 +1,12 @@
 """Two-operation algebra checks, pinned against the scalar pair oracle."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import PairOracle
+from oracles import PairOracle, biband_axiom_witnesses
 from skewalg import (
     BiBandAlgebra,
     SkeletonNotClosedError,
@@ -53,6 +56,40 @@ def test_axioms_hold_on_suite(suite):
         report = check_axioms(inst.algebra)
         assert report.ok, f"{inst.name}: {report.first_failure()}"
         assert check_skehr(inst.algebra).ok, inst.name
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_axiom_flags_and_witnesses_match_the_scalar_laws(data):
+    # arbitrary tables, most of them no algebra: every flag, in report order,
+    # with its first row-major witness must be the scalar oracle's
+    n = data.draw(st.integers(1, 5))
+    cell = st.integers(0, n - 1)
+    row = st.lists(cell, min_size=n, max_size=n)
+    join, meet = (data.draw(st.lists(row, min_size=n, max_size=n)) for _ in range(2))
+    star = data.draw(row)
+    report = check_axioms(BiBandAlgebra(join, meet, star))
+    expect = biband_axiom_witnesses(join, meet, star)
+    assert [(c.name, c.witness) for c in report.checks()] == expect
+    assert report.ok == all(witness is None for _, witness in expect)
+
+
+def test_axiom_flags_match_the_scalar_laws_on_suite_and_mutants(suite):
+    # passing algebras, where every hypothesis is met somewhere, and each
+    # with one entry of one table changed
+    rng = random.Random(1810)
+    for inst in rng.sample([inst for inst in suite if inst.algebra.order <= 12], 30):
+        S = inst.algebra
+        tables = [S.join.array, S.meet.array, S.star]
+        variants = [tables]
+        for k, table in enumerate(tables):
+            changed = [t.copy() for t in tables]
+            changed[k][tuple(rng.randrange(d) for d in table.shape)] = rng.randrange(S.order)
+            variants.append(changed)
+        for join, meet, star in variants:
+            report = check_axioms(BiBandAlgebra(join, meet, star))
+            expect = biband_axiom_witnesses(join.tolist(), meet.tolist(), star.tolist())
+            assert [(c.name, c.witness) for c in report.checks()] == expect, inst.name
 
 
 def test_idempotents_are_identity_headed_pairs(suite):

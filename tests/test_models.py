@@ -26,6 +26,7 @@ from skewalg import (
     congruence_kernels,
     cyclic_group,
     dedupe_actions,
+    discrete_system,
     enumerate_actions,
     enumerate_skew_lattices,
     generate_model_suite,
@@ -44,7 +45,6 @@ from skewalg.models import (
     _certificate,
     _element_words,
     _enumerate_actions,
-    _generating_set,
     _max_idempotent_separating_congruence,
 )
 from skewalg.serialize import structure_to_dict
@@ -84,6 +84,17 @@ def test_cyclic_group_table(n):
 def test_trivial_action_passes_checks():
     a = trivial_action(GROUP_CATALOG["S3"], chain_lattice(3))
     assert check_action(a).ok
+
+
+def test_trivial_action_and_discrete_system_take_a_meet_join_pair():
+    lattice = chain_lattice(3)
+    pair = (lattice.meet.array, lattice.join.array)
+    group = GROUP_CATALOG["S3"]
+    assert trivial_action(group, pair) == trivial_action(group, lattice)
+    from_pair, from_lattice = discrete_system(pair), discrete_system(lattice)
+    assert from_pair.objects == lattice
+    for name in ("restL", "restR", "extL", "extR"):
+        assert np.array_equal(getattr(from_pair, name), getattr(from_lattice, name))
 
 
 def test_swap_action_passes_checks():
@@ -161,8 +172,7 @@ def test_batched_enumeration_matches_the_candidate_loop(salted):
         others = [p for p in permutations(range(nb)) if p not in auts]
         perms = others[:1] + auts + others[1:2] if salted else auts
         for group in GROUP_CATALOG.values():
-            gens = _generating_set(group)
-            words = _element_words(group, gens)
+            gens, words = _element_words(group)
             found = _tables(_enumerate_actions(group, lattice, perms))
             expect = enumerate_actions_loop(
                 group.table.tolist(), int(group.identity), meet, join, perms, gens, words
@@ -238,8 +248,7 @@ def test_action_laws_read_the_identity_of_a_relabelled_group(data):
 @pytest.mark.parametrize("name", sorted(MOVED))
 def test_enumeration_for_a_relabelled_group_matches_the_candidate_loop(name):
     group = MOVED[name]
-    gens = _generating_set(group)
-    words = _element_words(group, gens)
+    gens, words = _element_words(group)
     moved = 0  # actions where element 0, not the identity, moves a point
     for lattice in LATTICES_TO_3:
         nb, meet, join = lattice.order, lattice.meet.tolist(), lattice.join.tolist()

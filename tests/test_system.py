@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import order_axioms
+from oracles import order_axioms, partial_table_witnesses
 
 import skewalg.algebra
 import skewalg.groupoid
@@ -273,6 +273,61 @@ def test_axiom_families_match_scalar_oracle_on_suite_and_mutants(suite):
                 assert checker(v).to_dict() == want, (inst.name, side)
 
 
+def test_partial_table_flags_match_scalar_oracle_on_suite_and_mutants(suite):
+    # the definedness and endpoint flags of check_structure, on suite systems
+    # and on mutants with one -1 hole or one new value in one operator table
+    rng = random.Random(1938)
+    names = ("restL", "restR", "extL", "extR")
+    for inst in rng.sample(suite, 60):
+        sysm = inst.system
+        variants = [sysm]
+        for name in names:
+            for value in (-1, rng.randrange(sysm.morphism_count)):
+                tables = {t: getattr(sysm, t).copy() for t in names}
+                tables[name][tuple(rng.randrange(k) for k in tables[name].shape)] = value
+                variants.append(RestrictionSystem(sysm.groupoid, sysm.objects, **tables))
+        for v in variants:
+            report = check_structure(v)
+            g = v.groupoid
+            for side, op, left, right in (
+                ("meet", v.objects.meet, v.restL, v.restR),
+                ("join", v.objects.join, v.extL, v.extR),
+            ):
+                want = partial_table_witnesses(
+                    v.object_count, g.dom.tolist(), g.cod.tolist(), op.tolist(),
+                    left.tolist(), right.tolist(), side,
+                )
+                assert {name: report[name].witness for name in want} == want, (inst.name, side)
+
+
+def test_discrete_and_group_systems_match_their_definitions():
+    # morphism b of a discrete system is the identity at b, so restL[a][b]
+    # is a∧b = a where a leL b, and so on; a group system has one object,
+    # on which every operator is the identity
+    for n in range(1, 4):
+        for lattice in enumerate_skew_lattices(n):
+            sysm = discrete_system(lattice)
+            meet, join = lattice.meet.tolist(), lattice.join.tolist()
+            idx = list(range(n))
+            assert sysm.groupoid == FiniteGroupoid(
+                n, idx, idx, [[a if a == b else -1 for b in idx] for a in idx], idx
+            )
+            for name, op in (("rest", meet), ("ext", join)):
+                assert getattr(sysm, name + "L").tolist() == [
+                    [a if op[a][b] == a else -1 for b in idx] for a in idx
+                ]
+                assert getattr(sysm, name + "R").tolist() == [
+                    [a if op[b][a] == a else -1 for a in idx] for b in idx
+                ]
+    for group in GROUP_CATALOG.values():
+        sysm = group_system(group)
+        m = group.order
+        assert sysm.objects == SkewLatticeTable([[0]], [[0]])
+        assert sysm.groupoid == FiniteGroupoid(1, [0] * m, [0] * m, group.table.array, group.inverse)
+        assert sysm.restL.tolist() == sysm.extL.tolist() == [list(range(m))]
+        assert sysm.restR.tolist() == sysm.extR.tolist() == [[g] for g in range(m)]
+
+
 def fresh(sysm):
     """A new system over the same tables, with nothing checked yet."""
     return RestrictionSystem(
@@ -408,11 +463,10 @@ def test_each_groupoid_table_is_padded_once(suite, monkeypatch):
     assert [sum(core is table for core in calls) for table in own] == [1] * 5
 
 
-def test_a_checked_system_pads_nineteen_tables(suite, monkeypatch):
-    # five groupoid tables, three per side, the four preorders the endpoint
-    # flags read, and the plus and minus of each pseudoproduct; the derived
-    # identities read the sides' padded pseudoproducts and reuse the meet
-    # side's plus and minus
+def test_a_checked_system_pads_fifteen_tables(suite, monkeypatch):
+    # five groupoid tables, three per side, and the plus and minus of each
+    # pseudoproduct; the derived identities read the sides' padded
+    # pseudoproducts and reuse the meet side's plus and minus
     calls = []
 
     def counting(core):
@@ -426,7 +480,7 @@ def test_a_checked_system_pads_nineteen_tables(suite, monkeypatch):
         sysm = _fresh_system(inst.system)
         for _, checker in system_checkers():
             checker(sysm)
-        assert len(calls) == 19
+        assert len(calls) == 15
 
 
 def test_the_system_a_groupoid_round_trip_rebuilds_stays_underived(monkeypatch):
