@@ -31,7 +31,8 @@ __all__ = [
 ]
 
 
-def _check_bound(n: int, max_order: int) -> None:
+def _bands(n: int, max_order: int) -> np.ndarray:
+    """Every band table on {0..n-1} with labels, as the one stack _fill leaves."""
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     if n > max_order:
@@ -42,6 +43,7 @@ def _check_bound(n: int, max_order: int) -> None:
     # the fill's int8 cells hold the values 0..n, n marking an undecided cell
     if n > np.iinfo(np.int8).max:
         raise BoundExceededError(f"order {n} exceeds 127, the largest order the int8 table fill holds")
+    return _fill(np.ones((1, n, n, n), dtype=bool))[1]
 
 
 # partial tables grown and checked in one numpy pass; bounds the working
@@ -91,8 +93,7 @@ def _grow(tables, roots, options, cell, xyz):
 
 def labeled_bands(n: int, max_order: int = DEFAULT_MAX_ORDER) -> list[OperationTable]:
     """All band tables on {0..n-1} with labels, not reduced by isomorphism."""
-    _check_bound(n, max_order)
-    return [OperationTable(t) for t in _fill(np.ones((1, n, n, n), dtype=bool))[1]]
+    return [OperationTable(t) for t in _bands(n, max_order)]
 
 
 def _classes(n: int, stacks) -> np.ndarray:
@@ -105,8 +106,7 @@ def _classes(n: int, stacks) -> np.ndarray:
 
 def enumerate_bands(n: int, max_order: int = DEFAULT_MAX_ORDER) -> list[OperationTable]:
     """One canonical representative per isomorphism class of bands of order n."""
-    bands = np.array([band.array for band in labeled_bands(n, max_order)])
-    return [OperationTable(band) for (band,) in _classes(n, [bands])]
+    return [OperationTable(band) for (band,) in _classes(n, [_bands(n, max_order)])]
 
 
 def enumerate_skew_lattices(
@@ -116,7 +116,7 @@ def enumerate_skew_lattices(
 
     Isomorphism here is a single bijection preserving meet and join at once.
     """
-    meets = np.array([band.array for band in labeled_bands(n, max_order)])
+    meets = _bands(n, max_order)
     roots, joins = _fill(_join_options(meets))
     return [SkewLatticeTable(meet, join) for meet, join in _classes(n, [meets[roots], joins])]
 

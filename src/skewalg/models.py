@@ -431,13 +431,13 @@ def _max_idempotent_separating_congruence(S: BiBandAlgebra):
         labels = np.unique(lex_keys(rows), return_inverse=True)[1]
         grown = labels.max(initial=-1) + 1
         if grown == count:
-            return labels, _certificate(S, labels)
+            return labels, _certificate(S, labels, images)
         rows, count = np.hstack([labels[:, None], labels[images]]), grown
 
 
-def _certificate(S: BiBandAlgebra, labels) -> np.ndarray:
-    """Per element x, whether x passes the certificate that the refined
-    `labels` are the maximum idempotent-separating congruence:
+def _certificate(S: BiBandAlgebra, labels, images) -> np.ndarray:
+    """Per element x, whether x, with its _unary_images row in `images`, passes
+    the certificate that `labels` are the maximum idempotent-separating congruence:
 
       * the images of x under every unary map lie in the classes of the
         images of the first element of its class (a congruence);
@@ -449,7 +449,6 @@ def _certificate(S: BiBandAlgebra, labels) -> np.ndarray:
     Applied to the largest congruence inside E, all True makes it the
     maximum.
     """
-    images = _unary_images(S)
     n = S.order
     mt, jt, st = S.meet.array, S.join.array, S.star
     _, first, labels = np.unique(labels, return_index=True, return_inverse=True)

@@ -8,6 +8,7 @@ identities that are expected to fail outside special cases).
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +37,12 @@ class Check(NamedTuple):
     note: str | None = None
 
 
+@functools.cache
+def _passed(name: str, required: bool, note: str | None) -> Check:
+    """The one passing check of its name, kind and note, shared by every report."""
+    return Check(name, True, None, required, note)
+
+
 class AxiomReport:
     """Ordered named checks with an overall verdict over the required ones."""
 
@@ -51,21 +58,27 @@ class AxiomReport:
         self._checks[check.name] = check
 
     def record(self, name, ok, witness=None, required=True, note=None) -> None:
-        self.add(Check(name, bool(ok), _py(witness), required, note))
+        if ok and witness is None:
+            self.add(_passed(name, required, note))
+        else:
+            self.add(Check(name, bool(ok), _py(witness), required, note))
 
     def record_mask(self, name, mask: np.ndarray, required=True, note=None) -> None:
         """Record a law given as a boolean array over its domain; the witness
         is the first index tuple where the mask is False, in row-major order."""
         ok = bool(np.count_nonzero(mask) == mask.size)
         witness = None if ok else tuple(int(i) for i in np.argwhere(~mask)[0])
-        self.add(Check(name, ok, witness, required, note))
+        self.record(name, ok, witness, required, note)
 
     def extend(self, other: "AxiomReport", prefix: str = "") -> None:
-        """Add other's checks, renamed with prefix; a check is immutable, so
-        without a prefix the same one is shared."""
+        """Add other's checks, renamed with prefix through record, so that the
+        passing ones stay shared; without a prefix the same checks are shared."""
         checks = other._checks
         if prefix:
-            checks = {prefix + k: Check(prefix + k, *c[1:]) for k, c in checks.items()}
+            renamed = AxiomReport(other.title)
+            for c in checks.values():
+                renamed.record(prefix + c.name, *c[1:])
+            checks = renamed._checks
         if not self._checks.keys().isdisjoint(checks):
             raise ValueError(f"duplicate check name: {next(k for k in checks if k in self._checks)}")
         self._checks.update(checks)

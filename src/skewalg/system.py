@@ -70,7 +70,7 @@ class _Side:
     ∧) or its order dual, the join side (extension, extL, extR, ∨).
 
     L[a, g] = a∧g and R[g, a] = g∧a are the total operators, P the
-    pseudoproduct and the *_p fields their -1-padded forms. `order` holds
+    pseudoproduct, each a view of its -1-padded form in *_p. `order` holds
     the (left, right) relations that bound the definedness regions and the
     transitivity hypotheses; `preorder` the relations the two preorder flags
     read, which on the join side are the lateral ones (ge_right for extL,
@@ -165,15 +165,13 @@ class RestrictionSystem:
         idx_n, idx_m = np.arange(self.object_count), np.arange(self.morphism_count)
         dom, cod = self.groupoid.dom, self.groupoid.cod
         # total operator tables; holes in the partial input surface as -1
-        L = left[op[idx_n[:, None], dom], idx_m]
-        R = right[idx_m[:, None], op[cod, :]]
+        L_p = padded(left[op[idx_n[:, None], dom], idx_m])
+        R_p = padded(right[idx_m[:, None], op[cod, :]])
         c = op[cod[:, None], dom[None, :]]
-        P = self.groupoid.padded[3][right[idx_m[:, None], c], left[c, idx_m[None, :]]]  # comp_p
-        for table in (L, R, P):
-            table.setflags(write=False)
+        P_p = padded(self.groupoid.padded[3][right[idx_m[:, None], c], left[c, idx_m[None, :]]])  # comp_p
         return _Side(
-            *names, table=op, partial=partial, L=L, R=R, L_p=padded(L), R_p=padded(R),
-            P=P, P_p=padded(P), order=order, preorder=preorder,
+            *names, table=op, partial=partial, L=L_p[:-1, :-1], R=R_p[:-1, :-1], L_p=L_p,
+            R_p=R_p, P=P_p[:-1, :-1], P_p=P_p, order=order, preorder=preorder,
         )
 
     def pseudoproduct(self, f: int, g: int, op: str = "meet") -> int:

@@ -46,6 +46,7 @@ from skewalg.models import (
     _element_words,
     _enumerate_actions,
     _max_idempotent_separating_congruence,
+    _unary_images,
 )
 from skewalg.serialize import structure_to_dict
 
@@ -411,11 +412,12 @@ def test_certificate_fails_when_one_label_is_corrupted(suite):
         S = inst.algebra
         labels, certified = _max_idempotent_separating_congruence(S)
         assert certified.all()
+        images = _unary_images(S)
         for x in range(S.order):
             for other in set(labels.tolist()) - {int(labels[x])}:
                 broken = labels.copy()
                 broken[x] = other
-                assert not _certificate(S, broken).all(), (inst.name, x, other)
+                assert not _certificate(S, broken, images).all(), (inst.name, x, other)
                 checked += 1
     assert checked > 100
 

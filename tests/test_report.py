@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from skewalg import AxiomReport, chain_lattice, discrete_system
-from skewalg.report import Check
+from skewalg import (
+    AxiomReport,
+    RestrictionSystem,
+    chain_lattice,
+    check_structure,
+    discrete_system,
+    verify_derived_identities,
+)
+from skewalg.report import Check, _passed
 from skewalg.system import system_checkers
 
 masks = st.integers(0, 3).flatmap(
@@ -67,3 +74,53 @@ def test_full_report_holds_the_four_families_in_order():
     sysm = discrete_system(chain_lattice(2))
     families = [checker(sysm).checks() for _, checker in system_checkers()[:4]]
     assert sysm.full_report().checks() == [c for family in families for c in family]
+
+
+def _checked(sysm, restL=None) -> dict[str, Check]:
+    """Every check of a fresh system over sysm's tables (restL replaced if
+    given): its full report, its derived identities, and its structure
+    family under a prefix, as the CLI merges it."""
+    fresh = RestrictionSystem(
+        sysm.groupoid, sysm.objects, sysm.restL if restL is None else restL,
+        sysm.restR, sysm.extL, sysm.extR,
+    )
+    report = fresh.full_report()
+    report.extend(verify_derived_identities(fresh))
+    report.extend(check_structure(fresh), prefix="structure.")
+    return {c.name: c for c in report.checks()}
+
+
+def test_a_passing_flag_is_one_check_shared_by_every_system(suite):
+    small, large = (_checked(inst.system) for inst in (suite[0], suite[-1]))
+    assert suite[0].system.morphism_count != suite[-1].system.morphism_count
+    both = [name for name, check in small.items() if check.ok and large[name].ok]
+    assert len(both) > 100 and any(name.startswith("structure.objects_") for name in both)
+    assert all(small[name] is large[name] for name in both)
+
+
+def test_a_failing_flag_keeps_its_own_witness(suite):
+    sysm = max(suite, key=lambda inst: inst.system.morphism_count).system
+    clean = _checked(sysm)
+    witnesses = set()
+    for spot in map(tuple, np.argwhere(sysm.restL >= 0)[:6]):
+        restL = sysm.restL.copy()
+        restL[spot] = (restL[spot] + 1) % sysm.morphism_count
+        mutant = _checked(sysm, restL)
+        failing = [c for c in mutant.values() if not c.ok]
+        assert failing
+        for check in failing:
+            assert check.witness is not None and check is not clean[check.name]
+            witnesses.add((check.name, check.witness))
+        # the flags the single entry leaves passing are the clean system's own
+        assert all(c is clean[c.name] for c in mutant.values() if c.ok and clean[c.name].ok)
+    # each mutant's failing flags carry the witness its own damage gives
+    assert len({witness for _, witness in witnesses}) > 1
+
+
+def test_the_shared_passing_checks_stop_growing_after_one_round(suite):
+    for inst in suite:
+        _checked(inst.system)
+    size = _passed.cache_info().currsize
+    for inst in suite:
+        _checked(inst.system)
+    assert _passed.cache_info().currsize == size

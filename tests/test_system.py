@@ -446,6 +446,16 @@ def test_a_system_derives_its_checker_state_on_first_use():
     assert sysm._meet is meet and sysm._join.op == "join" and "_join" in vars(sysm)
 
 
+def test_each_side_stores_its_tables_once_padded(suite):
+    sysm = _fresh_system(max(suite, key=lambda inst: inst.system.morphism_count).system)
+    for side in (sysm._meet, sysm._join):
+        for core, pad in ((side.L, side.L_p), (side.R, side.R_p), (side.P, side.P_p)):
+            assert np.shares_memory(core, pad)
+            assert not core.flags.writeable and not pad.flags.writeable
+            assert np.array_equal(core, pad[:-1, :-1])
+            assert (pad[-1] == -1).all() and (pad[:, -1] == -1).all()
+
+
 def test_each_groupoid_table_is_padded_once(suite, monkeypatch):
     calls = []
 
