@@ -1,13 +1,14 @@
 """Exhaustive generation of small bands and skew lattices up to isomorphism.
 
 One breadth-first fill, _fill, does the work on a stack of partial tables,
-each with a root that names its mask of allowed values (every value for a
-band; for a join, the absorption-compatible values over the root's meet).
-Idempotency pins the diagonal.  Each off-diagonal cell in row-major order
-grows every table by the values its mask allows there, in the order of a
-depth-first search, and one vectorised check drops each table in which a
-triple, all four of its products decided, breaks associativity.  The whole
-stack of completed tables, or meet/join pairs, is keyed at once by
+each with a root that names its mask of allowed values for every cell, the
+diagonal included (for a band, a·a = a and every value elsewhere; for a
+join, the absorption-compatible values over the root's meet).  The cells
+where no root has a choice come first, then the rest in row-major order;
+each cell grows every table by the values its mask allows there, in the
+order of a depth-first search, and one vectorised check drops each table in
+which a triple, all four of its products decided, breaks associativity.
+The whole stack of completed tables, or meet/join pairs, is keyed at once by
 canonical_tables, the least flattened relabelling by all n! permutations,
 so isomorphic tables share a key; the distinct keys in increasing order,
 reshaped back into tables, are the representatives.
@@ -43,7 +44,10 @@ def _bands(n: int, max_order: int) -> np.ndarray:
     # the fill's int8 cells hold the values 0..n, n marking an undecided cell
     if n > np.iinfo(np.int8).max:
         raise BoundExceededError(f"order {n} exceeds 127, the largest order the int8 table fill holds")
-    return _fill(np.ones((1, n, n, n), dtype=bool))[1]
+    # idempotency as data: the diagonal cell (a, a) allows a alone
+    allowed = np.ones((1, n, n, n), dtype=bool)
+    allowed[:, range(n), range(n)] = np.eye(n, dtype=bool)
+    return _fill(allowed)[1]
 
 
 # partial tables grown and checked in one numpy pass; bounds the working
@@ -52,21 +56,27 @@ _CHUNK = 1 << 11
 
 
 def _fill(allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(roots, tables): every idempotent associative table on {0..n-1} whose
-    off-diagonal cells (a, b) hold values v with allowed[r, a, b, v], for each
-    root r, as tables[k] of root roots[k].  They come in order of root, then
-    of the cell values in row-major order, as a depth-first search finds them.
+    """(roots, tables): every associative table on {0..n-1} whose cells (a, b)
+    hold values v with allowed[r, a, b, v], for each root r, as tables[k] of
+    root roots[k].  They come in order of root, then of the cell values in
+    row-major order, as a depth-first search finds them.
     """
     count, n = allowed.shape[:2]
     # n marks an undecided cell; the padded row and column n hold it too, so
     # a product read through an undecided cell is undecided
     tables = np.full((count, n + 1, n + 1), n, dtype=np.int8)
-    tables[:, range(n), range(n)] = range(n)
     roots = np.arange(count)
     i, j = np.divmod(np.arange(n * n), n)
-    for a, b in ((a, b) for a in range(n) for b in range(n) if a != b):
-        # every triple (x, y, z) whose products read cell (a, b) has x = a or z = b
-        xyz = np.concatenate([[np.full(n * n, a), i, j], [i, j, np.full(n * n, b)]], axis=1)
+    # a cell no root branches on moves no table in the order, so those cells
+    # go first, deciding and pruning while the stack holds only the roots
+    forks = (allowed.sum(axis=3) > 1).any(axis=0).ravel()
+    decided = np.zeros((n, n), dtype=bool)
+    for a, b in zip(*np.divmod(np.argsort(forks, kind="stable"), n)):
+        decided[a, b] = True
+        # every triple (x, y, z) whose products read cell (a, b) has x = a or
+        # z = b; it can be checked only once x·y and y·z are decided
+        x, y, z = np.concatenate([[np.full(n * n, a), i, j], [i, j, np.full(n * n, b)]], axis=1)
+        xyz = np.stack([x, y, z])[:, decided[x, y] & decided[y, z]]
         grown = [
             _grow(tables[s : s + _CHUNK], roots[s : s + _CHUNK], allowed[:, a, b], (a, b), xyz)
             for s in range(0, len(roots), _CHUNK)
@@ -137,7 +147,3 @@ def _join_options(meets: np.ndarray) -> np.ndarray:
     allowed &= ~meet_is.any(axis=1).transpose(0, 2, 1)[..., None] | eye
     return allowed
 
-
-def _complete_joins(meet, n: int) -> list[list[list[int]]]:
-    """All join tables making (meet, join) a skew lattice: the fill over one meet."""
-    return _fill(_join_options(np.reshape(meet, (1, n, n))))[1].tolist()

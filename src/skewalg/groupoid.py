@@ -169,14 +169,7 @@ def group_groupoid(group: GroupTable) -> FiniteGroupoid:
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
     """Morphisms are ordered pairs (i, j): exactly one from i to j."""
-    idx = lambda i, j: i * n + j
-    m = n * n
-    dom = np.array([i for i in range(n) for _ in range(n)], dtype=np.int64)
-    cod = np.array([j for _ in range(n) for j in range(n)], dtype=np.int64)
-    comp = np.full((m, m), -1, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                comp[idx(i, j), idx(j, k)] = idx(i, k)
-    inv = np.array([idx(j, i) for i in range(n) for j in range(n)], dtype=np.int64)
-    return FiniteGroupoid(n, dom, cod, comp, inv)
+    # morphism i*n + j is (i, j); (i, j)(j, k) = (i, k) and (i, j)^-1 = (j, i)
+    dom, cod = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    comp = np.where(cod[:, None] == dom[None, :], dom[:, None] * n + cod[None, :], -1)
+    return FiniteGroupoid(n, dom, cod, comp, cod * n + dom)

@@ -147,11 +147,11 @@ def associativity_ok(t, a, b, n):
 
 
 def fill_tables(n, candidates):
-    """Every idempotent table on range(n) whose off-diagonal cells, filled
+    """Every table on range(n) whose cells, the diagonal included, filled
     depth first in row-major order, take their values from candidates(a, b)
     and pass associativity_ok after each cell."""
-    t = [[a if a == b else -1 for b in range(n)] for a in range(n)]
-    cells = [(a, b) for a in range(n) for b in range(n) if a != b]
+    t = [[-1] * n for _ in range(n)]
+    cells = [(a, b) for a in range(n) for b in range(n)]
     out = []
 
     def fill(k):
@@ -443,6 +443,21 @@ def biband_axiom_witnesses(join, meet, star):
     return law
 
 
+def brute_force_biband_algebras(n):
+    """Every (join, meet, star) on range(n) with two associative tables and
+    an involution for which biband_axiom_witnesses finds no witness."""
+    tables = (tuple(c[i : i + n] for i in range(0, n * n, n)) for c in product(range(n), repeat=n * n))
+    semigroups = [t for t in tables if is_associative(t)]
+    involutions = [p for p in permutations(range(n)) if all(p[p[s]] == s for s in range(n))]
+    return [
+        (join, meet, star)
+        for join in semigroups
+        for meet in semigroups
+        for star in involutions
+        if all(witness is None for _, witness in biband_axiom_witnesses(join, meet, star))
+    ]
+
+
 def partial_table_witnesses(n, dom, cod, op, left, right, side):
     """The *_defined_iff and *_endpoints flags of one side of check_structure
     as {name: first row-major witness or None}: side "meet" with op the meet
@@ -511,6 +526,17 @@ def reconstruct_skeleton(join, meet, star):
     dom = [object_index[e] for e in d_el]
     cod = [object_index[e] for e in r_el]
     return objects, object_index, obj_meet, obj_join, dom, cod
+
+
+def pair_groupoid_tables(n):
+    """(dom, cod, comp, inv) of the pair groupoid on n objects: one morphism
+    (i, j) from i to j for each ordered pair, numbered in row-major order,
+    with (i, j)(j, k) = (i, k), -1 where the ends do not meet, and
+    (i, j)^-1 = (j, i)."""
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    number = {pair: f for f, pair in enumerate(pairs)}
+    comp = [[number[f[0], g[1]] if f[1] == g[0] else -1 for g in pairs] for f in pairs]
+    return [i for i, _ in pairs], [j for _, j in pairs], comp, [number[j, i] for i, j in pairs]
 
 
 def groupoid_units(n, dom, cod, comp):

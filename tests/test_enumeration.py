@@ -1,6 +1,7 @@
 """Enumeration counts are frozen from the brute-force oracles in oracles.py."""
 
 import hashlib
+import itertools
 import json
 from unittest.mock import patch
 
@@ -16,6 +17,7 @@ from oracles import (
     count_skew_classes,
     fill_roots,
     fill_tables,
+    is_associative,
     join_candidates,
     relabel,
 )
@@ -28,7 +30,7 @@ from skewalg import (
     labeled_bands,
 )
 from skewalg import enumeration
-from skewalg.enumeration import _complete_joins, _fill, _join_options
+from skewalg.enumeration import _fill, _join_options
 
 # oracle output, computed once and pinned
 LABELED_BANDS = {1: 1, 2: 4, 3: 35}
@@ -45,12 +47,10 @@ def as_tuples(table):
 
 
 def labelled_pairs(n):
-    """{(meet, join)} from the library's band search and join completion."""
-    return {
-        (as_tuples(meet), as_tuples(join))
-        for meet in (band.tolist() for band in labeled_bands(n))
-        for join in _complete_joins(meet, n)
-    }
+    """{(meet, join)} from the library's band search and join fill."""
+    meets = [band.tolist() for band in labeled_bands(n)]
+    roots, joins = _fill(_join_options(np.array(meets)))
+    return {(as_tuples(meets[r]), as_tuples(join)) for r, join in zip(roots.tolist(), joins.tolist())}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -152,13 +152,28 @@ def stacked_fill(allowed):
     return list(zip(roots.tolist(), tables.tolist()))
 
 
+# labelled semigroups of order n (OEIS A023814)
+LABELED_SEMIGROUPS = {1: 1, 2: 8, 3: 113, 4: 3492}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_an_all_ones_mask_fills_every_labelled_semigroup(n):
+    tables = _fill(np.ones((1, n, n, n), dtype=bool))[1]
+    assert len(tables) == LABELED_SEMIGROUPS[n]
+    if n <= 3:
+        # every one of the n^(n²) tables, 19683 at n = 3
+        every = (np.reshape(t, (n, n)).tolist() for t in itertools.product(range(n), repeat=n * n))
+        assert tables.tolist() == [t for t in every if is_associative(t)]
+
+
 # the order tests also run with stacks grown in chunks of a few tables, so
 # that the order across chunk boundaries is checked at small orders too
 @pytest.mark.parametrize("chunk", [enumeration._CHUNK, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_band_fill_equals_the_depth_first_search_in_order(n, chunk, monkeypatch):
     monkeypatch.setattr(enumeration, "_CHUNK", chunk)
-    assert [band.tolist() for band in labeled_bands(n)] == fill_tables(n, lambda a, b: range(n))
+    idempotent = lambda a, b: [a] if a == b else range(n)
+    assert [band.tolist() for band in labeled_bands(n)] == fill_tables(n, idempotent)
 
 
 @pytest.mark.parametrize("chunk", [enumeration._CHUNK, 5])
@@ -170,7 +185,6 @@ def test_join_fill_equals_the_depth_first_search_in_order(n, chunk, monkeypatch)
     assert stacked_fill(_join_options(np.array(meets))) == [
         (r, join) for r, joins in enumerate(expected) for join in joins
     ]
-    assert [_complete_joins(meet, n) for meet in meets] == expected
 
 
 @st.composite

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from oracles import groupoid_laws, groupoid_units
+from oracles import groupoid_laws, groupoid_units, pair_groupoid_tables
 
 from skewalg import (
     FiniteGroupoid,
@@ -47,6 +47,14 @@ def test_pair_groupoid_composition_and_inverse():
         back = g.invert(f)
         assert int(g.dom[back]) == j and int(g.cod[back]) == i
         assert g.compose(f, back) == g.identity_of[i]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_pair_groupoid_equals_the_scalar_construction(n):
+    g = pair_groupoid(n)
+    assert g.object_count == n
+    tables = (g.dom, g.cod, g.comp, g.inv)
+    assert [t.tolist() for t in tables] == list(pair_groupoid_tables(n))
 
 
 def test_composition_outside_pattern_raises():

@@ -25,7 +25,7 @@ from skewalg import (
     right_zero,
     signature_of,
 )
-from skewalg.enumeration import _complete_joins
+from skewalg.enumeration import _fill, _join_options
 from skewalg.isomorphism import _CHUNK, canonical_tables
 
 from oracles import (
@@ -291,7 +291,8 @@ def test_canonical_tables_match_the_oracle_on_labelled_bands_and_skew_lattices()
         meets = [band.tolist() for band in labeled_bands(n)]
         bands = _outgrow_a_chunk(meets)
         _assert_stack_keys(n, [bands], [], [least_relabelling(n, [meet]) for meet in bands])
-        pairs = _outgrow_a_chunk([(meet, join) for meet in meets for join in _complete_joins(meet, n)])
+        roots, joins = _fill(_join_options(np.array(meets)))
+        pairs = _outgrow_a_chunk([(meets[r], join) for r, join in zip(roots.tolist(), joins.tolist())])
         expected = [least_relabelling(n, pair) for pair in pairs]
         _assert_stack_keys(n, zip(*pairs), [], expected)
 
