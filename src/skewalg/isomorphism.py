@@ -9,8 +9,10 @@ in increasing lexicographic order:
     unequal profile multisets prove non-isomorphism, and x may only map to
     elements of b with its profile;
   * a backtracking search that tries the images of 0, 1, ... in
-    increasing order.  A precomputed schedule lists, per step x, the source
-    cells (p, q) -> v with max(p, q) = x (p = q, v = u(p) for a unary u);
+    increasing order.  A schedule lists, per step x, the source cells
+    (p, q) -> v with max(p, q) = x (p = q, v = u(p) for a unary u); its
+    order, step bounds and (p, q) rows are built once per shape, and each
+    search gathers its v through them;
     for a candidate x -> y one gather through the partial image array gives
     the image each cell demands of v.  It must equal v's image, or the image
     an earlier cell forced on v; otherwise it is forced on v, and it is the
@@ -26,6 +28,7 @@ least_rows picks each structure's least row by its lex_keys.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -68,7 +71,7 @@ def signature_of(structure) -> tuple[int, tuple[np.ndarray, ...], tuple[np.ndarr
         # the two pseudoproducts and inversion determine the whole system:
         # identities are the shared idempotents, endpoints and the operator
         # tables are then derived expressions, so matching these suffices
-        pm, pj = structure._meet.P, structure._join.P
+        pm, pj = (P_p[:-1, :-1] for P_p in structure._pseudoproducts)
         if (pm < 0).any() or (pj < 0).any():
             raise SignatureMismatchError(
                 "system comparison needs total pseudoproducts"
@@ -90,20 +93,32 @@ def _flat_tables(n, sig) -> np.ndarray:
     return np.concatenate([op.ravel() for op in sig[1]] + [np.repeat(u, n) for u in sig[2]])
 
 
-def _cell_schedule(n, sig):
-    """The cells of _flat_tables(n, sig) in the order of the step x at which
-    0..x have images and so fix the image of their value: max(p, q) = x for
-    a cell (p, q) -> v, taking only p = q in a unary block.  Returns the
-    block offsets, a 3-row array of p, q and v, and the bounds of each step."""
-    flat = _flat_tables(n, sig)
-    block, cell = np.divmod(np.arange(flat.size), n * n)
+@functools.cache
+def _schedule(n: int, binary: int, unary: int):
+    """The part of the cell schedule that depends only on the shape: n
+    elements, `binary` binary and `unary` unary operations.  The cells of
+    _flat_tables in the order of the step x at which 0..x have images and
+    so fix the image of their value: max(p, q) = x for a cell (p, q) -> v,
+    taking only p = q in a unary block.  Returns each cell's position in the
+    flat tables, its block offset, a 2-row array of p and q, and the bounds
+    of each step; built once per shape and read-only."""
+    block, cell = np.divmod(np.arange((binary + unary) * n * n), n * n)
     p, q = np.divmod(cell, n)
-    keep = (block < len(sig[1])) | (p == q)
-    cells = np.stack([p[keep], q[keep], flat[keep]])
-    step = cells[:2].max(axis=0)
-    order = np.argsort(step, kind="stable")
-    bounds = np.searchsorted(step[order], np.arange(n + 1)).tolist()
-    return (block[keep] * (n * n))[order], cells[:, order], bounds
+    step = np.maximum(p, q)
+    keep = np.flatnonzero((block < binary) | (p == q))
+    order = keep[np.argsort(step[keep], kind="stable")]
+    bounds = tuple(np.searchsorted(step[order], np.arange(n + 1)).tolist())
+    rows = (order, block[order] * (n * n), np.stack([p[order], q[order]]))
+    for arr in rows:
+        arr.setflags(write=False)
+    return *rows, bounds
+
+
+def _candidates(profile_a, profile_b) -> list[list[int]]:
+    """candidates[x]: the elements of b with x's idempotent profile, in
+    increasing order; one list per profile, shared by its elements."""
+    classes = {c: np.flatnonzero(profile_b == c).tolist() for c in set(profile_a.tolist())}
+    return [classes[c] for c in profile_a.tolist()]
 
 
 def preserves_operations(sig_a, sig_b, mapping) -> bool:
@@ -128,8 +143,9 @@ def _isomorphisms(sig_a, sig_b):
     profile_a, profile_b = _idempotent_profile(sig_a), _idempotent_profile(sig_b)
     if not np.array_equal(np.sort(profile_a), np.sort(profile_b)):
         return
-    candidates = [np.flatnonzero(profile_b == c).tolist() for c in profile_a]
-    offsets, cells, bounds = _cell_schedule(n, sig_a)
+    candidates = _candidates(profile_a, profile_b)
+    positions, offsets, pq, bounds = _schedule(n, len(sig_a[1]), len(sig_a[2]))
+    cells = np.vstack((pq, _flat_tables(n, sig_a)[positions]))  # p, q and v
     flat_b = _flat_tables(n, sig_b)
     used = [False] * n
 

@@ -19,11 +19,20 @@ Each derived table has one owner, which computes it on first use and then
 keeps it, so a system that is only written out or compared table by table
 never pays for any of them: the groupoid pads its own tables
 (FiniteGroupoid.padded), the object lattice holds its preorders
-(SkewLatticeTable.preorders), and each side of the system derives its two
-total operations (a∧g and g∧a, or a∨g and g∨a) and its pseudoproduct as
-numpy tables. Undefined entries stay -1: each lookup table is padded with a
--1 border row/column, and since numpy reads index -1 as the last position,
-sentinels flow through chained gathers without any masking logic.
+(SkewLatticeTable.preorders), the system derives its two pseudoproducts
+(RestrictionSystem._pseudoproducts), and each side of the system derives its
+two total operations (a∧g and g∧a, or a∨g and g∨a) as numpy tables. A system
+read only for its algebra derives the pseudoproducts and nothing else.
+Undefined entries stay -1: each lookup table is padded with a -1 border
+row/column, and since numpy reads index -1 as the last position, sentinels
+flow through chained gathers without any masking logic.
+
+The laws over triples gather through one index array over whole rows:
+T_p[:, :k][X] for T_p[X[..., None], arange(k)] and T_p[:k][:, Y] for
+T_p[arange(k)[:, None, None], Y], which numpy does several times faster
+and into contiguous results. Where the law's axis order differs from the
+gather's, the mask is transposed, so each witness is still the first
+failing tuple in the law's row-major order.
 
 The join side (extL, extR, ∨) is the order dual of the meet side (restL,
 restR, ∧). Each side is one _Side record, derived apart from the other, and
@@ -69,12 +78,15 @@ class _Side:
     """One order side of a system: the meet side (restriction, restL, restR,
     ∧) or its order dual, the join side (extension, extL, extR, ∨).
 
-    L[a, g] = a∧g and R[g, a] = g∧a are the total operators, P the
-    pseudoproduct, each a view of its -1-padded form in *_p. `order` holds
-    the (left, right) relations that bound the definedness regions and the
-    transitivity hypotheses; `preorder` the relations the two preorder flags
-    read, which on the join side are the lateral ones (ge_right for extL,
-    ge_left for extR).
+    L_p[a, g] = a∧g and R_p[g, a] = g∧a are the total operators and P_p the
+    pseudoproduct, each padded with a -1 border (tables.padded); the system
+    stores these only. A checker takes contiguous unpadded working copies
+    (_core) at its start and drops them when it returns: numpy gathers
+    through, and compares, contiguous arrays faster than strided views of
+    the padded tables. `order` holds the (left, right) relations that bound
+    the definedness regions and the transitivity hypotheses; `preorder` the
+    relations the two preorder flags read, which on the join side are the
+    lateral ones (ge_right for extL, ge_left for extR).
     """
 
     op: str
@@ -84,14 +96,16 @@ class _Side:
     right: str
     table: np.ndarray
     partial: tuple
-    L: np.ndarray
-    R: np.ndarray
     L_p: np.ndarray
     R_p: np.ndarray
-    P: np.ndarray
     P_p: np.ndarray
     order: tuple
     preorder: tuple
+
+
+def _core(table_p: np.ndarray) -> np.ndarray:
+    """A contiguous copy of a padded table without its -1 border."""
+    return np.ascontiguousarray(table_p[:-1, :-1])
 
 
 class RestrictionSystem:
@@ -143,11 +157,28 @@ class RestrictionSystem:
         return self.groupoid.morphism_count
 
     @functools.cached_property
+    def _pseudoproducts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The meet and the join pseudoproduct, padded: (f|_c)∘(_c|g) at
+        c = cod f ∧ dom g, and (f|_c)∘(_c|g) through extR, extL at
+        c = cod f ∨ dom g. Holes in the partial input surface as -1."""
+        idx_m = np.arange(self.morphism_count)
+        dom, cod = self.groupoid.dom, self.groupoid.cod
+        comp_p = self.groupoid.padded[3]
+        products = []
+        for op, left, right in (
+            (self.objects.meet.array, self.restL, self.restR),
+            (self.objects.join.array, self.extL, self.extR),
+        ):
+            c = op[cod[:, None], dom[None, :]]
+            products.append(padded(comp_p[right[idx_m[:, None], c], left[c, idx_m[None, :]]]))
+        return products[0], products[1]
+
+    @functools.cached_property
     def _meet(self) -> _Side:
         pre = self.objects.preorders
         return self._side(
             ("meet", "restriction", "restrict", "restL", "restR"),
-            self.objects.meet.array, (self.restL, self.restR),
+            self.objects.meet.array, (self.restL, self.restR), self._pseudoproducts[0],
             order=(pre.le_left, pre.le_right), preorder=(pre.le_left, pre.le_right),
         )
 
@@ -156,22 +187,20 @@ class RestrictionSystem:
         pre = self.objects.preorders
         return self._side(
             ("join", "extension", "extend", "extL", "extR"),
-            self.objects.join.array, (self.extL, self.extR),
+            self.objects.join.array, (self.extL, self.extR), self._pseudoproducts[1],
             order=(pre.ge_left, pre.ge_right), preorder=(pre.ge_right, pre.ge_left),
         )
 
-    def _side(self, names, op, partial, order, preorder) -> _Side:
+    def _side(self, names, op, partial, P_p, order, preorder) -> _Side:
         left, right = partial
         idx_n, idx_m = np.arange(self.object_count), np.arange(self.morphism_count)
         dom, cod = self.groupoid.dom, self.groupoid.cod
         # total operator tables; holes in the partial input surface as -1
         L_p = padded(left[op[idx_n[:, None], dom], idx_m])
         R_p = padded(right[idx_m[:, None], op[cod, :]])
-        c = op[cod[:, None], dom[None, :]]
-        P_p = padded(self.groupoid.padded[3][right[idx_m[:, None], c], left[c, idx_m[None, :]]])  # comp_p
         return _Side(
-            *names, table=op, partial=partial, L=L_p[:-1, :-1], R=R_p[:-1, :-1], L_p=L_p,
-            R_p=R_p, P=P_p[:-1, :-1], P_p=P_p, order=order, preorder=preorder,
+            *names, table=op, partial=partial, L_p=L_p, R_p=R_p, P_p=P_p,
+            order=order, preorder=preorder,
         )
 
     def pseudoproduct(self, f: int, g: int, op: str = "meet") -> int:
@@ -185,7 +214,7 @@ class RestrictionSystem:
         if side is None:
             raise ValueError(f"op must be 'meet' or 'join', got {op!r}")
         m = self.morphism_count
-        return int(side.P[checked_index(f, m), checked_index(g, m)])
+        return int(side.P_p[checked_index(f, m), checked_index(g, m)])
 
     def full_report(self) -> AxiomReport:
         """Structural, restriction, extension and linking checks, as a new
@@ -274,8 +303,8 @@ def check_structure(sys: RestrictionSystem) -> AxiomReport:
             ends = (near_p[table] == idx[:, None]) & rel[far_p[table], far_p[:-1]]
             report.record_mask(f"{name}_endpoints", back(~defined | ends))
 
-    report.record_mask("meet_pseudoproduct_total", sys._meet.P >= 0)
-    report.record_mask("join_pseudoproduct_total", sys._join.P >= 0)
+    for side in (sys._meet, sys._join):
+        report.record_mask(f"{side.op}_pseudoproduct_total", side.P_p[:-1, :-1] >= 0)
     return report
 
 
@@ -287,10 +316,11 @@ def _order_axioms(sys: RestrictionSystem, side: _Side) -> AxiomReport:
     preorder flags read the lateral relations (see _Side)."""
     report = AxiomReport(f"{side.noun} axioms")
     n, m = sys.object_count, sys.morphism_count
-    op, L, R, L_p, R_p = side.table, side.L, side.R, side.L_p, side.R_p
+    op, L_p, R_p = side.table, side.L_p, side.R_p
+    L, R = _core(L_p), _core(R_p)
     dom, cod = sys.groupoid.dom, sys.groupoid.cod
     comp, e = sys.groupoid.comp, sys.groupoid.identity_of
-    idx_n, idx_m = np.arange(n), np.arange(m)
+    idx_m = np.arange(m)
     dom_p, cod_p, _, comp_p, e_p = sys.groupoid.padded
     left, right = side.left, side.right
 
@@ -298,52 +328,53 @@ def _order_axioms(sys: RestrictionSystem, side: _Side) -> AxiomReport:
     report.record_mask(f"{right}_identity", R[idx_m, cod] == idx_m)
 
     # a leL b  =>  _a|i_b = i_(a∧b), which is i_a
-    val = L_p[idx_n[:, None], e[None, :]]
+    val = L_p[:n][:, e]
     report.record_mask(f"{left}_preorder", ~side.preorder[0] | _equal(val, e_p[op]))
     # a leR b  =>  i_b|_a = i_(b∧a), which is i_a
-    val = R_p[e[None, :], idx_n[:, None]]
+    val = R_p[:, :n][e].T
     report.record_mask(f"{right}_preorder", ~side.preorder[1] | _equal(val, e_p[op.T]))
+
+    # the chaining equations' two sides, which the transitivity laws reuse:
+    # chain_l[a, b, g] = (a∧b)∧g, nested_l[a, b, g] = a∧(b∧g),
+    # chain_r[g, a, b] = (g∧a)∧b, nested_r[g, a, b] = g∧(a∧b)
+    chain_l, nested_l = L_p[:, :m][op], L_p[:n][:, L]
+    chain_r, nested_r = R_p[:, :n][R], R_p[:m][:, op]
 
     # a leL b leL dom g  =>  _a|g = _(a∧b)|g = _a|(_b|g)
     rel = side.order[0]
     hyp = rel[:, :, None] & rel[:, dom][None, :, :]
     x = L[:, None, :]
-    y = L_p[op[:, :, None], idx_m[None, None, :]]
-    z = L_p[idx_n[:, None, None], L[None, :, :]]
-    report.record_mask(f"{left}_transitivity", ~hyp | ((x == y) & _equal(x, z)))
-    # a leR b leR cod g  =>  g|_a = g|_(b∧a) = (g|_b)|_a
+    report.record_mask(f"{left}_transitivity", ~hyp | ((x == chain_l) & _equal(x, nested_l)))
+    # a leR b leR cod g  =>  g|_a = g|_(b∧a) = (g|_b)|_a, gathered over
+    # (g, b, a) and transposed to the law's (a, b, g)
     rel = side.order[1]
-    hyp = rel[:, :, None] & rel[:, cod][None, :, :]
-    x = R.T[:, None, :]
-    y = R_p[idx_m[None, None, :], op.T[:, :, None]]
-    z = R_p[R.T[None, :, :], idx_n[:, None, None]]
-    report.record_mask(f"{right}_transitivity", ~hyp | ((x == y) & _equal(x, z)))
+    hyp = rel[:, cod].T[:, :, None] & rel.T[None, :, :]
+    x = R[:, None, :]
+    report.record_mask(
+        f"{right}_transitivity", (~hyp | ((x == nested_r) & _equal(x, chain_r))).transpose(2, 1, 0)
+    )
 
     composable = comp >= 0
     # _a|(f∘g) = (_a|f)∘(_(cod _a|f)|g)
-    lhs = L_p[idx_n[:, None, None], comp[None, :, :]]
-    rhs = comp_p[L[:, :, None], L_p[cod_p[L][:, :, None], idx_m[None, None, :]]]
+    lhs = L_p[:n][:, comp]
+    rhs = comp_p[L[:, :, None], L_p[:, :m][cod_p[L]]]
     report.record_mask(f"{left}_composition", ~composable[None, :, :] | _equal(lhs, rhs))
     # (f∘g)|_d = (f|_(dom g|_d))∘(g|_d)
-    lhs = R_p[comp[:, :, None], idx_n[None, None, :]]
-    rhs = comp_p[R_p[idx_m[:, None, None], dom_p[R][None, :, :]], R[None, :, :]]
+    lhs = R_p[:, :n][comp]
+    rhs = comp_p[R_p[:m][:, dom_p[R]], R[None, :, :]]
     report.record_mask(f"{right}_composition", ~composable[:, :, None] | _equal(lhs, rhs))
 
     # (a∧b)∧g = a∧(b∧g) and (g∧a)∧b = g∧(a∧b), all tuples
-    lhs = L_p[op[:, :, None], idx_m[None, None, :]]
-    rhs = L_p[idx_n[:, None, None], L[None, :, :]]
-    report.record_mask(f"{side.op}_chain_left", _equal(lhs, rhs))
-    lhs = R_p[R[:, :, None], idx_n[None, None, :]]
-    rhs = R_p[idx_m[:, None, None], op[None, :, :]]
-    report.record_mask(f"{side.op}_chain_right", _equal(lhs, rhs))
+    report.record_mask(f"{side.op}_chain_left", _equal(chain_l, nested_l))
+    report.record_mask(f"{side.op}_chain_right", _equal(chain_r, nested_r))
 
     # dom(a∧g) = a∧dom g and cod(g∧a) = (cod g)∧a
-    report.record_mask(f"{side.op}_endpoint_left", _equal(dom_p[L], op[idx_n[:, None], dom]))
+    report.record_mask(f"{side.op}_endpoint_left", _equal(dom_p[L], op[:, dom]))
     report.record_mask(f"{side.op}_endpoint_right", _equal(cod_p[R], op[cod, :]))
 
     # (a∧f)∧b = a∧(f∧b)
-    lhs = R_p[L[:, :, None], idx_n[None, None, :]]
-    rhs = L_p[idx_n[:, None, None], R[None, :, :]]
+    lhs = R_p[:, :n][L]
+    rhs = L_p[:n][:, R]
     report.record_mask(f"{side.op}_compatibility", _equal(lhs, rhs))
     return report
 
@@ -373,8 +404,8 @@ def check_linking(sys: RestrictionSystem) -> AxiomReport:
     dom, cod = sys.groupoid.dom, sys.groupoid.cod
     inv, e = sys.groupoid.inv, sys.groupoid.identity_of
     e_p = sys.groupoid.padded[4]
-    mr, mc, mr_p, mc_p = sys._meet.L, sys._meet.R, sys._meet.L_p, sys._meet.R_p
-    je, jc, je_p, jc_p = sys._join.L, sys._join.R, sys._join.L_p, sys._join.R_p
+    mr_p, mc_p, je_p, jc_p = sys._meet.L_p, sys._meet.R_p, sys._join.L_p, sys._join.R_p
+    mr, mc, je, jc = map(_core, (mr_p, mc_p, je_p, jc_p))
 
     # f = (a∧f)∨(f*f): restrict to a, then coextend back up to cod f
     val = jc_p[mr, cod[None, :]]
@@ -397,7 +428,7 @@ def check_linking(sys: RestrictionSystem) -> AxiomReport:
     report.record_mask("linking_order_lateral", val == idx_m[None, :])
 
     # on identity morphisms the axiom degenerates to skew-lattice absorption
-    val = jc_p[mr_p[idx_n[:, None], e[None, :]], idx_n[None, :]]
+    val = jc_p[mr_p[:n][:, e], idx_n[None, :]]
     report.record_mask("idempotent_absorption", _equal(val, e[None, :]))
     return report
 
@@ -416,39 +447,38 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     meet side, then the join side."""
     report = AxiomReport("derived identities")
     n, m = sys.object_count, sys.morphism_count
-    idx_n, idx_m = np.arange(n), np.arange(m)
+    idx_m = np.arange(m)
     comp, inv, e = sys.groupoid.comp, sys.groupoid.inv, sys.groupoid.identity_of
     dom_p, cod_p, inv_p, _, e_p = sys.groupoid.padded
     sides = (sys._meet, sys._join)
+    # each side's (L, R, P) as contiguous working copies, dropped on return
+    cores = [tuple(map(_core, (s.L_p, s.R_p, s.P_p))) for s in sides]
+    both = list(zip(sides, cores))
 
     # (f∧e)∧g = f∧(e∧g) over morphism, object, morphism
-    for s in sides:
-        lhs = s.P_p[s.R[:, :, None], idx_m[None, None, :]]
-        rhs = s.P_p[idx_m[:, None, None], s.L[None, :, :]]
-        report.record_mask(f"mixed_assoc_{s.op}", _equal(lhs, rhs))
+    for s, (L, R, P) in both:
+        report.record_mask(f"mixed_assoc_{s.op}", _equal(s.P_p[:, :m][R], s.P_p[:m][:, L]))
+
+    # _e|(f∧g) over object, morphism, morphism, read by the next two laws
+    into = [s.L_p[:n][:, P] for s, (L, R, P) in both]
 
     # e^(f∧g) = (e^f)^g over object, morphism, morphism
-    for s in sides:
-        lhs = cod_p[s.L_p[idx_n[:, None, None], s.P[None, :, :]]]
-        rhs = cod_p[s.L_p[cod_p[s.L][:, :, None], idx_m[None, None, :]]]
-        report.record_mask(f"action_chain_{s.op}", _equal(lhs, rhs))
+    for (s, (L, R, P)), lhs in zip(both, into):
+        rhs = s.L_p[:, :m][cod_p[L]]
+        report.record_mask(f"action_chain_{s.op}", _equal(cod_p[lhs], cod_p[rhs]))
 
     # _e|(f∧g) = (_e|f)∧g
-    for s in sides:
-        lhs = s.L_p[idx_n[:, None, None], s.P[None, :, :]]
-        rhs = s.P_p[s.L[:, :, None], idx_m[None, None, :]]
-        report.record_mask(f"{s.verb}_into_product_{s.op}", _equal(lhs, rhs))
+    for (s, (L, R, P)), lhs in zip(both, into):
+        report.record_mask(f"{s.verb}_into_product_{s.op}", _equal(lhs, s.P_p[:, :m][L]))
 
     # both pseudoproducts associative over all morphism triples
-    for s in sides:
-        lhs = s.P_p[s.P][:, :, :m]
-        rhs = s.P_p[idx_m[:, None, None], s.P[None, :, :]]
-        report.record_mask(f"assoc_{s.op}", _equal(lhs, rhs))
+    for s, (L, R, P) in both:
+        report.record_mask(f"assoc_{s.op}", _equal(s.P_p[:, :m][P], s.P_p[:m][:, P]))
 
     # pseudoproduct extends composition and the object operations
     composable = comp >= 0
-    for s in sides:
-        report.record_mask(f"extends_composition_{s.op}", ~composable | (s.P == comp))
+    for s, (L, R, P) in both:
+        report.record_mask(f"extends_composition_{s.op}", ~composable | (P == comp))
     for s in sides:
         val = s.P_p[e[:, None], e[None, :]]
         report.record_mask(f"identity_product_{s.op}", _equal(val, e_p[s.table]))
@@ -456,12 +486,12 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     # idempotents of each pseudoproduct are exactly the identity morphisms
     id_set = np.zeros(m, dtype=bool)
     id_set[e[e >= 0]] = True
-    for s in sides:
-        report.record_mask(f"idempotents_{s.op}", (s.P[idx_m, idx_m] == idx_m) == id_set)
+    for s, (L, R, P) in both:
+        report.record_mask(f"idempotents_{s.op}", (P[idx_m, idx_m] == idx_m) == id_set)
 
     # regularity: g∧g*∧g = g
-    for s in sides:
-        report.record_mask(f"regularity_{s.op}", s.P_p[s.P[idx_m, inv], idx_m] == idx_m)
+    for s, (L, R, P) in both:
+        report.record_mask(f"regularity_{s.op}", s.P_p[P[idx_m, inv], idx_m] == idx_m)
 
     # the plus/minus calculus for both operations; the observations below
     # read the meet side's plus and minus
@@ -469,27 +499,27 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     skehr_statement_flags(report, "skehr_join", sys._join.P_p, inv)
 
     # (_a|f)^-1 = _(a^f)|f^-1
-    for s in sides:
-        rhs = s.L_p[cod_p[s.L], inv[None, :]]
-        report.record_mask(f"invert_{s.noun}", _equal(inv_p[s.L], rhs))
+    for s, (L, R, P) in both:
+        rhs = s.L_p[cod_p[L], inv[None, :]]
+        report.record_mask(f"invert_{s.noun}", _equal(inv_p[L], rhs))
 
     # a^(i_b) = a∧b
     for s in sides:
-        val = cod_p[s.L_p[idx_n[:, None], e[None, :]]]
+        val = cod_p[s.L_p[:n][:, e]]
         report.record_mask(f"identity_action_{s.op}", _equal(val, s.table))
 
     # a∧f∧f* = a∧f∧(a∧f)*, and the printed join form a∨f∨f* = a∨f∨(a∨f)*
-    for s in sides:
-        lhs = s.P_p[s.L, inv[None, :]]
-        rhs = s.P_p[s.L, inv_p[s.L]]
+    for s, (L, R, P) in both:
+        lhs = s.P_p[L, inv[None, :]]
+        rhs = s.P_p[L, inv_p[L]]
         report.record_mask(f"range_invariance_{s.op}", _equal(lhs, rhs))
 
     # observations: these may fail, and for genuinely skew objects they should
-    pm, pm_p = sys._meet.P, sys._meet.P_p
-    mr, mc_p = sys._meet.L, sys._meet.R_p
+    pm_p, mc_p = sys._meet.P_p, sys._meet.R_p
+    mr, _, pm = cores[0]
     plus, minus = plus_p[:-1], minus_p[:-1]
     lhs = pm_p[plus_p[pm], idx_m[:, None]]
-    rhs = pm_p[idx_m[:, None], plus[None, :]]
+    rhs = pm_p[:m][:, plus]
     report.record_mask(
         "obs_restriction_identity_left",
         _equal(lhs, rhs),
@@ -497,7 +527,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
         note="(s∧t)+∧s = s∧t+: holds only over a semilattice of objects",
     )
     lhs = pm_p[idx_m[None, :], minus_p[pm]]
-    rhs = pm_p[minus[:, None], idx_m[None, :]]
+    rhs = pm_p[:, :m][minus]
     report.record_mask(
         "obs_restriction_identity_right",
         _equal(lhs, rhs),
@@ -505,7 +535,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
         note="t∧(s∧t)- = s-∧t: holds only over a semilattice of objects",
     )
     lhs = cod_p[mr].T
-    rhs = dom_p[mc_p[inv[:, None], idx_n[None, :]]]
+    rhs = dom_p[mc_p[:, :n][inv]]
     report.record_mask(
         "obs_action_inverse",
         lhs == rhs,
@@ -530,8 +560,9 @@ def build_algebra(sys: RestrictionSystem, check: bool = True) -> BiBandAlgebra:
     """
     if check:
         sys.full_report().require()
-    for side in (sys._meet, sys._join):
-        if (side.P < 0).any():
-            hole = tuple(int(v) for v in np.argwhere(side.P < 0)[0])
-            raise MalformedSystemError(f"{side.op} pseudoproduct undefined at {hole}")
-    return BiBandAlgebra(sys._join.P, sys._meet.P, sys.groupoid.inv)
+    meet, join = (P_p[:-1, :-1] for P_p in sys._pseudoproducts)
+    for name, P in (("meet", meet), ("join", join)):
+        if (P < 0).any():
+            hole = tuple(int(v) for v in np.argwhere(P < 0)[0])
+            raise MalformedSystemError(f"{name} pseudoproduct undefined at {hole}")
+    return BiBandAlgebra(join, meet, sys.groupoid.inv)

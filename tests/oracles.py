@@ -911,3 +911,199 @@ def least_isomorphism(n, binops_a, unops_a, binops_b, unops_b):
         return False
 
     return tuple(image) if search(0) else None
+
+
+def _side_ops(dom, cod, comp, op, left, right):
+    """One side of a restriction system as scalar functions: a∧g (the left
+    table at a∧dom g), g∧a (the right table at cod g∧a) and the
+    pseudoproduct f∧g = (f∧c)∘(c∧g) at c = cod f∧dom g; on the join side
+    read ∨ for ∧. A -1 argument, or a -1 entry on the way, gives -1."""
+
+    def lt(a, g):
+        return -1 if a < 0 or g < 0 else left[op[a][dom[g]]][g]
+
+    def rt(g, a):
+        return -1 if a < 0 or g < 0 else right[g][op[cod[g]][a]]
+
+    def pp(f, g):
+        if f < 0 or g < 0:
+            return -1
+        c = op[cod[f]][dom[g]]
+        h1, h2 = right[f][c], left[c][g]
+        return -1 if h1 < 0 or h2 < 0 else comp[h1][h2]
+
+    return lt, rt, pp
+
+
+class _Checks:
+    """Flags in the order recorded, laid out as AxiomReport.to_dict(); the
+    witness of each is the first row-major tuple where its law fails."""
+
+    def __init__(self, title):
+        self.title = title
+        self.checks = {}
+
+    def record(self, name, bad, *sizes, required=True, note=None):
+        witness = _first(bad, *sizes)
+        self.checks[name] = {
+            "ok": witness is None,
+            "witness": list(witness) if witness is not None else None,
+            "required": required,
+            "note": note,
+        }
+
+    def to_dict(self):
+        ok = all(c["ok"] for c in self.checks.values() if c["required"])
+        return {"title": self.title, "ok": ok, "checks": self.checks}
+
+
+def _same(x, *ys):
+    return x >= 0 and all(x == y for y in ys)
+
+
+def linking_axiom(n, dom, cod, comp, inv, meet, join, restL, restR, extL, extR):
+    """The check_linking report, each law scanned by nested loops from its
+    statement. ∧ is the meet side (restL, restR), ∨ the join side (extL,
+    extR); -1 entries are undefined, and an undefined value fails every law."""
+    m = len(dom)
+    units = groupoid_units(n, dom, cod, comp)
+    mlt, mrt, _ = _side_ops(dom, cod, comp, meet, restL, restR)
+    jlt, jrt, jpp = _side_ops(dom, cod, comp, join, extL, extR)
+    out = _Checks("linking axiom")
+    # f = (a∧f)∨(cod f), and ff* = (a∧f)∨f*, over (a, f)
+    out.record("linking_meet_join", lambda a, f: jrt(mlt(a, f), cod[f]) != f, n, m)
+    out.record(
+        "linking_equiv_pseudo", lambda a, f: not _same(jpp(mlt(a, f), inv[f]), units[dom[f]]), n, m,
+    )
+    # f = (dom f)∨(f∧a), f = (a∨f)∧(cod f) and f = (dom f)∧(f∨a)
+    out.record("linking_lateral", lambda a, f: jlt(dom[f], mrt(f, a)) != f, n, m)
+    out.record("linking_order_dual", lambda a, f: mrt(jlt(a, f), cod[f]) != f, n, m)
+    out.record("linking_order_lateral", lambda a, f: mlt(dom[f], jrt(f, a)) != f, n, m)
+    # (a∧i_b)∨b = i_b, over (a, b)
+    out.record(
+        "idempotent_absorption", lambda a, b: not _same(jrt(mlt(a, units[b]), b), units[b]), n, n,
+    )
+    return out.to_dict()
+
+
+def derived_identities(n, dom, cod, comp, inv, meet, join, restL, restR, extL, extR):
+    """The verify_derived_identities report, each law scanned by nested
+    loops from its statement, the meet side's flag before the join side's.
+    -1 entries are undefined and fail every law they reach, except in the
+    two observations that compare endpoints or morphisms as they are
+    (obs_action_inverse, obs_restrict_swap), where two undefined sides
+    agree."""
+    m = len(dom)
+    units = groupoid_units(n, dom, cod, comp)
+    unit_set = {e for e in units if e >= 0}
+    sides = [
+        ("meet", "restriction", "restrict", meet, _side_ops(dom, cod, comp, meet, restL, restR)),
+        ("join", "extension", "extend", join, _side_ops(dom, cod, comp, join, extL, extR)),
+    ]
+    out = _Checks("derived identities")
+
+    def cod_of(f):
+        return -1 if f < 0 else cod[f]
+
+    def dom_of(f):
+        return -1 if f < 0 else dom[f]
+
+    def inv_of(f):
+        return -1 if f < 0 else inv[f]
+
+    def plus_minus(pp):
+        return (lambda s: -1 if s < 0 else pp(s, inv[s])), (lambda s: -1 if s < 0 else pp(inv[s], s))
+
+    # every lambda below is scanned by record before the loop moves on
+    for name, _, _, _, (lt, rt, pp) in sides:  # (f∧e)∧g = f∧(e∧g)
+        out.record(
+            f"mixed_assoc_{name}", lambda f, e, g: not _same(pp(rt(f, e), g), pp(f, lt(e, g))), m, n, m,
+        )
+    for name, _, _, _, (lt, rt, pp) in sides:  # e^(f∧g) = (e^f)^g, e^f = cod(e∧f)
+        out.record(
+            f"action_chain_{name}",
+            lambda e, f, g: not _same(cod_of(lt(e, pp(f, g))), cod_of(lt(cod_of(lt(e, f)), g))),
+            n, m, m,
+        )
+    for name, _, verb, _, (lt, rt, pp) in sides:  # e∧(f∧g) = (e∧f)∧g
+        out.record(
+            f"{verb}_into_product_{name}", lambda e, f, g: not _same(lt(e, pp(f, g)), pp(lt(e, f), g)), n, m, m,
+        )
+    for name, _, _, _, (lt, rt, pp) in sides:
+        out.record(f"assoc_{name}", lambda f, g, h: not _same(pp(pp(f, g), h), pp(f, pp(g, h))), m, m, m)
+    for name, _, _, _, (lt, rt, pp) in sides:  # f∧g = f∘g where f∘g is defined
+        out.record(f"extends_composition_{name}", lambda f, g: comp[f][g] >= 0 and pp(f, g) != comp[f][g], m, m)
+    for name, _, _, op, (lt, rt, pp) in sides:  # i_a∧i_b = i_(a∧b)
+        out.record(
+            f"identity_product_{name}", lambda a, b: not _same(pp(units[a], units[b]), units[op[a][b]]), n, n,
+        )
+    for name, _, _, _, (lt, rt, pp) in sides:  # f∧f = f iff f is an identity
+        out.record(f"idempotents_{name}", lambda f: (pp(f, f) == f) != (f in unit_set), m)
+    for name, _, _, _, (lt, rt, pp) in sides:  # g∧g*∧g = g
+        out.record(f"regularity_{name}", lambda g: pp(pp(g, inv[g]), g) != g, m)
+
+    for name, _, _, _, (lt, rt, pp) in sides:
+        plus, minus = plus_minus(pp)
+
+        def bad_i(s):  # s+ and s- are idempotents, each its own plus and minus
+            p, q = plus(s), minus(s)
+            return not (
+                p >= 0 and q >= 0 and pp(p, p) == p and plus(p) == p and minus(p) == p
+                and pp(q, q) == q and minus(q) == q and plus(q) == q
+            )
+
+        out.record(f"skehr_{name}_i", bad_i, m)
+        # s+∧s = s = s∧s-
+        out.record(f"skehr_{name}_ii", lambda s: pp(plus(s), s) != s or pp(s, minus(s)) != s, m)
+        # s∧s = s gives s+ = s = s-
+        out.record(f"skehr_{name}_iii", lambda s: pp(s, s) == s and (plus(s) != s or minus(s) != s), m)
+        # (s∧t)+ = (s∧t+)+ and (s∧t)- = (s-∧t)-
+        out.record(
+            f"skehr_{name}_iv",
+            lambda s, t: not (
+                _same(plus(pp(s, t)), plus(pp(s, plus(t)))) and _same(minus(pp(s, t)), minus(pp(minus(s), t)))
+            ),
+            m, m,
+        )
+        # (s+∧t)+ = s+∧t+ and (s∧t-)- = s-∧t-
+        out.record(
+            f"skehr_{name}_v",
+            lambda s, t: not (
+                _same(plus(pp(plus(s), t)), pp(plus(s), plus(t)))
+                and _same(minus(pp(s, minus(t))), pp(minus(s), minus(t)))
+            ),
+            m, m,
+        )
+
+    for name, noun, _, _, (lt, rt, pp) in sides:  # (a∧f)* = (a^f)∧f*
+        out.record(
+            f"invert_{noun}", lambda a, f: not _same(inv_of(lt(a, f)), lt(cod_of(lt(a, f)), inv[f])), n, m,
+        )
+    for name, _, _, op, (lt, rt, pp) in sides:  # a^(i_b) = a∧b
+        out.record(f"identity_action_{name}", lambda a, b: not _same(cod_of(lt(a, units[b])), op[a][b]), n, n)
+    for name, _, _, _, (lt, rt, pp) in sides:  # (a∧f)∧f* = (a∧f)∧(a∧f)*
+        out.record(
+            f"range_invariance_{name}",
+            lambda a, f: not _same(pp(lt(a, f), inv[f]), pp(lt(a, f), inv_of(lt(a, f)))),
+            n, m,
+        )
+
+    lt, rt, pp = sides[0][4]
+    plus, minus = plus_minus(pp)
+    out.record(
+        "obs_restriction_identity_left", lambda s, t: not _same(pp(plus(pp(s, t)), s), pp(s, plus(t))), m, m,
+        required=False, note="(s∧t)+∧s = s∧t+: holds only over a semilattice of objects",
+    )
+    out.record(
+        "obs_restriction_identity_right", lambda s, t: not _same(pp(t, minus(pp(s, t))), pp(minus(s), t)), m, m,
+        required=False, note="t∧(s∧t)- = s-∧t: holds only over a semilattice of objects",
+    )
+    out.record(
+        "obs_action_inverse", lambda f, a: cod_of(lt(a, f)) != dom_of(rt(inv[f], a)), m, n,
+        required=False, note="a^f = ^(f^-1)|a is not an axiom",
+    )
+    out.record(
+        "obs_restrict_swap", lambda a, f: lt(a, f) != rt(f, cod_of(lt(a, f))), n, m,
+        required=False, note="_a|f = f|_(a^f) is not an axiom",
+    )
+    return out.to_dict()

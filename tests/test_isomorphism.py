@@ -26,7 +26,7 @@ from skewalg import (
     signature_of,
 )
 from skewalg.enumeration import _fill, _join_options
-from skewalg.isomorphism import _CHUNK, canonical_tables
+from skewalg.isomorphism import _CHUNK, _candidates, _idempotent_profile, _schedule, canonical_tables
 
 from oracles import (
     automorphism_perms,
@@ -267,6 +267,44 @@ def test_a_structure_without_elements_has_the_empty_automorphism():
     system = RestrictionSystem(groupoid, chain_lattice(1), empty.T, empty, empty.T, empty)
     assert automorphisms_of(system) == [()]
     assert find_isomorphism(system, system).mapping == ()
+
+
+@pytest.mark.parametrize("binary, unary", [(1, 0), (2, 0), (1, 1), (2, 1)])
+def test_the_schedule_of_a_shape_equals_its_scalar_definition(binary, unary):
+    # the signatures of an operation table, a skew lattice, a group, and an
+    # algebra or system: step x takes the cells (k, p, q) with max(p, q) = x
+    # in flat order, only p = q in a unary block k >= binary
+    for n in range(1, 7):
+        cells, bounds = [], [0]
+        for x in range(n):
+            cells += [
+                (k, p, q)
+                for k in range(binary + unary)
+                for p in range(n)
+                for q in range(n)
+                if max(p, q) == x and (k < binary or p == q)
+            ]
+            bounds.append(len(cells))
+        positions, offsets, pq, got_bounds = _schedule(n, binary, unary)
+        assert positions.tolist() == [k * n * n + p * n + q for k, p, q in cells]
+        assert offsets.tolist() == [k * n * n for k, _, _ in cells]
+        assert pq.tolist() == [[p for _, p, _ in cells], [q for _, _, q in cells]]
+        assert got_bounds == tuple(bounds)
+        assert not any(arr.flags.writeable for arr in (positions, offsets, pq))
+        assert _schedule(n, binary, unary) is _schedule(n, binary, unary)
+
+
+def test_grouped_candidates_equal_one_search_per_element(suite):
+    # same-order suite algebras, and random profiles with classes b lacks
+    rng = random.Random(20)
+    profiles = [_idempotent_profile(signature_of(inst.algebra)) for inst in suite]
+    pairs = []
+    for a in rng.sample(profiles, 40):
+        pairs.append((a, rng.choice([b for b in profiles if len(b) == len(a)])))
+    pairs += [(np.array(rng.choices(range(4), k=n)), np.array(rng.choices(range(3), k=n))) for n in range(1, 25)]
+    for profile_a, profile_b in pairs:
+        expected = [np.flatnonzero(profile_b == c).tolist() for c in profile_a]
+        assert _candidates(profile_a, profile_b) == expected
 
 
 def _outgrow_a_chunk(items):

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import order_axioms, partial_table_witnesses
+from oracles import derived_identities, linking_axiom, order_axioms, partial_table_witnesses
 
 import skewalg.algebra
 import skewalg.groupoid
@@ -37,6 +37,7 @@ from skewalg import (
     group_system,
     inverses_of,
     plus_minus,
+    roundtrip_algebra,
     roundtrip_groupoid,
     semidirect_algebra,
     semidirect_groupoid,
@@ -108,8 +109,9 @@ def test_pseudoproduct_closed_form_on_suite(suite):
         b, g = np.arange(m) // ng, np.arange(m) % ng
         twisted = A.act[b[None, :], ginv[g][:, None]]
         heads = gt[g[:, None], g[None, :]]
-        assert np.array_equal(sysm._meet.P, mt[b[:, None], twisted] * ng + heads)
-        assert np.array_equal(sysm._join.P, jt[b[:, None], twisted] * ng + heads)
+        built = build_algebra(sysm, check=False)
+        assert np.array_equal(built.meet.array, mt[b[:, None], twisted] * ng + heads)
+        assert np.array_equal(built.join.array, jt[b[:, None], twisted] * ng + heads)
 
 
 def test_caution_observations_are_not_theorems(suite):
@@ -249,20 +251,25 @@ def test_broken_meet_is_named_by_the_preorder_pairing_witness():
     assert pairing.witness == (1, 2)
 
 
+def _with_single_entry_mutants(sysm, rng) -> list:
+    """sysm, then for each operator table one copy with a -1 hole and one
+    with a new value at a random entry."""
+    names = ("restL", "restR", "extL", "extR")
+    variants = [sysm]
+    for name in names:
+        for value in (-1, rng.randrange(sysm.morphism_count)):
+            tables = {t: getattr(sysm, t).copy() for t in names}
+            tables[name][tuple(rng.randrange(k) for k in tables[name].shape)] = value
+            variants.append(RestrictionSystem(sysm.groupoid, sysm.objects, **tables))
+    return variants
+
+
 def test_axiom_families_match_scalar_oracle_on_suite_and_mutants(suite):
     # witnesses included: the first failing tuple in row-major order; each
     # operator table gets one mutant with a -1 hole and one with a new value
     rng = random.Random(1810)
-    names = ("restL", "restR", "extL", "extR")
     for inst in rng.sample(suite, 60):
-        sysm = inst.system
-        variants = [sysm]
-        for name in names:
-            for value in (-1, rng.randrange(sysm.morphism_count)):
-                tables = {t: getattr(sysm, t).copy() for t in names}
-                tables[name][tuple(rng.randrange(k) for k in tables[name].shape)] = value
-                variants.append(RestrictionSystem(sysm.groupoid, sysm.objects, **tables))
-        for v in variants:
+        for v in _with_single_entry_mutants(inst.system, rng):
             g = v.groupoid
             args = (v.object_count, g.dom.tolist(), g.cod.tolist(), g.comp.tolist())
             for checker, side, op, left, right in (
@@ -273,20 +280,31 @@ def test_axiom_families_match_scalar_oracle_on_suite_and_mutants(suite):
                 assert checker(v).to_dict() == want, (inst.name, side)
 
 
+def test_linking_and_derived_identities_match_scalar_oracles_on_suite_and_mutants(suite):
+    # witnesses included; two of the largest systems are sampled apart from
+    # the rest, as their laws over triples are where the gathers are widest
+    rng = random.Random(2024)
+    top = max(inst.system.morphism_count for inst in suite)
+    sample = rng.sample([i for i in suite if i.system.morphism_count < top], 10)
+    sample += rng.sample([i for i in suite if i.system.morphism_count == top], 2)
+    for inst in sample:
+        for v in _with_single_entry_mutants(inst.system, rng):
+            g = v.groupoid
+            args = (
+                v.object_count, g.dom.tolist(), g.cod.tolist(), g.comp.tolist(), g.inv.tolist(),
+                v.objects.meet.tolist(), v.objects.join.tolist(),
+                *(t.tolist() for t in (v.restL, v.restR, v.extL, v.extR)),
+            )
+            assert check_linking(v).to_dict() == linking_axiom(*args), inst.name
+            assert verify_derived_identities(v).to_dict() == derived_identities(*args), inst.name
+
+
 def test_partial_table_flags_match_scalar_oracle_on_suite_and_mutants(suite):
     # the definedness and endpoint flags of check_structure, on suite systems
     # and on mutants with one -1 hole or one new value in one operator table
     rng = random.Random(1938)
-    names = ("restL", "restR", "extL", "extR")
     for inst in rng.sample(suite, 60):
-        sysm = inst.system
-        variants = [sysm]
-        for name in names:
-            for value in (-1, rng.randrange(sysm.morphism_count)):
-                tables = {t: getattr(sysm, t).copy() for t in names}
-                tables[name][tuple(rng.randrange(k) for k in tables[name].shape)] = value
-                variants.append(RestrictionSystem(sysm.groupoid, sysm.objects, **tables))
-        for v in variants:
+        for v in _with_single_entry_mutants(inst.system, rng):
             report = check_structure(v)
             g = v.groupoid
             for side, op, left, right in (
@@ -447,13 +465,18 @@ def test_a_system_derives_its_checker_state_on_first_use():
 
 
 def test_each_side_stores_its_tables_once_padded(suite):
+    # a side keeps only the padded tables, its pseudoproduct the system's
+    # own; a checker's working copy is contiguous and shares nothing with them
     sysm = _fresh_system(max(suite, key=lambda inst: inst.system.morphism_count).system)
-    for side in (sysm._meet, sysm._join):
-        for core, pad in ((side.L, side.L_p), (side.R, side.R_p), (side.P, side.P_p)):
-            assert np.shares_memory(core, pad)
-            assert not core.flags.writeable and not pad.flags.writeable
-            assert np.array_equal(core, pad[:-1, :-1])
+    for side, product in zip((sysm._meet, sysm._join), sysm._pseudoproducts):
+        assert side.P_p is product
+        assert not any(hasattr(side, name) for name in ("L", "R", "P"))
+        for pad in (side.L_p, side.R_p, side.P_p):
+            assert not pad.flags.writeable
             assert (pad[-1] == -1).all() and (pad[:, -1] == -1).all()
+            core = skewalg.system._core(pad)
+            assert core.flags.c_contiguous and not np.shares_memory(core, pad)
+            assert np.array_equal(core, pad[:-1, :-1])
 
 
 def test_each_groupoid_table_is_padded_once(suite, monkeypatch):
@@ -491,6 +514,24 @@ def test_a_checked_system_pads_fifteen_tables(suite, monkeypatch):
         for _, checker in system_checkers():
             checker(sysm)
         assert len(calls) == 15
+
+
+def test_the_system_an_algebra_round_trip_rebuilds_derives_only_its_pseudoproducts(monkeypatch):
+    import skewalg.reconstruction
+
+    rebuilt = []
+    real = skewalg.reconstruction.reconstruct
+
+    def spy(*args, **kwargs):
+        rebuilt.append(real(*args, **kwargs))
+        return rebuilt[-1]
+
+    monkeypatch.setattr(skewalg.reconstruction, "reconstruct", spy)
+    S = semidirect_algebra(swap_action())
+    assert roundtrip_algebra(S).mapping == tuple(range(S.order))
+    sysm = rebuilt[0].system
+    assert "_pseudoproducts" in vars(sysm)
+    assert "_meet" not in vars(sysm) and "_join" not in vars(sysm)
 
 
 def test_the_system_a_groupoid_round_trip_rebuilds_stays_underived(monkeypatch):
