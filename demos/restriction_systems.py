@@ -5,16 +5,21 @@ extension maps linking the two layers."""
 import numpy as np
 
 import skewalg as sk
+from skewalg.algebra import algebra_checkers
 from skewalg.system import system_checkers
+
+
+def families(checkers, structure):
+    for family, checker in checkers:
+        rep = checker(structure)
+        required = [c for c in rep.checks() if c.required]
+        print(f"  {family}: ok={rep.ok} ({len(required)} required checks)")
 
 
 def describe(sysm, name):
     print(f"== {name} ==")
     print(f"objects: {sysm.object_count}, morphisms: {sysm.morphism_count}")
-    for family, checker in system_checkers():
-        rep = checker(sysm)
-        required = [c for c in rep.checks() if c.required]
-        print(f"  {family}: ok={rep.ok} ({len(required)} required checks)")
+    families(system_checkers(), sysm)
 
 
 # A discrete system: only identity morphisms, everything collapses.
@@ -50,5 +55,6 @@ print(f"meet-restriction is partial: {undef}/{total} entries undefined")
 # build_algebra fuses groupoid composition with the object skew lattice.
 S = sk.build_algebra(sysm)
 print("fused algebra passes its axioms:", sk.check_axioms(S).ok)
+families(algebra_checkers(), S)
 print("matches the direct construction:",
       sk.find_isomorphism(S, sk.semidirect_algebra(action)) is not None)

@@ -16,13 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SkeletonNotClosedError
-from .report import AxiomReport
+from .report import AxiomReport, flag
 from .tables import (
     OperationTable, SkewLatticeTable, check_skew_lattice, checked_index, frozen, padded, right_ideals,
 )
 
 __all__ = [
     "BiBandAlgebra",
+    "algebra_checkers",
     "anti_automorphism_witness",
     "check_axioms",
     "check_skehr",
@@ -75,7 +76,7 @@ def check_axioms(S: BiBandAlgebra) -> AxiomReport:
     agreement and star-fixedness of the positive part, regularity, star on
     idempotents, the four generalized absorption laws, the four idempotent
     prefix/suffix laws, and the conditional composability consequences."""
-    report = AxiomReport("biband axioms")
+    checks = []
     st = S.star
     idx = np.arange(S.order)
     # each dual law is written once, for the product t with positive part
@@ -87,58 +88,60 @@ def check_axioms(S: BiBandAlgebra) -> AxiomReport:
     dual = {"join": "meet", "meet": "join"}
 
     for k, t in ops.items():
-        report.record_mask(f"assoc_{k}", t[t, :] == t[:, t])
+        checks.append(flag(f"assoc_{k}", t[t, :] == t[:, t]))
 
-    report.record_mask("star_involution", st[st] == idx)
+    checks.append(flag("star_involution", st[st] == idx))
 
-    report.record_mask("positive_parts_agree", pos["join"] == pos["meet"])
-    report.record_mask("positive_part_fixed", st[pos["meet"]] == pos["meet"])
+    checks.append(flag("positive_parts_agree", pos["join"] == pos["meet"]))
+    checks.append(flag("positive_part_fixed", st[pos["meet"]] == pos["meet"]))
 
     for k, t in ops.items():
-        report.record_mask(f"regularity_{k}", t[pos[k], idx] == idx)
+        checks.append(flag(f"regularity_{k}", t[pos[k], idx] == idx))
 
     for k in ("meet", "join"):
         idem = ops[k][idx, idx] == idx
-        report.record_mask(f"idempotent_self_star_{k}", ~idem | (st == idx))
+        checks.append(flag(f"idempotent_self_star_{k}", ~idem | (st == idx)))
 
     # s∨s*∨(s∧t*∧t) = s
     for k, t in ops.items():
         d = ops[dual[k]]
         inner = d[d[idx[:, None], st[None, :]], idx[None, :]]
-        report.record_mask(f"absorb_{k}_{dual[k]}", t[pos[k][:, None], inner] == idx[:, None])
+        checks.append(flag(f"absorb_{k}_{dual[k]}", t[pos[k][:, None], inner] == idx[:, None]))
     # (t∧t*∧s)∨s*∨s = s
     for k, t in ops.items():
         inner = ops[dual[k]][pos[dual[k]][None, :], idx[:, None]]
-        report.record_mask(f"absorb_{dual[k]}_then_{k}", t[inner, neg[k][:, None]] == idx[:, None])
+        checks.append(flag(f"absorb_{dual[k]}_then_{k}", t[inner, neg[k][:, None]] == idx[:, None]))
 
     # (e∨t)∨t* = (e∨t)∨(e∨t)* for e = s∨s*, and the suffix form
     for k, t in ops.items():
         y = t[pos[k][:, None], idx[None, :]]
-        report.record_mask(f"domain_prefix_{k}", t[y, st[None, :]] == t[y, st[y]])
+        checks.append(flag(f"domain_prefix_{k}", t[y, st[None, :]] == t[y, st[y]]))
     for k, t in ops.items():
         y = t[idx[None, :], neg[k][:, None]]
-        report.record_mask(f"range_suffix_{k}", t[st[None, :], y] == t[st[y], y])
+        checks.append(flag(f"range_suffix_{k}", t[st[None, :], y] == t[st[y], y]))
 
     # s*∨s = t∨t* forces the endpoint idempotents of both products
     hyp = neg["join"][:, None] == pos["join"][None, :]
     for k, t in ops.items():
-        report.record_mask(f"composable_positive_{k}", ~hyp | (t[t, st[t]] == pos[k][:, None]))
-        report.record_mask(f"composable_negative_{k}", ~hyp | (t[st[t], t] == neg[k][None, :]))
-    return report
+        checks.append(flag(f"composable_positive_{k}", ~hyp | (t[t, st[t]] == pos[k][:, None])))
+        checks.append(flag(f"composable_negative_{k}", ~hyp | (t[st[t], t] == neg[k][None, :])))
+    return AxiomReport("biband axioms", checks)
 
 
-def skehr_statement_flags(report: AxiomReport, prefix: str, op_p, star) -> tuple[np.ndarray, np.ndarray]:
-    """The five plus/minus statements for one operation, recorded as
+def skehr_statement_flags(prefix: str, op_p, star) -> tuple[list, np.ndarray, np.ndarray]:
+    """The five plus/minus statements for one operation, as the checks
     {prefix}_i .. {prefix}_v, given the operation's padded table op_p
     (tables.padded).  Accepts -1 holes in the table (treated as undefined,
     which fails any equation touching them) so partially built products can
-    be interrogated too.  Returns the padded plus s∘s* and minus s*∘s."""
+    be interrogated too.  Returns the checks, the padded plus s∘s* and the
+    padded minus s*∘s."""
     star = np.asarray(star, dtype=np.int64)
     op = op_p[:-1, :-1]
     idx = np.arange(len(op))
     plus = op_p[idx, star]
     minus = op_p[star, idx]
     plus_p, minus_p = padded(plus), padded(minus)
+    checks = []
 
     ok = (
         (op_p[plus, plus] == plus)
@@ -150,12 +153,12 @@ def skehr_statement_flags(report: AxiomReport, prefix: str, op_p, star) -> tuple
         & (plus >= 0)
         & (minus >= 0)
     )
-    report.record_mask(f"{prefix}_i", ok)
+    checks.append(flag(f"{prefix}_i", ok))
 
-    report.record_mask(f"{prefix}_ii", (op_p[plus, idx] == idx) & (op_p[idx, minus] == idx))
+    checks.append(flag(f"{prefix}_ii", (op_p[plus, idx] == idx) & (op_p[idx, minus] == idx)))
 
     idem = op[idx, idx] == idx
-    report.record_mask(f"{prefix}_iii", ~idem | ((plus == idx) & (minus == idx)))
+    checks.append(flag(f"{prefix}_iii", ~idem | ((plus == idx) & (minus == idx))))
 
     lhs = plus_p[op]
     rhs = plus_p[op_p[idx[:, None], plus[None, :]]]
@@ -163,7 +166,7 @@ def skehr_statement_flags(report: AxiomReport, prefix: str, op_p, star) -> tuple
     lhs = minus_p[op]
     rhs = minus_p[op_p[minus[:, None], idx[None, :]]]
     ok &= (lhs == rhs) & (lhs >= 0)
-    report.record_mask(f"{prefix}_iv", ok)
+    checks.append(flag(f"{prefix}_iv", ok))
 
     lhs = plus_p[op_p[plus[:, None], idx[None, :]]]
     rhs = op_p[plus[:, None], plus[None, :]]
@@ -171,8 +174,8 @@ def skehr_statement_flags(report: AxiomReport, prefix: str, op_p, star) -> tuple
     lhs = minus_p[op_p[idx[:, None], minus[None, :]]]
     rhs = op_p[minus[:, None], minus[None, :]]
     ok &= (lhs == rhs) & (lhs >= 0)
-    report.record_mask(f"{prefix}_v", ok)
-    return plus_p, minus_p
+    checks.append(flag(f"{prefix}_v", ok))
+    return checks, plus_p, minus_p
 
 
 def greens_r(op: np.ndarray) -> np.ndarray:
@@ -188,16 +191,15 @@ def check_skehr(S: BiBandAlgebra) -> AxiomReport:
     """The plus/minus calculus for both operations, the Green's-relation
     positions of s⁺, s⁻ and s*, and uniqueness of star as the inverse
     sitting at those positions."""
-    report = AxiomReport("plus minus calculus")
     mt, st = S.meet.array, S.star
     n = S.order
     idx = np.arange(n)
-    skehr_statement_flags(report, "skehr_meet", padded(mt), st)
-    skehr_statement_flags(report, "skehr_join", padded(S.join.array), st)
+    checks = skehr_statement_flags("skehr_meet", padded(mt), st)[0]
+    checks += skehr_statement_flags("skehr_join", padded(S.join.array), st)[0]
 
     plus = mt[idx, st]
     minus = mt[st, idx]
-    report.record_mask("star_swaps_sides", (mt[st, st[st]] == minus) & (mt[st[st], st] == plus))
+    checks.append(flag("star_swaps_sides", (mt[st, st[st]] == minus) & (mt[st[st], st] == plus)))
 
     r_rel = greens_r(mt)
     l_rel = greens_l(mt)
@@ -207,7 +209,7 @@ def check_skehr(S: BiBandAlgebra) -> AxiomReport:
         & l_rel[plus, st]
         & r_rel[st, minus]
     )
-    report.record_mask("green_positions", ok)
+    checks.append(flag("green_positions", ok))
 
     # x is an inverse of s when s∧x∧s = s and x∧s∧x = x
     t1 = mt[mt, idx[:, None]]
@@ -216,8 +218,17 @@ def check_skehr(S: BiBandAlgebra) -> AxiomReport:
     located = inverse_pair & l_rel[plus[:, None], idx[None, :]] & r_rel[idx[None, :], minus[:, None]]
     unique = located.sum(axis=1) == 1
     at_star = located[idx, st]
-    report.record_mask("star_unique_inverse", unique & at_star)
-    return report
+    checks.append(flag("star_unique_inverse", unique & at_star))
+    return AxiomReport("plus minus calculus", checks)
+
+
+def algebra_checkers() -> list:
+    """Every algebra checker as (family, checker), in report order.
+
+    Built on each call from the module's current attributes, so a checker
+    rebound after import (by a tracing wrapper, say) is the one that runs.
+    """
+    return [("axioms", check_axioms), ("plus_minus", check_skehr)]
 
 
 def plus_minus(S: BiBandAlgebra, s: int) -> tuple[int, int]:

@@ -20,12 +20,7 @@ import os
 import sys
 import time
 
-from .algebra import (
-    BiBandAlgebra,
-    anti_automorphism_witness,
-    check_axioms,
-    check_skehr,
-)
+from .algebra import BiBandAlgebra, algebra_checkers, anti_automorphism_witness
 from .enumeration import DEFAULT_MAX_ORDER, enumerate_bands, enumerate_skew_lattices
 from .errors import (
     ActionInvalidError,
@@ -37,7 +32,7 @@ from .errors import (
 from .groupoid import FiniteGroupoid, check_groupoid
 from .models import MAX_SUITE_BAND, MAX_SUITE_GROUP, generate_model_suite
 from .reconstruction import reconstruct, roundtrip_algebra, roundtrip_groupoid
-from .report import AxiomReport
+from .report import AxiomReport, Check
 from .serialize import json_text, read_structure, save_structure, structure_to_dict
 from .system import RestrictionSystem, build_algebra, system_checkers
 from .tables import SkewLatticeTable, check_skew_lattice
@@ -133,17 +128,15 @@ def _typed(obj, path: str, cls, what: str):
 
 
 def _system_report(sys_: RestrictionSystem) -> AxiomReport:
-    merged = AxiomReport("restriction system")
-    for family, checker in system_checkers():
-        merged.extend(checker(sys_), f"{family}.")
-    return merged
+    return AxiomReport("restriction system", [
+        c for family, checker in system_checkers() for c in checker(sys_).renamed(f"{family}.")
+    ])
 
 
 def _algebra_report(S: BiBandAlgebra) -> AxiomReport:
-    merged = AxiomReport("algebra")
-    merged.extend(check_axioms(S))
-    merged.extend(check_skehr(S))
-    return merged
+    return AxiomReport("algebra", [
+        c for _, checker in algebra_checkers() for c in checker(S).checks()
+    ])
 
 
 def _write_out(args, basename: str, obj, extra=None) -> dict:
@@ -219,13 +212,12 @@ def _run(args) -> tuple[dict, AxiomReport | None, dict]:
         payload.update(_write_out(args, "system.json", rec.system))
         return inputs, None, payload
     if cmd == "roundtrip":
-        report = AxiomReport("roundtrip")
         if isinstance(obj, RestrictionSystem):
             iso = roundtrip_groupoid(obj)
-            report.record("roundtrip_groupoid", True)
+            report = AxiomReport("roundtrip", [Check("roundtrip_groupoid", True)])
         elif isinstance(obj, BiBandAlgebra):
             iso = roundtrip_algebra(obj)
-            report.record("roundtrip_algebra", True)
+            report = AxiomReport("roundtrip", [Check("roundtrip_algebra", True)])
         else:
             raise MalformedSystemError(
                 f"{args.file} holds neither a restriction system nor an algebra"
@@ -234,8 +226,9 @@ def _run(args) -> tuple[dict, AxiomReport | None, dict]:
     if cmd == "witness-anti":
         S = _typed(obj, args.file, BiBandAlgebra, "an algebra")
         witness = anti_automorphism_witness(S)
-        report = AxiomReport("anti-automorphism witness")
-        report.record("witness_exists", witness is not None, witness)
+        report = AxiomReport(
+            "anti-automorphism witness", [Check("witness_exists", witness is not None, witness)]
+        )
         return inputs, report, {
             "witness": list(witness) if witness is not None else None
         }
@@ -271,8 +264,7 @@ def dispatch(argv) -> tuple[dict, int]:
         run["error"] = {"kind": "malformed", "message": str(exc)}
         return finish(EXIT_MALFORMED)
     except AxiomViolationError as exc:
-        report = AxiomReport("precondition")
-        report.record(exc.check_name, False, exc.witness)
+        report = AxiomReport("precondition", [Check(exc.check_name, False, exc.witness)])
         run["report"] = report.to_dict()
         return finish(EXIT_CHECK_FAILED)
     except SkewalgError as exc:

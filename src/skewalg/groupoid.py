@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from .errors import MalformedSystemError, UndefinedCompositionError
-from .report import AxiomReport
+from .report import AxiomReport, flag
 from .tables import GroupTable, checked_index, frozen, padded
 
 __all__ = [
@@ -114,7 +114,7 @@ class FiniteGroupoid:
 
 def check_groupoid(g: FiniteGroupoid) -> AxiomReport:
     """Verify the four groupoid laws, one named flag each."""
-    report = AxiomReport("groupoid laws")
+    checks = []
     dom, cod, comp, inv, e = g.dom, g.cod, g.comp, g.inv, g.identity_of
     idx = np.arange(g.morphism_count)
     dom_p, cod_p, inv_p, comp_p, _ = g.padded
@@ -123,33 +123,33 @@ def check_groupoid(g: FiniteGroupoid) -> AxiomReport:
     # f∘h is defined iff cod f = dom h, and then runs from dom f to cod h
     endpoints = (dom_p[comp] == dom[:, None]) & (cod_p[comp] == cod[None, :])
     pattern = (defined == (cod[:, None] == dom[None, :])) & (~defined | endpoints)
-    report.record_mask("composition_pattern", pattern)
+    checks.append(flag("composition_pattern", pattern))
 
     # (f∘h)∘k = f∘(h∘k) wherever both sides are defined
     m = g.morphism_count
     left, right = comp_p[:, :m][comp], comp_p[:m][:, comp]
-    report.record_mask("associativity", (left < 0) | (right < 0) | (left == right))
+    checks.append(flag("associativity", (left < 0) | (right < 0) | (left == right)))
 
     # every object has a unit, and units fix every morphism on either side
     if (e >= 0).all():
         units = (comp[e[dom], idx] == idx) & (comp[idx, e[cod]] == idx)
-        report.record_mask("identities", units)
+        checks.append(flag("identities", units))
     else:
-        report.record_mask("identities", e >= 0)
+        checks.append(flag("identities", e >= 0))
 
     flipped = (dom[inv] == cod) & (cod[inv] == dom)
     cancels = (comp[idx, inv] == e[dom]) & (comp[inv, idx] == e[cod])
-    report.record_mask("inverse_laws", flipped & cancels)
+    checks.append(flag("inverse_laws", flipped & cancels))
 
     # consequences of the four laws, recorded per instance but not required
-    report.record_mask("involution", inv[inv] == idx, required=False)
+    checks.append(flag("involution", inv[inv] == idx, required=False))
     reverses = inv_p[comp] == comp[inv[None, :], inv[:, None]]
-    report.record_mask("anti_involution", ~defined | reverses, required=False)
+    checks.append(flag("anti_involution", ~defined | reverses, required=False))
     is_unit = np.zeros(g.morphism_count, dtype=bool)
     is_unit[e[e >= 0]] = True
     idempotent = comp[idx, idx] == idx
-    report.record_mask("idempotents_are_identities", idempotent == is_unit, required=False)
-    return report
+    checks.append(flag("idempotents_are_identities", idempotent == is_unit, required=False))
+    return AxiomReport("groupoid laws", checks)
 
 
 def discrete_groupoid(n: int) -> FiniteGroupoid:

@@ -39,7 +39,7 @@ from .enumeration import enumerate_skew_lattices
 from .errors import ActionInvalidError, BoundExceededError
 from .groupoid import FiniteGroupoid
 from .isomorphism import automorphisms_of, least_rows, lex_keys, relabellings
-from .report import AxiomReport
+from .report import AxiomReport, Check, flag
 from .system import RestrictionSystem
 from .tables import GroupTable, SkewLatticeTable, frozen
 
@@ -166,10 +166,8 @@ def _action_laws(acts, group: GroupTable, lattice: SkewLatticeTable) -> list[np.
 def check_action(action: GroupAction) -> AxiomReport:
     """Identity and composition laws plus, per group element, preservation
     of both band operations."""
-    report = AxiomReport("group action")
-    for name, mask in zip(_ACTION_LAWS, _action_laws(action.act[None], action.group, action.lattice)):
-        report.record_mask(name, mask[0])
-    return report
+    laws = _action_laws(action.act[None], action.group, action.lattice)
+    return AxiomReport("group action", [flag(n, mask[0]) for n, mask in zip(_ACTION_LAWS, laws)])
 
 
 def _guard(action: GroupAction) -> None:
@@ -494,14 +492,14 @@ def congruence_kernels(action: GroupAction):
     first = member[0]
     conjugates = gt[gt, ginv[:, None]]
 
-    report = AxiomReport("congruence kernels")
-    report.record_mask("congruence_maximum_exists", certified)
-    report.record_mask("chain_lower", within(np.arange(nb)[:, None], jt))
-    report.record_mask("chain_upper", within(jt, upper))
-    report.record_mask("chain_closes", upper == np.arange(nb)[None, :])
-    report.record_mask("kernels_equal", (member == first).all(axis=1))
-    report.record_mask("kernel_normal", ~first[None, :] | first[conjugates])
-    return kernels, report
+    return kernels, AxiomReport("congruence kernels", [
+        flag("congruence_maximum_exists", certified),
+        flag("chain_lower", within(np.arange(nb)[:, None], jt)),
+        flag("chain_upper", within(jt, upper)),
+        flag("chain_closes", upper == np.arange(nb)[None, :]),
+        flag("kernels_equal", (member == first).all(axis=1)),
+        flag("kernel_normal", ~first[None, :] | first[conjugates]),
+    ])
 
 
 def _extreme(neutral: np.ndarray, absorbing: np.ndarray):
@@ -527,7 +525,7 @@ def normal_form_report(action: GroupAction) -> AxiomReport:
     e = int(action.group.identity)
     nb, ng = action.band_order, action.group_order
     pair = np.arange(ng * nb).reshape(ng, nb)
-    report = AxiomReport("normal form")
+    checks = []
 
     mt, jt = action.lattice.meet.array, action.lattice.join.array
     for name, extreme, table, missing in (
@@ -535,9 +533,8 @@ def normal_form_report(action: GroupAction) -> AxiomReport:
         ("normal_form_join", _extreme(jt, mt), S.join.array, "bottom"),
     ):
         if extreme is None:
-            report.record(
-                name, True, required=False, note=f"skipped: objects have no {missing}"
-            )
+            note = f"skipped: objects have no {missing}"
+            checks.append(Check(name, True, required=False, note=note))
         else:
-            report.record_mask(name, table[pair[:, [extreme]], pair[[e], :]] == pair)
-    return report
+            checks.append(flag(name, table[pair[:, [extreme]], pair[[e], :]] == pair))
+    return AxiomReport("normal form", checks)

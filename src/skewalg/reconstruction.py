@@ -23,7 +23,7 @@ from .errors import (
 )
 from .groupoid import FiniteGroupoid
 from .isomorphism import Isomorphism
-from .report import AxiomReport
+from .report import AxiomReport, flag
 from .system import RestrictionSystem, build_algebra
 from .tables import SkewLatticeTable
 
@@ -102,10 +102,8 @@ def reconstruct(S: BiBandAlgebra, check: bool = True) -> ReconstructedGroupoid:
 
 def _require_equal(pairs) -> None:
     """Raise roundtrip_<name> at the first entry where a pair of tables differs."""
-    report = AxiomReport("roundtrip")
-    for name, lhs, rhs in pairs:
-        report.record_mask(f"roundtrip_{name}", lhs == rhs)
-    report.require()
+    checks = [flag(f"roundtrip_{name}", lhs == rhs) for name, lhs, rhs in pairs]
+    AxiomReport("roundtrip", checks).require()
 
 
 def roundtrip_groupoid(sys: RestrictionSystem) -> Isomorphism:

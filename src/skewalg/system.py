@@ -49,7 +49,7 @@ import numpy as np
 from .algebra import BiBandAlgebra, skehr_statement_flags
 from .errors import MalformedSystemError
 from .groupoid import FiniteGroupoid, check_groupoid
-from .report import AxiomReport
+from .report import AxiomReport, flag
 from .tables import SkewLatticeTable, check_skew_lattice, checked_index, frozen, padded
 
 __all__ = [
@@ -217,13 +217,15 @@ class RestrictionSystem:
         return int(side.P_p[checked_index(f, m), checked_index(g, m)])
 
     def full_report(self) -> AxiomReport:
-        """Structural, restriction, extension and linking checks, as a new
-        report the caller owns. A family's checker is called only when the
-        memo lacks its report, so each family is computed once per system."""
-        report = AxiomReport("restriction system")
-        for _, checker in system_checkers()[:4]:
-            report.extend(self._reports.get(checker.__name__) or checker(self))
-        return report
+        """Structural, restriction, extension and linking checks in one
+        report over the families' own checks. A family's checker is called
+        only when the memo lacks its report, so each family is computed once
+        per system."""
+        return AxiomReport("restriction system", [
+            c
+            for _, checker in system_checkers()[:4]
+            for c in (self._reports.get(checker.__name__) or checker(self)).checks()
+        ])
 
     def __repr__(self):
         return (
@@ -250,13 +252,13 @@ def system_checkers() -> list:
 
 def _memoised(body):
     """Compute the family at most once per system, keep it in the system's
-    memo under the checker's name, and hand every caller a copy."""
+    memo under the checker's name, and hand every caller that report."""
     @functools.wraps(body)
     def checker(sys: RestrictionSystem) -> AxiomReport:
         report = sys._reports.get(body.__name__)
         if report is None:
             report = sys._reports[body.__name__] = body(sys)
-        return report.copy()
+        return report
     return checker
 
 
@@ -270,18 +272,17 @@ def check_structure(sys: RestrictionSystem) -> AxiomReport:
     """Well-formedness: objects form a skew lattice, the groupoid laws hold,
     and each operator table is defined exactly on its preorder region with
     the stated endpoints."""
-    report = AxiomReport("structure")
-    report.extend(check_skew_lattice(sys.objects), prefix="objects_")
+    checks = check_skew_lattice(sys.objects).renamed("objects_")
 
     idx = np.arange(sys.object_count)
     pre = sys.objects.preorders
-    report.record_mask(
+    checks.append(flag(
         "preorder_converse_pairing",
         (pre.le_left == pre.ge_right.T) & (pre.le_right == pre.ge_left.T),
-    )
+    ))
 
-    report.extend(check_groupoid(sys.groupoid), prefix="groupoid_")
-    report.record_mask("identity_coverage", sys.groupoid.identity_of >= 0)
+    checks += check_groupoid(sys.groupoid).renamed("groupoid_")
+    checks.append(flag("identity_coverage", sys.groupoid.identity_of >= 0))
 
     dom_p, cod_p = sys.groupoid.padded[:2]
     # restL[a,g]: defined iff a leL dom g; then dom = a, cod leL cod g
@@ -297,15 +298,15 @@ def check_structure(sys: RestrictionSystem) -> AxiomReport:
         ):
             table = back(partial)
             defined = table >= 0
-            report.record_mask(f"{name}_defined_iff", back(defined == rel[:, near_p[:-1]]))
+            checks.append(flag(f"{name}_defined_iff", back(defined == rel[:, near_p[:-1]])))
             # at a hole far_p reads -1, so rel answers for its last object;
             # ~defined passes the cell whatever it answers
             ends = (near_p[table] == idx[:, None]) & rel[far_p[table], far_p[:-1]]
-            report.record_mask(f"{name}_endpoints", back(~defined | ends))
+            checks.append(flag(f"{name}_endpoints", back(~defined | ends)))
 
     for side in (sys._meet, sys._join):
-        report.record_mask(f"{side.op}_pseudoproduct_total", side.P_p[:-1, :-1] >= 0)
-    return report
+        checks.append(flag(f"{side.op}_pseudoproduct_total", side.P_p[:-1, :-1] >= 0))
+    return AxiomReport("structure", checks)
 
 
 def _order_axioms(sys: RestrictionSystem, side: _Side) -> AxiomReport:
@@ -314,7 +315,7 @@ def _order_axioms(sys: RestrictionSystem, side: _Side) -> AxiomReport:
     generalized operation, endpoints and compatibility. Comments state the
     meet side; the join side reads ∨ for ∧ and ge for le, except that its
     preorder flags read the lateral relations (see _Side)."""
-    report = AxiomReport(f"{side.noun} axioms")
+    checks = []
     n, m = sys.object_count, sys.morphism_count
     op, L_p, R_p = side.table, side.L_p, side.R_p
     L, R = _core(L_p), _core(R_p)
@@ -324,15 +325,15 @@ def _order_axioms(sys: RestrictionSystem, side: _Side) -> AxiomReport:
     dom_p, cod_p, _, comp_p, e_p = sys.groupoid.padded
     left, right = side.left, side.right
 
-    report.record_mask(f"{left}_identity", L[dom, idx_m] == idx_m)
-    report.record_mask(f"{right}_identity", R[idx_m, cod] == idx_m)
+    checks.append(flag(f"{left}_identity", L[dom, idx_m] == idx_m))
+    checks.append(flag(f"{right}_identity", R[idx_m, cod] == idx_m))
 
     # a leL b  =>  _a|i_b = i_(a∧b), which is i_a
     val = L_p[:n][:, e]
-    report.record_mask(f"{left}_preorder", ~side.preorder[0] | _equal(val, e_p[op]))
+    checks.append(flag(f"{left}_preorder", ~side.preorder[0] | _equal(val, e_p[op])))
     # a leR b  =>  i_b|_a = i_(b∧a), which is i_a
     val = R_p[:, :n][e].T
-    report.record_mask(f"{right}_preorder", ~side.preorder[1] | _equal(val, e_p[op.T]))
+    checks.append(flag(f"{right}_preorder", ~side.preorder[1] | _equal(val, e_p[op.T])))
 
     # the chaining equations' two sides, which the transitivity laws reuse:
     # chain_l[a, b, g] = (a∧b)∧g, nested_l[a, b, g] = a∧(b∧g),
@@ -344,39 +345,39 @@ def _order_axioms(sys: RestrictionSystem, side: _Side) -> AxiomReport:
     rel = side.order[0]
     hyp = rel[:, :, None] & rel[:, dom][None, :, :]
     x = L[:, None, :]
-    report.record_mask(f"{left}_transitivity", ~hyp | ((x == chain_l) & _equal(x, nested_l)))
+    checks.append(flag(f"{left}_transitivity", ~hyp | ((x == chain_l) & _equal(x, nested_l))))
     # a leR b leR cod g  =>  g|_a = g|_(b∧a) = (g|_b)|_a, gathered over
     # (g, b, a) and transposed to the law's (a, b, g)
     rel = side.order[1]
     hyp = rel[:, cod].T[:, :, None] & rel.T[None, :, :]
     x = R[:, None, :]
-    report.record_mask(
+    checks.append(flag(
         f"{right}_transitivity", (~hyp | ((x == nested_r) & _equal(x, chain_r))).transpose(2, 1, 0)
-    )
+    ))
 
     composable = comp >= 0
     # _a|(f∘g) = (_a|f)∘(_(cod _a|f)|g)
     lhs = L_p[:n][:, comp]
     rhs = comp_p[L[:, :, None], L_p[:, :m][cod_p[L]]]
-    report.record_mask(f"{left}_composition", ~composable[None, :, :] | _equal(lhs, rhs))
+    checks.append(flag(f"{left}_composition", ~composable[None, :, :] | _equal(lhs, rhs)))
     # (f∘g)|_d = (f|_(dom g|_d))∘(g|_d)
     lhs = R_p[:, :n][comp]
     rhs = comp_p[R_p[:m][:, dom_p[R]], R[None, :, :]]
-    report.record_mask(f"{right}_composition", ~composable[:, :, None] | _equal(lhs, rhs))
+    checks.append(flag(f"{right}_composition", ~composable[:, :, None] | _equal(lhs, rhs)))
 
     # (a∧b)∧g = a∧(b∧g) and (g∧a)∧b = g∧(a∧b), all tuples
-    report.record_mask(f"{side.op}_chain_left", _equal(chain_l, nested_l))
-    report.record_mask(f"{side.op}_chain_right", _equal(chain_r, nested_r))
+    checks.append(flag(f"{side.op}_chain_left", _equal(chain_l, nested_l)))
+    checks.append(flag(f"{side.op}_chain_right", _equal(chain_r, nested_r)))
 
     # dom(a∧g) = a∧dom g and cod(g∧a) = (cod g)∧a
-    report.record_mask(f"{side.op}_endpoint_left", _equal(dom_p[L], op[:, dom]))
-    report.record_mask(f"{side.op}_endpoint_right", _equal(cod_p[R], op[cod, :]))
+    checks.append(flag(f"{side.op}_endpoint_left", _equal(dom_p[L], op[:, dom])))
+    checks.append(flag(f"{side.op}_endpoint_right", _equal(cod_p[R], op[cod, :])))
 
     # (a∧f)∧b = a∧(f∧b)
     lhs = R_p[:, :n][L]
     rhs = L_p[:n][:, R]
-    report.record_mask(f"{side.op}_compatibility", _equal(lhs, rhs))
-    return report
+    checks.append(flag(f"{side.op}_compatibility", _equal(lhs, rhs)))
+    return AxiomReport(f"{side.noun} axioms", checks)
 
 
 @_memoised
@@ -398,7 +399,7 @@ def check_linking(sys: RestrictionSystem) -> AxiomReport:
     """The linking axiom tying restriction to extension across the two bands:
     (a∧f)∨(cod f) = f, its equivalent pseudoproduct form, the lateral and
     order duals, and the degeneration to absorption on identity morphisms."""
-    report = AxiomReport("linking axiom")
+    checks = []
     n, m = sys.object_count, sys.morphism_count
     idx_n, idx_m = np.arange(n), np.arange(m)
     dom, cod = sys.groupoid.dom, sys.groupoid.cod
@@ -409,28 +410,28 @@ def check_linking(sys: RestrictionSystem) -> AxiomReport:
 
     # f = (a∧f)∨(f*f): restrict to a, then coextend back up to cod f
     val = jc_p[mr, cod[None, :]]
-    report.record_mask("linking_meet_join", val == idx_m[None, :])
+    checks.append(flag("linking_meet_join", val == idx_m[None, :]))
 
     # equivalently ff* = (a∧f)∨f*: join pseudoproduct with the inverse
     val = sys._join.P_p[mr, inv[None, :]]
-    report.record_mask("linking_equiv_pseudo", _equal(val, e_p[dom][None, :]))
+    checks.append(flag("linking_equiv_pseudo", _equal(val, e_p[dom][None, :])))
 
     # lateral: f = (ff*)∨(f∧a)
     val = je_p[dom[None, :], mc.T]
-    report.record_mask("linking_lateral", val == idx_m[None, :])
+    checks.append(flag("linking_lateral", val == idx_m[None, :]))
 
     # order dual: f = (a∨f)∧(f*f)
     val = mc_p[je, cod[None, :]]
-    report.record_mask("linking_order_dual", val == idx_m[None, :])
+    checks.append(flag("linking_order_dual", val == idx_m[None, :]))
 
     # order lateral: f = (ff*)∧(f∨a)
     val = mr_p[dom[None, :], jc.T]
-    report.record_mask("linking_order_lateral", val == idx_m[None, :])
+    checks.append(flag("linking_order_lateral", val == idx_m[None, :]))
 
     # on identity morphisms the axiom degenerates to skew-lattice absorption
     val = jc_p[mr_p[:n][:, e], idx_n[None, :]]
-    report.record_mask("idempotent_absorption", _equal(val, e[None, :]))
-    return report
+    checks.append(flag("idempotent_absorption", _equal(val, e[None, :])))
+    return AxiomReport("linking axiom", checks)
 
 
 @_memoised
@@ -445,7 +446,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
 
     Each paired law is written for the meet side (∧) and recorded for the
     meet side, then the join side."""
-    report = AxiomReport("derived identities")
+    checks = []
     n, m = sys.object_count, sys.morphism_count
     idx_m = np.arange(m)
     comp, inv, e = sys.groupoid.comp, sys.groupoid.inv, sys.groupoid.identity_of
@@ -457,7 +458,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
 
     # (f∧e)∧g = f∧(e∧g) over morphism, object, morphism
     for s, (L, R, P) in both:
-        report.record_mask(f"mixed_assoc_{s.op}", _equal(s.P_p[:, :m][R], s.P_p[:m][:, L]))
+        checks.append(flag(f"mixed_assoc_{s.op}", _equal(s.P_p[:, :m][R], s.P_p[:m][:, L])))
 
     # _e|(f∧g) over object, morphism, morphism, read by the next two laws
     into = [s.L_p[:n][:, P] for s, (L, R, P) in both]
@@ -465,54 +466,54 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     # e^(f∧g) = (e^f)^g over object, morphism, morphism
     for (s, (L, R, P)), lhs in zip(both, into):
         rhs = s.L_p[:, :m][cod_p[L]]
-        report.record_mask(f"action_chain_{s.op}", _equal(cod_p[lhs], cod_p[rhs]))
+        checks.append(flag(f"action_chain_{s.op}", _equal(cod_p[lhs], cod_p[rhs])))
 
     # _e|(f∧g) = (_e|f)∧g
     for (s, (L, R, P)), lhs in zip(both, into):
-        report.record_mask(f"{s.verb}_into_product_{s.op}", _equal(lhs, s.P_p[:, :m][L]))
+        checks.append(flag(f"{s.verb}_into_product_{s.op}", _equal(lhs, s.P_p[:, :m][L])))
 
     # both pseudoproducts associative over all morphism triples
     for s, (L, R, P) in both:
-        report.record_mask(f"assoc_{s.op}", _equal(s.P_p[:, :m][P], s.P_p[:m][:, P]))
+        checks.append(flag(f"assoc_{s.op}", _equal(s.P_p[:, :m][P], s.P_p[:m][:, P])))
 
     # pseudoproduct extends composition and the object operations
     composable = comp >= 0
     for s, (L, R, P) in both:
-        report.record_mask(f"extends_composition_{s.op}", ~composable | (P == comp))
+        checks.append(flag(f"extends_composition_{s.op}", ~composable | (P == comp)))
     for s in sides:
         val = s.P_p[e[:, None], e[None, :]]
-        report.record_mask(f"identity_product_{s.op}", _equal(val, e_p[s.table]))
+        checks.append(flag(f"identity_product_{s.op}", _equal(val, e_p[s.table])))
 
     # idempotents of each pseudoproduct are exactly the identity morphisms
     id_set = np.zeros(m, dtype=bool)
     id_set[e[e >= 0]] = True
     for s, (L, R, P) in both:
-        report.record_mask(f"idempotents_{s.op}", (P[idx_m, idx_m] == idx_m) == id_set)
+        checks.append(flag(f"idempotents_{s.op}", (P[idx_m, idx_m] == idx_m) == id_set))
 
     # regularity: g∧g*∧g = g
     for s, (L, R, P) in both:
-        report.record_mask(f"regularity_{s.op}", s.P_p[P[idx_m, inv], idx_m] == idx_m)
+        checks.append(flag(f"regularity_{s.op}", s.P_p[P[idx_m, inv], idx_m] == idx_m))
 
     # the plus/minus calculus for both operations; the observations below
     # read the meet side's plus and minus
-    plus_p, minus_p = skehr_statement_flags(report, "skehr_meet", sys._meet.P_p, inv)
-    skehr_statement_flags(report, "skehr_join", sys._join.P_p, inv)
+    meet_flags, plus_p, minus_p = skehr_statement_flags("skehr_meet", sys._meet.P_p, inv)
+    checks += meet_flags + skehr_statement_flags("skehr_join", sys._join.P_p, inv)[0]
 
     # (_a|f)^-1 = _(a^f)|f^-1
     for s, (L, R, P) in both:
         rhs = s.L_p[cod_p[L], inv[None, :]]
-        report.record_mask(f"invert_{s.noun}", _equal(inv_p[L], rhs))
+        checks.append(flag(f"invert_{s.noun}", _equal(inv_p[L], rhs)))
 
     # a^(i_b) = a∧b
     for s in sides:
         val = cod_p[s.L_p[:n][:, e]]
-        report.record_mask(f"identity_action_{s.op}", _equal(val, s.table))
+        checks.append(flag(f"identity_action_{s.op}", _equal(val, s.table)))
 
     # a∧f∧f* = a∧f∧(a∧f)*, and the printed join form a∨f∨f* = a∨f∨(a∨f)*
     for s, (L, R, P) in both:
         lhs = s.P_p[L, inv[None, :]]
         rhs = s.P_p[L, inv_p[L]]
-        report.record_mask(f"range_invariance_{s.op}", _equal(lhs, rhs))
+        checks.append(flag(f"range_invariance_{s.op}", _equal(lhs, rhs)))
 
     # observations: these may fail, and for genuinely skew objects they should
     pm_p, mc_p = sys._meet.P_p, sys._meet.R_p
@@ -520,36 +521,36 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     plus, minus = plus_p[:-1], minus_p[:-1]
     lhs = pm_p[plus_p[pm], idx_m[:, None]]
     rhs = pm_p[:m][:, plus]
-    report.record_mask(
+    checks.append(flag(
         "obs_restriction_identity_left",
         _equal(lhs, rhs),
         required=False,
         note="(s∧t)+∧s = s∧t+: holds only over a semilattice of objects",
-    )
+    ))
     lhs = pm_p[idx_m[None, :], minus_p[pm]]
     rhs = pm_p[:, :m][minus]
-    report.record_mask(
+    checks.append(flag(
         "obs_restriction_identity_right",
         _equal(lhs, rhs),
         required=False,
         note="t∧(s∧t)- = s-∧t: holds only over a semilattice of objects",
-    )
+    ))
     lhs = cod_p[mr].T
     rhs = dom_p[mc_p[:, :n][inv]]
-    report.record_mask(
+    checks.append(flag(
         "obs_action_inverse",
-        lhs == rhs,
+        _equal(lhs, rhs),
         required=False,
         note="a^f = ^(f^-1)|a is not an axiom",
-    )
+    ))
     rhs = mc_p[idx_m[None, :], cod_p[mr]]
-    report.record_mask(
+    checks.append(flag(
         "obs_restrict_swap",
-        mr == rhs,
+        _equal(mr, rhs),
         required=False,
         note="_a|f = f|_(a^f) is not an axiom",
-    )
-    return report
+    ))
+    return AxiomReport("derived identities", checks)
 
 
 def build_algebra(sys: RestrictionSystem, check: bool = True) -> BiBandAlgebra:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ElementIndexError
-from .report import AxiomReport
+from .report import AxiomReport, flag
 
 
 def frozen(values) -> np.ndarray:
@@ -216,19 +216,19 @@ def check_skew_lattice(s: SkewLatticeTable) -> AxiomReport:
     idx = np.arange(n)
     col = idx[:, None]
     row = idx[None, :]
-    report = AxiomReport("skew lattice")
+    checks = []
     for name, t in (("meet", m), ("join", j)):
-        report.record_mask(f"{name}_idempotent", np.diag(t) == idx)
-        report.record_mask(f"{name}_associative", t[t, :] == t[:, t])
+        checks.append(flag(f"{name}_idempotent", np.diag(t) == idx))
+        checks.append(flag(f"{name}_associative", t[t, :] == t[:, t]))
     # a ∨ (a ∧ b) = a
-    report.record_mask("absorb_join_meet", j[col, m] == col)
+    checks.append(flag("absorb_join_meet", j[col, m] == col))
     # a ∧ (a ∨ b) = a
-    report.record_mask("absorb_meet_join", m[col, j] == col)
+    checks.append(flag("absorb_meet_join", m[col, j] == col))
     # (a ∧ b) ∨ b = b
-    report.record_mask("absorb_meet_then_join", j[m, row] == row)
+    checks.append(flag("absorb_meet_then_join", j[m, row] == row))
     # (a ∨ b) ∧ b = b
-    report.record_mask("absorb_join_then_meet", m[j, row] == row)
-    return report
+    checks.append(flag("absorb_join_then_meet", m[j, row] == row))
+    return AxiomReport("skew lattice", checks)
 
 
 def natural_preorders(s: SkewLatticeTable) -> PreorderPair:
@@ -238,10 +238,10 @@ def natural_preorders(s: SkewLatticeTable) -> PreorderPair:
     converse of ge_left; a violation signals the input is not a skew lattice.
     """
     pre = s.preorders
-    pairing = AxiomReport("converse pairing")
-    pairing.record_mask("le_left is not the converse of ge_right", pre.le_left == pre.ge_right.T)
-    pairing.record_mask("le_right is not the converse of ge_left", pre.le_right == pre.ge_left.T)
-    bad = pairing.first_failure()
+    bad = AxiomReport("converse pairing", [
+        flag("le_left is not the converse of ge_right", pre.le_left == pre.ge_right.T),
+        flag("le_right is not the converse of ge_left", pre.le_right == pre.ge_left.T),
+    ]).first_failure()
     if bad is not None:
         raise ValueError(f"{bad.name} at {bad.witness}")
     return pre

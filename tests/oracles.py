@@ -989,10 +989,8 @@ def linking_axiom(n, dom, cod, comp, inv, meet, join, restL, restR, extL, extR):
 def derived_identities(n, dom, cod, comp, inv, meet, join, restL, restR, extL, extR):
     """The verify_derived_identities report, each law scanned by nested
     loops from its statement, the meet side's flag before the join side's.
-    -1 entries are undefined and fail every law they reach, except in the
-    two observations that compare endpoints or morphisms as they are
-    (obs_action_inverse, obs_restrict_swap), where two undefined sides
-    agree."""
+    -1 entries are undefined and fail every law they reach, the observations
+    included: two undefined sides do not agree."""
     m = len(dom)
     units = groupoid_units(n, dom, cod, comp)
     unit_set = {e for e in units if e >= 0}
@@ -1099,11 +1097,11 @@ def derived_identities(n, dom, cod, comp, inv, meet, join, restL, restR, extL, e
         required=False, note="t∧(s∧t)- = s-∧t: holds only over a semilattice of objects",
     )
     out.record(
-        "obs_action_inverse", lambda f, a: cod_of(lt(a, f)) != dom_of(rt(inv[f], a)), m, n,
+        "obs_action_inverse", lambda f, a: not _same(cod_of(lt(a, f)), dom_of(rt(inv[f], a))), m, n,
         required=False, note="a^f = ^(f^-1)|a is not an axiom",
     )
     out.record(
-        "obs_restrict_swap", lambda a, f: lt(a, f) != rt(f, cod_of(lt(a, f))), n, m,
+        "obs_restrict_swap", lambda a, f: not _same(lt(a, f), rt(f, cod_of(lt(a, f)))), n, m,
         required=False, note="_a|f = f|_(a^f) is not an axiom",
     )
     return out.to_dict()

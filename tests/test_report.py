@@ -13,7 +13,7 @@ from skewalg import (
     discrete_system,
     verify_derived_identities,
 )
-from skewalg.report import Check, _passed
+from skewalg.report import Check, _passed, flag
 from skewalg.system import system_checkers
 
 masks = st.integers(0, 3).flatmap(
@@ -22,9 +22,8 @@ masks = st.integers(0, 3).flatmap(
 
 
 @given(mask=masks, required=st.booleans(), note=st.none() | st.text(max_size=5))
-def test_record_mask_flags_the_first_false_cell_in_row_major_order(mask, required, note):
-    report = AxiomReport("masks")
-    report.record_mask("law", mask, required=required, note=note)
+def test_flag_names_the_first_false_cell_in_row_major_order(mask, required, note):
+    report = AxiomReport("masks", [flag("law", mask, required=required, note=note)])
     check = report["law"]
     assert check.ok is bool(mask.all())
     if mask.all():
@@ -39,25 +38,34 @@ def test_record_mask_flags_the_first_false_cell_in_row_major_order(mask, require
 
 
 def test_a_check_cannot_be_changed():
-    report = AxiomReport("frozen")
-    report.record_mask("law", np.array([True, False]))
+    report = AxiomReport("frozen", [flag("law", np.array([True, False]))])
     with pytest.raises(AttributeError):
         report["law"].ok = True
     assert report["law"] == Check("law", False, (1,))
 
 
 def test_a_repeated_name_is_refused_by_every_way_in():
-    report = AxiomReport("names")
-    report.record_mask("law", np.ones(2, dtype=bool))
+    report = AxiomReport("names", [flag("law", np.ones(2, dtype=bool))])
     with pytest.raises(ValueError, match="duplicate check name: law"):
-        report.record_mask("law", np.ones(2, dtype=bool))
+        AxiomReport("twice", [*report.checks(), flag("law", np.zeros(2, dtype=bool))])
     with pytest.raises(ValueError, match="duplicate check name: law"):
-        report.record("law", True)
+        AxiomReport("twice", [*report.checks(), Check("law", True)])
     with pytest.raises(ValueError, match="duplicate check name: law"):
-        report.extend(report)
+        AxiomReport("twice", report.checks() * 2)
     with pytest.raises(ValueError, match="duplicate check name: p.law"):
-        AxiomReport("prefixed", [Check("p.law", True)]).extend(report, prefix="p.")
+        AxiomReport("prefixed", [Check("p.law", True), *report.renamed("p.")])
     assert [c.name for c in report.checks()] == ["law"]
+
+
+def test_renaming_keeps_each_check_but_its_name():
+    report = AxiomReport("mixed", [
+        flag("law", np.ones(2, dtype=bool), note="n"),
+        flag("bad", np.array([[True, False]]), required=False),
+    ])
+    renamed = report.renamed("p.")
+    assert renamed == [Check("p.law", True, None, True, "n"), Check("p.bad", False, (0, 1), False)]
+    assert renamed[0] is flag("p.law", np.ones(1, dtype=bool), note="n")
+    assert [c._replace(name="p." + c.name) for c in report.checks()] == renamed
 
 
 def test_full_report_refuses_two_families_that_share_a_name(monkeypatch):
@@ -84,9 +92,11 @@ def _checked(sysm, restL=None) -> dict[str, Check]:
         sysm.groupoid, sysm.objects, sysm.restL if restL is None else restL,
         sysm.restR, sysm.extL, sysm.extR,
     )
-    report = fresh.full_report()
-    report.extend(verify_derived_identities(fresh))
-    report.extend(check_structure(fresh), prefix="structure.")
+    report = AxiomReport("checked", [
+        *fresh.full_report().checks(),
+        *verify_derived_identities(fresh).checks(),
+        *check_structure(fresh).renamed("structure."),
+    ])
     return {c.name: c for c in report.checks()}
 
 

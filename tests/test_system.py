@@ -142,6 +142,27 @@ def test_observation_failures_do_not_break_ok(suite):
         pytest.fail("expected at least one instance with a failing observation")
 
 
+def test_a_hole_fails_each_observation_that_reads_it(suite):
+    # with restL[a0, f0] undefined, _a|f0 is a hole for every a with
+    # a∧dom f0 = a0; a hole on either side of an observation fails it there,
+    # as it fails every required law
+    failed = Counter()
+    for inst in suite:
+        sysm = inst.system
+        clean = verify_derived_identities(sysm)
+        a0, f0 = map(int, np.argwhere(sysm.restL >= 0)[0])
+        holed = verify_derived_identities(damaged(sysm, "restL", (a0, f0), -1))
+        meet, dom = sysm.objects.meet.array, sysm.groupoid.dom
+        # obs_restrict_swap's witness is (a, f), obs_action_inverse's (f, a)
+        for name, step in (("obs_restrict_swap", 1), ("obs_action_inverse", -1)):
+            if clean[name].ok:
+                assert not holed[name].ok, (inst.name, name)
+                a, f = holed[name].witness[::step]
+                assert f == f0 and meet[a, dom[f0]] == a0, (inst.name, name)
+                failed[name] += 1
+    assert min(failed.values()) > 0, failed
+
+
 def damaged(sysm, table, where, value):
     arrays = {
         "restL": sysm.restL.copy(),
@@ -212,8 +233,15 @@ def test_full_report_hands_out_a_report_that_cannot_change_the_cache():
     sysm = discrete_system(chain_lattice(2))
     before = sysm.full_report().to_dict()
     handed = sysm.full_report()
-    handed.record("caller_note", False)
-    handed.extend(check_axioms(build_algebra(sysm)), prefix="caller_")
+    for report in (handed, check_structure(sysm)):
+        for attr in ("ok", "title", "_checks", "caller_note"):
+            with pytest.raises(AttributeError):
+                setattr(report, attr, None)
+        mutators = ("add", "record", "record_mask", "extend", "copy")
+        assert not any(hasattr(report, name) for name in mutators)
+    # the memo hands out its own report, and full_report shares its checks
+    assert check_structure(sysm) is check_structure(sysm)
+    assert all(a is b for a, b in zip(handed.checks(), check_structure(sysm).checks()))
     assert sysm.full_report().to_dict() == before
     assert check_axioms(build_algebra(sysm)).ok
     assert sysm.pseudoproduct(0, 1) == 0
@@ -368,7 +396,8 @@ FAMILY_TITLES = ("structure", "restriction axioms", "extension axioms", "linking
 
 def outcome(name, sysm, tamper=False):
     """One call's result as plain data, or its error's name, check, witness
-    and message; with tamper, a returned report is changed afterwards."""
+    and message; with tamper, a returned report is then written to, which
+    must raise."""
     try:
         value = MEMO_CALLS[name](sysm)
     except SkewalgError as exc:
@@ -377,8 +406,10 @@ def outcome(name, sysm, tamper=False):
     if isinstance(value, AxiomReport):
         seen = value.to_dict()
         if tamper:
-            value.record("caller_note", False, (0,))
-            value.extend(value, prefix="caller_")
+            with pytest.raises(AttributeError):
+                value.ok = not value.ok
+            with pytest.raises(AttributeError):
+                value._checks = value.renamed("caller_")
         return seen
     if isinstance(value, BiBandAlgebra):
         return value.join.tolist(), value.meet.tolist(), value.star.tolist()
@@ -389,8 +420,9 @@ def outcome(name, sysm, tamper=False):
 @given(data=st.data())
 def test_any_call_order_sees_what_a_fresh_system_sees(suite, data):
     # a suite system, or one with a single operator-table entry changed; each
-    # call in a drawn sequence, its reports changed by the caller in between,
-    # must return what the same call returns on a system never checked before
+    # call in a drawn sequence, with a caller's attempts to change its reports
+    # in between, must return what the same call returns on a system never
+    # checked before
     sysm = data.draw(st.sampled_from(suite)).system
     if data.draw(st.booleans()):
         table = data.draw(st.sampled_from(("restL", "restR", "extL", "extR")))
