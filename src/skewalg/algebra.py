@@ -18,7 +18,7 @@ import numpy as np
 from .errors import SkeletonNotClosedError
 from .report import AxiomReport, flag
 from .tables import (
-    OperationTable, SkewLatticeTable, check_skew_lattice, checked_index, frozen, padded, right_ideals,
+    OperationTable, SkewLatticeTable, check_skew_lattice, checked_index, frozen, greens_l, greens_r, padded,
 )
 
 __all__ = [
@@ -178,13 +178,10 @@ def skehr_statement_flags(prefix: str, op_p, star) -> tuple[list, np.ndarray, np
     return checks, plus_p, minus_p
 
 
-def greens_r(op: np.ndarray) -> np.ndarray:
-    member = right_ideals(op)
-    return (member[:, None, :] == member[None, :, :]).all(axis=2)
-
-
-def greens_l(op: np.ndarray) -> np.ndarray:
-    return greens_r(op.T)
+def _inverse_pairs(mt: np.ndarray) -> np.ndarray:
+    """pair[s, x]: x is an inverse of s, s∧x∧s = s and x∧s∧x = x."""
+    idx = np.arange(len(mt))
+    return (mt[mt, idx[:, None]] == idx[:, None]) & (mt[mt.T, idx[None, :]] == idx[None, :])
 
 
 def check_skehr(S: BiBandAlgebra) -> AxiomReport:
@@ -211,11 +208,7 @@ def check_skehr(S: BiBandAlgebra) -> AxiomReport:
     )
     checks.append(flag("green_positions", ok))
 
-    # x is an inverse of s when s∧x∧s = s and x∧s∧x = x
-    t1 = mt[mt, idx[:, None]]
-    t2 = mt[mt.T, idx[None, :]]
-    inverse_pair = (t1 == idx[:, None]) & (t2 == idx[None, :])
-    located = inverse_pair & l_rel[plus[:, None], idx[None, :]] & r_rel[idx[None, :], minus[:, None]]
+    located = _inverse_pairs(mt) & l_rel[plus[:, None], idx[None, :]] & r_rel[idx[None, :], minus[:, None]]
     unique = located.sum(axis=1) == 1
     at_star = located[idx, st]
     checks.append(flag("star_unique_inverse", unique & at_star))
@@ -240,13 +233,8 @@ def plus_minus(S: BiBandAlgebra, s: int) -> tuple[int, int]:
 
 def inverses_of(S: BiBandAlgebra, s: int) -> list[int]:
     """All x with s∧x∧s = s and x∧s∧x = x."""
-    mt = S.meet.array
     s = checked_index(s, S.order)
-    return [
-        x
-        for x in range(S.order)
-        if mt[mt[s, x], s] == s and mt[mt[x, s], x] == x
-    ]
+    return np.flatnonzero(_inverse_pairs(S.meet.array)[s]).tolist()
 
 
 def idempotent_skeleton(S: BiBandAlgebra) -> tuple[SkewLatticeTable, tuple[int, ...]]:

@@ -77,10 +77,6 @@ def _parser() -> _Parser:
     common.add_argument(
         "--format", choices=("json", "text"), default=argparse.SUPPRESS
     )
-    common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS,
-        help="reserved for future use; no command consumes randomness",
-    )
 
     parser = _Parser(
         prog="skewalg", description=__doc__.splitlines()[0], parents=[common]
@@ -139,12 +135,12 @@ def _algebra_report(S: BiBandAlgebra) -> AxiomReport:
     ])
 
 
-def _write_out(args, basename: str, obj, extra=None) -> dict:
+def _write_out(args, basename: str, obj) -> dict:
     if not args.out:
         return {}
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, basename)
-    save_structure(path, obj, extra)
+    save_structure(path, obj)
     return {"written": [path]}
 
 

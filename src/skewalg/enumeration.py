@@ -106,17 +106,23 @@ def labeled_bands(n: int, max_order: int = DEFAULT_MAX_ORDER) -> list[OperationT
     return [OperationTable(t) for t in _bands(n, max_order)]
 
 
-def _classes(n: int, stacks) -> np.ndarray:
+def _classes(n: int, binops, unops=()) -> list[np.ndarray]:
     """The distinct canonical_tables keys of the structures with tables
-    stacks[b][t] in increasing order, shaped (classes, tables, n, n)."""
-    keys = canonical_tables(n, stacks)
-    first = np.unique(lex_keys(keys), return_index=True)[1]
-    return keys[first].reshape(len(first), -1, n, n)
+    binops[b][t] and maps unops[u][t], in increasing order, split back into
+    one stack per table and per map."""
+    keys = canonical_tables(n, binops, unops)
+    keys = keys[np.unique(lex_keys(keys), return_index=True)[1]]
+    cut = len(binops) * n * n
+    return [
+        *keys[:, :cut].reshape(len(keys), len(binops), n, n).transpose(1, 0, 2, 3),
+        *keys[:, cut:].reshape(len(keys), len(unops), n).transpose(1, 0, 2),
+    ]
 
 
 def enumerate_bands(n: int, max_order: int = DEFAULT_MAX_ORDER) -> list[OperationTable]:
     """One canonical representative per isomorphism class of bands of order n."""
-    return [OperationTable(band) for (band,) in _classes(n, [_bands(n, max_order)])]
+    (bands,) = _classes(n, [_bands(n, max_order)])
+    return [OperationTable(band) for band in bands]
 
 
 def enumerate_skew_lattices(
@@ -128,7 +134,7 @@ def enumerate_skew_lattices(
     """
     meets = _bands(n, max_order)
     roots, joins = _fill(_join_options(meets))
-    return [SkewLatticeTable(meet, join) for meet, join in _classes(n, [meets[roots], joins])]
+    return [SkewLatticeTable(meet, join) for meet, join in zip(*_classes(n, [meets[roots], joins]))]
 
 
 def _join_options(meets: np.ndarray) -> np.ndarray:

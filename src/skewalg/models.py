@@ -99,7 +99,11 @@ GROUP_CATALOG: dict[str, GroupTable] = {
 
 
 class GroupAction:
-    """A right action of a group on a skew lattice: act[a, u] = a^u."""
+    """A right action of a group on a skew lattice: act[a, u] = a^u.
+
+    check_action computes the action's report once and keeps it in
+    _report; an action whose laws are known to hold is given the shared
+    passing report when it is built."""
 
     def __init__(self, group: GroupTable, lattice: SkewLatticeTable, act):
         if not isinstance(lattice, SkewLatticeTable):
@@ -115,6 +119,7 @@ class GroupAction:
         self.group = group
         self.lattice = lattice
         self.act = act
+        self._report: AxiomReport | None = None
 
     @property
     def group_order(self) -> int:
@@ -140,11 +145,13 @@ class GroupAction:
 def trivial_action(group: GroupTable, lattice: SkewLatticeTable) -> GroupAction:
     if not isinstance(lattice, SkewLatticeTable):
         lattice = SkewLatticeTable(*lattice)
-    act = np.repeat(np.arange(lattice.order)[:, None], group.order, axis=1)
-    return GroupAction(group, lattice, act)
+    action = GroupAction(group, lattice, np.repeat(np.arange(lattice.order)[:, None], group.order, axis=1))
+    action._report = _PASSING_REPORT  # a^u = a satisfies every action law
+    return action
 
 
 _ACTION_LAWS = ("identity_action", "composition_action", "automorphism_meet", "automorphism_join")
+_PASSING_REPORT = AxiomReport("group action", [flag(name, np.ones(1, dtype=bool)) for name in _ACTION_LAWS])
 
 
 def _action_laws(acts, group: GroupTable, lattice: SkewLatticeTable) -> list[np.ndarray]:
@@ -165,9 +172,11 @@ def _action_laws(acts, group: GroupTable, lattice: SkewLatticeTable) -> list[np.
 
 def check_action(action: GroupAction) -> AxiomReport:
     """Identity and composition laws plus, per group element, preservation
-    of both band operations."""
-    laws = _action_laws(action.act[None], action.group, action.lattice)
-    return AxiomReport("group action", [flag(n, mask[0]) for n, mask in zip(_ACTION_LAWS, laws)])
+    of both band operations; evaluated once per action, then kept."""
+    if action._report is None:
+        laws = _action_laws(action.act[None], action.group, action.lattice)
+        action._report = AxiomReport("group action", [flag(n, mask[0]) for n, mask in zip(_ACTION_LAWS, laws)])
+    return action._report
 
 
 def _guard(action: GroupAction) -> None:
@@ -182,16 +191,6 @@ class SemidirectAlgebra(BiBandAlgebra):
 
     def __init__(self, action: GroupAction):
         _guard(action)
-        self._build(action)
-
-    @classmethod
-    def _of_checked(cls, action: GroupAction) -> "SemidirectAlgebra":
-        """The algebra of an action that has already passed the action laws."""
-        algebra = cls.__new__(cls)
-        algebra._build(action)
-        return algebra
-
-    def _build(self, action: GroupAction) -> None:
         gt = action.group.table.array
         ginv = action.group.inverse
         mt = action.lattice.meet.array
@@ -230,11 +229,6 @@ def semidirect_groupoid(action: GroupAction) -> RestrictionSystem:
     gives (a∧b, g) and corestricting to c <=_R b^g gives (c^{g^-1}, g).
     """
     _guard(action)
-    return _semidirect_groupoid(action)
-
-
-def _semidirect_groupoid(action: GroupAction) -> RestrictionSystem:
-    """semidirect_groupoid of an action that has already passed the action laws."""
     gt = action.group.table.array
     ginv = action.group.inverse
     mt = action.lattice.meet.array
@@ -260,16 +254,14 @@ def _semidirect_groupoid(action: GroupAction) -> RestrictionSystem:
     )
 
 
-# a trivial action passes every action law whatever its tables, so the two
-# systems below skip the guard
 def discrete_system(objects: SkewLatticeTable) -> RestrictionSystem:
     """Identity morphisms only; the operators act by the object operations."""
-    return _semidirect_groupoid(trivial_action(cyclic_group(1), objects))
+    return semidirect_groupoid(trivial_action(cyclic_group(1), objects))
 
 
 def group_system(group: GroupTable) -> RestrictionSystem:
     """A group as a one-object system; all four operators are trivial."""
-    return _semidirect_groupoid(trivial_action(group, SkewLatticeTable([[0]], [[0]])))
+    return semidirect_groupoid(trivial_action(group, SkewLatticeTable([[0]], [[0]])))
 
 
 def _element_words(group: GroupTable) -> tuple[list[int], dict[int, tuple[int, ...]]]:
@@ -301,7 +293,8 @@ def enumerate_actions(group: GroupTable, lattice: SkewLatticeTable) -> list[Grou
     a^{uv} = (a^u)^v, so the assignment is determined by the images of a
     generating set; every combination is built as one stack of candidate
     tables, the action laws are evaluated over the whole stack, and the
-    candidates that pass all of them are kept in product order.
+    candidates that pass all of them are kept in product order, each with
+    the shared passing report.
     """
     return _enumerate_actions(group, lattice, automorphisms_of(lattice))
 
@@ -325,7 +318,10 @@ def _enumerate_actions(group, lattice, auts) -> list[GroupAction]:
     ok = np.ones(len(acts), dtype=bool)
     for mask in _action_laws(acts, group, lattice):
         ok &= mask.reshape(len(acts), -1).all(axis=1)
-    return [GroupAction(group, lattice, act) for act in acts[ok]]
+    kept = [GroupAction(group, lattice, act) for act in acts[ok]]
+    for action in kept:
+        action._report = _PASSING_REPORT
+    return kept
 
 
 def dedupe_actions(actions: list[GroupAction]) -> list[GroupAction]:
@@ -386,17 +382,10 @@ def generate_model_suite(
                 actions = _dedupe_actions(
                     _enumerate_actions(group, lattice, bauts), gauts, bauts
                 )
-                # every kept action passed the action laws while
-                # enumerated, so the builders below skip the guard
                 for k, action in enumerate(actions):
                     name = f"{gname}xB{nb}.{bi}a{k}"
                     suite.append(
-                        ModelInstance(
-                            name,
-                            action,
-                            SemidirectAlgebra._of_checked(action),
-                            _semidirect_groupoid(action),
-                        )
+                        ModelInstance(name, action, semidirect_algebra(action), semidirect_groupoid(action))
                     )
     return suite
 

@@ -115,22 +115,17 @@ class GroupTable:
         arr = self.table.array
         if not check_associative(self.table):
             raise ValueError("group table is not associative")
-        identity = None
-        for e in range(self.order):
-            if np.array_equal(arr[e], np.arange(self.order)) and np.array_equal(
-                arr[:, e], np.arange(self.order)
-            ):
-                identity = e
-                break
-        if identity is None:
+        idx = np.arange(self.order)
+        neutral = np.flatnonzero((arr == idx).all(axis=1) & (arr.T == idx).all(axis=1))
+        if not neutral.size:
             raise ValueError("group table has no identity")
-        self.identity = identity
-        inverse = np.full(self.order, -1, dtype=np.int64)
-        for a in range(self.order):
-            hits = np.nonzero(arr[a] == identity)[0]
-            if len(hits) != 1 or arr[hits[0], a] != identity:
-                raise ValueError(f"element {a} has no two-sided inverse")
-            inverse[a] = hits[0]
+        self.identity = identity = int(neutral[0])
+        # hits[a, x]: a·x = e; the inverse of a is its one hit x, with x·a = e too
+        hits = arr == identity
+        inverse = hits.argmax(axis=1)
+        bad = np.flatnonzero((hits.sum(axis=1) != 1) | (arr[inverse, idx] != identity))
+        if bad.size:
+            raise ValueError(f"element {bad[0]} has no two-sided inverse")
         self.inverse = frozen(inverse)
 
     def __call__(self, a: int, b: int) -> int:
@@ -189,19 +184,15 @@ def padded(core) -> np.ndarray:
     return out
 
 
+def associativity_witness(t: OperationTable) -> tuple[int, int, int] | None:
+    """The first (a, b, c) in row-major order with (ab)c ≠ a(bc), else None."""
+    arr = t.array
+    return flag("associative", arr[arr, :] == arr[:, arr]).witness
+
+
 def check_associative(t: OperationTable) -> bool:
     """True iff t(t(a,b),c) = t(a,t(b,c)) for all triples."""
-    arr = t.array
-    return bool(np.array_equal(arr[arr, :], arr[:, arr]))
-
-
-def associativity_witness(t: OperationTable) -> tuple[int, int, int] | None:
-    arr = t.array
-    bad = np.argwhere(arr[arr, :] != arr[:, arr])
-    if len(bad) == 0:
-        return None
-    a, b, c = bad[0]
-    return int(a), int(b), int(c)
+    return associativity_witness(t) is None
 
 
 def check_band(t: OperationTable) -> bool:
@@ -257,26 +248,31 @@ def right_ideals(op: np.ndarray) -> np.ndarray:
     return member
 
 
+def greens_r(op: np.ndarray) -> np.ndarray:
+    """rel[s, t]: s R t, their principal right ideals sS^1 and tS^1 equal."""
+    member = right_ideals(op)
+    return (member[:, None, :] == member[None, :, :]).all(axis=2)
+
+
+def greens_l(op: np.ndarray) -> np.ndarray:
+    """rel[s, t]: s L t, their principal left ideals S^1s and S^1t equal."""
+    return greens_r(op.T)
+
+
 def greens_relations(t: OperationTable) -> GreensPair:
-    """Green's R and L partitions via principal one-sided ideals (identity adjoined)."""
-    if not check_associative(t):
-        raise ValueError(f"greens_relations needs an associative table; witness {associativity_witness(t)}")
-    n = t.order
+    """Green's R and L partitions, each class numbered by the rank of its
+    least member."""
+    witness = associativity_witness(t)
+    if witness is not None:
+        raise ValueError(f"greens_relations needs an associative table; witness {witness}")
 
-    def partition(ideals):
-        keys = {}
-        class_of = [0] * n
-        for a in range(n):
-            key = ideals[a].tobytes()
-            keys.setdefault(key, []).append(a)
-        classes = sorted(tuple(v) for v in keys.values())
-        for i, cls in enumerate(classes):
-            for a in cls:
-                class_of[a] = i
-        return tuple(classes), tuple(class_of)
+    def partition(rel):
+        # a row's first True is the least member of its class
+        least, class_of = np.unique(rel.argmax(axis=1), return_inverse=True)
+        return tuple(tuple(np.flatnonzero(rel[a]).tolist()) for a in least), tuple(class_of.tolist())
 
-    r_classes, r_of = partition(right_ideals(t.array))
-    l_classes, l_of = partition(right_ideals(t.array.T))
+    r_classes, r_of = partition(greens_r(t.array))
+    l_classes, l_of = partition(greens_l(t.array))
     return GreensPair(r_classes, l_classes, r_of, l_of)
 
 

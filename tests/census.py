@@ -26,8 +26,8 @@ import numpy as np
 from skewalg import (
     BiBandAlgebra, check_axioms, generate_model_suite, reconstruct, roundtrip_algebra, roundtrip_groupoid,
 )
-from skewalg.enumeration import _fill
-from skewalg.isomorphism import canonical_tables, lex_keys
+from skewalg.enumeration import _classes, _fill
+from skewalg.isomorphism import canonical_tables
 
 
 def stars(n):
@@ -47,18 +47,6 @@ def _masks(stars):
     allowed = np.ones((count, n, n, n), dtype=bool)
     allowed[:, idx, idx, idx] = stars == idx
     return allowed, (np.arange(count)[:, None], idx, stars)
-
-
-def _classes(n, binops, unops):
-    """The distinct canonical_tables keys of the stacked structures in
-    increasing order, split back into their binary tables and unary maps."""
-    keys = canonical_tables(n, binops, unops)
-    keys = keys[np.unique(lex_keys(keys), return_index=True)[1]]
-    cut = len(binops) * n * n
-    return [
-        *keys[:, :cut].reshape(len(keys), -1, n, n).transpose(1, 0, 2, 3),
-        *keys[:, cut:].reshape(len(keys), -1, n).transpose(1, 0, 2),
-    ]
 
 
 def census(n):

@@ -1105,3 +1105,79 @@ def derived_identities(n, dom, cod, comp, inv, meet, join, restL, restR, extL, e
         required=False, note="_a|f = f|_(a^f) is not an axiom",
     )
     return out.to_dict()
+
+
+def single_cell_mutants(table):
+    """Every copy of the table with exactly one cell changed, as lists."""
+    n = len(table)
+    for a, b, v in product(range(n), repeat=3):
+        if v != table[a][b]:
+            mutant = [list(row) for row in table]
+            mutant[a][b] = v
+            yield mutant
+
+
+def first_associativity_failure(table):
+    """The first (a, b, c) in row-major order with (ab)c != a(bc), or None."""
+    n = len(table)
+    return next(
+        (
+            (a, b, c)
+            for a, b, c in product(range(n), repeat=3)
+            if table[table[a][b]][c] != table[a][table[b][c]]
+        ),
+        None,
+    )
+
+
+def group_identity_and_inverses(table):
+    """(identity, inverses) by a scalar search: the first two-sided identity,
+    then for each element its one right inverse, which must be a left
+    inverse too. Raises ValueError with GroupTable's text at the first
+    failure, associativity checked first."""
+    n = len(table)
+    if first_associativity_failure(table) is not None:
+        raise ValueError("group table is not associative")
+    identity = next(
+        (e for e in range(n) if all(table[e][x] == x and table[x][e] == x for x in range(n))), None
+    )
+    if identity is None:
+        raise ValueError("group table has no identity")
+    inverse = []
+    for a in range(n):
+        hits = [x for x in range(n) if table[a][x] == identity]
+        if len(hits) != 1 or table[hits[0]][a] != identity:
+            raise ValueError(f"element {a} has no two-sided inverse")
+        inverse.append(hits[0])
+    return identity, inverse
+
+
+def greens_partitions(table):
+    """(r_classes, l_classes, r_class_of, l_class_of) of an associative
+    table: elements keyed by their principal right ideal aS^1 (left ideal
+    S^1a) in a dict, the classes sorted and numbered in that order. Raises
+    greens_relations's ValueError on a non-associative table."""
+    witness = first_associativity_failure(table)
+    if witness is not None:
+        raise ValueError(f"greens_relations needs an associative table; witness {witness}")
+    n = len(table)
+
+    def partition(ideal):
+        keys = {}
+        for a in range(n):
+            keys.setdefault(frozenset(ideal(a)) | {a}, []).append(a)
+        classes = tuple(sorted(tuple(members) for members in keys.values()))
+        class_of = [0] * n
+        for i, members in enumerate(classes):
+            for a in members:
+                class_of[a] = i
+        return classes, tuple(class_of)
+
+    r_classes, r_of = partition(lambda a: table[a])
+    l_classes, l_of = partition(lambda a: [table[x][a] for x in range(n)])
+    return r_classes, l_classes, r_of, l_of
+
+
+def inverses_loop(meet, s):
+    """Every x with s∧x∧s = s and x∧s∧x = x, by a scan over x."""
+    return [x for x in range(len(meet)) if meet[meet[s][x]][s] == s and meet[meet[x][s]][x] == x]

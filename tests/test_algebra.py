@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import PairOracle, biband_axiom_witnesses
+from oracles import PairOracle, biband_axiom_witnesses, inverses_loop, single_cell_mutants
 from skewalg import (
     BiBandAlgebra,
     SkeletonNotClosedError,
@@ -153,6 +153,16 @@ def test_regularity_via_inverses(suite):
         st = S.star
         for s in range(S.order):
             assert int(st[s]) in inverses_of(S, s)
+
+
+def test_inverses_match_the_scalar_scan_on_suite_and_mutants(suite):
+    # every suite algebra, then every single-cell mutant of the meet of
+    # each of order at most 4
+    variants = [(S.join.array, S.meet.array.tolist(), S.star) for S in (inst.algebra for inst in suite)]
+    variants += [(j, m, st) for j, meet, st in variants if len(meet) <= 4 for m in single_cell_mutants(meet)]
+    for join, meet, star in variants:
+        S = BiBandAlgebra(join, meet, star)
+        assert [inverses_of(S, s) for s in range(S.order)] == [inverses_loop(meet, s) for s in range(S.order)]
 
 
 def test_lattice_base_gives_unique_inverses(suite):

@@ -342,9 +342,10 @@ def test_global_flags_parse_after_subcommand(swap_algebra_file, capsys):
     assert "check-algebra" in capsys.readouterr().out
 
 
-def test_seed_flag_is_accepted_and_unused(swap_algebra_file):
+def test_seed_flag_is_a_usage_error(swap_algebra_file):
     run, code = dispatch(["--seed", "7", "check-algebra", swap_algebra_file])
-    assert code == 0
+    assert code == 3
+    assert run["error"]["kind"] == "usage"
 
 
 def chain2(meet=((0, 0), (0, 1)), order=2):

@@ -432,15 +432,21 @@ def test_public_builders_keep_their_guard():
 
 def test_suite_checks_each_action_once(monkeypatch):
     # the action laws run once over each stack of candidates while they are
-    # enumerated; no kept action is checked again by check_action or _guard
+    # enumerated, and never on a kept action's stack of one: each kept action
+    # carries the passing report, so no builder evaluates a law again
     import skewalg.models as models
 
-    seen = []
-    for name in ("check_action", "_guard"):
-        monkeypatch.setattr(models, name, lambda action, name=name: seen.append(name))
+    stacks = []
+    laws = models._action_laws
+    monkeypatch.setattr(models, "_action_laws", lambda acts, *rest: stacks.append(acts) or laws(acts, *rest))
     suite = generate_model_suite(max_group=3, max_band=2)
-    assert suite
-    assert seen == []
+    groups = sum(g.order <= 3 for g in GROUP_CATALOG.values())
+    lattices = sum(len(enumerate_skew_lattices(nb)) for nb in (1, 2))
+    assert suite and len(stacks) == groups * lattices
+    for inst in suite:
+        semidirect_algebra(inst.action)
+        semidirect_groupoid(inst.action)
+    assert len(stacks) == groups * lattices
     monkeypatch.undo()
     for inst in suite:
         assert check_action(inst.action).ok

@@ -15,7 +15,9 @@ from skewalg import (
     rectangular_skew,
     right_zero,
 )
-from skewalg.algebra import greens_l, greens_r
+from oracles import greens_partitions, group_identity_and_inverses, single_cell_mutants
+from skewalg.models import GROUP_CATALOG
+from skewalg.tables import greens_l, greens_r
 
 
 def test_left_zero_projects_onto_first_argument():
@@ -115,6 +117,45 @@ def test_greens_relations_refuses_non_associative_table():
     # (0*0)*1 = 1*1 = 0 but 0*(0*1) = 0*0 = 1
     with pytest.raises(ValueError, match="associative"):
         greens_relations(OperationTable([[1, 0], [0, 0]]))
+
+
+def _outcome(compute, table):
+    try:
+        return compute(table)
+    except ValueError as error:
+        return str(error)
+
+
+def _tables_and_mutants(suite):
+    """Every catalog group and every distinct meet and join table of the
+    suite's algebras, then every single-cell mutant of each of those of
+    order at most 4, as lists."""
+    arrays = [g.table.array for g in GROUP_CATALOG.values()]
+    arrays += [t for inst in suite for t in (inst.algebra.meet.array, inst.algebra.join.array)]
+    tables = list({a.tobytes(): a.tolist() for a in arrays}.values())
+    return tables + [m for t in tables if len(t) <= 4 for m in single_cell_mutants(t)]
+
+
+def test_group_table_matches_the_scalar_search(suite):
+    def found(table):
+        g = GroupTable(table)
+        return g.identity, g.inverse.tolist()
+
+    groups = 0
+    for table in _tables_and_mutants(suite):
+        expected = _outcome(group_identity_and_inverses, table)
+        assert _outcome(found, table) == expected, table
+        groups += not isinstance(expected, str)
+    assert groups >= len(GROUP_CATALOG)
+
+
+def test_greens_relations_match_the_scalar_partition(suite):
+    def found(table):
+        g = greens_relations(OperationTable(table))
+        return g.r_classes, g.l_classes, g.r_class_of, g.l_class_of
+
+    for table in _tables_and_mutants(suite):
+        assert _outcome(found, table) == _outcome(greens_partitions, table), table
 
 
 def test_group_table_finds_identity_and_inverses():
