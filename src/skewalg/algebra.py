@@ -88,7 +88,7 @@ def check_axioms(S: BiBandAlgebra) -> AxiomReport:
     dual = {"join": "meet", "meet": "join"}
 
     for k, t in ops.items():
-        checks.append(flag(f"assoc_{k}", t[t, :] == t[:, t]))
+        checks.append(flag(f"assoc_{k}", t.take(t, 0) == t.take(t, 1)))
 
     checks.append(flag("star_involution", st[st] == idx))
 
@@ -105,19 +105,19 @@ def check_axioms(S: BiBandAlgebra) -> AxiomReport:
     # s∨s*∨(s∧t*∧t) = s
     for k, t in ops.items():
         d = ops[dual[k]]
-        inner = d[d[idx[:, None], st[None, :]], idx[None, :]]
+        inner = d[d.take(st, 1), idx[None, :]]
         checks.append(flag(f"absorb_{k}_{dual[k]}", t[pos[k][:, None], inner] == idx[:, None]))
     # (t∧t*∧s)∨s*∨s = s
     for k, t in ops.items():
-        inner = ops[dual[k]][pos[dual[k]][None, :], idx[:, None]]
+        inner = ops[dual[k]].take(pos[dual[k]], 0).T
         checks.append(flag(f"absorb_{dual[k]}_then_{k}", t[inner, neg[k][:, None]] == idx[:, None]))
 
     # (e∨t)∨t* = (e∨t)∨(e∨t)* for e = s∨s*, and the suffix form
     for k, t in ops.items():
-        y = t[pos[k][:, None], idx[None, :]]
+        y = t.take(pos[k], 0)
         checks.append(flag(f"domain_prefix_{k}", t[y, st[None, :]] == t[y, st[y]]))
     for k, t in ops.items():
-        y = t[idx[None, :], neg[k][:, None]]
+        y = t.take(neg[k], 1).T
         checks.append(flag(f"range_suffix_{k}", t[st[None, :], y] == t[st[y], y]))
 
     # s*∨s = t∨t* forces the endpoint idempotents of both products
@@ -161,18 +161,18 @@ def skehr_statement_flags(prefix: str, op_p, star) -> tuple[list, np.ndarray, np
     checks.append(flag(f"{prefix}_iii", ~idem | ((plus == idx) & (minus == idx))))
 
     lhs = plus_p[op]
-    rhs = plus_p[op_p[idx[:, None], plus[None, :]]]
+    rhs = plus_p[op_p[:-1].take(plus, 1)]
     ok = (lhs == rhs) & (lhs >= 0)
     lhs = minus_p[op]
-    rhs = minus_p[op_p[minus[:, None], idx[None, :]]]
+    rhs = minus_p[op_p[:, :-1].take(minus, 0)]
     ok &= (lhs == rhs) & (lhs >= 0)
     checks.append(flag(f"{prefix}_iv", ok))
 
-    lhs = plus_p[op_p[plus[:, None], idx[None, :]]]
-    rhs = op_p[plus[:, None], plus[None, :]]
+    lhs = plus_p[op_p[:, :-1].take(plus, 0)]
+    rhs = op_p.take(plus, 0).take(plus, 1)
     ok = (lhs == rhs) & (lhs >= 0)
-    lhs = minus_p[op_p[idx[:, None], minus[None, :]]]
-    rhs = op_p[minus[:, None], minus[None, :]]
+    lhs = minus_p[op_p[:-1].take(minus, 1)]
+    rhs = op_p.take(minus, 0).take(minus, 1)
     ok &= (lhs == rhs) & (lhs >= 0)
     checks.append(flag(f"{prefix}_v", ok))
     return checks, plus_p, minus_p
@@ -208,7 +208,7 @@ def check_skehr(S: BiBandAlgebra) -> AxiomReport:
     )
     checks.append(flag("green_positions", ok))
 
-    located = _inverse_pairs(mt) & l_rel[plus[:, None], idx[None, :]] & r_rel[idx[None, :], minus[:, None]]
+    located = _inverse_pairs(mt) & l_rel.take(plus, 0) & r_rel.take(minus, 1).T
     unique = located.sum(axis=1) == 1
     at_star = located[idx, st]
     checks.append(flag("star_unique_inverse", unique & at_star))
@@ -258,7 +258,7 @@ def idempotent_skeleton(S: BiBandAlgebra) -> tuple[SkewLatticeTable, tuple[int, 
     local = np.full(S.order, -1, dtype=np.int64)  # local[v]: v's index in el, -1 off it
     local[el] = np.arange(len(el))
     # prods[i, j] = (el_i ∧ el_j, el_i ∨ el_j): row-major over (i, j, op)
-    prods = np.stack((mt, jt), axis=-1)[el[:, None], el[None, :]]
+    prods = np.stack((mt, jt), axis=-1).take(el, 0).take(el, 1)
     sub = local[prods]
     if (sub < 0).any():
         i, j, t = np.argwhere(sub < 0)[0]
@@ -278,7 +278,7 @@ def anti_automorphism_witness(S: BiBandAlgebra):
     """A pair (s, t) with (s∧t)* ≠ t*∧s* or (s∨t)* ≠ t*∨s*, else None."""
     st = S.star
     for name, table in (("meet", S.meet.array), ("join", S.join.array)):
-        flipped = table[st[:, None], st[None, :]].T
+        flipped = table.take(st, 0).take(st, 1).T
         bad = st[table] != flipped
         if bad.any():
             s, t = np.argwhere(bad)[0]

@@ -127,7 +127,7 @@ def preserves_operations(sig_a, sig_b, mapping) -> bool:
     _, binops_b, unops_b = sig_b
     perm = np.asarray(mapping, dtype=np.int64)
     for op_a, op_b in zip(binops_a, binops_b):
-        if not np.array_equal(perm[op_a], op_b[perm[:, None], perm[None, :]]):
+        if not np.array_equal(perm[op_a], op_b.take(perm, 0).take(perm, 1)):
             return False
     for u_a, u_b in zip(unops_a, unops_b):
         if not np.array_equal(perm[u_a], u_b[perm]):

@@ -201,8 +201,8 @@ class SemidirectAlgebra(BiBandAlgebra):
         i = np.arange(m)
         u, a = i // nb, i % nb
 
-        heads = gt[u[:, None], u[None, :]] * nb
-        twisted = act[a[:, None], u[None, :]]
+        heads = gt.take(u, 0).take(u, 1) * nb
+        twisted = act.take(a, 0).take(u, 1)
         meet = heads + mt[twisted, a[None, :]]
         join = heads + jt[twisted, a[None, :]]
         star = ginv[u] * nb + act[a, ginv[u]]
@@ -444,7 +444,7 @@ def _certificate(S: BiBandAlgebra, labels, images) -> np.ndarray:
     idem_at = np.flatnonzero(idem)
     lone = ~idem
     lone[idem_at[np.unique(labels[idem_at], return_index=True)[1]]] = True
-    compatible = (labels[images] == labels[images[first[labels]]]).all(axis=1)
+    compatible = (labels[images] == labels[images.take(first[labels], 0)]).all(axis=1)
     return compatible & lone & idem[mt[idx, st]] & idem[mt[st, idx]]
 
 
@@ -471,11 +471,11 @@ def congruence_kernels(action: GroupAction):
 
     # member[a, u]: (u, a) lies in the class of (1, a)
     grid = labels.reshape(ng, nb).T
-    member = grid == grid[:, [e]]
+    member = grid == grid.take([e], 1)
     kernels = {a: frozenset(np.flatnonzero(member[a]).tolist()) for a in range(nb)}
 
     def within(sub, sup):
-        return (~member[sub] | member[sup]).all(axis=-1)
+        return (~member.take(sub, 0) | member.take(sup, 0)).all(axis=-1)
 
     upper = mt[jt, np.arange(nb)[None, :]]
     first = member[0]
@@ -525,5 +525,5 @@ def normal_form_report(action: GroupAction) -> AxiomReport:
             note = f"skipped: objects have no {missing}"
             checks.append(Check(name, True, required=False, note=note))
         else:
-            checks.append(flag(name, table[pair[:, [extreme]], pair[[e], :]] == pair))
+            checks.append(flag(name, table.take(pair[:, extreme], 0).take(pair[e], 1) == pair))
     return AxiomReport("normal form", checks)

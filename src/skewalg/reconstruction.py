@@ -68,8 +68,8 @@ def reconstruct(S: BiBandAlgebra, check: bool = True) -> ReconstructedGroupoid:
     if (cod < 0).any():
         el = int(r_el[np.argmax(cod < 0)])
         raise SkeletonNotClosedError(f"codomain element {el} is not an object")
-    obj_meet = index[mt[obj[:, None], obj[None, :]]]
-    obj_join = index[jt[obj[:, None], obj[None, :]]]
+    obj_meet = index[mt.take(obj, 0).take(obj, 1)]
+    obj_join = index[jt.take(obj, 0).take(obj, 1)]
     open_ = (obj_meet < 0) | (obj_join < 0)
     if open_.any():
         i, j = (int(v) for v in np.argwhere(open_)[0])
@@ -90,7 +90,7 @@ def reconstruct(S: BiBandAlgebra, check: bool = True) -> ReconstructedGroupoid:
     # their joins, each cut to its region of the rebuilt lattice
     groupoid = FiniteGroupoid(nb, dom, cod, comp, st)
     system = RestrictionSystem.on_regions(
-        groupoid, lattice, [(t[obj, :], t[:, obj]) for t in (mt, jt)]
+        groupoid, lattice, [(t.take(obj, 0), t.take(obj, 1)) for t in (mt, jt)]
     )
     if check:
         system.full_report().require()
@@ -119,18 +119,18 @@ def roundtrip_groupoid(sys: RestrictionSystem) -> Isomorphism:
     # identity morphisms are the objects on the other side
     objmap = np.asarray([rec.object_index[int(e)] for e in sys.groupoid.identity_of])
     pairs = [
-        ("object_meet", new.objects.meet.array[objmap[:, None], objmap[None, :]],
+        ("object_meet", new.objects.meet.array.take(objmap, 0).take(objmap, 1),
          objmap[sys.objects.meet.array]),
-        ("object_join", new.objects.join.array[objmap[:, None], objmap[None, :]],
+        ("object_join", new.objects.join.array.take(objmap, 0).take(objmap, 1),
          objmap[sys.objects.join.array]),
         ("dom", new.groupoid.dom, objmap[sys.groupoid.dom]),
         ("cod", new.groupoid.cod, objmap[sys.groupoid.cod]),
         ("comp", new.groupoid.comp, sys.groupoid.comp),
         ("inv", new.groupoid.inv, sys.groupoid.inv),
-        ("restL", new.restL[objmap, :], sys.restL),
-        ("extL", new.extL[objmap, :], sys.extL),
-        ("restR", new.restR[:, objmap], sys.restR),
-        ("extR", new.extR[:, objmap], sys.extR),
+        ("restL", new.restL.take(objmap, 0), sys.restL),
+        ("extL", new.extL.take(objmap, 0), sys.extL),
+        ("restR", new.restR.take(objmap, 1), sys.restR),
+        ("extR", new.extR.take(objmap, 1), sys.extR),
     ]
     if len(np.unique(objmap)) != sys.object_count or new.object_count != sys.object_count:
         raise AxiomViolationError("roundtrip_object_bijection", (sys.object_count,))

@@ -24,15 +24,19 @@ never pays for any of them: the groupoid pads its own tables
 two total operations (a∧g and g∧a, or a∨g and g∨a) as numpy tables. A system
 read only for its algebra derives the pseudoproducts and nothing else.
 Undefined entries stay -1: each lookup table is padded with a -1 border
-row/column, and since numpy reads index -1 as the last position, sentinels
-flow through chained gathers without any masking logic.
+row/column, and since take, like indexing, reads index -1 as the last
+position, sentinels flow through chained gathers without any masking logic.
 
-The laws over triples gather through one index array over whole rows:
-T_p[:, :k][X] for T_p[X[..., None], arange(k)] and T_p[:k][:, Y] for
-T_p[arange(k)[:, None, None], Y], which numpy does several times faster
-and into contiguous results. Where the law's axis order differs from the
-gather's, the mask is transposed, so each witness is still the first
-failing tuple in the law's row-major order.
+Each gather of whole rows or columns of a table is one ndarray.take on one
+axis, on tables this small mostly a fraction of the cost of the fancy index:
+T_p[:, :k].take(X, 0) for T_p[X[..., None], arange(k)], T_p[:k].take(Y, 1)
+for T_p[arange(k)[:, None, None], Y], T.take(X, 0).take(Y, 1) for
+T[X[:, None], Y[None, :]]. Paired gathers (T[idx, st]), boolean masks and
+vectors still index: numpy indexes a vector by one index array faster than
+take does. take copies a strided view such as T_p[:, :k] first, which costs
+less than leaving a strided result to every later comparison. Where the
+law's axis order differs from the gather's, the mask is transposed, so each
+witness is still the first failing tuple in the law's row-major order.
 
 The join side (extL, extR, ∨) is the order dual of the meet side (restL,
 restR, ∧). Each side is one _Side record, derived apart from the other, and
@@ -81,8 +85,8 @@ class _Side:
     L_p[a, g] = a∧g and R_p[g, a] = g∧a are the total operators and P_p the
     pseudoproduct, each padded with a -1 border (tables.padded); the system
     stores these only. A checker takes contiguous unpadded working copies
-    (_core) at its start and drops them when it returns: numpy gathers
-    through, and compares, contiguous arrays faster than strided views of
+    (_core) at its start and drops them when it returns: take and the
+    comparisons run faster on contiguous arrays than on strided views of
     the padded tables. `order` holds the (left, right) relations that bound
     the definedness regions and the transitivity hypotheses; `preorder` the
     relations the two preorder flags read, which on the join side are the
@@ -143,8 +147,8 @@ class RestrictionSystem:
             ((pre.le_left, pre.le_right), (pre.ge_left, pre.ge_right)), values
         ):
             tables += [
-                np.where(lrel[:, groupoid.dom], left, -1),
-                np.where(rrel[:, groupoid.cod].T, right, -1),
+                np.where(lrel.take(groupoid.dom, 1), left, -1),
+                np.where(rrel.take(groupoid.cod, 1).T, right, -1),
             ]
         return cls(groupoid, objects, *tables)
 
@@ -169,7 +173,7 @@ class RestrictionSystem:
             (self.objects.meet.array, self.restL, self.restR),
             (self.objects.join.array, self.extL, self.extR),
         ):
-            c = op[cod[:, None], dom[None, :]]
+            c = op.take(cod, 0).take(dom, 1)
             products.append(padded(comp_p[right[idx_m[:, None], c], left[c, idx_m[None, :]]]))
         return products[0], products[1]
 
@@ -193,11 +197,11 @@ class RestrictionSystem:
 
     def _side(self, names, op, partial, P_p, order, preorder) -> _Side:
         left, right = partial
-        idx_n, idx_m = np.arange(self.object_count), np.arange(self.morphism_count)
+        idx_m = np.arange(self.morphism_count)
         dom, cod = self.groupoid.dom, self.groupoid.cod
         # total operator tables; holes in the partial input surface as -1
-        L_p = padded(left[op[idx_n[:, None], dom], idx_m])
-        R_p = padded(right[idx_m[:, None], op[cod, :]])
+        L_p = padded(left[op.take(dom, 1), idx_m])
+        R_p = padded(right[idx_m[:, None], op.take(cod, 0)])
         return _Side(
             *names, table=op, partial=partial, L_p=L_p, R_p=R_p, P_p=P_p,
             order=order, preorder=preorder,
@@ -298,7 +302,7 @@ def check_structure(sys: RestrictionSystem) -> AxiomReport:
         ):
             table = back(partial)
             defined = table >= 0
-            checks.append(flag(f"{name}_defined_iff", back(defined == rel[:, near_p[:-1]])))
+            checks.append(flag(f"{name}_defined_iff", back(defined == rel.take(near_p[:-1], 1))))
             # at a hole far_p reads -1, so rel answers for its last object;
             # ~defined passes the cell whatever it answers
             ends = (near_p[table] == idx[:, None]) & rel[far_p[table], far_p[:-1]]
@@ -329,27 +333,27 @@ def _order_axioms(sys: RestrictionSystem, side: _Side) -> AxiomReport:
     checks.append(flag(f"{right}_identity", R[idx_m, cod] == idx_m))
 
     # a leL b  =>  _a|i_b = i_(a∧b), which is i_a
-    val = L_p[:n][:, e]
+    val = L_p[:n].take(e, 1)
     checks.append(flag(f"{left}_preorder", ~side.preorder[0] | _equal(val, e_p[op])))
     # a leR b  =>  i_b|_a = i_(b∧a), which is i_a
-    val = R_p[:, :n][e].T
+    val = R_p[:, :n].take(e, 0).T
     checks.append(flag(f"{right}_preorder", ~side.preorder[1] | _equal(val, e_p[op.T])))
 
     # the chaining equations' two sides, which the transitivity laws reuse:
     # chain_l[a, b, g] = (a∧b)∧g, nested_l[a, b, g] = a∧(b∧g),
     # chain_r[g, a, b] = (g∧a)∧b, nested_r[g, a, b] = g∧(a∧b)
-    chain_l, nested_l = L_p[:, :m][op], L_p[:n][:, L]
-    chain_r, nested_r = R_p[:, :n][R], R_p[:m][:, op]
+    chain_l, nested_l = L.take(op, 0), L_p[:n].take(L, 1)
+    chain_r, nested_r = R_p[:, :n].take(R, 0), R_p[:m].take(op, 1)
 
     # a leL b leL dom g  =>  _a|g = _(a∧b)|g = _a|(_b|g)
     rel = side.order[0]
-    hyp = rel[:, :, None] & rel[:, dom][None, :, :]
+    hyp = rel[:, :, None] & rel.take(dom, 1)[None, :, :]
     x = L[:, None, :]
     checks.append(flag(f"{left}_transitivity", ~hyp | ((x == chain_l) & _equal(x, nested_l))))
     # a leR b leR cod g  =>  g|_a = g|_(b∧a) = (g|_b)|_a, gathered over
     # (g, b, a) and transposed to the law's (a, b, g)
     rel = side.order[1]
-    hyp = rel[:, cod].T[:, :, None] & rel.T[None, :, :]
+    hyp = rel.take(cod, 1).T[:, :, None] & rel.T[None, :, :]
     x = R[:, None, :]
     checks.append(flag(
         f"{right}_transitivity", (~hyp | ((x == nested_r) & _equal(x, chain_r))).transpose(2, 1, 0)
@@ -357,12 +361,12 @@ def _order_axioms(sys: RestrictionSystem, side: _Side) -> AxiomReport:
 
     composable = comp >= 0
     # _a|(f∘g) = (_a|f)∘(_(cod _a|f)|g)
-    lhs = L_p[:n][:, comp]
-    rhs = comp_p[L[:, :, None], L_p[:, :m][cod_p[L]]]
+    lhs = L_p[:n].take(comp, 1)
+    rhs = comp_p[L[:, :, None], L_p[:, :m].take(cod_p[L], 0)]
     checks.append(flag(f"{left}_composition", ~composable[None, :, :] | _equal(lhs, rhs)))
     # (f∘g)|_d = (f|_(dom g|_d))∘(g|_d)
-    lhs = R_p[:, :n][comp]
-    rhs = comp_p[R_p[:m][:, dom_p[R]], R[None, :, :]]
+    lhs = R_p[:, :n].take(comp, 0)
+    rhs = comp_p[R_p[:m].take(dom_p[R], 1), R[None, :, :]]
     checks.append(flag(f"{right}_composition", ~composable[:, :, None] | _equal(lhs, rhs)))
 
     # (a∧b)∧g = a∧(b∧g) and (g∧a)∧b = g∧(a∧b), all tuples
@@ -370,12 +374,12 @@ def _order_axioms(sys: RestrictionSystem, side: _Side) -> AxiomReport:
     checks.append(flag(f"{side.op}_chain_right", _equal(chain_r, nested_r)))
 
     # dom(a∧g) = a∧dom g and cod(g∧a) = (cod g)∧a
-    checks.append(flag(f"{side.op}_endpoint_left", _equal(dom_p[L], op[:, dom])))
-    checks.append(flag(f"{side.op}_endpoint_right", _equal(cod_p[R], op[cod, :])))
+    checks.append(flag(f"{side.op}_endpoint_left", _equal(dom_p[L], op.take(dom, 1))))
+    checks.append(flag(f"{side.op}_endpoint_right", _equal(cod_p[R], op.take(cod, 0))))
 
     # (a∧f)∧b = a∧(f∧b)
-    lhs = R_p[:, :n][L]
-    rhs = L_p[:n][:, R]
+    lhs = R_p[:, :n].take(L, 0)
+    rhs = L_p[:n].take(R, 1)
     checks.append(flag(f"{side.op}_compatibility", _equal(lhs, rhs)))
     return AxiomReport(f"{side.noun} axioms", checks)
 
@@ -429,7 +433,7 @@ def check_linking(sys: RestrictionSystem) -> AxiomReport:
     checks.append(flag("linking_order_lateral", val == idx_m[None, :]))
 
     # on identity morphisms the axiom degenerates to skew-lattice absorption
-    val = jc_p[mr_p[:n][:, e], idx_n[None, :]]
+    val = jc_p[mr_p[:n].take(e, 1), idx_n[None, :]]
     checks.append(flag("idempotent_absorption", _equal(val, e[None, :])))
     return AxiomReport("linking axiom", checks)
 
@@ -458,30 +462,30 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
 
     # (f∧e)∧g = f∧(e∧g) over morphism, object, morphism
     for s, (L, R, P) in both:
-        checks.append(flag(f"mixed_assoc_{s.op}", _equal(s.P_p[:, :m][R], s.P_p[:m][:, L])))
+        checks.append(flag(f"mixed_assoc_{s.op}", _equal(s.P_p[:, :m].take(R, 0), s.P_p[:m].take(L, 1))))
 
     # _e|(f∧g) over object, morphism, morphism, read by the next two laws
-    into = [s.L_p[:n][:, P] for s, (L, R, P) in both]
+    into = [s.L_p[:n].take(P, 1) for s, (L, R, P) in both]
 
     # e^(f∧g) = (e^f)^g over object, morphism, morphism
     for (s, (L, R, P)), lhs in zip(both, into):
-        rhs = s.L_p[:, :m][cod_p[L]]
+        rhs = s.L_p[:, :m].take(cod_p[L], 0)
         checks.append(flag(f"action_chain_{s.op}", _equal(cod_p[lhs], cod_p[rhs])))
 
     # _e|(f∧g) = (_e|f)∧g
     for (s, (L, R, P)), lhs in zip(both, into):
-        checks.append(flag(f"{s.verb}_into_product_{s.op}", _equal(lhs, s.P_p[:, :m][L])))
+        checks.append(flag(f"{s.verb}_into_product_{s.op}", _equal(lhs, s.P_p[:, :m].take(L, 0))))
 
     # both pseudoproducts associative over all morphism triples
     for s, (L, R, P) in both:
-        checks.append(flag(f"assoc_{s.op}", _equal(s.P_p[:, :m][P], s.P_p[:m][:, P])))
+        checks.append(flag(f"assoc_{s.op}", _equal(s.P_p[:, :m].take(P, 0), s.P_p[:m].take(P, 1))))
 
     # pseudoproduct extends composition and the object operations
     composable = comp >= 0
     for s, (L, R, P) in both:
         checks.append(flag(f"extends_composition_{s.op}", ~composable | (P == comp)))
     for s in sides:
-        val = s.P_p[e[:, None], e[None, :]]
+        val = s.P_p.take(e, 0).take(e, 1)
         checks.append(flag(f"identity_product_{s.op}", _equal(val, e_p[s.table])))
 
     # idempotents of each pseudoproduct are exactly the identity morphisms
@@ -506,7 +510,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
 
     # a^(i_b) = a∧b
     for s in sides:
-        val = cod_p[s.L_p[:n][:, e]]
+        val = cod_p[s.L_p[:n].take(e, 1)]
         checks.append(flag(f"identity_action_{s.op}", _equal(val, s.table)))
 
     # a∧f∧f* = a∧f∧(a∧f)*, and the printed join form a∨f∨f* = a∨f∨(a∨f)*
@@ -520,7 +524,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     mr, _, pm = cores[0]
     plus, minus = plus_p[:-1], minus_p[:-1]
     lhs = pm_p[plus_p[pm], idx_m[:, None]]
-    rhs = pm_p[:m][:, plus]
+    rhs = pm_p[:m].take(plus, 1)
     checks.append(flag(
         "obs_restriction_identity_left",
         _equal(lhs, rhs),
@@ -528,7 +532,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
         note="(s∧t)+∧s = s∧t+: holds only over a semilattice of objects",
     ))
     lhs = pm_p[idx_m[None, :], minus_p[pm]]
-    rhs = pm_p[:, :m][minus]
+    rhs = pm_p[:, :m].take(minus, 0)
     checks.append(flag(
         "obs_restriction_identity_right",
         _equal(lhs, rhs),
@@ -536,7 +540,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
         note="t∧(s∧t)- = s-∧t: holds only over a semilattice of objects",
     ))
     lhs = cod_p[mr].T
-    rhs = dom_p[mc_p[:, :n][inv]]
+    rhs = dom_p[mc_p[:, :n].take(inv, 0)]
     checks.append(flag(
         "obs_action_inverse",
         _equal(lhs, rhs),

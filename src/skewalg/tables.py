@@ -173,9 +173,9 @@ class GreensPair:
 def padded(core) -> np.ndarray:
     """A read-only copy of core with a -1 border appended along every axis.
 
-    numpy reads index -1 as the last position, so a gather through the
-    padded table maps an undefined (-1) index to -1 again and holes flow
-    through chained lookups without any masking.
+    Indexing and ndarray.take read index -1 as the last position, so a
+    gather from the padded table maps an undefined (-1) index to -1 again
+    and holes flow through chained lookups without any masking.
     """
     core = np.asarray(core, dtype=np.int64)
     out = np.full(tuple(k + 1 for k in core.shape), -1, dtype=np.int64)
@@ -187,7 +187,7 @@ def padded(core) -> np.ndarray:
 def associativity_witness(t: OperationTable) -> tuple[int, int, int] | None:
     """The first (a, b, c) in row-major order with (ab)c ≠ a(bc), else None."""
     arr = t.array
-    return flag("associative", arr[arr, :] == arr[:, arr]).witness
+    return flag("associative", arr.take(arr, 0) == arr.take(arr, 1)).witness
 
 
 def check_associative(t: OperationTable) -> bool:
@@ -210,7 +210,7 @@ def check_skew_lattice(s: SkewLatticeTable) -> AxiomReport:
     checks = []
     for name, t in (("meet", m), ("join", j)):
         checks.append(flag(f"{name}_idempotent", np.diag(t) == idx))
-        checks.append(flag(f"{name}_associative", t[t, :] == t[:, t]))
+        checks.append(flag(f"{name}_associative", t.take(t, 0) == t.take(t, 1)))
     # a ∨ (a ∧ b) = a
     checks.append(flag("absorb_join_meet", j[col, m] == col))
     # a ∧ (a ∨ b) = a

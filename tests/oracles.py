@@ -1107,6 +1107,92 @@ def derived_identities(n, dom, cod, comp, inv, meet, join, restL, restR, extL, e
     return out.to_dict()
 
 
+def plus_minus_calculus(join, meet, star):
+    """The check_skehr report, each law scanned by loops from its statement:
+    the five plus/minus statements for the meet, then for the join, with
+    s+ = s∘s* and s- = s*∘s in that product; then, over the meet, the star
+    swapping the two parts, the Green's positions of s+, s- and s*, and s*
+    as the one inverse of s sitting at them. Green's R (L) relates two
+    elements with equal principal right (left) ideals, identity adjoined."""
+    n = len(star)
+    out = _Checks("plus minus calculus")
+    for name, table in (("meet", meet), ("join", join)):
+        def T(a, b):
+            return table[a][b]
+
+        def plus(s):
+            return T(s, star[s])
+
+        def minus(s):
+            return T(star[s], s)
+
+        def bad_i(s):  # s+ and s- are idempotents, each its own plus and minus
+            p, q = plus(s), minus(s)
+            return not (
+                T(p, p) == p and plus(p) == p and minus(p) == p
+                and T(q, q) == q and minus(q) == q and plus(q) == q
+            )
+
+        out.record(f"skehr_{name}_i", bad_i, n)
+        # s+∘s = s = s∘s-
+        out.record(f"skehr_{name}_ii", lambda s: T(plus(s), s) != s or T(s, minus(s)) != s, n)
+        # s∘s = s gives s+ = s = s-
+        out.record(f"skehr_{name}_iii", lambda s: T(s, s) == s and (plus(s) != s or minus(s) != s), n)
+        # (s∘t)+ = (s∘t+)+ and (s∘t)- = (s-∘t)-
+        out.record(
+            f"skehr_{name}_iv",
+            lambda s, t: plus(T(s, t)) != plus(T(s, plus(t))) or minus(T(s, t)) != minus(T(minus(s), t)),
+            n, n,
+        )
+        # (s+∘t)+ = s+∘t+ and (s∘t-)- = s-∘t-
+        out.record(
+            f"skehr_{name}_v",
+            lambda s, t: plus(T(plus(s), t)) != T(plus(s), plus(t))
+            or minus(T(s, minus(t))) != T(minus(s), minus(t)),
+            n, n,
+        )
+
+    def M(a, b):
+        return meet[a][b]
+
+    def plus(s):
+        return M(s, star[s])
+
+    def minus(s):
+        return M(star[s], s)
+
+    right = [{a} | {M(a, x) for x in range(n)} for a in range(n)]
+    left = [{a} | {M(x, a) for x in range(n)} for a in range(n)]
+
+    def R(a, b):
+        return right[a] == right[b]
+
+    def L(a, b):
+        return left[a] == left[b]
+
+    # (s*)+ = s- and (s*)- = s+
+    out.record(
+        "star_swaps_sides",
+        lambda s: M(star[s], star[star[s]]) != minus(s) or M(star[star[s]], star[s]) != plus(s),
+        n,
+    )
+    # s+ R s L s-, and s+ L s* R s-
+    out.record(
+        "green_positions",
+        lambda s: not (R(plus(s), s) and L(s, minus(s)) and L(plus(s), star[s]) and R(star[s], minus(s))),
+        n,
+    )
+
+    # the inverses x of s (s∧x∧s = s, x∧s∧x = x) with s+ L x R s- are s* alone
+    def located(s):
+        return [
+            x for x in range(n)
+            if M(M(s, x), s) == s and M(M(x, s), x) == x and L(plus(s), x) and R(x, minus(s))
+        ]
+
+    out.record("star_unique_inverse", lambda s: located(s) != [star[s]], n)
+    return out.to_dict()
+
 def single_cell_mutants(table):
     """Every copy of the table with exactly one cell changed, as lists."""
     n = len(table)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import PairOracle, biband_axiom_witnesses, inverses_loop, single_cell_mutants
+from oracles import PairOracle, biband_axiom_witnesses, inverses_loop, plus_minus_calculus, single_cell_mutants
 from skewalg import (
     BiBandAlgebra,
     SkeletonNotClosedError,
@@ -91,6 +91,20 @@ def test_axiom_flags_match_the_scalar_laws_on_suite_and_mutants(suite):
             expect = biband_axiom_witnesses(join.tolist(), meet.tolist(), star.tolist())
             assert [(c.name, c.witness) for c in report.checks()] == expect, inst.name
 
+
+def test_plus_minus_calculus_matches_the_scalar_laws_on_suite_and_mutants(suite):
+    # every suite algebra, then each of order at most 4 with one entry of its
+    # meet, its join or its star changed: the whole report, every witness
+    # included, must be the scalar oracle's
+    algebras = [(S.join.tolist(), S.meet.tolist(), S.star.tolist()) for S in (inst.algebra for inst in suite)]
+    variants = list(algebras)
+    for join, meet, star in (a for a in algebras if len(a[2]) <= 4):
+        variants += [(join, m, star) for m in single_cell_mutants(meet)]
+        variants += [(j, meet, star) for j in single_cell_mutants(join)]
+        n = len(star)
+        variants += [(join, meet, star[:i] + [v] + star[i + 1 :]) for i in range(n) for v in range(n) if v != star[i]]
+    for join, meet, star in variants:
+        assert check_skehr(BiBandAlgebra(join, meet, star)).to_dict() == plus_minus_calculus(join, meet, star)
 
 def test_idempotents_are_identity_headed_pairs(suite):
     for inst in suite[:60]:
