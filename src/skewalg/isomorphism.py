@@ -20,10 +20,11 @@ in increasing lexicographic order:
 
 The profile and forcing only discard images no isomorphism uses.
 find_isomorphism takes the first and certifies it with preserves_operations;
-automorphisms_of lists all of a structure onto itself.  A class is named by
-its least relabelling: canonical_tables renames a whole stack of structures
-by all n! permutations, a fixed chunk per relabellings gather, and
-least_rows picks each structure's least row by its lex_keys.
+automorphisms_of lists all of a structure onto itself, searched once per
+structure object and kept on it.  A class is named by its least
+relabelling: canonical_tables renames a whole stack of structures by all n!
+permutations, a fixed chunk per relabellings gather, and least_rows picks
+each structure's least row by its lex_keys.
 """
 
 from __future__ import annotations
@@ -200,9 +201,14 @@ def find_isomorphism(a, b) -> Isomorphism | None:
 
 def automorphisms_of(structure) -> list[tuple[int, ...]]:
     """All automorphisms of a supported structure in lexicographic order:
-    every isomorphism the search finds from the structure onto itself."""
-    sig = signature_of(structure)
-    return list(_isomorphisms(sig, sig))
+    every isomorphism the search finds from the structure onto itself.
+    The search runs once per structure object, which keeps the result as a
+    tuple in _automorphisms; each call returns a fresh list."""
+    kept = getattr(structure, "_automorphisms", None)
+    if kept is None:
+        sig = signature_of(structure)
+        kept = structure._automorphisms = tuple(_isomorphisms(sig, sig))
+    return list(kept)
 
 
 def relabellings(table, rows, cols, values) -> np.ndarray:

@@ -23,8 +23,9 @@ lattice, and the group on the one-element lattice.
 
 generate_model_suite instantiates the whole catalog of small groups against
 every skew lattice up to the bound, deduplicated up to simultaneous group
-and band automorphisms (computed once per group and per lattice); this
-suite is the test-bed for every checker in the package.
+and band automorphisms (each group and lattice object keeps its own, see
+isomorphism.automorphisms_of); this suite is the test-bed for every checker
+in the package.
 """
 
 from __future__ import annotations
@@ -296,15 +297,11 @@ def enumerate_actions(group: GroupTable, lattice: SkewLatticeTable) -> list[Grou
     candidates that pass all of them are kept in product order, each with
     the shared passing report.
     """
-    return _enumerate_actions(group, lattice, automorphisms_of(lattice))
-
-
-def _enumerate_actions(group, lattice, auts) -> list[GroupAction]:
     gens, words = _element_words(group)
     nb = lattice.order
-    perms = np.asarray(auts, dtype=np.int64)
+    perms = np.asarray(automorphisms_of(lattice), dtype=np.int64)
     # picks[c, j]: the automorphism candidate c assigns to generator j
-    picks = np.array(list(itertools.product(range(len(auts)), repeat=len(gens))), dtype=np.intp)
+    picks = np.array(list(itertools.product(range(len(perms)), repeat=len(gens))), dtype=np.intp)
     chosen = dict(zip(gens, perms[picks.T]))
     identity = np.broadcast_to(np.arange(nb), (len(picks), nb))
     columns = []
@@ -325,20 +322,21 @@ def _enumerate_actions(group, lattice, auts) -> list[GroupAction]:
 
 
 def dedupe_actions(actions: list[GroupAction]) -> list[GroupAction]:
-    """One representative per orbit under Aut(G) x Aut(B) relabelings.
-    Every action must have the first action's group and lattice."""
+    """One representative per orbit under Aut(G) x Aut(B) relabelings: the
+    first action of each orbit, in input order.  Every action must have the
+    first action's group and lattice.  One relabellings gather renames every
+    action by each (σ, τ) in Aut(B) x Aut(G), act'[a, u] = σ^-1(act[σ(a), τ(u)]);
+    an action's least_rows names its orbit."""
     if not actions:
         return []
     group, lattice = actions[0].group, actions[0].lattice
-    if any(a.group != group or a.lattice != lattice for a in actions):
+    # identity first: the actions of one enumeration share their group and lattice
+    if any(
+        (a.group is not group and a.group != group) or (a.lattice is not lattice and a.lattice != lattice)
+        for a in actions
+    ):
         raise ValueError("dedupe_actions needs actions of one group on one lattice")
-    return _dedupe_actions(actions, automorphisms_of(group), automorphisms_of(lattice))
-
-
-def _dedupe_actions(actions, gauts, bauts) -> list[GroupAction]:
-    """The first action of each orbit, in input order.  One relabellings
-    gather renames every action by each (σ, τ) in Aut(B) x Aut(G),
-    act'[a, u] = σ^-1(act[σ(a), τ(u)]); an action's least_rows names its orbit."""
+    gauts, bauts = automorphisms_of(group), automorphisms_of(lattice)
     sigma = np.repeat(np.asarray(bauts), len(gauts), axis=0)
     tau = np.tile(np.asarray(gauts), (len(bauts), 1))
     moved = relabellings(np.array([a.act for a in actions]), sigma, tau, np.argsort(sigma, axis=1))
@@ -367,22 +365,15 @@ def generate_model_suite(
         raise BoundExceededError(
             f"band bound {max_band} exceeds configured maximum {MAX_SUITE_BAND}"
         )
-    # automorphisms are computed once per lattice and per group, not per pair
-    lattices = {
-        nb: [(lattice, automorphisms_of(lattice)) for lattice in enumerate_skew_lattices(nb)]
-        for nb in range(1, max_band + 1)
-    }
+    # one lattice object per (nb, bi), so each searches its automorphisms once
+    lattices = {nb: enumerate_skew_lattices(nb) for nb in range(1, max_band + 1)}
     suite: list[ModelInstance] = []
     for gname, group in GROUP_CATALOG.items():
         if group.order > max_group:
             continue
-        gauts = automorphisms_of(group)
         for nb, band_lattices in lattices.items():
-            for bi, (lattice, bauts) in enumerate(band_lattices):
-                actions = _dedupe_actions(
-                    _enumerate_actions(group, lattice, bauts), gauts, bauts
-                )
-                for k, action in enumerate(actions):
+            for bi, lattice in enumerate(band_lattices):
+                for k, action in enumerate(dedupe_actions(enumerate_actions(group, lattice))):
                     name = f"{gname}xB{nb}.{bi}a{k}"
                     suite.append(
                         ModelInstance(name, action, semidirect_algebra(action), semidirect_groupoid(action))

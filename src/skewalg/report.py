@@ -89,9 +89,6 @@ class AxiomReport:
     def __contains__(self, name: str) -> bool:
         return any(c.name == name for c in self._checks)
 
-    def failures(self) -> list[Check]:
-        return [c for c in self._checks if c.required and not c.ok]
-
     def observations(self) -> list[Check]:
         return [c for c in self._checks if not c.required]
 

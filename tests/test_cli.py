@@ -15,7 +15,9 @@ import skewalg
 
 from skewalg import (
     BiBandAlgebra,
+    FiniteGroupoid,
     RestrictionSystem,
+    SkewLatticeTable,
     chain_lattice,
     check_extension_axioms,
     check_linking,
@@ -23,6 +25,7 @@ from skewalg import (
     check_structure,
     enumerate_skew_lattices,
     load_structure,
+    rectangular_skew,
     save_structure,
     semidirect_algebra,
     semidirect_groupoid,
@@ -209,6 +212,57 @@ def test_roundtrip_accepts_both_kinds(swap_algebra_file, swap_system_file):
         assert run["ok"] is True
 
 
+def _failed(run):
+    return {name: c["witness"] for name, c in run["report"]["checks"].items() if not c["ok"]}
+
+
+def test_check_skew_passes_a_lattice_and_names_a_failed_absorption(tmp_path):
+    # meet = join = the left-zero band fails both absorptions ending in b
+    for name, lattice, expect_code, failed in (
+        ("valid", rectangular_skew(2), 0, {}),
+        ("broken", SkewLatticeTable([[0, 0], [1, 1]], [[0, 0], [1, 1]]), 1,
+         {"absorb_meet_then_join": [0, 1], "absorb_join_then_meet": [0, 1]}),
+    ):
+        path = tmp_path / f"{name}.json"
+        save_structure(path, lattice)
+        run, code = dispatch(["check-skew", str(path)])
+        assert code == expect_code
+        assert run["ok"] is (code == 0)
+        assert run["report"]["title"] == "skew lattice"
+        assert len(run["report"]["checks"]) == 8
+        assert _failed(run) == failed
+
+
+def test_check_groupoid_passes_a_suite_groupoid_and_fails_a_broken_one(tmp_path):
+    groupoid = semidirect_groupoid(swap_action()).groupoid  # suite instance C2xB2.2a1
+    # every morphism its own inverse, though (b, 1) runs between two objects
+    broken = FiniteGroupoid(
+        groupoid.object_count, groupoid.dom, groupoid.cod, groupoid.comp, np.arange(groupoid.morphism_count)
+    )
+    for name, g, expect_code, failed in (
+        ("suite", groupoid, 0, {}),
+        ("broken", broken, 1, {"inverse_laws": [1], "anti_involution": [0, 1]}),
+    ):
+        path = tmp_path / f"{name}.json"
+        save_structure(path, g)
+        run, code = dispatch(["check-groupoid", str(path)])
+        assert code == expect_code
+        assert run["ok"] is (code == 0)
+        assert run["report"]["title"] == "groupoid laws"
+        assert len(run["report"]["checks"]) == 7
+        assert _failed(run) == failed
+
+
+def test_roundtrip_of_a_lattice_file_is_exit_two(tmp_path):
+    path = tmp_path / "lattice.json"
+    save_structure(path, rectangular_skew(2))
+    run, code = dispatch(["roundtrip", str(path)])
+    assert code == 2
+    assert run["error"] == {
+        "kind": "malformed", "message": f"{path} holds neither a restriction system nor an algebra"
+    }
+
+
 def _precondition(name, witness):
     check = {"ok": False, "witness": witness, "required": True, "note": None}
     return {"title": "precondition", "ok": False, "checks": {name: check}}
@@ -340,6 +394,21 @@ def test_global_flags_parse_after_subcommand(swap_algebra_file, capsys):
     code = main(["check-algebra", swap_algebra_file, "--format", "text"])
     assert code == 0
     assert "check-algebra" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", ["witness", "error", "written"])
+def test_main_text_format_after_an_equals_sign(case, capsys, tmp_path, swap_algebra_file, swap_system_file):
+    argv, code, line = {
+        "witness": (["witness-anti", swap_algebra_file], 0, "  witness: [0, 1]"),
+        "error": (["check-algebra", str(tmp_path / "absent.json")], 2, "  error (malformed): "),
+        "written": (["build-algebra", swap_system_file, "--out", str(tmp_path / "out")], 0, "  wrote 1 file(s)"),
+    }[case]
+    assert main(["--format=text", *argv]) == code
+    out = capsys.readouterr().out
+    assert out.startswith(f"skewalg --format=text {argv[0]} ")
+    assert any(shown.startswith(line) for shown in out.splitlines())
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
 
 
 def test_seed_flag_is_a_usage_error(swap_algebra_file):

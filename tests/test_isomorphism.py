@@ -78,6 +78,17 @@ def test_rectangular_automorphisms_are_full_symmetric_group():
     assert len(automorphisms_of(rectangular_skew(3))) == 6
 
 
+def test_changing_the_returned_automorphisms_leaves_the_kept_ones():
+    lattice = rectangular_skew(3)
+    auts = automorphisms_of(lattice)
+    expect = list(auts)
+    auts.pop()
+    auts[0] = (2, 1, 0)
+    auts.append((0, 0, 0))
+    assert automorphisms_of(lattice) == expect
+    assert automorphisms_of(lattice) is not automorphisms_of(lattice)
+
+
 def test_band_automorphisms_of_left_zero():
     assert len(automorphisms_of(left_zero(3))) == 6
 

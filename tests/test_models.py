@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
@@ -21,6 +22,8 @@ from skewalg import (
     FiniteGroupoid,
     GroupTable,
     RestrictionSystem,
+    SkewLatticeTable,
+    automorphisms_of,
     check_action,
     chain_lattice,
     congruence_kernels,
@@ -44,7 +47,6 @@ from skewalg.models import (
     SemidirectAlgebra,
     _certificate,
     _element_words,
-    _enumerate_actions,
     _max_idempotent_separating_congruence,
     _unary_images,
 )
@@ -172,9 +174,14 @@ def test_batched_enumeration_matches_the_candidate_loop(salted):
         auts = automorphism_perms([tuple(map(tuple, meet)), tuple(map(tuple, join))], nb)
         others = [p for p in permutations(range(nb)) if p not in auts]
         perms = others[:1] + auts + others[1:2] if salted else auts
+        candidates = lattice
+        if salted:  # a fresh copy whose kept automorphisms are the salted list
+            candidates = SkewLatticeTable(lattice.meet, lattice.join)
+            candidates._automorphisms = tuple(perms)
+            assert automorphisms_of(candidates) == perms
         for group in GROUP_CATALOG.values():
             gens, words = _element_words(group)
-            found = _tables(_enumerate_actions(group, lattice, perms))
+            found = _tables(enumerate_actions(group, candidates))
             expect = enumerate_actions_loop(
                 group.table.tolist(), int(group.identity), meet, join, perms, gens, words
             )
@@ -254,7 +261,7 @@ def test_enumeration_for_a_relabelled_group_matches_the_candidate_loop(name):
     for lattice in LATTICES_TO_3:
         nb, meet, join = lattice.order, lattice.meet.tolist(), lattice.join.tolist()
         auts = automorphism_perms([tuple(map(tuple, meet)), tuple(map(tuple, join))], nb)
-        found = _tables(_enumerate_actions(group, lattice, auts))
+        found = _tables(enumerate_actions(group, lattice))
         expect = enumerate_actions_loop(group.table.tolist(), 1, meet, join, auts, gens, words)
         assert found == expect
         moved += sum(any(row[0] != a for a, row in enumerate(act)) for act in found)
@@ -453,6 +460,33 @@ def test_suite_checks_each_action_once(monkeypatch):
         assert inst.algebra == semidirect_algebra(inst.action)
         assert inst.algebra.action is inst.action
         assert structure_to_dict(inst.system) == structure_to_dict(semidirect_groupoid(inst.action))
+
+
+def test_suite_searches_each_structure_once(monkeypatch):
+    # counts the automorphism searches themselves, each keyed by the first
+    # table it reads, which belongs to one group or lattice object; the
+    # catalog groups start unsearched, keep their automorphisms for the
+    # process, and the second build's fresh lattices are searched anew
+    import skewalg.isomorphism as isomorphism
+
+    for group in GROUP_CATALOG.values():
+        monkeypatch.delattr(group, "_automorphisms", raising=False)
+    searches = Counter()
+    search = isomorphism._isomorphisms
+
+    def counted(sig_a, sig_b):
+        searches[id(sig_a[1][0])] += 1
+        return search(sig_a, sig_b)
+
+    monkeypatch.setattr(isomorphism, "_isomorphisms", counted)
+    groups = {id(group.table.array): 1 for group in GROUP_CATALOG.values()}
+    for _ in range(2):
+        searches.clear()
+        suite = generate_model_suite()
+        lattices = {id(inst.action.lattice.meet.array): 1 for inst in suite}
+        assert len(lattices) == len(SMALL_LATTICES)
+        assert searches == Counter({**lattices, **groups})
+        groups = {}
 
 
 def test_groupoids_systems_and_actions_copy_the_callers_arrays(suite):

@@ -22,6 +22,7 @@ from skewalg import (
     GroupTable,
     MalformedSystemError,
     RestrictionSystem,
+    SignatureMismatchError,
     SkewLatticeTable,
     build_algebra,
     chain_lattice,
@@ -227,6 +228,17 @@ def test_build_algebra_guard_rejects_damaged_system():
     broken = damaged(sysm, "restR", spot, (int(sysm.restR[spot]) + 1) % sysm.morphism_count)
     with pytest.raises(AxiomViolationError):
         build_algebra(broken)
+
+
+def test_a_system_with_a_hole_has_no_algebra_and_no_signature(suite):
+    # unchecked, the hole in restL reaches the meet pseudoproduct, whose
+    # first hole build_algebra names; find_isomorphism refuses the partial table
+    sysm = next(inst.system for inst in suite if inst.name == "C2xB2.2a1")
+    holed = damaged(sysm, "restL", (0, 1), -1)
+    with pytest.raises(MalformedSystemError, match=r"^meet pseudoproduct undefined at \(0, 1\)$"):
+        build_algebra(holed, check=False)
+    with pytest.raises(SignatureMismatchError, match="^system comparison needs total pseudoproducts$"):
+        find_isomorphism(holed, sysm)
 
 
 def test_full_report_hands_out_a_report_that_cannot_change_the_cache():

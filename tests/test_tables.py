@@ -89,6 +89,14 @@ def test_natural_preorders_on_rectangular_split_by_side():
     assert np.array_equal(pre.ge_left, eye)
 
 
+def test_natural_preorders_reject_a_broken_converse_pairing():
+    # meet = join = the left-zero band: absorption fails, and
+    # so does the pairing of le_left with ge_right
+    lattice = SkewLatticeTable([[0, 0], [1, 1]], [[0, 0], [1, 1]])
+    with pytest.raises(ValueError, match=r"^le_left is not the converse of ge_right at \(0, 1\)$"):
+        natural_preorders(lattice)
+
+
 def test_greens_relations_left_zero():
     g = greens_relations(left_zero(3))
     # aS = {a}: R-classes are singletons; Sa = S: one L-class
