@@ -75,7 +75,7 @@ class FiniteGroupoid:
         # [e, f]: f starting (ending) at dom e is fixed by e on that side
         left = (dom[None, :] != dom[:, None]) | (comp == idx[None, :])
         right = (cod[None, :] != dom[:, None]) | (comp.T == idx[None, :])
-        unit = (cod == dom) & (comp[idx, idx] == idx) & left.all(1) & right.all(1)
+        unit = (cod == dom) & (comp.diagonal() == idx) & left.all(1) & right.all(1)
         out = np.full(self.object_count, -1, dtype=np.int64)
         np.maximum.at(out, dom[unit], idx[unit])
         out.setflags(write=False)
@@ -147,7 +147,7 @@ def check_groupoid(g: FiniteGroupoid) -> AxiomReport:
     checks.append(flag("anti_involution", ~defined | reverses, required=False))
     is_unit = np.zeros(g.morphism_count, dtype=bool)
     is_unit[e[e >= 0]] = True
-    idempotent = comp[idx, idx] == idx
+    idempotent = comp.diagonal() == idx
     checks.append(flag("idempotents_are_identities", idempotent == is_unit, required=False))
     return AxiomReport("groupoid laws", checks)
 

@@ -16,7 +16,10 @@ in increasing lexicographic order:
     for a candidate x -> y one gather through the partial image array gives
     the image each cell demands of v.  It must equal v's image, or the image
     an earlier cell forced on v; otherwise it is forced on v, and it is the
-    only candidate the search tries at v.
+    only candidate the search tries at v.  Once every image is known,
+    assigned or forced, one gather checks all the cells left and a
+    bincount checks that the image is a bijection, in place of the steps
+    that would each confirm one forced image.
 
 The profile and forcing only discard images no isomorphism uses.
 find_isomorphism takes the first and certifies it with preserves_operations;
@@ -85,7 +88,7 @@ def _idempotent_profile(sig) -> np.ndarray:
     """Per element x, the integer whose bit k is set when x.x = x in binary
     operation k.  Every isomorphism preserves it."""
     idx = np.arange(sig[0])
-    return sum((op[idx, idx] == idx).astype(np.int64) << k for k, op in enumerate(sig[1]))
+    return sum((op.diagonal() == idx).astype(np.int64) << k for k, op in enumerate(sig[1]))
 
 
 def _flat_tables(n, sig) -> np.ndarray:
@@ -154,10 +157,16 @@ def _isomorphisms(sig_a, sig_b):
         # image[w] is the image of w for w < x, and for w >= x the image an
         # earlier cell forced, or -1; a step that forces nothing passes
         # image itself on, so every step restores image[x] when it is done
-        if x == n:
-            yield tuple(image.tolist())
+        lo = bounds[x]
+        if (image[x:] >= 0).all():
+            # every image is known: one gather checks the cells left, and
+            # the image must be a bijection
+            p, q, v = image[cells[:, lo:]]
+            bijective = (np.bincount(image, minlength=n) == 1).all()
+            if bijective and (flat_b[offsets[lo:] + p * n + q] == v).all():
+                yield tuple(image.tolist())
             return
-        lo, hi = bounds[x], bounds[x + 1]
+        hi = bounds[x + 1]
         offset, step = offsets[lo:hi], cells[:, lo:hi]
         forced = image[x]
         for y in candidates[x] if forced < 0 else [forced]:

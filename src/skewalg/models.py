@@ -5,7 +5,10 @@ B, and a right action table act[a, u] = a^u whose maps a -> a^u preserve
 both band operations. From one action we build
 
   * the pair algebra on G x B with (u,a)(v,b) = (uv, a^v . b) for each band
-    operation and star (u,a)* = (u^-1, a^{u^-1}),
+    operation and star (u,a)* = (u^-1, a^{u^-1}); semidirect_algebra builds
+    it once per action while anything holds it, the action keeping it
+    through a weak reference, so the checkers below reuse a suite
+    instance's algebra,
   * the groupoid with objects B and morphisms (b, g) : b -> b^g, carrying
     the restriction and extension operators by object-wise conjugation,
   * the congruence kernels K_a collected from the largest congruence of the
@@ -13,9 +16,10 @@ both band operations. From one action we build
     by partition refinement (Moore's algorithm, as in DFA minimisation):
     start from the pairs with equal s∧s* and s*∧s and split classes by the
     classes of their images under the star and every one-sided product
-    until nothing splits; a certificate then checks that the partition is a
-    congruence, separates the idempotents, and contains every congruence
-    that does.
+    until nothing splits, each round numbering the classes in order of the
+    first occurrence of each row's bytes; a certificate then checks that
+    the partition is a congruence, separates the idempotents, and contains
+    every congruence that does.
 
 The discrete system over a lattice and the one-object system of a group
 are the groupoids of trivial actions: the one-element group on the
@@ -31,6 +35,7 @@ in the package.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +109,9 @@ class GroupAction:
 
     check_action computes the action's report once and keeps it in
     _report; an action whose laws are known to hold is given the shared
-    passing report when it is built."""
+    passing report when it is built.  semidirect_algebra keeps the pair
+    algebra it builds in _algebra, through a weak reference, since the
+    algebra refers back to its action."""
 
     def __init__(self, group: GroupTable, lattice: SkewLatticeTable, act):
         if not isinstance(lattice, SkewLatticeTable):
@@ -121,6 +128,7 @@ class GroupAction:
         self.lattice = lattice
         self.act = act
         self._report: AxiomReport | None = None
+        self._algebra: weakref.ref | None = None
 
     @property
     def group_order(self) -> int:
@@ -218,8 +226,14 @@ class SemidirectAlgebra(BiBandAlgebra):
 
 
 def semidirect_algebra(action: GroupAction) -> SemidirectAlgebra:
-    """The (2,2,1)-algebra on pairs (u, a) with (u,a)(v,b) = (uv, a^v . b)."""
-    return SemidirectAlgebra(action)
+    """The (2,2,1)-algebra on pairs (u, a) with (u,a)(v,b) = (uv, a^v . b):
+    the one the action already has while anything else holds it, else a
+    new one, which the action then keeps weakly."""
+    S = action._algebra() if action._algebra is not None else None
+    if S is None:
+        S = SemidirectAlgebra(action)
+        action._algebra = weakref.ref(S)
+    return S
 
 
 def semidirect_groupoid(action: GroupAction) -> RestrictionSystem:
@@ -405,12 +419,15 @@ def _max_idempotent_separating_congruence(S: BiBandAlgebra):
     images = _unary_images(S)
     rows, count = np.stack([mt[idx, st], mt[st, idx]], axis=1), -1
     while True:
-        # one label per distinct row: equal rows have equal byte keys
-        labels = np.unique(lex_keys(rows), return_inverse=True)[1]
-        grown = labels.max(initial=-1) + 1
-        if grown == count:
+        # one label per distinct row, numbered in order of first occurrence:
+        # equal rows have equal bytes
+        raw, width = rows.tobytes(), rows.itemsize * rows.shape[1]
+        first: dict[bytes, int] = {}
+        keys = (raw[i : i + width] for i in range(0, len(raw), width))
+        labels = np.array([first.setdefault(key, len(first)) for key in keys])
+        if len(first) == count:
             return labels, _certificate(S, labels, images)
-        rows, count = np.hstack([labels[:, None], labels[images]]), grown
+        rows, count = np.hstack([labels[:, None], labels[images]]), len(first)
 
 
 def _certificate(S: BiBandAlgebra, labels, images) -> np.ndarray:
@@ -429,13 +446,11 @@ def _certificate(S: BiBandAlgebra, labels, images) -> np.ndarray:
     """
     n = S.order
     mt, jt, st = S.meet.array, S.join.array, S.star
-    _, first, labels = np.unique(labels, return_index=True, return_inverse=True)
     idx = np.arange(n)
-    idem = (mt[idx, idx] == idx) | (jt[idx, idx] == idx)
-    idem_at = np.flatnonzero(idem)
-    lone = ~idem
-    lone[idem_at[np.unique(labels[idem_at], return_index=True)[1]]] = True
-    compatible = (labels[images] == labels[images.take(first[labels], 0)]).all(axis=1)
+    same = labels[:, None] == labels  # argmax(0) finds the first element of each class
+    idem = (mt.diagonal() == idx) | (jt.diagonal() == idx)
+    lone = ~idem | ((same & idem[:, None]).argmax(0) == idx)
+    compatible = (labels[images] == labels[images.take(same.argmax(0), 0)]).all(axis=1)
     return compatible & lone & idem[mt[idx, st]] & idem[mt[st, idx]]
 
 

@@ -58,8 +58,7 @@ def reconstruct(S: BiBandAlgebra, check: bool = True) -> ReconstructedGroupoid:
 
     # the objects in order of first occurrence in d_el; index[el] is the
     # object number of element el, -1 off the objects
-    _, first = np.unique(d_el, return_index=True)
-    obj = d_el[np.sort(first)]
+    obj = d_el[(d_el[:, None] == d_el).argmax(0) == idx]
     nb = len(obj)
     index = np.full(n, -1, dtype=np.int64)
     index[obj] = np.arange(nb)

@@ -132,11 +132,15 @@ def structure_from_dict(data: dict):
                 raise MalformedSystemError(
                     f"{objects} objects but {len(morphisms)} morphisms: every object needs an identity"
                 )
+            comp, inv = _tables(data, "comp", "inv")
+            if not morphisms and comp == []:
+                comp = np.zeros((0, 0), dtype=np.int64)  # [] alone reads as shape (0,)
             return FiniteGroupoid(
                 objects,
                 _integers([m["dom"] for m in morphisms], "dom"),
                 _integers([m["cod"] for m in morphisms], "cod"),
-                *_tables(data, "comp", "inv"),
+                comp,
+                inv,
             )
         if "star" in data:
             join, meet, star = _tables(data, "join", "meet", "star")

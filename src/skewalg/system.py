@@ -119,6 +119,8 @@ class RestrictionSystem:
         if not isinstance(groupoid, FiniteGroupoid):
             raise MalformedSystemError("groupoid must be a FiniteGroupoid")
         if not isinstance(objects, SkewLatticeTable):
+            if not isinstance(objects, (tuple, list)):
+                raise MalformedSystemError("objects must be a SkewLatticeTable or a (meet, join) pair")
             objects = SkewLatticeTable(*objects)
         if objects.order != groupoid.object_count:
             raise MalformedSystemError(
@@ -492,7 +494,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     id_set = np.zeros(m, dtype=bool)
     id_set[e[e >= 0]] = True
     for s, (L, R, P) in both:
-        checks.append(flag(f"idempotents_{s.op}", (P[idx_m, idx_m] == idx_m) == id_set))
+        checks.append(flag(f"idempotents_{s.op}", (P.diagonal() == idx_m) == id_set))
 
     # regularity: g∧g*∧g = g
     for s, (L, R, P) in both:

@@ -23,6 +23,7 @@ from skewalg import (
     check_linking,
     check_restriction_axioms,
     check_structure,
+    discrete_groupoid,
     enumerate_skew_lattices,
     load_structure,
     rectangular_skew,
@@ -251,6 +252,33 @@ def test_check_groupoid_passes_a_suite_groupoid_and_fails_a_broken_one(tmp_path)
         assert run["report"]["title"] == "groupoid laws"
         assert len(run["report"]["checks"]) == 7
         assert _failed(run) == failed
+
+
+def test_the_empty_groupoid_survives_a_save_and_a_load(tmp_path):
+    # its composition table is written as [], which must load as 0x0
+    path = tmp_path / "empty.json"
+    save_structure(path, discrete_groupoid(0))
+    assert load_structure(path) == discrete_groupoid(0)
+    run, code = dispatch(["check-groupoid", str(path)])
+    assert code == 0
+    assert run["ok"] and run["report"]["title"] == "groupoid laws"
+
+
+@pytest.mark.parametrize("kind", ["groupoid", "system", "algebra", "action"])
+def test_a_system_whose_objects_hold_another_structure_is_exit_two(tmp_path, kind):
+    action = swap_action()
+    system = semidirect_groupoid(action)
+    other = {"groupoid": system.groupoid, "system": system, "algebra": semidirect_algebra(action), "action": action}
+    data = structure_to_dict(system)
+    data["objects"] = structure_to_dict(other[kind])
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(data))
+    run, code = dispatch(["check-system", str(path)])
+    assert code == 2
+    assert run["error"] == {
+        "kind": "malformed",
+        "message": "objects must be a SkewLatticeTable or a (meet, join) pair",
+    }
 
 
 def test_roundtrip_of_a_lattice_file_is_exit_two(tmp_path):

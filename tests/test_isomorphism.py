@@ -272,6 +272,25 @@ def test_forced_images_are_checked(table):
     assert automorphisms_of(t) == [tuple(range(len(table)))] == _oracle_automorphisms(t)
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        # 0 -> 0 forces 2 -> 0.0 = 2, and 1 -> 2 forces nothing new, so at
+        # step 2 every image is known: [0, 2, 2] preserves the table, and
+        # only the bijection check refuses it
+        [[2, 0, 0], [0, 0, 0], [0, 0, 0]],
+        # 0 -> 1 forces 1 -> 1.1 = 0 at step 0, so at step 1 the image
+        # [1, 0] is known and a bijection; only the cells left refuse it:
+        # 0.1 = 0 goes to 1.0 = 0, not to 0's image 1
+        [[1, 0], [0, 0]],
+    ],
+)
+def test_a_fully_forced_image_is_checked(table):
+    t = OperationTable(table)
+    assert automorphisms_of(t) == [tuple(range(len(table)))] == _oracle_automorphisms(t)
+    assert _mapping(find_isomorphism(t, t)) == _oracle(t, t)
+
+
 def test_a_structure_without_elements_has_the_empty_automorphism():
     groupoid = FiniteGroupoid(1, [], [], np.zeros((0, 0)), [])
     empty = np.zeros((0, 1))

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 from itertools import permutations
 
@@ -364,6 +366,35 @@ def test_normal_form_skipped_without_top():
     meet = report["normal_form_meet"]
     assert not meet.required
     assert meet.note
+
+
+def test_kernels_and_normal_forms_use_the_pair_algebra_the_action_has(suite, monkeypatch):
+    # each suite instance holds its action's pair algebra, so neither
+    # congruence_kernels nor normal_form_report builds it again
+    built = []
+    init = SemidirectAlgebra.__init__
+    monkeypatch.setattr(SemidirectAlgebra, "__init__", lambda S, action: built.append(action) or init(S, action))
+    for inst in suite:
+        assert semidirect_algebra(inst.action) is inst.algebra
+        congruence_kernels(inst.action)
+        normal_form_report(inst.action)
+    assert built == []
+
+
+def test_an_action_keeps_its_pair_algebra_weakly():
+    # the algebra refers to its action, so a strong reference back would be
+    # a cycle that only the cycle collector frees: with it off, deleting the
+    # suite must free its actions at once
+    suite = generate_model_suite(max_group=2, max_band=2)
+    action = weakref.ref(suite[0].action)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del suite
+        assert action() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def partition_of(labels):
