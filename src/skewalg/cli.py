@@ -3,7 +3,9 @@
 Each subcommand reads table files, runs the relevant constructions and
 checkers, prints a machine-readable run report to standard output and a
 human summary to standard error.  Reports are deterministic for identical
-inputs apart from the trailing elapsed_s field.
+inputs apart from the trailing elapsed_s field.  Only build-algebra,
+reconstruct and gen-models write files, under the directory --out names;
+no other command takes --out.
 
 Exit codes: 0 all checks passed (or help was asked for; the record holds
 the text under "help"), 1 a check failed (or a requested witness is
@@ -68,9 +70,113 @@ def positive_int(text: str) -> int:
     return n
 
 
+def _saved(out: str | None, files: list) -> dict:
+    """Save each (basename, structure, extra) under the directory out, if given."""
+    if not out:
+        return {}
+    os.makedirs(out, exist_ok=True)
+    for basename, obj, extra in files:
+        save_structure(os.path.join(out, basename), obj, extra=extra)
+    return {"written": [os.path.join(out, basename) for basename, _, _ in files]}
+
+
+def _enum_bands(args, _):
+    tables = enumerate_bands(args.n, max_order=args.max)
+    return None, {"count": len(tables), "tables": [t.array.tolist() for t in tables]}
+
+
+def _enum_skew(args, _):
+    lattices = enumerate_skew_lattices(args.n, max_order=args.max)
+    return None, {"count": len(lattices), "lattices": [structure_to_dict(s) for s in lattices]}
+
+
+def _gen_models(args, _):
+    suite = generate_model_suite(args.max_group, args.max_band)
+    files = [
+        (f"{inst.name}.{tag}.json", getattr(inst, tag), {"name": inst.name})
+        for inst in suite for tag in ("action", "algebra", "system")
+    ]
+    payload = {"count": len(suite), "instances": [inst.name for inst in suite]}
+    return None, {**payload, **_saved(args.out, files)}
+
+
+def _check_system(args, sys_):
+    return AxiomReport("restriction system", [
+        c for family, checker in system_checkers() for c in checker(sys_).renamed(f"{family}.")
+    ]), {}
+
+
+def _check_algebra(args, S):
+    checks = [c for _, checker in algebra_checkers() for c in checker(S).checks()]
+    return AxiomReport("algebra", checks), {}
+
+
+def _build_algebra(args, sys_):
+    S = build_algebra(sys_)
+    return None, {"algebra": structure_to_dict(S), **_saved(args.out, [("algebra.json", S, None)])}
+
+
+def _reconstruct(args, S):
+    rec = reconstruct(S)
+    payload = {"system": structure_to_dict(rec.system), "objects": [int(o) for o in rec.objects]}
+    return None, {**payload, **_saved(args.out, [("system.json", rec.system, None)])}
+
+
+def _roundtrip(args, obj):
+    if isinstance(obj, RestrictionSystem):
+        name, iso = "roundtrip_groupoid", roundtrip_groupoid(obj)
+    else:
+        name, iso = "roundtrip_algebra", roundtrip_algebra(obj)
+    return AxiomReport("roundtrip", [Check(name, True)]), {"mapping": list(iso.mapping)}
+
+
+def _witness_anti(args, S):
+    witness = anti_automorphism_witness(S)
+    found = Check("witness_exists", witness is not None, witness)
+    payload = {"witness": None if witness is None else list(witness)}
+    return AxiomReport("anti-automorphism witness", [found]), payload
+
+
+_FILE = ("file", {})
+_ORDER = (("n", {"type": positive_int}), ("--max", {"type": int, "default": DEFAULT_MAX_ORDER}))
+_DERIVED = (_FILE, ("--out", {"default": None, "help": "directory for derived files"}))
+_LATTICE = (SkewLatticeTable, "does not contain a skew lattice")
+_GROUPOID = (FiniteGroupoid, "does not contain a groupoid")
+_SYSTEM = (RestrictionSystem, "does not contain a restriction system")
+_ALGEBRA = (BiBandAlgebra, "does not contain an algebra")
+_EITHER = ((RestrictionSystem, BiBandAlgebra), "holds neither a restriction system nor an algebra")
+
+# name: (help line, arguments as (name, add_argument keywords) pairs, what
+# the file argument must hold as (class or classes, complaint otherwise) or
+# None without one, handler(args, structure or None) -> (report or None, payload))
+COMMANDS = {
+    "enum-bands": ("canonical idempotent operation tables", _ORDER, None, _enum_bands),
+    "enum-skew": ("canonical skew lattices", _ORDER, None, _enum_skew),
+    "check-skew": ("verify the skew lattice laws of a structure file", (_FILE,), _LATTICE,
+                   lambda args, lattice: (check_skew_lattice(lattice), {})),
+    "check-groupoid": ("verify the groupoid laws", (_FILE,), _GROUPOID,
+                       lambda args, groupoid: (check_groupoid(groupoid), {})),
+    "check-system": ("run every restriction-system checker", (_FILE,), _SYSTEM, _check_system),
+    "check-algebra": ("verify the algebra axioms and the star calculus", (_FILE,), _ALGEBRA,
+                      _check_algebra),
+    "build-algebra": ("derive the two-operation algebra of a system", _DERIVED, _SYSTEM,
+                      _build_algebra),
+    "reconstruct": ("rebuild the groupoid of an algebra", _DERIVED, _ALGEBRA, _reconstruct),
+    "roundtrip": ("certify the round trip for a system or algebra file", (_FILE,), _EITHER,
+                  _roundtrip),
+    "witness-anti": ("search for a pair where star fails to reverse a product", (_FILE,), _ALGEBRA,
+                     _witness_anti),
+    "gen-models": ("generate the semidirect model suite", (
+        ("--max-group", {"type": positive_int, "default": MAX_SUITE_GROUP}),
+        ("--max-band", {"type": positive_int, "default": MAX_SUITE_BAND}),
+        ("--out", {"default": None, "help": "directory for instance files"}),
+    ), None, _gen_models),
+}
+
+
 @functools.cache
 def _parser() -> _Parser:
-    """The command-line parser, built once; parse_args leaves it unchanged."""
+    """The command-line parser, built once from COMMANDS; parse_args leaves it unchanged."""
     # global flags live on a parent so they parse on either side of the
     # subcommand; main reads --format from argv itself (_format_of)
     common = _Parser(add_help=False)
@@ -82,153 +188,22 @@ def _parser() -> _Parser:
         prog="skewalg", description=__doc__.splitlines()[0], parents=[common]
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    p = sub.add_parser(
-        "enum-bands", parents=[common],
-        help="canonical idempotent operation tables",
-    )
-    p.add_argument("n", type=positive_int)
-    p.add_argument("--max", type=int, default=DEFAULT_MAX_ORDER)
-
-    p = sub.add_parser("enum-skew", parents=[common], help="canonical skew lattices")
-    p.add_argument("n", type=positive_int)
-    p.add_argument("--max", type=int, default=DEFAULT_MAX_ORDER)
-
-    for name, help_text in (
-        ("check-skew", "verify the skew lattice laws of a structure file"),
-        ("check-groupoid", "verify the groupoid laws"),
-        ("check-system", "run every restriction-system checker"),
-        ("check-algebra", "verify the algebra axioms and the star calculus"),
-        ("build-algebra", "derive the two-operation algebra of a system"),
-        ("reconstruct", "rebuild the groupoid of an algebra"),
-        ("roundtrip", "certify the round trip for a system or algebra file"),
-        ("witness-anti", "search for a pair where star fails to reverse a product"),
-    ):
+    for name, (help_text, arguments, _, _) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("file")
-        p.add_argument("--out", default=None, help="directory for derived files")
-
-    p = sub.add_parser(
-        "gen-models", parents=[common], help="generate the semidirect model suite"
-    )
-    p.add_argument("--max-group", type=positive_int, default=MAX_SUITE_GROUP)
-    p.add_argument("--max-band", type=positive_int, default=MAX_SUITE_BAND)
-    p.add_argument("--out", default=None, help="directory for instance files")
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
     return parser
-
-
-def _typed(obj, path: str, cls, what: str):
-    if not isinstance(obj, cls):
-        raise MalformedSystemError(f"{path} does not contain {what}")
-    return obj
-
-
-def _system_report(sys_: RestrictionSystem) -> AxiomReport:
-    return AxiomReport("restriction system", [
-        c for family, checker in system_checkers() for c in checker(sys_).renamed(f"{family}.")
-    ])
-
-
-def _algebra_report(S: BiBandAlgebra) -> AxiomReport:
-    return AxiomReport("algebra", [
-        c for _, checker in algebra_checkers() for c in checker(S).checks()
-    ])
-
-
-def _write_out(args, basename: str, obj) -> dict:
-    if not args.out:
-        return {}
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, basename)
-    save_structure(path, obj)
-    return {"written": [path]}
 
 
 def _run(args) -> tuple[dict, AxiomReport | None, dict]:
     """Execute one subcommand: returns (inputs, report-or-None, payload)."""
-    cmd = args.command
-    if cmd == "enum-bands":
-        tables = enumerate_bands(args.n, max_order=args.max)
-        return {}, None, {
-            "count": len(tables),
-            "tables": [t.array.tolist() for t in tables],
-        }
-    if cmd == "enum-skew":
-        lattices = enumerate_skew_lattices(args.n, max_order=args.max)
-        return {}, None, {
-            "count": len(lattices),
-            "lattices": [structure_to_dict(s) for s in lattices],
-        }
-    if cmd == "gen-models":
-        suite = generate_model_suite(args.max_group, args.max_band)
-        written = []
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            for inst in suite:
-                for tag, obj in (
-                    ("action", inst.action),
-                    ("algebra", inst.algebra),
-                    ("system", inst.system),
-                ):
-                    path = os.path.join(args.out, f"{inst.name}.{tag}.json")
-                    save_structure(path, obj, extra={"name": inst.name})
-                    written.append(path)
-        payload = {"count": len(suite), "instances": [i.name for i in suite]}
-        if written:
-            payload["written"] = written
-        return {}, None, payload
-
+    _, _, reads, handler = COMMANDS[args.command]
+    if reads is None:
+        return {}, *handler(args, None)
     raw, obj = read_structure(args.file)
-    inputs = {args.file: "sha256:" + hashlib.sha256(raw).hexdigest()}
-    if cmd == "check-skew":
-        lattice = _typed(obj, args.file, SkewLatticeTable, "a skew lattice")
-        return inputs, check_skew_lattice(lattice), {}
-    if cmd == "check-groupoid":
-        groupoid = _typed(obj, args.file, FiniteGroupoid, "a groupoid")
-        return inputs, check_groupoid(groupoid), {}
-    if cmd == "check-system":
-        sys_ = _typed(obj, args.file, RestrictionSystem, "a restriction system")
-        return inputs, _system_report(sys_), {}
-    if cmd == "check-algebra":
-        S = _typed(obj, args.file, BiBandAlgebra, "an algebra")
-        return inputs, _algebra_report(S), {}
-    if cmd == "build-algebra":
-        sys_ = _typed(obj, args.file, RestrictionSystem, "a restriction system")
-        S = build_algebra(sys_)
-        payload = {"algebra": structure_to_dict(S)}
-        payload.update(_write_out(args, "algebra.json", S))
-        return inputs, None, payload
-    if cmd == "reconstruct":
-        S = _typed(obj, args.file, BiBandAlgebra, "an algebra")
-        rec = reconstruct(S)
-        payload = {
-            "system": structure_to_dict(rec.system),
-            "objects": [int(o) for o in rec.objects],
-        }
-        payload.update(_write_out(args, "system.json", rec.system))
-        return inputs, None, payload
-    if cmd == "roundtrip":
-        if isinstance(obj, RestrictionSystem):
-            iso = roundtrip_groupoid(obj)
-            report = AxiomReport("roundtrip", [Check("roundtrip_groupoid", True)])
-        elif isinstance(obj, BiBandAlgebra):
-            iso = roundtrip_algebra(obj)
-            report = AxiomReport("roundtrip", [Check("roundtrip_algebra", True)])
-        else:
-            raise MalformedSystemError(
-                f"{args.file} holds neither a restriction system nor an algebra"
-            )
-        return inputs, report, {"mapping": list(iso.mapping)}
-    if cmd == "witness-anti":
-        S = _typed(obj, args.file, BiBandAlgebra, "an algebra")
-        witness = anti_automorphism_witness(S)
-        report = AxiomReport(
-            "anti-automorphism witness", [Check("witness_exists", witness is not None, witness)]
-        )
-        return inputs, report, {
-            "witness": list(witness) if witness is not None else None
-        }
-    raise _UsageError(f"unknown command {cmd!r}")
+    if not isinstance(obj, reads[0]):
+        raise MalformedSystemError(f"{args.file} {reads[1]}")
+    return {args.file: "sha256:" + hashlib.sha256(raw).hexdigest()}, *handler(args, obj)
 
 
 def dispatch(argv) -> tuple[dict, int]:

@@ -468,6 +468,42 @@ def test_table_that_would_be_coerced_is_exit_two(tmp_path, data, message):
     assert message in run["error"]["message"]
 
 
+def groupoid1(**changed):
+    """The one-object, one-morphism groupoid's file dict, with keys replaced."""
+    return {"objects": 1, "morphisms": [{"dom": 0, "cod": 0}], "comp": [[0]], "inv": [0], **changed}
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        ("check-algebra", {"join": [[0] * 4] * 4, "meet": [[0] * 3] * 3, "star": [0, 1, 2, 3]},
+         "bad structure file: join order 4 != meet order 3"),
+        ("check-algebra", {"join": [[0, 1], [1, 1]], "meet": [[0, 0], [0, 1]], "star": [0, 1, 0]},
+         "bad structure file: star must have shape (2,)"),
+        ("check-groupoid", groupoid1(inv=[]), "dom, cod, inv must have equal length"),
+        ("check-groupoid", groupoid1(objects=-1), "negative object count"),
+        ("check-groupoid", groupoid1(comp=[[99]]), "composition entries out of range"),
+        ("check-skew", chain2(meet=((0, 9), (0, 1))), "bad structure file: table entries must lie in 0..n-1"),
+        ("check-skew", {"ops": {"meet": [[0]], "join": [[0, 1], [1, 1]]}},
+         "bad structure file: meet and join must share a carrier"),
+        ("check-system", {
+            "groupoid": groupoid1(objects=2, morphisms=[{"dom": 0, "cod": 0}, {"dom": 1, "cod": 1}],
+                                  comp=[[0, -1], [-1, 1]], inv=[0, 1]),
+            "objects": {"order": 1, "ops": {"meet": [[0]], "join": [[0]]}},
+            "restL": [[0]], "restR": [[0]], "extL": [[0]], "extR": [[0]],
+        }, "objects table order 1 != groupoid object count 2"),
+    ],
+    ids=["order-mismatch", "star-shape", "short-inv", "negative-objects", "comp-range",
+         "lattice-range", "carrier-mismatch", "objects-order"],
+)
+def test_a_malformed_table_is_exit_two_with_its_message(tmp_path, command, data, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    run, code = dispatch([command, str(path)])
+    assert code == 2
+    assert run["error"] == {"kind": "malformed", "message": message}
+
+
 @pytest.mark.parametrize(
     "argv, usage",
     [
@@ -676,6 +712,41 @@ def test_dispatch_on_any_argument_list_returns_a_record(tmp_path, swap_algebra_f
     assert code in (0, 1, 2, 3, 4)
     assert run["command"] == argv
     assert json.loads(json.dumps(run)) == run
+
+
+WRITERS = ("build-algebra", "reconstruct", "gen-models")
+
+
+@pytest.mark.parametrize("command", [c for c in FILE_COMMANDS if c not in WRITERS])
+def test_out_on_a_command_that_writes_nothing_is_exit_three(tmp_path, command, swap_system_file):
+    # each file holds what its command reads, so --out is the only fault
+    system = load_structure(swap_system_file)
+    structure = {"check-skew": rectangular_skew(2), "check-groupoid": system.groupoid,
+                 "check-system": system}.get(command, semidirect_algebra(swap_action()))
+    path = str(tmp_path / "input.json")
+    save_structure(path, structure)
+    assert dispatch([command, path])[1] == 0
+    out = tmp_path / "out"
+    run, code = dispatch([command, path, "--out", str(out)])
+    assert code == 3
+    assert run["error"] == {"kind": "usage", "message": f"unrecognized arguments: --out {out}"}
+    assert not out.exists()
+
+
+def test_help_shows_out_for_exactly_the_commands_that_write(tmp_path, swap_algebra_file, swap_system_file):
+    for command in SUBCOMMANDS:
+        run, code = dispatch([command, "--help"])
+        assert code == 0
+        assert ("[--out OUT]" in run["help"]) is (command in WRITERS)
+    for argv in (
+        ["build-algebra", swap_system_file],
+        ["reconstruct", swap_algebra_file],
+        ["gen-models", "--max-group", "1", "--max-band", "2"],
+    ):
+        out = tmp_path / argv[0]
+        run, code = dispatch([*argv, "--out", str(out)])
+        assert code == 0
+        assert run["written"] and sorted(run["written"]) == sorted(map(str, out.iterdir()))
 
 
 PINNED_INSTANCES = ("C1xB1.0a0", "C2xB3.1a1", "C2xB4.13a0", "C3xB4.3a0", "V4xB4.1a1", "S3xB4.20a3")

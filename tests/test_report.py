@@ -57,6 +57,25 @@ def test_a_repeated_name_is_refused_by_every_way_in():
     assert [c.name for c in report.checks()] == ["law"]
 
 
+def test_a_report_reads_back_as_text_and_by_name():
+    report = AxiomReport("mixed", [
+        Check("law", True, note="n"),
+        Check("broken", False, (0, 1)),
+        Check("seen", False, (2,), required=False),
+    ])
+    assert report.ok is False
+    assert report.summary() == "\n".join([
+        "mixed: FAIL",
+        "  [ok ] law [n]",
+        "  [FAIL] broken witness=(0, 1)",
+        "  [FAIL] seen (observation) witness=(2,)",
+    ])
+    assert repr(report) == "<AxiomReport 'mixed' 1/3 ok>"
+    assert "broken" in report and "seen" in report and "missing" not in report
+    with pytest.raises(KeyError, match="missing"):
+        report["missing"]
+
+
 def test_renaming_keeps_each_check_but_its_name():
     report = AxiomReport("mixed", [
         flag("law", np.ones(2, dtype=bool), note="n"),
