@@ -23,14 +23,12 @@ from .tables import (
 
 __all__ = [
     "BiBandAlgebra",
-    "algebra_checkers",
     "anti_automorphism_witness",
     "check_axioms",
     "check_skehr",
     "idempotent_skeleton",
     "inverses_of",
     "plus_minus",
-    "skehr_statement_flags",
 ]
 
 

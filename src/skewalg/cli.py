@@ -175,21 +175,25 @@ COMMANDS = {
 
 
 @functools.cache
-def _parser() -> _Parser:
-    """The command-line parser, built once from COMMANDS; parse_args leaves it unchanged."""
-    # global flags live on a parent so they parse on either side of the
-    # subcommand; main reads --format from argv itself (_format_of)
+def _common() -> _Parser:
+    """The global flags, a parent of every parser so they parse on either
+    side of the subcommand; main reads --format through it (_format_of)."""
     common = _Parser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "text"), default=argparse.SUPPRESS
     )
+    return common
 
+
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built once from COMMANDS; parse_args leaves it unchanged."""
     parser = _Parser(
-        prog="skewalg", description=__doc__.splitlines()[0], parents=[common]
+        prog="skewalg", description=__doc__.splitlines()[0], parents=[_common()]
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, (help_text, arguments, _, _) in COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, parents=[_common()], help=help_text)
         for arg, options in arguments:
             p.add_argument(arg, **options)
     return parser
@@ -277,12 +281,12 @@ def _summary(run: dict) -> str:
 
 
 def _format_of(argv) -> str:
-    for i, arg in enumerate(argv):
-        if arg == "--format" and i + 1 < len(argv):
-            return argv[i + 1]
-        if arg.startswith("--format="):
-            return arg.split("=", 1)[1]
-    return "json"
+    """The --format the command line selects, as argparse reads it; json if
+    it selects none or does not parse (dispatch reports the usage error)."""
+    try:
+        return getattr(_common().parse_known_args(argv)[0], "format", "json")
+    except _UsageError:
+        return "json"
 
 
 def main(argv=None) -> int:

@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ActionInvalidError",
+    "AxiomViolationError",
+    "BoundExceededError",
+    "CompositionAmbiguityError",
+    "ElementIndexError",
+    "MalformedSystemError",
+    "SignatureMismatchError",
+    "SkeletonNotClosedError",
+    "SkewalgError",
+    "UndefinedCompositionError",
+]
+
 
 class SkewalgError(Exception):
     """Base class for all package-specific errors."""

@@ -38,8 +38,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import BiBandAlgebra
 from .errors import SignatureMismatchError
+from .system import RestrictionSystem
 from .tables import GroupTable, OperationTable, SkewLatticeTable, checked_index
+
+__all__ = [
+    "Isomorphism",
+    "automorphisms_of",
+    "find_isomorphism",
+    "preserves_operations",
+    "signature_of",
+]
 
 
 @dataclass(frozen=True)
@@ -56,9 +66,6 @@ class Isomorphism:
 
 def signature_of(structure) -> tuple[int, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Extract (order, binary ops, unary ops) from a supported structure."""
-    from .algebra import BiBandAlgebra  # local imports to avoid cycles
-    from .system import RestrictionSystem
-
     if isinstance(structure, OperationTable):
         return structure.order, (structure.array,), ()
     if isinstance(structure, SkewLatticeTable):

@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import AxiomViolationError
 
+__all__ = ["AxiomReport", "Check"]
+
 
 class Check(NamedTuple):
     """One named flag; immutable, so reports can share it."""

@@ -63,7 +63,6 @@ __all__ = [
     "check_linking",
     "check_restriction_axioms",
     "check_structure",
-    "system_checkers",
     "verify_derived_identities",
 ]
 

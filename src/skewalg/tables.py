@@ -17,6 +17,22 @@ import numpy as np
 from .errors import ElementIndexError
 from .report import AxiomReport, flag
 
+__all__ = [
+    "GroupTable",
+    "OperationTable",
+    "SkewLatticeTable",
+    "associativity_witness",
+    "chain_lattice",
+    "check_associative",
+    "check_band",
+    "check_skew_lattice",
+    "greens_relations",
+    "left_zero",
+    "natural_preorders",
+    "rectangular_skew",
+    "right_zero",
+]
+
 
 def frozen(values) -> np.ndarray:
     """A read-only int64 copy of values.  Structures keep their tables this

@@ -238,11 +238,6 @@ class PairOracle:
         return (w, self.act[a][w])
 
 
-def independent_band_count_check(tables, expected):
-    """Belt-and-braces: a second count pass in reversed order."""
-    return count_classes(list(reversed(tables))) == expected
-
-
 def automorphism_perms(tables, n):
     """All permutations of range(n) preserving every table in the list."""
     out = []

@@ -439,6 +439,28 @@ def test_main_text_format_after_an_equals_sign(case, capsys, tmp_path, swap_alge
         json.loads(out)
 
 
+@pytest.mark.parametrize("flags, text", [
+    (["--form", "text"], True),
+    (["--f", "text"], True),
+    (["--form=text"], True),
+    (["--format", "json", "--format", "text"], True),
+    (["--format", "text", "--format", "json"], False),
+])
+def test_main_prints_the_format_the_parser_reads(flags, text, capsys):
+    argv = ["enum-bands", "2", *flags]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if text:
+        assert out.startswith(f"skewalg {' '.join(argv)}: ok\n")
+    else:
+        assert json.loads(out)["count"] == 3
+
+
+def test_an_unknown_format_is_a_usage_error_in_json(capsys):
+    assert main(["enum-bands", "2", "--format", "xml"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "usage"
+
+
 def test_seed_flag_is_a_usage_error(swap_algebra_file):
     run, code = dispatch(["--seed", "7", "check-algebra", swap_algebra_file])
     assert code == 3

@@ -120,6 +120,12 @@ def test_order_above_bound_is_rejected():
         enumerate_skew_lattices(7, max_order=6)
 
 
+@pytest.mark.parametrize("build, n", [(enumerate_bands, 0), (labeled_bands, -1)])
+def test_non_positive_order_is_rejected(build, n):
+    with pytest.raises(ValueError, match=f"^order must be positive, got {n}$"):
+        build(n)
+
+
 def test_bound_can_be_raised_explicitly():
     # n=4 is allowed by default; the guard is on the argument, not hardwired
     assert len(enumerate_bands(3, max_order=3)) == 10

@@ -68,6 +68,23 @@ def test_any_relabeling_of_a_skew_lattice_is_found(perm):
 def test_signature_mismatch_raises():
     with pytest.raises(SignatureMismatchError):
         find_isomorphism(left_zero(2), chain_lattice(2))
+    with pytest.raises(SignatureMismatchError, match="unsupported structure type object"):
+        signature_of(object())
+
+
+def test_structures_of_unequal_order_are_not_isomorphic():
+    assert find_isomorphism(chain_lattice(2), chain_lattice(3)) is None
+
+
+@pytest.mark.parametrize("case", ["binary", "unary"])
+def test_the_identity_fails_to_preserve_a_changed_operation(case):
+    if case == "binary":
+        a, b = signature_of(left_zero(2)), signature_of(right_zero(2))
+    else:
+        # C3 against a copy whose inverse map is the identity
+        a = signature_of(cyclic(3))
+        b = (3, a[1], (np.arange(3),))
+    assert not preserves_operations(a, b, tuple(range(a[0])))
 
 
 def test_chain_has_trivial_automorphisms():

@@ -161,6 +161,10 @@ def test_dedupe_refuses_actions_over_different_structures():
                 dedupe_actions(actions)
 
 
+def test_dedupe_of_no_actions_is_empty():
+    assert dedupe_actions([]) == []
+
+
 def _tables(actions):
     return [tuple(map(tuple, a.act.tolist())) for a in actions]
 

@@ -46,6 +46,16 @@ def test_rectangular_meet_is_left_zero_and_join_right_zero():
     assert s.join == right_zero(3)
 
 
+@pytest.mark.parametrize("table, message", [
+    (np.zeros((0, 0), int), "empty operation table"),
+    (np.zeros((2, 3), int), r"operation table must be square, got shape \(2, 3\)"),
+    ([[0, 2], [1, 1]], r"table entries must lie in 0\.\.n-1"),
+])
+def test_a_malformed_operation_table_is_refused(table, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        OperationTable(table)
+
+
 def test_check_band_rejects_non_idempotent_table():
     assert not check_band(OperationTable([[1, 1], [1, 1]]))
 
