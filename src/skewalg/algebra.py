@@ -73,7 +73,8 @@ def check_axioms(S: BiBandAlgebra) -> AxiomReport:
     """One flag per axiom: associativity of both operations, the involution,
     agreement and star-fixedness of the positive part, regularity, star on
     idempotents, the four generalized absorption laws, the four idempotent
-    prefix/suffix laws, and the conditional composability consequences."""
+    prefix/suffix laws, the conditional composability consequences, and the
+    agreement of both products on composable pairs."""
     checks = []
     st = S.star
     idx = np.arange(S.order)
@@ -123,6 +124,8 @@ def check_axioms(S: BiBandAlgebra) -> AxiomReport:
     for k, t in ops.items():
         checks.append(flag(f"composable_positive_{k}", ~hyp | (t[t, st[t]] == pos[k][:, None])))
         checks.append(flag(f"composable_negative_{k}", ~hyp | (t[st[t], t] == neg[k][None, :])))
+    # and on composable pairs s∧t = s∨t, the composite reconstruct reads
+    checks.append(flag("composable_products_agree", ~hyp | (ops["meet"] == ops["join"])))
     return AxiomReport("biband axioms", checks)
 
 

@@ -175,25 +175,12 @@ COMMANDS = {
 
 
 @functools.cache
-def _common() -> _Parser:
-    """The global flags, a parent of every parser so they parse on either
-    side of the subcommand; main reads --format through it (_format_of)."""
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "text"), default=argparse.SUPPRESS
-    )
-    return common
-
-
-@functools.cache
 def _parser() -> _Parser:
     """The command-line parser, built once from COMMANDS; parse_args leaves it unchanged."""
-    parser = _Parser(
-        prog="skewalg", description=__doc__.splitlines()[0], parents=[_common()]
-    )
+    parser = _Parser(prog="skewalg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, (help_text, arguments, _, _) in COMMANDS.items():
-        p = sub.add_parser(name, parents=[_common()], help=help_text)
+        p = sub.add_parser(name, help=help_text)
         for arg, options in arguments:
             p.add_argument(arg, **options)
     return parser
@@ -280,31 +267,16 @@ def _summary(run: dict) -> str:
     return "\n".join(lines)
 
 
-def _format_of(argv) -> str:
-    """The --format the command line selects, as argparse reads it; json if
-    it selects none or does not parse (dispatch reports the usage error)."""
-    try:
-        return getattr(_common().parse_known_args(argv)[0], "format", "json")
-    except _UsageError:
-        return "json"
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    run, code = dispatch(argv)
-    text = _format_of(argv) == "text"
+    run, code = dispatch(sys.argv[1:] if argv is None else argv)
     try:
-        if text:
-            print(_summary(run))
-        else:
-            sys.stdout.write(json_text(run) + "\n")
+        sys.stdout.write(json_text(run) + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe early (e.g. `| head`); point stdout at
         # devnull so the flush at interpreter exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    if not text:
-        print(_summary(run), file=sys.stderr)
+    print(_summary(run), file=sys.stderr)
     return code
 
 

@@ -435,6 +435,8 @@ def biband_axiom_witnesses(join, meet, star):
 
         law.append((f"composable_positive_{name}", _first(positive_bad, n, n)))
         law.append((f"composable_negative_{name}", _first(negative_bad, n, n)))
+    # s*∨s = t∨t* (s, t composable) gives s∧t = s∨t, over (s, t)
+    law.append(("composable_products_agree", _first(lambda s, t: composable(s, t) and M(s, t) != J(s, t), n, n)))
     return law
 
 
