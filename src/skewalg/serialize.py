@@ -17,8 +17,9 @@ coerced), an "order" that differs from the table size, and a groupoid with
 more objects than morphisms (each object needs its identity).
 
 Files, and the command line's run records, are written by json_text: the
-text of json.dumps(value, indent=1), joined from whole rows of integers
-instead of one encoder step per entry.
+text of json.dumps(value, indent=1). A file's tables are written straight
+from the structure's int64 arrays, each by one `%d` template; structure_to_dict
+gives the same fields with the tables as lists, for JSON-plain callers.
 """
 
 from __future__ import annotations
@@ -41,48 +42,51 @@ __all__ = [
 ]
 
 
-def _ints(a) -> list:
-    return np.asarray(a).tolist()
-
-
-def structure_to_dict(obj) -> dict:
+def _fields(obj, table=lambda a: a) -> dict:
+    """The JSON fields of a structure in file order, each table (a read-only
+    int64 array) passed through `table`."""
     if isinstance(obj, SkewLatticeTable):
         return {
             "order": obj.order,
-            "ops": {"meet": _ints(obj.meet.array), "join": _ints(obj.join.array)},
+            "ops": {"meet": table(obj.meet.array), "join": table(obj.join.array)},
         }
     if isinstance(obj, FiniteGroupoid):
         return {
             "objects": obj.object_count,
             "morphisms": [
-                {"dom": d, "cod": c} for d, c in zip(_ints(obj.dom), _ints(obj.cod))
+                {"dom": d, "cod": c} for d, c in zip(obj.dom.tolist(), obj.cod.tolist())
             ],
-            "comp": _ints(obj.comp),
-            "inv": _ints(obj.inv),
+            "comp": table(obj.comp),
+            "inv": table(obj.inv),
         }
     if isinstance(obj, RestrictionSystem):
         return {
-            "groupoid": structure_to_dict(obj.groupoid),
-            "objects": structure_to_dict(obj.objects),
-            "restL": _ints(obj.restL),
-            "restR": _ints(obj.restR),
-            "extL": _ints(obj.extL),
-            "extR": _ints(obj.extR),
+            "groupoid": _fields(obj.groupoid, table),
+            "objects": _fields(obj.objects, table),
+            "restL": table(obj.restL),
+            "restR": table(obj.restR),
+            "extL": table(obj.extL),
+            "extR": table(obj.extR),
         }
     if isinstance(obj, BiBandAlgebra):
         return {
             "order": obj.order,
-            "join": _ints(obj.join.array),
-            "meet": _ints(obj.meet.array),
-            "star": _ints(obj.star),
+            "join": table(obj.join.array),
+            "meet": table(obj.meet.array),
+            "star": table(obj.star),
         }
     if isinstance(obj, GroupAction):
         return {
-            "group": _ints(obj.group.table.array),
-            "lattice": structure_to_dict(obj.lattice),
-            "act": _ints(obj.act),
+            "group": table(obj.group.table.array),
+            "lattice": _fields(obj.lattice, table),
+            "act": table(obj.act),
         }
     raise MalformedSystemError(f"cannot serialize {type(obj).__name__}")
+
+
+def structure_to_dict(obj) -> dict:
+    """The JSON dict of a structure: plain ints, lists and dicts."""
+    return _fields(obj, np.ndarray.tolist)
 
 
 def _integers(value, what: str):
@@ -162,8 +166,18 @@ def structure_from_dict(data: dict):
 def json_text(value, pad: str = "") -> str:
     """json.dumps(value, indent=1) for a value nested at indent `pad`:
     dicts with str keys, lists and tuples recurse, a list of ints is one
-    join, and any other leaf is encoded by json itself."""
+    join, an integer ndarray fills one `%d` template built from its shape,
+    any other ndarray is its tolist(), and json encodes any other leaf."""
     inner = pad + " "
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iu":
+            return json_text(value.tolist(), pad)
+        template = "%d"
+        for axis in reversed(range(value.ndim)):
+            at, n = pad + " " * axis, value.shape[axis]
+            rows = (",\n " + at).join([template] * n)
+            template = "[\n " + at + rows + "\n" + at + "]" if n else "[]"
+        return template % tuple(value.ravel().tolist())
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -185,7 +199,7 @@ def json_text(value, pad: str = "") -> str:
 
 
 def save_structure(path: str, obj, extra: dict | None = None) -> None:
-    data = structure_to_dict(obj)
+    data = _fields(obj)
     if extra:
         data = {**extra, **data}
     with open(path, "w", encoding="utf-8") as fh:

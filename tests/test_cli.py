@@ -370,6 +370,21 @@ def test_gen_models_output_is_reproducible(tmp_path):
         assert p.read_bytes() == (b / p.name).read_bytes()
 
 
+def test_gen_models_writes_the_pinned_suite_files(tmp_path):
+    # the whole suite byte for byte: sha256 over the files' sorted
+    # (name, length, bytes), the recipe of the gen-models benchmark's check
+    out = tmp_path / "models"
+    _, code = dispatch(["gen-models", "--out", str(out)])
+    assert code == 0
+    names = sorted(os.listdir(out))
+    h = hashlib.sha256()
+    for name in names:
+        data = (out / name).read_bytes()
+        h.update(name.encode() + b"\0" + len(data).to_bytes(8, "little") + data)
+    assert len(names) == 1137
+    assert h.hexdigest() == "282f8b69036fb3b163ab21716525ad5d0e74aa865980ae76519e884b73c74e91"
+
+
 def test_gen_models_bound_is_exit_four(tmp_path):
     _, code = dispatch(["gen-models", "--max-group", "12", "--out", str(tmp_path / "x")])
     assert code == 4

@@ -2,7 +2,8 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from skewalg import (
     BiBandAlgebra,
@@ -11,6 +12,7 @@ from skewalg import (
     RestrictionSystem,
     SkewLatticeTable,
     chain_lattice,
+    discrete_groupoid,
     enumerate_skew_lattices,
     load_structure,
     save_structure,
@@ -159,6 +161,29 @@ def test_files_are_the_indent_one_json_of_their_dict_for_every_suite_dict(tmp_pa
             assert path.read_bytes() == expect.encode(), (inst.name, kind)
 
 
+def _plain(value) -> bool:
+    """True when value is built of dicts with str keys, lists and exact ints
+    only: no ndarray, tuple or numpy scalar."""
+    if type(value) is dict:
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(_plain, value))
+    return type(value) is int
+
+
+def test_structure_to_dict_is_plain_json_and_is_what_the_file_holds(tmp_path, suite):
+    # files are written from the structures' arrays, the public dict from lists
+    extra = {"name": "x"}
+    path = tmp_path / "structure.json"
+    objects = [part(inst) for inst in suite for part in KINDS.values()] + [discrete_groupoid(0)]
+    for obj in objects:
+        data = structure_to_dict(obj)
+        assert _plain(data), type(obj).__name__
+        save_structure(path, obj, extra=extra)
+        saved = json.loads(path.read_bytes())
+        assert {k: v for k, v in saved.items() if k not in extra} == data
+
+
 json_leaves = (
     st.none()
     | st.booleans()
@@ -182,3 +207,27 @@ json_values = st.recursive(
 @given(json_values)
 def test_writer_is_json_dumps_with_indent_one(value):
     assert json_text(value) == json.dumps(value, indent=1)
+
+
+array_shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+int_arrays = st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint8]).flatmap(
+    lambda dtype: hnp.arrays(dtype, array_shapes, elements=st.integers(np.iinfo(dtype).min, np.iinfo(dtype).max))
+)
+arrays = (
+    int_arrays
+    | hnp.arrays(np.bool_, array_shapes)
+    | hnp.arrays(np.float64, array_shapes, elements=st.floats(-4, 4).map(lambda x: round(x * 2) / 2))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays)
+@example(np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max]))
+@example(np.zeros((2, 0, 3), dtype=np.int64))
+@example(np.array([[True], [False]]))
+@example(np.array([1.5, 1.0]))
+def test_an_array_is_written_as_its_list(arr):
+    plain = arr.tolist()
+    assert json_text(arr) == json.dumps(plain, indent=1)
+    nested = {"a": [arr, {"b": arr}], "c": arr}
+    assert json_text(nested) == json.dumps({"a": [plain, {"b": plain}], "c": plain}, indent=1)
