@@ -18,7 +18,8 @@ import numpy as np
 from .errors import SkeletonNotClosedError
 from .report import AxiomReport, flag
 from .tables import (
-    OperationTable, SkewLatticeTable, check_skew_lattice, checked_index, frozen, greens_l, greens_r, padded,
+    OperationTable, SkewLatticeTable, _ByValue, check_skew_lattice, checked_index, frozen, greens_l, greens_r,
+    padded,
 )
 
 __all__ = [
@@ -32,7 +33,7 @@ __all__ = [
 ]
 
 
-class BiBandAlgebra:
+class BiBandAlgebra(_ByValue):
     """Carrier 0..n-1 with join/meet tables and a star map."""
 
     def __init__(self, join, meet, star):
@@ -53,17 +54,8 @@ class BiBandAlgebra:
     def order(self) -> int:
         return self.join.order
 
-    def __eq__(self, other):
-        if not isinstance(other, BiBandAlgebra):
-            return NotImplemented
-        return (
-            self.join == other.join
-            and self.meet == other.meet
-            and np.array_equal(self.star, other.star)
-        )
-
-    def __hash__(self):
-        return hash((self.join, self.meet, bytes(self.star.tobytes())))
+    def _values(self):
+        return self.join.array, self.meet.array, self.star
 
     def __repr__(self):
         return f"BiBandAlgebra(order={self.order})"

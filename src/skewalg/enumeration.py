@@ -102,7 +102,8 @@ def _grow(tables, roots, options, cell, xyz):
 
 
 def labeled_bands(n: int, max_order: int = DEFAULT_MAX_ORDER) -> list[OperationTable]:
-    """All band tables on {0..n-1} with labels, not reduced by isomorphism."""
+    """All band tables on {0..n-1} with labels, not reduced by isomorphism;
+    the benchmark traces it under this name as a layer."""
     return [OperationTable(t) for t in _bands(n, max_order)]
 
 

@@ -10,7 +10,6 @@ __all__ = [
     "SignatureMismatchError",
     "SkeletonNotClosedError",
     "SkewalgError",
-    "UndefinedCompositionError",
 ]
 
 
@@ -24,13 +23,6 @@ class SignatureMismatchError(SkewalgError):
 
 class BoundExceededError(SkewalgError):
     """An enumeration was requested beyond its configured order bound."""
-
-
-class UndefinedCompositionError(SkewalgError):
-    """Composition was requested for a non-composable morphism pair.
-
-    This is a signal callers may catch, not a crash.
-    """
 
 
 class ElementIndexError(SkewalgError, IndexError):

@@ -7,6 +7,8 @@ Construction only validates shapes and index ranges so that deliberately
 broken tables can still be built and then interrogated by check_groupoid.
 A groupoid pads its own tables on first use (FiniteGroupoid.padded), and
 check_groupoid and every system over the groupoid gather through them.
+f then h is comp[f, h] and the inverse of f is inv[f]; the discrete and
+one-object groupoids are those of models.discrete_system and group_system.
 """
 
 from __future__ import annotations
@@ -15,20 +17,14 @@ import functools
 
 import numpy as np
 
-from .errors import MalformedSystemError, UndefinedCompositionError
+from .errors import MalformedSystemError
 from .report import AxiomReport, flag
-from .tables import GroupTable, checked_index, frozen, padded
+from .tables import _ByValue, frozen, padded
 
-__all__ = [
-    "FiniteGroupoid",
-    "check_groupoid",
-    "discrete_groupoid",
-    "group_groupoid",
-    "pair_groupoid",
-]
+__all__ = ["FiniteGroupoid", "check_groupoid"]
 
 
-class FiniteGroupoid:
+class FiniteGroupoid(_ByValue):
     """Morphisms 0..m-1 over objects 0..n-1 with partial composition."""
 
     def __init__(self, object_count, dom, cod, comp, inv):
@@ -81,29 +77,8 @@ class FiniteGroupoid:
         out.setflags(write=False)
         return out
 
-    def compose(self, f: int, h: int) -> int:
-        """f then h; defined only when cod(f) = dom(h)."""
-        m = self.morphism_count
-        v = int(self.comp[checked_index(f, m), checked_index(h, m)])
-        if v < 0:
-            raise UndefinedCompositionError(
-                f"cod({f}) = {int(self.cod[f])} != dom({h}) = {int(self.dom[h])}"
-            )
-        return v
-
-    def invert(self, f: int) -> int:
-        return int(self.inv[checked_index(f, self.morphism_count)])
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteGroupoid):
-            return NotImplemented
-        return (
-            self.object_count == other.object_count
-            and np.array_equal(self.dom, other.dom)
-            and np.array_equal(self.cod, other.cod)
-            and np.array_equal(self.comp, other.comp)
-            and np.array_equal(self.inv, other.inv)
-        )
+    def _values(self):
+        return self.object_count, self.dom, self.cod, self.comp, self.inv
 
     def __repr__(self):
         return (
@@ -151,25 +126,3 @@ def check_groupoid(g: FiniteGroupoid) -> AxiomReport:
     checks.append(flag("idempotents_are_identities", idempotent == is_unit, required=False))
     return AxiomReport("groupoid laws", checks)
 
-
-def discrete_groupoid(n: int) -> FiniteGroupoid:
-    """Only identity morphisms, one per object."""
-    comp = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(comp, np.arange(n))
-    idx = np.arange(n)
-    return FiniteGroupoid(n, idx, idx, comp, idx)
-
-
-def group_groupoid(group: GroupTable) -> FiniteGroupoid:
-    """A group seen as a one-object groupoid."""
-    m = group.order
-    zeros = np.zeros(m, dtype=np.int64)
-    return FiniteGroupoid(1, zeros, zeros, group.table.array, group.inverse)
-
-
-def pair_groupoid(n: int) -> FiniteGroupoid:
-    """Morphisms are ordered pairs (i, j): exactly one from i to j."""
-    # morphism i*n + j is (i, j); (i, j)(j, k) = (i, k) and (i, j)^-1 = (j, i)
-    dom, cod = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    comp = np.where(cod[:, None] == dom[None, :], dom[:, None] * n + cod[None, :], -1)
-    return FiniteGroupoid(n, dom, cod, comp, cod * n + dom)

@@ -41,7 +41,7 @@ import numpy as np
 from .algebra import BiBandAlgebra
 from .errors import SignatureMismatchError
 from .system import RestrictionSystem
-from .tables import GroupTable, OperationTable, SkewLatticeTable, checked_index
+from .tables import GroupTable, OperationTable, SkewLatticeTable
 
 __all__ = [
     "Isomorphism",
@@ -59,9 +59,6 @@ class Isomorphism:
     source_order: int
     target_order: int
     mapping: tuple[int, ...]
-
-    def __call__(self, a: int) -> int:
-        return self.mapping[checked_index(a, self.source_order)]
 
 
 def signature_of(structure) -> tuple[int, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:

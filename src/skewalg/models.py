@@ -47,7 +47,7 @@ from .groupoid import FiniteGroupoid
 from .isomorphism import automorphisms_of, least_rows, lex_keys, relabellings
 from .report import AxiomReport, Check, flag
 from .system import RestrictionSystem
-from .tables import GroupTable, SkewLatticeTable, frozen
+from .tables import GroupTable, SkewLatticeTable, _ByValue, frozen
 
 __all__ = [
     "GROUP_CATALOG",
@@ -104,7 +104,7 @@ GROUP_CATALOG: dict[str, GroupTable] = {
 }
 
 
-class GroupAction:
+class GroupAction(_ByValue):
     """A right action of a group on a skew lattice: act[a, u] = a^u.
 
     check_action computes the action's report once and keeps it in
@@ -138,14 +138,8 @@ class GroupAction:
     def band_order(self) -> int:
         return self.lattice.order
 
-    def __eq__(self, other):
-        if not isinstance(other, GroupAction):
-            return NotImplemented
-        return (
-            self.group == other.group
-            and self.lattice == other.lattice
-            and np.array_equal(self.act, other.act)
-        )
+    def _values(self):
+        return (*self.group._values(), *self.lattice._values(), self.act)
 
     def __repr__(self):
         return f"GroupAction(|G|={self.group_order}, |B|={self.band_order})"
@@ -218,9 +212,6 @@ class SemidirectAlgebra(BiBandAlgebra):
         super().__init__(join, meet, star)
         self.action = action
 
-    def encode(self, u: int, a: int) -> int:
-        return u * self.action.band_order + a
-
     def decode(self, s: int) -> tuple[int, int]:
         return divmod(s, self.action.band_order)
 
@@ -270,12 +261,15 @@ def semidirect_groupoid(action: GroupAction) -> RestrictionSystem:
 
 
 def discrete_system(objects: SkewLatticeTable) -> RestrictionSystem:
-    """Identity morphisms only; the operators act by the object operations."""
+    """Identity morphisms only; the operators act by the object operations.
+    With group_system, one of the paper's two degenerate systems; its
+    groupoid is the discrete groupoid on the objects."""
     return semidirect_groupoid(trivial_action(cyclic_group(1), objects))
 
 
 def group_system(group: GroupTable) -> RestrictionSystem:
-    """A group as a one-object system; all four operators are trivial."""
+    """A group as a one-object system; all four operators are trivial.  Its
+    groupoid is the group seen as a one-object groupoid."""
     return semidirect_groupoid(trivial_action(group, SkewLatticeTable([[0]], [[0]])))
 
 
@@ -515,7 +509,8 @@ def normal_form_report(action: GroupAction) -> AxiomReport:
     """(u,a) = u∧a with u embedded as (u, top), and (u,a) = u∨a with u
     embedded as (u, bottom); each checked only when the needed extreme
     element exists, otherwise recorded as skipped.  A failing flag names
-    the first (u, a) where the product differs from (u, a)."""
+    the first (u, a) where the product differs from (u, a).  CI pins these
+    reports over the whole suite with the certify outputs."""
     S = semidirect_algebra(action)
     e = int(action.group.identity)
     nb, ng = action.band_order, action.group_order

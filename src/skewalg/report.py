@@ -4,7 +4,8 @@ A report is an ordered, immutable collection of named checks, built once
 from a family's checks.  Each check is either required (its failure makes
 the whole report fail) or an observation (recorded with a witness but
 excluded from the overall verdict; used for identities that are expected to
-fail outside special cases).
+fail outside special cases).  to_dict is a report's one rendering; the
+command line writes its text summary from that.
 """
 
 from __future__ import annotations
@@ -83,16 +84,11 @@ class AxiomReport:
         return list(self._checks)
 
     def __getitem__(self, name: str) -> Check:
+        """The check of that name: how a caller reads one law's outcome."""
         for c in self._checks:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def __contains__(self, name: str) -> bool:
-        return any(c.name == name for c in self._checks)
-
-    def observations(self) -> list[Check]:
-        return [c for c in self._checks if not c.required]
 
     def first_failure(self) -> Check | None:
         return self._first_failure
@@ -117,16 +113,6 @@ class AxiomReport:
                 for c in self._checks
             },
         }
-
-    def summary(self) -> str:
-        lines = [f"{self.title}: {'PASS' if self.ok else 'FAIL'}"]
-        for c in self._checks:
-            mark = "ok " if c.ok else "FAIL"
-            tag = "" if c.required else " (observation)"
-            extra = f" witness={c.witness}" if (not c.ok and c.witness is not None) else ""
-            note = f" [{c.note}]" if c.note else ""
-            lines.append(f"  [{mark}] {c.name}{tag}{extra}{note}")
-        return "\n".join(lines)
 
     def __repr__(self):
         n_ok = sum(1 for c in self._checks if c.ok)

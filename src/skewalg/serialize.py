@@ -223,4 +223,5 @@ def read_structure(path: str) -> tuple[bytes, object]:
 
 
 def load_structure(path: str):
+    """The structure a file holds; the benchmark traces it as a layer."""
     return read_structure(path)[1]

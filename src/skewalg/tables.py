@@ -5,6 +5,7 @@ row-major orientation: table[a][b] is the product of a (left operand) and b
 (right operand).  A skew lattice is a pair of idempotent associative tables
 (meet, join) satisfying the four absorption identities; its natural preorders
 come in left/right flavours because neither operation is assumed commutative.
+Structures compare by value through one private base, _ByValue.
 """
 
 from __future__ import annotations
@@ -61,7 +62,22 @@ def _as_table(table) -> np.ndarray:
     return arr
 
 
-class OperationTable:
+class _ByValue:
+    """Structure equality by value: two structures are equal when their
+    classes read the same _values and each pair of values is array-equal;
+    any other pair is left to the other operand, and so to identity.  No
+    code keys anything by a structure, so none is hashable.  Each __repr__
+    gives the class and size only, so a message never prints a table."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(self)._values is not getattr(type(other), "_values", None):
+            return NotImplemented
+        return all(map(np.array_equal, self._values(), other._values()))
+
+
+class OperationTable(_ByValue):
     """A total binary operation on {0..n-1}, stored row-major."""
 
     def __init__(self, table):
@@ -74,17 +90,14 @@ class OperationTable:
     def tolist(self) -> list[list[int]]:
         return self.array.tolist()
 
-    def __eq__(self, other):
-        return isinstance(other, OperationTable) and np.array_equal(self.array, other.array)
-
-    def __hash__(self):
-        return hash(self.array.tobytes())
+    def _values(self):
+        return (self.array,)
 
     def __repr__(self):
         return f"OperationTable(order={self.order})"
 
 
-class SkewLatticeTable:
+class SkewLatticeTable(_ByValue):
     """A pair of operation tables (meet, join) on the same carrier."""
 
     def __init__(self, meet: OperationTable, join: OperationTable):
@@ -108,21 +121,14 @@ class SkewLatticeTable:
         rels.setflags(write=False)
         return PreorderPair(*rels)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SkewLatticeTable)
-            and self.meet == other.meet
-            and self.join == other.join
-        )
-
-    def __hash__(self):
-        return hash((self.meet, self.join))
+    def _values(self):
+        return self.meet.array, self.join.array
 
     def __repr__(self):
         return f"SkewLatticeTable(order={self.order})"
 
 
-class GroupTable:
+class GroupTable(_ByValue):
     """A finite group: one total operation with identity and inverses verified."""
 
     def __init__(self, table):
@@ -144,17 +150,8 @@ class GroupTable:
             raise ValueError(f"element {bad[0]} has no two-sided inverse")
         self.inverse = frozen(inverse)
 
-    def __call__(self, a: int, b: int) -> int:
-        return self.table(a, b)
-
-    def inv(self, a: int) -> int:
-        return int(self.inverse[checked_index(a, self.order)])
-
-    def __eq__(self, other):
-        return isinstance(other, GroupTable) and self.table == other.table
-
-    def __hash__(self):
-        return hash(self.table)
+    def _values(self):
+        return (self.table.array,)
 
     def __repr__(self):
         return f"GroupTable(order={self.order})"

@@ -8,30 +8,35 @@ from skewalg import (
     FiniteGroupoid,
     GroupTable,
     MalformedSystemError,
-    UndefinedCompositionError,
+    chain_lattice,
     check_groupoid,
-    discrete_groupoid,
-    group_groupoid,
-    pair_groupoid,
+    discrete_system,
+    group_system,
 )
 
 
+def pair_groupoid(n):
+    """The pair groupoid on n objects, from the scalar oracle's tables."""
+    dom, cod, comp, inv = pair_groupoid_tables(n)
+    return FiniteGroupoid(n, dom, cod, np.reshape(comp, (n * n, n * n)), inv)
+
+
 def test_discrete_groupoid_has_only_identities():
-    g = discrete_groupoid(3)
+    g = discrete_system(chain_lattice(3)).groupoid
     assert g.morphism_count == 3
     assert check_groupoid(g).ok
     assert list(g.identity_of) == [0, 1, 2]
     for f in range(3):
-        assert g.compose(f, f) == f
-        assert g.invert(f) == f
+        assert g.comp[f, f] == f
+        assert g.inv[f] == f
 
 
 def test_group_groupoid_is_one_object_groupoid():
-    g = group_groupoid(GroupTable([[0, 1], [1, 0]]))
+    g = group_system(GroupTable([[0, 1], [1, 0]])).groupoid
     assert g.object_count == 1
     assert g.morphism_count == 2
     assert check_groupoid(g).ok
-    assert g.compose(1, 1) == 0
+    assert g.comp[1, 1] == 0
 
 
 def test_pair_groupoid_composition_and_inverse():
@@ -44,23 +49,9 @@ def test_pair_groupoid_composition_and_inverse():
     assert report["associativity"].ok
     for f in range(9):
         i, j = int(g.dom[f]), int(g.cod[f])
-        back = g.invert(f)
+        back = g.inv[f]
         assert int(g.dom[back]) == j and int(g.cod[back]) == i
-        assert g.compose(f, back) == g.identity_of[i]
-
-
-@pytest.mark.parametrize("n", range(6))
-def test_pair_groupoid_equals_the_scalar_construction(n):
-    g = pair_groupoid(n)
-    assert g.object_count == n
-    tables = (g.dom, g.cod, g.comp, g.inv)
-    assert [t.tolist() for t in tables] == list(pair_groupoid_tables(n))
-
-
-def test_composition_outside_pattern_raises():
-    g = discrete_groupoid(2)
-    with pytest.raises(UndefinedCompositionError):
-        g.compose(0, 1)
+        assert g.comp[f, back] == g.identity_of[i]
 
 
 def test_mismatched_table_shapes_are_rejected():
@@ -93,7 +84,7 @@ def test_check_groupoid_flags_broken_inverse():
 
 
 def test_check_groupoid_flags_wrong_composition_pattern():
-    g = discrete_groupoid(2)
+    g = discrete_system(chain_lattice(2)).groupoid
     comp = g.comp.copy()
     comp[0, 1] = 1  # composing across distinct objects must stay undefined
     broken = FiniteGroupoid(2, g.dom, g.cod, comp, g.inv)
@@ -109,13 +100,15 @@ def test_identity_of_reports_missing_units():
 
 
 def test_groupoid_laws_match_scalar_oracle_on_suite_and_mutants(suite):
-    # witnesses included: the first failing tuple in row-major order
+    # witnesses included: the first failing tuple in row-major order; the
+    # suite's groupoids and the pair groupoids on 0..5 objects pass
     rng = random.Random(1810)
-    for inst in suite:
-        g = inst.system.groupoid
+    named = [(inst.name, inst.system.groupoid) for inst in suite]
+    for name, g in named + [(f"pair {n}", pair_groupoid(n)) for n in range(6)]:
+        assert check_groupoid(g).ok, name
         m = g.morphism_count
         variants = [g]
-        for _ in range(3):
+        for _ in range(3 if m else 0):
             comp, inv = g.comp.copy(), g.inv.copy()
             if rng.random() < 0.7:
                 comp[rng.randrange(m), rng.randrange(m)] = rng.randrange(-1, m)
@@ -125,5 +118,5 @@ def test_groupoid_laws_match_scalar_oracle_on_suite_and_mutants(suite):
         for h in variants:
             n, dom, cod = h.object_count, h.dom.tolist(), h.cod.tolist()
             comp, inv = h.comp.tolist(), h.inv.tolist()
-            assert h.identity_of.tolist() == groupoid_units(n, dom, cod, comp), inst.name
-            assert check_groupoid(h).to_dict() == groupoid_laws(n, dom, cod, comp, inv), inst.name
+            assert h.identity_of.tolist() == groupoid_units(n, dom, cod, comp), name
+            assert check_groupoid(h).to_dict() == groupoid_laws(n, dom, cod, comp, inv), name

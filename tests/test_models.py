@@ -52,7 +52,7 @@ from skewalg.models import (
     _max_idempotent_separating_congruence,
     _unary_images,
 )
-from skewalg.serialize import structure_to_dict
+from skewalg.serialize import structure_from_dict, structure_to_dict
 
 SUITE_SIZE = 379          # |G| in {1,2,3,4,6}, |B| <= 4, deduped
 SUITE_SIZE_BAND3 = 102    # same groups, |B| <= 3; equals the oracle count
@@ -70,7 +70,7 @@ def test_catalog_orders_and_shapes():
 
 def test_klein_four_is_elementary_abelian():
     g = klein_four()
-    assert all(g.inv(x) == x for x in range(4))
+    assert g.inverse.tolist() == [0, 1, 2, 3]
     assert np.array_equal(g.table.array, g.table.array.T)
 
 
@@ -83,7 +83,7 @@ def test_symmetric_group3_is_not_abelian():
 def test_cyclic_group_table(n):
     g = cyclic_group(n)
     assert g.identity == 0
-    assert all(g(i, j) == (i + j) % n for i in range(n) for j in range(n))
+    assert all(g.table(i, j) == (i + j) % n for i in range(n) for j in range(n))
 
 
 def test_trivial_action_passes_checks():
@@ -159,6 +159,16 @@ def test_dedupe_refuses_actions_over_different_structures():
         for actions in ([first, other], [other, first]):
             with pytest.raises(ValueError, match="one group on one lattice"):
                 dedupe_actions(actions)
+
+
+def test_dedupe_compares_group_and_lattice_by_value():
+    # an action read back from its dict holds its own group and lattice
+    # objects, equal to the first action's but not the same objects
+    actions = enumerate_actions(GROUP_CATALOG["C2"], enumerate_skew_lattices(3)[1])
+    assert len(actions) == 2
+    rebuilt = [structure_from_dict(structure_to_dict(a)) for a in actions]
+    assert rebuilt[0].group is not rebuilt[1].group and rebuilt[0].lattice is not rebuilt[1].lattice
+    assert _tables(dedupe_actions(rebuilt)) == _tables(dedupe_actions(actions))
 
 
 def test_dedupe_of_no_actions_is_empty():
@@ -341,10 +351,11 @@ def test_kernels_agree_across_objects_and_are_normal(suite):
         assert len(values) == 1
         (k,) = values
         g = inst.action.group
+        gt = g.table.array
         assert int(g.identity) in k
         for u in k:
             for w in range(g.order):
-                assert g(g(w, u), g.inv(w)) in k
+                assert gt[gt[w, u], g.inverse[w]] in k
 
 
 def test_some_suite_instance_has_proper_nontrivial_kernel(suite):

@@ -12,7 +12,6 @@ from skewalg import (
     RestrictionSystem,
     SkewLatticeTable,
     chain_lattice,
-    discrete_groupoid,
     enumerate_skew_lattices,
     load_structure,
     save_structure,
@@ -175,7 +174,7 @@ def test_structure_to_dict_is_plain_json_and_is_what_the_file_holds(tmp_path, su
     # files are written from the structures' arrays, the public dict from lists
     extra = {"name": "x"}
     path = tmp_path / "structure.json"
-    objects = [part(inst) for inst in suite for part in KINDS.values()] + [discrete_groupoid(0)]
+    objects = [part(inst) for inst in suite for part in KINDS.values()] + [FiniteGroupoid(0, [], [], np.empty((0, 0)), [])]
     for obj in objects:
         data = structure_to_dict(obj)
         assert _plain(data), type(obj).__name__

@@ -71,19 +71,19 @@ def test_discrete_system_passes_everything(n):
 
     for objects in (chain_lattice(n), rectangular_skew(n)):
         for report in all_reports(discrete_system(objects)):
-            assert report.ok, report.summary()
+            assert report.ok, report.first_failure()
 
 
 def test_group_system_passes_everything():
     sysm = group_system(GROUP_CATALOG["S3"])
     for report in all_reports(sysm):
-        assert report.ok, report.summary()
+        assert report.ok, report.first_failure()
 
 
 def test_swap_instance_passes_everything():
     sysm = semidirect_groupoid(swap_action())
     for report in all_reports(sysm):
-        assert report.ok, report.summary()
+        assert report.ok, report.first_failure()
 
 
 def test_every_suite_instance_passes_everything(suite):
@@ -136,7 +136,7 @@ def test_caution_observations_are_not_theorems(suite):
 def test_observation_failures_do_not_break_ok(suite):
     for inst in suite:
         report = verify_derived_identities(inst.system)
-        if any(not c.ok for c in report.observations()):
+        if any(not c.required and not c.ok for c in report.checks()):
             assert report.ok
             break
     else:
@@ -597,24 +597,17 @@ def _scalar_entry_points() -> dict:
     sysm = semidirect_groupoid(swap_action())
     S = build_algebra(sysm)
     group = GROUP_CATALOG["S3"]
-    one_object = group_system(group).groupoid  # every pair composes
     m = sysm.morphism_count
     return {
-        "compose": (group.order, lambda i: one_object.compose(i, 0), lambda i: one_object.compose(0, i)),
-        "invert": (m, sysm.groupoid.invert),
         "pseudoproduct": (m, lambda i: sysm.pseudoproduct(i, 0), lambda i: sysm.pseudoproduct(0, i, "join")),
         "operation table": (S.order, lambda i: S.meet(i, 0), lambda i: S.join(0, i)),
-        "group": (group.order, lambda i: group(i, 0), group.inv),
+        "group": (group.order, lambda i: group.table(i, 0), lambda i: group.table(0, i)),
         "plus_minus": (S.order, lambda i: plus_minus(S, i)),
         "inverses_of": (S.order, lambda i: inverses_of(S, i)),
-        "isomorphism": (S.order, find_isomorphism(S, S)),
     }
 
 
-@pytest.mark.parametrize("entry", [
-    "compose", "invert", "pseudoproduct", "operation table", "group", "plus_minus", "inverses_of",
-    "isomorphism",
-])
+@pytest.mark.parametrize("entry", ["pseudoproduct", "operation table", "group", "plus_minus", "inverses_of"])
 def test_scalar_entry_points_refuse_indices_outside_the_carrier(entry):
     n, *calls = _scalar_entry_points()[entry]
     for call in calls:

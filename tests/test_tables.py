@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skewalg import (
+    BiBandAlgebra,
+    FiniteGroupoid,
+    GroupAction,
     GroupTable,
     OperationTable,
     SkewLatticeTable,
@@ -179,7 +182,7 @@ def test_greens_relations_match_the_scalar_partition(suite):
 def test_group_table_finds_identity_and_inverses():
     g = GroupTable([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     assert g.identity == 0
-    assert g.inv(1) == 2 and g.inv(2) == 1
+    assert g.inverse.tolist() == [0, 2, 1]
 
 
 def test_group_table_rejects_non_group():
@@ -197,3 +200,66 @@ def test_a_skew_lattice_keeps_its_own_tables():
     assert s == chain
     assert check_skew_lattice(s).to_dict() == before
     assert before["ok"]
+
+
+def _bumped(values, n):
+    """A copy of values whose first cell moves on to the next of 0..n-1."""
+    out = np.array(values)
+    out.flat[0] = (out.flat[0] + 1) % n
+    return out
+
+
+# per class: its structure in a suite instance, a copy rebuilt from its
+# arrays, and a structure one cell away from it (for a group, which no
+# one-cell change leaves a group, its opposite)
+EQUALITY_CASES = {
+    "OperationTable": (
+        lambda inst: inst.action.group.table,
+        lambda x: OperationTable(x.array),
+        lambda x: OperationTable(_bumped(x.array, x.order)),
+    ),
+    "SkewLatticeTable": (
+        lambda inst: inst.action.lattice,
+        lambda x: SkewLatticeTable(x.meet.array, x.join.array),
+        lambda x: SkewLatticeTable(x.meet.array, _bumped(x.join.array, x.order)),
+    ),
+    "GroupTable": (
+        lambda inst: inst.action.group,
+        lambda x: GroupTable(x.table.array),
+        lambda x: GroupTable(x.table.array.T),
+    ),
+    "BiBandAlgebra": (
+        lambda inst: inst.algebra,
+        lambda x: BiBandAlgebra(x.join.array, x.meet.array, x.star),
+        lambda x: BiBandAlgebra(x.join.array, x.meet.array, _bumped(x.star, x.order)),
+    ),
+    "FiniteGroupoid": (
+        lambda inst: inst.system.groupoid,
+        lambda x: FiniteGroupoid(x.object_count, x.dom, x.cod, x.comp, x.inv),
+        lambda x: FiniteGroupoid(x.object_count, x.dom, x.cod, x.comp, _bumped(x.inv, x.morphism_count)),
+    ),
+    "GroupAction": (
+        lambda inst: inst.action,
+        lambda x: GroupAction(
+            GroupTable(x.group.table.array), SkewLatticeTable(x.lattice.meet.array, x.lattice.join.array), x.act
+        ),
+        lambda x: GroupAction(x.group, x.lattice, _bumped(x.act, x.band_order)),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EQUALITY_CASES))
+def test_structures_are_equal_by_value_within_their_class_and_unhashable(suite, kind):
+    inst = next(i for i in suite if i.action.group_order == 6 and i.action.band_order > 1)
+    part, rebuilt, mutant = EQUALITY_CASES[kind]
+    x = part(inst)
+    copy, other = rebuilt(x), mutant(x)
+    assert copy is not x and (x == copy, copy == x, x != copy) == (True, True, False)
+    # the suite's algebra is a SemidirectAlgebra, its copy a BiBandAlgebra
+    assert (type(copy) is type(x)) is (kind != "BiBandAlgebra")
+    assert (x == other, other == x, x != other) == (False, False, True)
+    # the group and its OperationTable hold one array, yet differ in class
+    for y in [p(inst) for k, (p, _, _) in EQUALITY_CASES.items() if k != kind] + [None]:
+        assert (x == y, y == x, x != y, y != x) == (False, False, True, True), type(y)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(x)
