@@ -10,7 +10,6 @@ from skewalg import (
     find_isomorphism,
     greens_relations,
     left_zero,
-    natural_preorders,
     rectangular_skew,
     right_zero,
 )
@@ -45,7 +44,7 @@ def main():
     chain = chain_lattice(4)
     show_table("meet = min", chain.meet)
     show_table("join = max", chain.join)
-    pre = natural_preorders(chain)
+    pre = chain.preorders
     # On a chain every preorder collapses to the usual numeric order.
     print("le_left == le_right:", pre.le_left.tolist() == pre.le_right.tolist())
 
@@ -56,7 +55,7 @@ def main():
     rect = rectangular_skew(3)
     report = check_skew_lattice(rect)
     print("all absorption laws hold:", report.ok)
-    pre = natural_preorders(rect)
+    pre = rect.preorders
     print("le_left relates everything:", all(all(r) for r in pre.le_left.tolist()))
     print("le_right is equality only:",
           pre.le_right.tolist() == [[int(i == j) for j in range(3)] for i in range(3)])

@@ -37,12 +37,13 @@ sysm = sk.semidirect_groupoid(action)
 describe(sysm, "semidirect groupoid, C2 on rectangular 2-element base")
 print()
 
-# The pseudoproduct makes the morphism set itself a skew lattice.
+# The pseudoproducts, the products of the system's algebra, make the
+# morphism set itself a skew lattice.
 m = sysm.morphism_count
+algebra = sk.build_algebra(sysm)
 assoc = all(
-    sysm.pseudoproduct(sysm.pseudoproduct(a, b, op), c, op)
-    == sysm.pseudoproduct(a, sysm.pseudoproduct(b, c, op), op)
-    for op in ("meet", "join")
+    op(op(a, b), c) == op(a, op(b, c))
+    for op in (algebra.meet, algebra.join)
     for a in range(m) for b in range(m) for c in range(m)
 )
 print("pseudoproducts associative over all morphism triples:", assoc)

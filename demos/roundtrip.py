@@ -12,14 +12,15 @@ S = inst.algebra
 print(f"model {inst.name}: |S| = {S.order}")
 
 # Algebra -> groupoid: objects are the idempotents, morphisms the elements,
-# endpoints read off s s* and s* s.
+# endpoints read off s s* and s* s. The rebuilt system's identity morphisms
+# are the objects' elements.
 rec = sk.reconstruct(S)
-print("reconstructed objects:", [S.decode(e) for e in rec.objects])
-for s in range(S.order):
-    d, _, r = rec.triples[s]
-    print(f"  {S.decode(s)}: {S.decode(d)} -> {S.decode(r)}")
+objects = rec.groupoid.identity_of.tolist()
+print("reconstructed objects:", [S.decode(e) for e in objects])
+for s, (b, c) in enumerate(zip(rec.groupoid.dom.tolist(), rec.groupoid.cod.tolist())):
+    print(f"  {S.decode(s)}: {S.decode(objects[b])} -> {S.decode(objects[c])}")
 
-iso = sk.find_isomorphism(rec.system, inst.system)
+iso = sk.find_isomorphism(rec, inst.system)
 print("reconstruction matches the original system:", iso is not None)
 
 # Both round trips come back as the identity mapping, not merely isomorphic.

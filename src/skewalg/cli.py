@@ -118,8 +118,8 @@ def _build_algebra(args, sys_):
 
 def _reconstruct(args, S):
     rec = reconstruct(S)
-    payload = {"system": structure_to_dict(rec.system), "objects": [int(o) for o in rec.objects]}
-    return None, {**payload, **_saved(args.out, [("system.json", rec.system, None)])}
+    payload = {"system": structure_to_dict(rec), "objects": rec.groupoid.identity_of.tolist()}
+    return None, {**payload, **_saved(args.out, [("system.json", rec, None)])}
 
 
 def _roundtrip(args, obj):

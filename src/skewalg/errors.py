@@ -30,7 +30,8 @@ class ElementIndexError(SkewalgError, IndexError):
 
 
 class MalformedSystemError(SkewalgError):
-    """A table required by a total operation is missing or incomplete."""
+    """An input file or table was refused: unreadable or not a structure, of the
+    wrong shape or range, or missing an entry a total operation needs."""
 
 
 class AxiomViolationError(SkewalgError):

@@ -56,8 +56,6 @@ __all__ = [
 class Isomorphism:
     """A certified bijection source -> target preserving all operations."""
 
-    source_order: int
-    target_order: int
     mapping: tuple[int, ...]
 
 
@@ -209,7 +207,7 @@ def find_isomorphism(a, b) -> Isomorphism | None:
         return None
     if not preserves_operations(sig_a, sig_b, mapping):
         raise AssertionError("backtracking produced an uncertified mapping")
-    return Isomorphism(sig_a[0], sig_b[0], mapping)
+    return Isomorphism(mapping)
 
 
 def automorphisms_of(structure) -> list[tuple[int, ...]]:

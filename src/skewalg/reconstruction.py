@@ -1,17 +1,19 @@
 """Rebuilding the groupoid from a passing (2,2,1)-algebra, both round trips.
 
-Each algebra element s becomes the morphism (s∨s*, s, s*∨s) between
-idempotent objects.  Composition is the meet product on matching faces
-(checked against the join product, which must agree there), inversion is
-star, and the four operator tables come from the extension formula
-(a, a∨s, ...) together with its order and lateral duals.  roundtrip_groupoid
-and roundtrip_algebra certify that this construction and build_algebra
-invert each other, elementwise in both directions.
+reconstruct returns the rebuilt RestrictionSystem itself.  Morphism s is
+the algebra element s, the morphism (s∨s*, s, s*∨s) between idempotent
+objects.  The objects are the elements s∨s* in order of first occurrence:
+groupoid.identity_of[b] is the element of object b, groupoid.dom[e] the
+object of an object element e, and the triple of s reads back as
+(identity_of[dom[s]], s, identity_of[cod[s]]).  Composition is the meet
+product on matching faces (checked against the join product, which must
+agree there), inversion is star, and the four operator tables come from the
+extension formula (a, a∨s, ...) together with its order and lateral duals.
+roundtrip_groupoid and roundtrip_algebra certify that this construction and
+build_algebra invert each other, elementwise in both directions.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,26 +29,11 @@ from .report import AxiomReport, flag
 from .system import RestrictionSystem, build_algebra
 from .tables import SkewLatticeTable
 
-__all__ = ["ReconstructedGroupoid", "reconstruct", "roundtrip_groupoid", "roundtrip_algebra"]
+__all__ = ["reconstruct", "roundtrip_groupoid", "roundtrip_algebra"]
 
 
-@dataclass(frozen=True)
-class ReconstructedGroupoid:
-    """A restriction system recovered from an algebra.
-
-    Morphism i is the algebra element i; objects carry both their index in
-    the recovered skew lattice and their identity as an algebra element.
-    triples[s] = (d, s, r) with d, r the algebra elements s∨s* and s*∨s.
-    """
-
-    system: RestrictionSystem
-    objects: tuple[int, ...]
-    object_index: dict[int, int]
-    triples: tuple[tuple[int, int, int], ...]
-
-
-def reconstruct(S: BiBandAlgebra, check: bool = True) -> ReconstructedGroupoid:
-    """The groupoid whose morphisms are the triples (s∨s*, s, s*∨s)."""
+def reconstruct(S: BiBandAlgebra, check: bool = True) -> RestrictionSystem:
+    """The system whose morphisms are the triples (s∨s*, s, s*∨s)."""
     if check:
         check_axioms(S).require()
 
@@ -93,10 +80,7 @@ def reconstruct(S: BiBandAlgebra, check: bool = True) -> ReconstructedGroupoid:
     )
     if check:
         system.full_report().require()
-
-    objects = obj.tolist()
-    triples = tuple(zip(d_el.tolist(), range(n), r_el.tolist()))
-    return ReconstructedGroupoid(system, tuple(objects), dict(zip(objects, range(nb))), triples)
+    return system
 
 
 def _require_equal(pairs) -> None:
@@ -111,12 +95,11 @@ def roundtrip_groupoid(sys: RestrictionSystem) -> Isomorphism:
     certificate is the identity mapping once every table matches."""
     sys.full_report().require()
     S = build_algebra(sys, check=False)
-    rec = reconstruct(S, check=False)
-    new = rec.system
+    new = reconstruct(S, check=False)
     m = sys.morphism_count
 
     # identity morphisms are the objects on the other side
-    objmap = np.asarray([rec.object_index[int(e)] for e in sys.groupoid.identity_of])
+    objmap = new.groupoid.dom[sys.groupoid.identity_of]
     pairs = [
         ("object_meet", new.objects.meet.array.take(objmap, 0).take(objmap, 1),
          objmap[sys.objects.meet.array]),
@@ -134,15 +117,14 @@ def roundtrip_groupoid(sys: RestrictionSystem) -> Isomorphism:
     if len(np.unique(objmap)) != sys.object_count or new.object_count != sys.object_count:
         raise AxiomViolationError("roundtrip_object_bijection", (sys.object_count,))
     _require_equal(pairs)
-    return Isomorphism(m, m, tuple(range(m)))
+    return Isomorphism(tuple(range(m)))
 
 
 def roundtrip_algebra(S: BiBandAlgebra) -> Isomorphism:
     """Certify that rebuilding the groupoid and taking its algebra returns
     S itself: morphisms are keyed by element, so the mapping is identity."""
     check_axioms(S).require()
-    rec = reconstruct(S, check=False)
-    T = build_algebra(rec.system, check=False)
+    T = build_algebra(reconstruct(S, check=False), check=False)
     _require_equal(
         [
             ("join", T.join.array, S.join.array),
@@ -150,4 +132,4 @@ def roundtrip_algebra(S: BiBandAlgebra) -> Isomorphism:
             ("star", T.star, S.star),
         ]
     )
-    return Isomorphism(S.order, S.order, tuple(range(S.order)))
+    return Isomorphism(tuple(range(S.order)))

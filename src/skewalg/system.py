@@ -54,7 +54,7 @@ from .algebra import BiBandAlgebra, skehr_statement_flags
 from .errors import MalformedSystemError
 from .groupoid import FiniteGroupoid, check_groupoid
 from .report import AxiomReport, flag
-from .tables import SkewLatticeTable, check_skew_lattice, checked_index, frozen, padded
+from .tables import SkewLatticeTable, check_skew_lattice, frozen, padded
 
 __all__ = [
     "RestrictionSystem",
@@ -207,19 +207,6 @@ class RestrictionSystem:
             *names, table=op, partial=partial, L_p=L_p, R_p=R_p, P_p=P_p,
             order=order, preorder=preorder,
         )
-
-    def pseudoproduct(self, f: int, g: int, op: str = "meet") -> int:
-        """Total product extending composition: (f|_c)∘(_c|g) at c = cod f ∧ dom g
-        for op="meet", and the join analogue at c = cod f ∨ dom g.
-
-        Guarded: raises unless the system passes its full report.
-        """
-        self.full_report().require()
-        side = self._meet if op == "meet" else self._join if op == "join" else None
-        if side is None:
-            raise ValueError(f"op must be 'meet' or 'join', got {op!r}")
-        m = self.morphism_count
-        return int(side.P_p[checked_index(f, m), checked_index(g, m)])
 
     def full_report(self) -> AxiomReport:
         """Structural, restriction, extension and linking checks in one

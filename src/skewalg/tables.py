@@ -24,12 +24,10 @@ __all__ = [
     "SkewLatticeTable",
     "associativity_witness",
     "chain_lattice",
-    "check_associative",
     "check_band",
     "check_skew_lattice",
     "greens_relations",
     "left_zero",
-    "natural_preorders",
     "rectangular_skew",
     "right_zero",
 ]
@@ -135,7 +133,7 @@ class GroupTable(_ByValue):
         self.table = table if isinstance(table, OperationTable) else OperationTable(table)
         self.order = self.table.order
         arr = self.table.array
-        if not check_associative(self.table):
+        if associativity_witness(self.table) is not None:
             raise ValueError("group table is not associative")
         idx = np.arange(self.order)
         neutral = np.flatnonzero((arr == idx).all(axis=1) & (arr.T == idx).all(axis=1))
@@ -203,14 +201,9 @@ def associativity_witness(t: OperationTable) -> tuple[int, int, int] | None:
     return flag("associative", arr.take(arr, 0) == arr.take(arr, 1)).witness
 
 
-def check_associative(t: OperationTable) -> bool:
-    """True iff t(t(a,b),c) = t(a,t(b,c)) for all triples."""
-    return associativity_witness(t) is None
-
-
 def check_band(t: OperationTable) -> bool:
     """True iff t is an idempotent semigroup."""
-    return bool(np.array_equal(t.array.diagonal(), np.arange(t.order))) and check_associative(t)
+    return bool(np.array_equal(t.array.diagonal(), np.arange(t.order))) and associativity_witness(t) is None
 
 
 def check_skew_lattice(s: SkewLatticeTable) -> AxiomReport:
@@ -233,22 +226,6 @@ def check_skew_lattice(s: SkewLatticeTable) -> AxiomReport:
     # (a ∨ b) ∧ b = b
     checks.append(flag("absorb_join_then_meet", m[j, row] == row))
     return AxiomReport("skew lattice", checks)
-
-
-def natural_preorders(s: SkewLatticeTable) -> PreorderPair:
-    """The four natural preorders; raises if the converse pairing fails.
-
-    In a skew lattice le_left is the converse of ge_right and le_right the
-    converse of ge_left; a violation signals the input is not a skew lattice.
-    """
-    pre = s.preorders
-    bad = AxiomReport("converse pairing", [
-        flag("le_left is not the converse of ge_right", pre.le_left == pre.ge_right.T),
-        flag("le_right is not the converse of ge_left", pre.le_right == pre.ge_left.T),
-    ]).first_failure()
-    if bad is not None:
-        raise ValueError(f"{bad.name} at {bad.witness}")
-    return pre
 
 
 def right_ideals(op: np.ndarray) -> np.ndarray:

@@ -85,7 +85,7 @@ def main(argv):
     same = algebra_keys(classes) == algebra_keys(suite)
     for algebra in classes:
         roundtrip_algebra(algebra)
-        roundtrip_groupoid(reconstruct(algebra).system)
+        roundtrip_groupoid(reconstruct(algebra))
     print("order", n, "classes", len(classes), "suite classes", len(suite), "equal", same)
     return 0 if same and len(classes) == len(suite) == expected else 1
 

@@ -910,7 +910,7 @@ def least_isomorphism(n, binops_a, unops_a, binops_b, unops_b):
     return tuple(image) if search(0) else None
 
 
-def _side_ops(dom, cod, comp, op, left, right):
+def side_ops(dom, cod, comp, op, left, right):
     """One side of a restriction system as scalar functions: a∧g (the left
     table at a∧dom g), g∧a (the right table at cod g∧a) and the
     pseudoproduct f∧g = (f∧c)∘(c∧g) at c = cod f∧dom g; on the join side
@@ -964,8 +964,8 @@ def linking_axiom(n, dom, cod, comp, inv, meet, join, restL, restR, extL, extR):
     extR); -1 entries are undefined, and an undefined value fails every law."""
     m = len(dom)
     units = groupoid_units(n, dom, cod, comp)
-    mlt, mrt, _ = _side_ops(dom, cod, comp, meet, restL, restR)
-    jlt, jrt, jpp = _side_ops(dom, cod, comp, join, extL, extR)
+    mlt, mrt, _ = side_ops(dom, cod, comp, meet, restL, restR)
+    jlt, jrt, jpp = side_ops(dom, cod, comp, join, extL, extR)
     out = _Checks("linking axiom")
     # f = (a∧f)∨(cod f), and ff* = (a∧f)∨f*, over (a, f)
     out.record("linking_meet_join", lambda a, f: jrt(mlt(a, f), cod[f]) != f, n, m)
@@ -992,8 +992,8 @@ def derived_identities(n, dom, cod, comp, inv, meet, join, restL, restR, extL, e
     units = groupoid_units(n, dom, cod, comp)
     unit_set = {e for e in units if e >= 0}
     sides = [
-        ("meet", "restriction", "restrict", meet, _side_ops(dom, cod, comp, meet, restL, restR)),
-        ("join", "extension", "extend", join, _side_ops(dom, cod, comp, join, extL, extR)),
+        ("meet", "restriction", "restrict", meet, side_ops(dom, cod, comp, meet, restL, restR)),
+        ("join", "extension", "extend", join, side_ops(dom, cod, comp, join, extL, extR)),
     ]
     out = _Checks("derived identities")
 

@@ -29,7 +29,7 @@ def test_every_census_class_passes_the_axioms_and_both_round_trips(n):
         assert check_axioms(algebra).ok
         assert check_skehr(algebra).ok
         roundtrip_algebra(algebra)
-        roundtrip_groupoid(reconstruct(algebra).system)
+        roundtrip_groupoid(reconstruct(algebra))
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from census import census
 from oracles import brute_force_biband_algebras, reconstruct_skeleton, relabel, relabel_unary
 
 from skewalg import (
@@ -32,30 +33,34 @@ def swap_action():
     return GroupAction(GROUP_CATALOG["C2"], rect, [[0, 1], [1, 0]])
 
 
+def triples(rec):
+    """(d, s, r) per morphism s of a rebuilt system: the algebra elements of
+    its domain and codomain objects around s itself."""
+    g = rec.groupoid
+    return [(int(g.identity_of[g.dom[s]]), s, int(g.identity_of[g.cod[s]])) for s in range(rec.morphism_count)]
+
+
 def test_reconstructed_morphisms_are_the_elements():
     S = semidirect_algebra(swap_action())
     rec = reconstruct(S)
-    assert rec.system.morphism_count == S.order
+    assert rec.morphism_count == S.order
     jt, st = S.join.array, S.star
-    for s in range(S.order):
-        d, mid, r = rec.triples[s]
-        assert mid == s
-        assert d == int(jt[s, st[s]])
-        assert r == int(jt[st[s], s])
+    assert triples(rec) == [(int(jt[s, st[s]]), s, int(jt[st[s], s])) for s in range(S.order)]
 
 
 def test_reconstructed_objects_are_the_idempotents():
     S = semidirect_algebra(swap_action())
     rec = reconstruct(S)
     mt = S.meet.array
-    assert all(int(mt[b, b]) == b for b in rec.objects)
-    assert set(rec.object_index) == set(rec.objects)
+    objects = rec.groupoid.identity_of
+    assert all(int(mt[b, b]) == b for b in objects)
+    # each object's element lies at that object
+    assert rec.groupoid.dom[objects].tolist() == list(range(rec.object_count))
 
 
 def test_reconstructed_system_passes_derived_identities(suite):
     for inst in suite[:30]:
-        rec = reconstruct(inst.algebra)
-        assert verify_derived_identities(rec.system).ok
+        assert verify_derived_identities(reconstruct(inst.algebra)).ok
 
 
 def test_reconstruct_matches_direct_groupoid_construction(suite):
@@ -63,8 +68,7 @@ def test_reconstruct_matches_direct_groupoid_construction(suite):
     for inst in suite:
         if inst.algebra.order > 12:
             continue
-        rec = reconstruct(inst.algebra)
-        assert find_isomorphism(rec.system, inst.system) is not None, inst.name
+        assert find_isomorphism(reconstruct(inst.algebra), inst.system) is not None, inst.name
 
 
 def test_roundtrip_groupoid_is_identity_on_suite(suite):
@@ -80,13 +84,14 @@ def test_roundtrip_algebra_is_identity_on_suite(suite):
 
 
 def _reverse_direction(S):
-    """The objects reconstruct(S) finds, after checking that S passes the
-    axioms and that both round trips through it are the identity."""
+    """The objects reconstruct(S) finds, as algebra elements, after checking
+    that S passes the axioms and that both round trips through it are the
+    identity."""
     assert check_axioms(S).ok
     rec = reconstruct(S)
     assert roundtrip_algebra(S).mapping == tuple(range(S.order))
-    assert roundtrip_groupoid(rec.system).mapping == tuple(range(rec.system.morphism_count))
-    return rec.objects
+    assert roundtrip_groupoid(rec).mapping == tuple(range(rec.morphism_count))
+    return rec.groupoid.identity_of.tolist()
 
 
 def test_every_labelled_algebra_of_order_at_most_2_round_trips():
@@ -96,29 +101,50 @@ def test_every_labelled_algebra_of_order_at_most_2_round_trips():
         _reverse_direction(S)
 
 
-def test_a_relabelled_suite_algebra_round_trips(suite):
-    # suite algebras come out of reconstruct with their objects in
-    # increasing order; most relabellings do not
+def relabelled(suite):
+    """One relabelling of each suite algebra, by a seeded permutation."""
     rng = random.Random(1810)
-    unordered = 0
+    out = []
     for inst in suite:
         S = inst.algebra
         perm = rng.sample(range(S.order), S.order)
-        moved = BiBandAlgebra(
+        out.append(BiBandAlgebra(
             relabel(S.join.array.tolist(), perm), relabel(S.meet.array.tolist(), perm),
             relabel_unary(S.star.tolist(), perm),
-        )
+        ))
+    return out
+
+
+def test_a_relabelled_suite_algebra_round_trips(suite):
+    # suite algebras come out of reconstruct with their objects in
+    # increasing order; most relabellings do not
+    unordered = 0
+    for moved in relabelled(suite):
         objects = _reverse_direction(moved)
-        unordered += list(objects) != sorted(objects)
+        unordered += objects != sorted(objects)
     assert unordered > len(suite) // 2
+
+
+def test_reconstruct_objects_and_triples_match_the_skeleton_loop(suite):
+    # on passing algebras the identity morphisms are the loop's objects in
+    # its first-occurrence order, dom maps each object element to its
+    # object, and the triples read back as (s∨s*, s, s*∨s)
+    algebras = [inst.algebra for inst in suite] + relabelled(suite)
+    algebras += [S for n in (1, 2, 3) for S in census(n)]
+    for S in algebras:
+        join, meet, star = S.join.tolist(), S.meet.tolist(), S.star.tolist()
+        objects, object_index, *_ = reconstruct_skeleton(join, meet, star)
+        rec = reconstruct(S)
+        assert rec.groupoid.identity_of.tolist() == objects
+        assert {e: int(rec.groupoid.dom[e]) for e in objects} == object_index
+        assert triples(rec) == [(join[s][star[s]], s, join[star[s]][s]) for s in range(S.order)]
+    assert len(algebras) == 2 * len(suite) + 1 + 4 + 8
 
 
 def test_roundtrip_survives_build_algebra_composition():
     sysm = semidirect_groupoid(swap_action())
     S = build_algebra(sysm)
-    rec = reconstruct(S)
-    T = build_algebra(rec.system)
-    assert T == S
+    assert build_algebra(reconstruct(S)) == S
 
 
 def test_reconstruct_guard_rejects_failing_algebra():
@@ -191,9 +217,9 @@ def test_non_idempotent_object_products_raise_skeleton_error():
 
 def test_reconstruct_matches_the_skeleton_loop_on_suite_and_mutants(suite):
     # every suite algebra and two seeded mutants of each, with one to three
-    # entries changed; the objects, their tables, dom, cod and the triples
-    # must be the loop's, and a skeleton error must carry the loop's message,
-    # hence its first failing element or (i, j) in row-major order
+    # entries changed; the object tables, dom and cod must be the loop's, and
+    # a skeleton error must carry the loop's message, hence its first failing
+    # element or (i, j) in row-major order
     rng = random.Random(1905)
     algebras = []
     for inst in suite:
@@ -219,13 +245,9 @@ def test_reconstruct_matches_the_skeleton_loop_on_suite_and_mutants(suite):
             rec = reconstruct(S, check=False)
         except CompositionAmbiguityError:
             continue
-        objects, object_index, obj_meet, obj_join, dom, cod = want
-        assert rec.objects == tuple(objects)
-        assert rec.object_index == object_index
-        assert rec.system.objects.meet.tolist() == obj_meet
-        assert rec.system.objects.join.tolist() == obj_join
-        assert rec.system.groupoid.dom.tolist() == dom
-        assert rec.system.groupoid.cod.tolist() == cod
-        n = S.order
-        assert rec.triples == tuple((join[s][star[s]], s, join[star[s]][s]) for s in range(n))
+        _, _, obj_meet, obj_join, dom, cod = want
+        assert rec.objects.meet.tolist() == obj_meet
+        assert rec.objects.join.tolist() == obj_join
+        assert rec.groupoid.dom.tolist() == dom
+        assert rec.groupoid.cod.tolist() == cod
     assert all(raised.values()), raised

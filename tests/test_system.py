@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import derived_identities, linking_axiom, order_axioms, partial_table_witnesses
+from oracles import derived_identities, linking_axiom, order_axioms, partial_table_witnesses, side_ops
 
 import skewalg.algebra
 import skewalg.groupoid
@@ -256,25 +256,25 @@ def test_full_report_hands_out_a_report_that_cannot_change_the_cache():
     assert all(a is b for a, b in zip(handed.checks(), check_structure(sysm).checks()))
     assert sysm.full_report().to_dict() == before
     assert check_axioms(build_algebra(sysm)).ok
-    assert sysm.pseudoproduct(0, 1) == 0
+    assert build_algebra(sysm).meet(0, 1) == 0
 
 
 def test_pseudoproduct_is_the_built_algebra(suite):
+    # each product of the built algebra, read one entry at a time, is the
+    # scalar pseudoproduct (f|_c)∘(_c|g) of the system's own tables
     for sysm in [inst.system for inst in suite[::60]] + [group_system(GROUP_CATALOG["S3"])]:
         S = build_algebra(sysm)
+        g = sysm.groupoid
+        dom, cod, comp = g.dom.tolist(), g.cod.tolist(), g.comp.tolist()
         m = sysm.morphism_count
-        for op, table in (("meet", S.meet.array), ("join", S.join.array)):
-            got = [[sysm.pseudoproduct(f, g, op) for g in range(m)] for f in range(m)]
-            assert got == table.tolist()
+        for product, op, left, right in (
+            (S.meet, sysm.objects.meet, sysm.restL, sysm.restR),
+            (S.join, sysm.objects.join, sysm.extL, sysm.extR),
+        ):
+            pp = side_ops(dom, cod, comp, op.tolist(), left.tolist(), right.tolist())[2]
+            got = [[product(f, h) for h in range(m)] for f in range(m)]
+            assert got == [[pp(f, h) for h in range(m)] for f in range(m)]
             assert {type(v) for row in got for v in row} == {int}
-
-
-def test_pseudoproduct_refuses_an_unknown_op():
-    sysm = semidirect_groupoid(swap_action())
-    assert sysm.full_report().ok
-    for op in ("product", "Meet", None):
-        with pytest.raises(ValueError, match="op must be 'meet' or 'join'"):
-            sysm.pseudoproduct(0, 0, op)
 
 
 def test_broken_meet_is_named_by_the_preorder_pairing_witness():
@@ -398,8 +398,8 @@ MEMO_CALLS = {
     **dict(system_checkers()),
     "full_report": RestrictionSystem.full_report,
     "build_algebra": build_algebra,
-    "meet_pseudoproduct": lambda s: s.pseudoproduct(s.morphism_count - 1, 0),
-    "join_pseudoproduct": lambda s: s.pseudoproduct(0, s.morphism_count - 1, "join"),
+    "meet_pseudoproduct": lambda s: build_algebra(s).meet(s.morphism_count - 1, 0),
+    "join_pseudoproduct": lambda s: build_algebra(s).join(0, s.morphism_count - 1),
     "roundtrip_groupoid": roundtrip_groupoid,
 }
 
@@ -460,7 +460,7 @@ def test_each_family_runs_once_per_system(suite):
 
     checkers = [checker for _, checker in system_checkers()]
     guarded = [build_algebra, roundtrip_groupoid, RestrictionSystem.full_report,
-               lambda s: s.pseudoproduct(0, 0)]
+               lambda s: build_algebra(s).meet(0, 0)]
     for inst in random.Random(9).sample(suite, 40):
         for calls in (checkers + guarded, guarded + checkers + checkers):
             sysm = fresh(inst.system)
@@ -571,7 +571,7 @@ def test_the_system_an_algebra_round_trip_rebuilds_derives_only_its_pseudoproduc
     monkeypatch.setattr(skewalg.reconstruction, "reconstruct", spy)
     S = semidirect_algebra(swap_action())
     assert roundtrip_algebra(S).mapping == tuple(range(S.order))
-    sysm = rebuilt[0].system
+    sysm = rebuilt[0]
     assert "_pseudoproducts" in vars(sysm)
     assert "_meet" not in vars(sysm) and "_join" not in vars(sysm)
 
@@ -589,7 +589,7 @@ def test_the_system_a_groupoid_round_trip_rebuilds_stays_underived(monkeypatch):
     monkeypatch.setattr(skewalg.reconstruction, "reconstruct", spy)
     roundtrip_groupoid(semidirect_groupoid(swap_action()))
     assert len(rebuilt) == 1
-    assert "_meet" not in vars(rebuilt[0].system)
+    assert "_meet" not in vars(rebuilt[0])
 
 
 def _scalar_entry_points() -> dict:
@@ -599,8 +599,10 @@ def _scalar_entry_points() -> dict:
     group = GROUP_CATALOG["S3"]
     m = sysm.morphism_count
     return {
-        "pseudoproduct": (m, lambda i: sysm.pseudoproduct(i, 0), lambda i: sysm.pseudoproduct(0, i, "join")),
-        "operation table": (S.order, lambda i: S.meet(i, 0), lambda i: S.join(0, i)),
+        "pseudoproduct": (m, lambda i: S.meet(i, 0), lambda i: S.join(0, i)),
+        "operation table": (
+            sysm.object_count, lambda i: sysm.objects.meet(i, 0), lambda i: sysm.objects.join(0, i)
+        ),
         "group": (group.order, lambda i: group.table(i, 0), lambda i: group.table(0, i)),
         "plus_minus": (S.order, lambda i: plus_minus(S, i)),
         "inverses_of": (S.order, lambda i: inverses_of(S, i)),

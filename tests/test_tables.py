@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +16,6 @@ from skewalg import (
     check_skew_lattice,
     greens_relations,
     left_zero,
-    natural_preorders,
     rectangular_skew,
     right_zero,
 )
@@ -84,7 +85,7 @@ def test_check_skew_lattice_flags_broken_absorption():
 
 
 def test_natural_preorders_on_chain_match_numeric_order():
-    pre = natural_preorders(chain_lattice(4))
+    pre = chain_lattice(4).preorders
     expect = np.arange(4)[:, None] <= np.arange(4)[None, :]
     assert np.array_equal(pre.le_left, expect)
     assert np.array_equal(pre.le_right, expect)
@@ -95,19 +96,54 @@ def test_natural_preorders_on_chain_match_numeric_order():
 def test_natural_preorders_on_rectangular_split_by_side():
     # left-zero meet: a ∧ b = a always, but b ∧ a = b, so only the
     # left preorder is full; the right one collapses to equality
-    pre = natural_preorders(rectangular_skew(3))
+    pre = rectangular_skew(3).preorders
     eye = np.eye(3, dtype=bool)
     assert pre.le_left.all() and pre.ge_right.all()
     assert np.array_equal(pre.le_right, eye)
     assert np.array_equal(pre.ge_left, eye)
 
 
-def test_natural_preorders_reject_a_broken_converse_pairing():
-    # meet = join = the left-zero band: absorption fails, and
-    # so does the pairing of le_left with ge_right
-    lattice = SkewLatticeTable([[0, 0], [1, 1]], [[0, 0], [1, 1]])
-    with pytest.raises(ValueError, match=r"^le_left is not the converse of ge_right at \(0, 1\)$"):
-        natural_preorders(lattice)
+def absorption_gives_converse_pairing(meet, join) -> bool:
+    """Assert that absorption implies the converse pairing of the natural
+    preorders, cell by cell and for the whole table; return whether the four
+    absorb_ flags of check_skew_lattice all pass.
+
+    a = a∧b gives a∨b = (a∧b)∨b = b, and b = a∨b gives a∧b = a∧(a∨b) = a,
+    so le_left[a, b] = ge_right[b, a] wherever the two laws hold at (a, b);
+    le_right[a, b] = ge_left[b, a] likewise from the other two at (b, a).
+    """
+    lattice = SkewLatticeTable(meet, join)
+    m, j = lattice.meet.array, lattice.join.array
+    idx = np.arange(lattice.order)
+    col, row = idx[:, None], idx[None, :]
+    pre = lattice.preorders
+    left_laws = (j[m, row] == row) & (m[col, j] == col)
+    right_laws = ((j[col, m] == col) & (m[j, row] == row)).T
+    assert (pre.le_left == pre.ge_right.T)[left_laws].all()
+    assert (pre.le_right == pre.ge_left.T)[right_laws].all()
+    report = check_skew_lattice(lattice)
+    absorbs = all(c.ok for c in report.checks() if c.name.startswith("absorb_"))
+    if absorbs:
+        assert np.array_equal(pre.le_left, pre.ge_right.T)
+        assert np.array_equal(pre.le_right, pre.ge_left.T)
+    return absorbs
+
+
+def test_absorption_implies_converse_pairing_on_every_pair_of_order_2_tables():
+    tables = [np.array(cells).reshape(2, 2) for cells in itertools.product(range(2), repeat=4)]
+    absorbing = [absorption_gives_converse_pairing(m, j) for m in tables for j in tables]
+    assert len(absorbing) == 256 and 0 < sum(absorbing) < 256
+    # meet = join = the left-zero band fails both absorption and the pairing
+    pre = SkewLatticeTable(left_zero(2), left_zero(2)).preorders
+    assert not np.array_equal(pre.le_left, pre.ge_right.T)
+
+
+@given(st.integers(3, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n), min_size=2, max_size=2)
+))
+def test_absorption_implies_converse_pairing_at_orders_3_and_4(cells):
+    n = int(len(cells[0]) ** 0.5)
+    absorption_gives_converse_pairing(*(np.array(c).reshape(n, n) for c in cells))
 
 
 def test_greens_relations_left_zero():
