@@ -7,6 +7,16 @@ inputs apart from the trailing elapsed_s field.  Only build-algebra,
 reconstruct and gen-models write files, under the directory --out names;
 no other command takes --out.
 
+The files are written by one writer process per run (`python -I -S`, which
+starts in about 10 ms), which the command feeds (path, bytes) frames through
+a pipe; gen-models feeds it each model instance as the instance is built, so
+the kernel's file creation overlaps the building of the rest of the suite.
+It is a process and not a thread because a thread's every return from a
+write system call waits for the interpreter lock.  An OSError in the writer
+(a name under --out taken by a directory, say) is sent back and raised in
+this process again, so it is exit 3 with the same message as a failed write
+here; no run leaves the process behind.
+
 Exit codes: 0 all checks passed (or help was asked for; the record holds
 the text under "help"), 1 a check failed (or a requested witness is
 absent), 2 malformed input file, 3 usage error, 4 enumeration bound
@@ -32,10 +42,10 @@ from .errors import (
     SkewalgError,
 )
 from .groupoid import FiniteGroupoid, check_groupoid
-from .models import MAX_SUITE_BAND, MAX_SUITE_GROUP, generate_model_suite
+from .models import MAX_SUITE_BAND, MAX_SUITE_GROUP, model_instances
 from .reconstruction import reconstruct, roundtrip_algebra, roundtrip_groupoid
 from .report import AxiomReport, Check
-from .serialize import json_text, read_structure, save_structure, structure_to_dict
+from .serialize import json_text, read_structure, structure_text, structure_to_dict
 from .system import RestrictionSystem, build_algebra, system_checkers
 from .tables import SkewLatticeTable, check_skew_lattice
 
@@ -70,14 +80,61 @@ def positive_int(text: str) -> int:
     return n
 
 
-def _saved(out: str | None, files: list) -> dict:
-    """Save each (basename, structure, extra) under the directory out, if given."""
+# The writer process's loop: read (path, bytes) frames from stdin, each an
+# 8-byte header of two big-endian lengths, and write each file in turn; at
+# the first OSError report (errno, strerror, path) on stdout and stop.
+_WRITER = """\
+import os, sys
+frames, report = sys.stdin.buffer, sys.stdout.buffer
+flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+while len(head := frames.read(8)) == 8:
+    path = frames.read(int.from_bytes(head[:4], "big"))
+    data = memoryview(frames.read(int.from_bytes(head[4:], "big")))
+    try:
+        fd = os.open(path, flags, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        report.write(b"%d\\0%s\\0%s" % (exc.errno, exc.strerror.encode(), path))
+        break
+"""
+
+
+def _saved(out: str | None, files) -> dict:
+    """Write each (basename, structure, extra) drawn from files under the
+    directory out, if given, through one writer process (see the module
+    docstring); without out, draw them and write nothing.  The writer is
+    waited for on every path out of here."""
     if not out:
+        for _ in files:
+            pass
         return {}
+    import subprocess  # only a run that writes pays for the import
+
     os.makedirs(out, exist_ok=True)
-    for basename, obj, extra in files:
-        save_structure(os.path.join(out, basename), obj, extra=extra)
-    return {"written": [os.path.join(out, basename) for basename, _, _ in files]}
+    written = []
+    child = subprocess.Popen(
+        [sys.executable, "-I", "-S", "-c", _WRITER], stdin=subprocess.PIPE, stdout=subprocess.PIPE
+    )
+    try:
+        for basename, obj, extra in files:
+            path = os.path.join(out, basename)
+            name, data = os.fsencode(path), structure_text(obj, extra).encode()
+            child.stdin.write(len(name).to_bytes(4, "big") + len(data).to_bytes(4, "big") + name + data)
+            written.append(path)
+    except BrokenPipeError:
+        pass  # the writer stopped at a failed write; its report says which
+    finally:
+        report = child.communicate()[0]  # closes its stdin and waits for it
+    if report:
+        errno, strerror, name = report.split(b"\0", 2)
+        raise OSError(int(errno), strerror.decode(), os.fsdecode(name))
+    if child.returncode:
+        raise OSError(f"the file writer exited with status {child.returncode}")
+    return {"written": written}
 
 
 def _enum_bands(args, _):
@@ -91,13 +148,17 @@ def _enum_skew(args, _):
 
 
 def _gen_models(args, _):
-    suite = generate_model_suite(args.max_group, args.max_band)
-    files = [
-        (f"{inst.name}.{tag}.json", getattr(inst, tag), {"name": inst.name})
-        for inst in suite for tag in ("action", "algebra", "system")
-    ]
-    payload = {"count": len(suite), "instances": [inst.name for inst in suite]}
-    return None, {**payload, **_saved(args.out, files)}
+    instances = model_instances(args.max_group, args.max_band)  # raises on a bound before any write
+    names: list[str] = []
+
+    def files():
+        for inst in instances:
+            names.append(inst.name)
+            for tag in ("action", "algebra", "system"):
+                yield f"{inst.name}.{tag}.json", getattr(inst, tag), {"name": inst.name}
+
+    written = _saved(args.out, files())
+    return None, {"count": len(names), "instances": names, **written}
 
 
 def _check_system(args, sys_):

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,11 +361,12 @@ class ModelInstance:
     system: RestrictionSystem
 
 
-def generate_model_suite(
+def model_instances(
     max_group: int = MAX_SUITE_GROUP, max_band: int = MAX_SUITE_BAND
-) -> list[ModelInstance]:
-    """All catalog groups against all skew lattices up to the bound, every
-    action up to equivalence, each instance in algebra and groupoid form."""
+) -> Iterator[ModelInstance]:
+    """The suite's instances one at a time, in suite order, for a caller
+    that uses each as it is built.  The bounds are checked on the call,
+    before anything is enumerated."""
     if max_group > MAX_SUITE_GROUP:
         raise BoundExceededError(
             f"group bound {max_group} exceeds catalog maximum {MAX_SUITE_GROUP}"
@@ -373,20 +375,29 @@ def generate_model_suite(
         raise BoundExceededError(
             f"band bound {max_band} exceeds configured maximum {MAX_SUITE_BAND}"
         )
-    # one lattice object per (nb, bi), so each searches its automorphisms once
-    lattices = {nb: enumerate_skew_lattices(nb) for nb in range(1, max_band + 1)}
-    suite: list[ModelInstance] = []
-    for gname, group in GROUP_CATALOG.items():
-        if group.order > max_group:
-            continue
-        for nb, band_lattices in lattices.items():
-            for bi, lattice in enumerate(band_lattices):
-                for k, action in enumerate(dedupe_actions(enumerate_actions(group, lattice))):
-                    name = f"{gname}xB{nb}.{bi}a{k}"
-                    suite.append(
-                        ModelInstance(name, action, semidirect_algebra(action), semidirect_groupoid(action))
-                    )
-    return suite
+
+    def instances():
+        # one lattice object per (nb, bi), so each searches its automorphisms once
+        lattices = {nb: enumerate_skew_lattices(nb) for nb in range(1, max_band + 1)}
+        for gname, group in GROUP_CATALOG.items():
+            if group.order > max_group:
+                continue
+            for nb, band_lattices in lattices.items():
+                for bi, lattice in enumerate(band_lattices):
+                    for k, action in enumerate(dedupe_actions(enumerate_actions(group, lattice))):
+                        name = f"{gname}xB{nb}.{bi}a{k}"
+                        yield ModelInstance(name, action, semidirect_algebra(action), semidirect_groupoid(action))
+
+    return instances()
+
+
+def generate_model_suite(
+    max_group: int = MAX_SUITE_GROUP, max_band: int = MAX_SUITE_BAND
+) -> list[ModelInstance]:
+    """All catalog groups against all skew lattices up to the bound, every
+    action up to equivalence, each instance in algebra and groupoid form:
+    the list of model_instances."""
+    return list(model_instances(max_group, max_band))
 
 
 def _unary_images(S: BiBandAlgebra) -> np.ndarray:

@@ -18,8 +18,13 @@ more objects than morphisms (each object needs its identity).
 
 Files, and the command line's run records, are written by json_text: the
 text of json.dumps(value, indent=1). A file's tables are written straight
-from the structure's int64 arrays, each by one `%d` template; structure_to_dict
-gives the same fields with the tables as lists, for JSON-plain callers.
+from the structure's int64 arrays, each by one `%d` template, and so is the
+groupoid's morphisms list, from one record array of its dom and cod;
+structure_to_dict gives the same fields with the tables as lists, for
+JSON-plain callers.  structure_text is the one text of a structure file:
+save_structure writes it to one file here, and the command line's writer
+process (see skewalg.cli) receives it as bytes and writes it there, where
+a failed open comes back to the command line as the same OSError.
 """
 
 from __future__ import annotations
@@ -42,9 +47,21 @@ __all__ = [
 ]
 
 
+_MORPHISM = np.dtype([("dom", np.int64), ("cod", np.int64)])
+
+
+def _morphisms(groupoid: FiniteGroupoid) -> np.ndarray:
+    """The groupoid's dom and cod as one record array, a record per morphism."""
+    rows = np.empty(groupoid.morphism_count, _MORPHISM)
+    rows["dom"], rows["cod"] = groupoid.dom, groupoid.cod
+    return rows
+
+
 def _fields(obj, table=lambda a: a) -> dict:
-    """The JSON fields of a structure in file order, each table (a read-only
-    int64 array) passed through `table`."""
+    """The JSON fields of a structure in file order, each table (an int64
+    array) passed through `table`.  The groupoid's morphisms are one record
+    array with the fields dom and cod, so that each is a {"dom", "cod"}
+    object."""
     if isinstance(obj, SkewLatticeTable):
         return {
             "order": obj.order,
@@ -53,9 +70,7 @@ def _fields(obj, table=lambda a: a) -> dict:
     if isinstance(obj, FiniteGroupoid):
         return {
             "objects": obj.object_count,
-            "morphisms": [
-                {"dom": d, "cod": c} for d, c in zip(obj.dom.tolist(), obj.cod.tolist())
-            ],
+            "morphisms": table(_morphisms(obj)),
             "comp": table(obj.comp),
             "inv": table(obj.inv),
         }
@@ -84,9 +99,16 @@ def _fields(obj, table=lambda a: a) -> dict:
     raise MalformedSystemError(f"cannot serialize {type(obj).__name__}")
 
 
+def _plain(table: np.ndarray) -> list:
+    """A table as nested lists of ints; a record array as a list of dicts."""
+    if table.dtype.names:
+        return [dict(zip(table.dtype.names, row)) for row in table.tolist()]
+    return table.tolist()
+
+
 def structure_to_dict(obj) -> dict:
     """The JSON dict of a structure: plain ints, lists and dicts."""
-    return _fields(obj, np.ndarray.tolist)
+    return _fields(obj, _plain)
 
 
 def _integers(value, what: str):
@@ -167,9 +189,17 @@ def json_text(value, pad: str = "") -> str:
     """json.dumps(value, indent=1) for a value nested at indent `pad`:
     dicts with str keys, lists and tuples recurse, a list of ints is one
     join, an integer ndarray fills one `%d` template built from its shape,
-    any other ndarray is its tolist(), and json encodes any other leaf."""
+    a one-dimensional record array of integer fields is a list of objects
+    filled the same way, any other ndarray is its tolist(), and json
+    encodes any other leaf."""
     inner = pad + " "
     if isinstance(value, np.ndarray):
+        if value.dtype.names:
+            at = inner + " "
+            row = "{\n" + at + (",\n" + at).join(encode_basestring_ascii(k) + ": %d" for k in value.dtype.names)
+            rows = (",\n" + inner).join([row + "\n" + inner + "}"] * len(value))
+            template = "[\n" + inner + rows + "\n" + pad + "]" if len(value) else "[]"
+            return template % tuple(chain.from_iterable(value.tolist()))
         if value.dtype.kind not in "iu":
             return json_text(value.tolist(), pad)
         template = "%d"
@@ -198,12 +228,20 @@ def json_text(value, pad: str = "") -> str:
     return json.dumps(value)
 
 
-def save_structure(path: str, obj, extra: dict | None = None) -> None:
+def structure_text(obj, extra: dict | None = None) -> str:
+    """The text of a structure's file: the fields of extra, then the
+    structure's, as json_text writes them, and a newline."""
     data = _fields(obj)
     if extra:
         data = {**extra, **data}
+    return json_text(data) + "\n"
+
+
+def save_structure(path: str, obj, extra: dict | None = None) -> None:
+    """Write one structure file; the command line's writer process writes
+    the same structure_text."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(data) + "\n")
+        fh.write(structure_text(obj, extra))
 
 
 def read_structure(path: str) -> tuple[bytes, object]:

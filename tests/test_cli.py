@@ -24,6 +24,7 @@ from skewalg import (
     check_restriction_axioms,
     check_structure,
     enumerate_skew_lattices,
+    generate_model_suite,
     load_structure,
     rectangular_skew,
     save_structure,
@@ -388,6 +389,72 @@ def test_gen_models_writes_the_pinned_suite_files(tmp_path):
 def test_gen_models_bound_is_exit_four(tmp_path):
     _, code = dispatch(["gen-models", "--max-group", "12", "--out", str(tmp_path / "x")])
     assert code == 4
+    assert not (tmp_path / "x").exists()
+
+
+def test_gen_models_lists_and_writes_in_suite_order(tmp_path):
+    out = tmp_path / "models"
+    run, code = dispatch(["gen-models", "--max-group", "3", "--max-band", "2", "--out", str(out)])
+    assert code == 0
+    names = [inst.name for inst in generate_model_suite(3, 2)]
+    assert run["instances"] == names and run["count"] == len(names)
+    tags = ("action", "algebra", "system")
+    assert run["written"] == [str(out / f"{name}.{tag}.json") for name in names for tag in tags]
+    assert dispatch(["gen-models", "--max-group", "3", "--max-band", "2"])[0]["instances"] == names
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    # 13 kB in all: every frame is in the pipe before the writer fails
+    (["gen-models", "--max-group", "2", "--max-band", "2"], "C2xB2.1a0.algebra.json"),
+    # 296 kB in all: the writer stops at its first file while frames remain
+    (["gen-models", "--max-group", "4", "--max-band", "3"], "C1xB1.0a0.action.json"),
+    (["build-algebra", "SYSTEM"], "algebra.json"),
+    (["reconstruct", "ALGEBRA"], "system.json"),
+])
+def test_a_failed_write_is_exit_three_naming_the_path(argv, blocked, tmp_path, capsys, swap_system_file, swap_algebra_file):
+    # an output name already taken by a directory: the writer process fails
+    # to open it, the record names the path, and no process is left behind
+    argv = [{"SYSTEM": swap_system_file, "ALGEBRA": swap_algebra_file}.get(a, a) for a in argv]
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    run, code = dispatch([*argv, "--out", str(out)])
+    assert code == 3
+    assert run["error"] == {
+        "kind": "usage", "message": f"cannot write under --out: [Errno 21] Is a directory: {str(out / blocked)!r}",
+    }
+    assert "written" not in run
+    assert_no_child_process()
+    assert main([*argv, "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert_no_child_process()
+
+
+def test_a_writer_that_stops_without_a_report_is_exit_three(tmp_path, monkeypatch):
+    # a writer killed or failing before its loop reports nothing; its exit
+    # status is the error, and it is waited for
+    monkeypatch.setattr("skewalg.cli._WRITER", "import sys; sys.exit(5)")
+    run, code = dispatch(["gen-models", "--max-group", "4", "--max-band", "3", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert run["error"]["message"] == "cannot write under --out: the file writer exited with status 5"
+    assert_no_child_process()
+
+
+def test_out_naming_a_regular_file_is_exit_three_without_a_process(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    argv = ["gen-models", "--max-group", "1", "--max-band", "1", "--out", str(out)]
+    run, code = dispatch(argv)
+    assert code == 3
+    assert run["error"]["message"] == f"cannot write under --out: [Errno 17] File exists: {str(out)!r}"
+    assert_no_child_process()
+    assert main(argv) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert_no_child_process()
 
 
 def test_main_prints_json_report(capsys, swap_algebra_file):

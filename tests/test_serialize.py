@@ -230,3 +230,23 @@ def test_an_array_is_written_as_its_list(arr):
     assert json_text(arr) == json.dumps(plain, indent=1)
     nested = {"a": [arr, {"b": arr}], "c": arr}
     assert json_text(nested) == json.dumps({"a": [plain, {"b": plain}], "c": plain}, indent=1)
+
+
+record_arrays = st.tuples(
+    st.lists(st.sampled_from(["dom", "cod", "a", "é"]), min_size=1, max_size=3, unique=True),
+    st.sampled_from([np.int8, np.int64]),
+    st.integers(0, 4),
+).flatmap(lambda spec: hnp.arrays(
+    np.dtype([(name, spec[1]) for name in spec[0]]), spec[2],
+    elements=st.tuples(*[st.integers(-128, 127)] * len(spec[0])),
+))
+
+
+@settings(max_examples=100, deadline=None)
+@given(record_arrays)
+@example(np.zeros(0, dtype=[("dom", np.int64), ("cod", np.int64)]))
+def test_a_record_array_is_written_as_its_list_of_objects(rows):
+    plain = [dict(zip(rows.dtype.names, row)) for row in rows.tolist()]
+    assert json_text(rows) == json.dumps(plain, indent=1)
+    nested = {"a": [rows, {"b": rows}], "c": rows}
+    assert json_text(nested) == json.dumps({"a": [plain, {"b": plain}], "c": plain}, indent=1)
