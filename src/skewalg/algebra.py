@@ -19,7 +19,7 @@ from .errors import SkeletonNotClosedError
 from .report import AxiomReport, flag
 from .tables import (
     OperationTable, SkewLatticeTable, _ByValue, check_skew_lattice, checked_index, frozen, greens_l, greens_r,
-    padded,
+    out_of_range, padded,
 )
 
 __all__ = [
@@ -46,7 +46,7 @@ class BiBandAlgebra(_ByValue):
         star = frozen(star)
         if star.shape != (self.join.order,):
             raise ValueError(f"star must have shape ({self.join.order},)")
-        if star.size and (star.min() < 0 or star.max() >= self.join.order):
+        if out_of_range(star, 0, self.join.order):
             raise ValueError("star entries out of range")
         self.star = star
 

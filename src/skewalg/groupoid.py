@@ -5,8 +5,9 @@ flattened to integer-indexed tables. Composition is a partial binary table
 with -1 marking undefined pairs; endpoints are stored, never recomputed.
 Construction only validates shapes and index ranges so that deliberately
 broken tables can still be built and then interrogated by check_groupoid.
-A groupoid pads its own tables on first use (FiniteGroupoid.padded), and
-check_groupoid and every system over the groupoid gather through them.
+A groupoid derives its units (FiniteGroupoid.identity_of) and pads its own
+tables (FiniteGroupoid.padded) on first use, and check_groupoid and every
+system over the groupoid gather through the padded tables.
 f then h is comp[f, h] and the inverse of f is inv[f]; the discrete and
 one-object groupoids are those of models.discrete_system and group_system.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import MalformedSystemError
 from .report import AxiomReport, flag
-from .tables import _ByValue, frozen, padded
+from .tables import _ByValue, frozen, out_of_range, padded
 
 __all__ = ["FiniteGroupoid", "check_groupoid"]
 
@@ -39,16 +40,14 @@ class FiniteGroupoid(_ByValue):
             )
         if self.object_count < 0:
             raise MalformedSystemError("negative object count")
-        for name, arr, hi in (
-            ("dom", self.dom, self.object_count),
-            ("cod", self.cod, self.object_count),
-            ("inv", self.inv, m),
+        for name, arr, lo, hi in (
+            ("dom", self.dom, 0, self.object_count),
+            ("cod", self.cod, 0, self.object_count),
+            ("inv", self.inv, 0, m),
+            ("composition", self.comp, -1, m),
         ):
-            if arr.size and (arr.min() < 0 or arr.max() >= hi):
+            if out_of_range(arr, lo, hi):
                 raise MalformedSystemError(f"{name} entries out of range")
-        if self.comp.size and (self.comp.min() < -1 or self.comp.max() >= m):
-            raise MalformedSystemError("composition entries out of range")
-        self.identity_of = self._find_identities()
 
     @property
     def morphism_count(self) -> int:
@@ -59,12 +58,14 @@ class FiniteGroupoid(_ByValue):
         """(dom, cod, inv, comp, identity_of), each through tables.padded."""
         return tuple(map(padded, (self.dom, self.cod, self.inv, self.comp, self.identity_of)))
 
-    def _find_identities(self) -> np.ndarray:
-        """identity_of[b] = the unit morphism at object b, or -1 if absent.
+    @functools.cached_property
+    def identity_of(self) -> np.ndarray:
+        """identity_of[b] = the unit morphism at object b, or -1 if absent;
+        read-only, computed on first use and then kept.
 
         Derived tolerantly: a broken table simply yields -1 entries, which
-        check_groupoid then reports. Should a broken table offer several
-        units at one object, the highest-indexed one is taken.
+        check_groupoid then reports. No table offers two units e, e' at one
+        object, since e then e' would be both e' and e.
         """
         dom, cod, comp = self.dom, self.cod, self.comp
         idx = np.arange(self.morphism_count)
@@ -73,7 +74,7 @@ class FiniteGroupoid(_ByValue):
         right = (cod[None, :] != dom[:, None]) | (comp.T == idx[None, :])
         unit = (cod == dom) & (comp.diagonal() == idx) & left.all(1) & right.all(1)
         out = np.full(self.object_count, -1, dtype=np.int64)
-        np.maximum.at(out, dom[unit], idx[unit])
+        out[dom[unit]] = idx[unit]
         out.setflags(write=False)
         return out
 

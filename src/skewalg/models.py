@@ -45,10 +45,10 @@ from .algebra import BiBandAlgebra
 from .enumeration import enumerate_skew_lattices
 from .errors import ActionInvalidError, BoundExceededError
 from .groupoid import FiniteGroupoid
-from .isomorphism import automorphisms_of, least_rows, lex_keys, relabellings
+from .isomorphism import automorphisms_of, lex_keys, relabellings
 from .report import AxiomReport, Check, flag
 from .system import RestrictionSystem
-from .tables import GroupTable, SkewLatticeTable, _ByValue, frozen
+from .tables import GroupTable, SkewLatticeTable, _ByValue, frozen, out_of_range
 
 __all__ = [
     "GROUP_CATALOG",
@@ -123,7 +123,7 @@ class GroupAction(_ByValue):
                 f"action table must have shape {(lattice.order, group.order)}, "
                 f"got {act.shape}"
             )
-        if act.size and (act.min() < 0 or act.max() >= lattice.order):
+        if out_of_range(act, 0, lattice.order):
             raise ActionInvalidError("action entries out of range")
         self.group = group
         self.lattice = lattice
@@ -163,14 +163,17 @@ def _action_laws(acts, group: GroupTable, lattice: SkewLatticeTable) -> list[np.
     action tables, each led by the candidate axis c: a^e = a over (a),
     a^{uv} = (a^u)^v over (a, u, v), and (a∧b)^u = a^u ∧ b^u, then the same
     for ∨, over (a, b, u)."""
+    count, nb, ng = acts.shape
     gt = group.table.array
     mt, jt = lattice.meet.array, lattice.join.array
-    pairs = acts[:, :, None, :], acts[:, None, :, :]
+    # (a^u)^v is row c·|B| + a^u of the stacked rows; a^u ∧ b^u is entry a^u·|B| + b^u of ∧
+    images = acts.reshape(-1, ng).take(acts + nb * np.arange(count)[:, None, None], 0)
+    pairs = acts[:, :, None, :] * nb + acts[:, None, :, :]
     return [
-        acts[..., group.identity] == np.arange(lattice.order),
-        acts[np.arange(len(acts))[:, None, None], acts] == acts[..., gt],
-        acts[:, mt, :] == mt[pairs],
-        acts[:, jt, :] == jt[pairs],
+        acts[..., group.identity] == np.arange(nb),
+        images == acts.take(gt, 2),
+        acts.take(mt, 1) == mt.take(pairs),
+        acts.take(jt, 1) == jt.take(pairs),
     ]
 
 
@@ -195,20 +198,16 @@ class SemidirectAlgebra(BiBandAlgebra):
 
     def __init__(self, action: GroupAction):
         _guard(action)
-        gt = action.group.table.array
-        ginv = action.group.inverse
-        mt = action.lattice.meet.array
-        jt = action.lattice.join.array
-        act = action.act
+        gt, ginv, act = action.group.table.array, action.group.inverse, action.act
+        mt, jt = action.lattice.meet.array, action.lattice.join.array
         nb = action.band_order
-        m = action.group_order * nb
-        i = np.arange(m)
-        u, a = i // nb, i % nb
+        u, a = np.divmod(np.arange(action.group_order * nb), nb)
 
         heads = gt.take(u, 0).take(u, 1) * nb
-        twisted = act.take(a, 0).take(u, 1)
-        meet = heads + mt[twisted, a[None, :]]
-        join = heads + jt[twisted, a[None, :]]
+        # cell (a^v, b) of a band table, for (u,a)(v,b), read flat
+        cells = act.take(a, 0).take(u, 1) * nb + a
+        meet = heads + mt.take(cells)
+        join = heads + jt.take(cells)
         star = ginv[u] * nb + act[a, ginv[u]]
         super().__init__(join, meet, star)
         self.action = action
@@ -236,28 +235,20 @@ def semidirect_groupoid(action: GroupAction) -> RestrictionSystem:
     gives (a∧b, g) and corestricting to c <=_R b^g gives (c^{g^-1}, g).
     """
     _guard(action)
-    gt = action.group.table.array
-    ginv = action.group.inverse
-    mt = action.lattice.meet.array
-    jt = action.lattice.join.array
-    act = action.act
+    gt, ginv, act = action.group.table.array, action.group.inverse, action.act
+    mt, jt = action.lattice.meet.array, action.lattice.join.array
     nb, ng = action.band_order, action.group_order
-    m = nb * ng
-    i = np.arange(m)
-    b, g = i // ng, i % ng
+    dom, g = np.divmod(np.arange(nb * ng), ng)
 
-    dom = b
-    cod = act[b, g]
-    comp = np.where(
-        cod[:, None] == dom[None, :], b[:, None] * ng + gt[g[:, None], g[None, :]], -1
-    )
+    cod = act.ravel()  # act[b, g] for morphism (b, g)
+    comp = np.where(cod[:, None] == dom, dom[:, None] * ng + gt.take(g, 0).take(g, 1), -1)
     inv = cod * ng + ginv[g]
 
-    obj = np.arange(nb)[:, None]
-    back = act[obj.T, ginv[g][:, None]] * ng + g[:, None]
+    # back[f, a] = act[a, g_f^-1]
+    back = act.T.take(ginv[g], 0) * ng + g[:, None]
     groupoid = FiniteGroupoid(nb, dom, cod, comp, inv)
     return RestrictionSystem.on_regions(
-        groupoid, action.lattice, [(op[obj, dom] * ng + g, back) for op in (mt, jt)]
+        groupoid, action.lattice, [(op.take(dom, 1) * ng + g, back) for op in (mt, jt)]
     )
 
 
@@ -307,23 +298,22 @@ def enumerate_actions(group: GroupTable, lattice: SkewLatticeTable) -> list[Grou
     the shared passing report.
     """
     gens, words = _element_words(group)
-    nb = lattice.order
     perms = np.asarray(automorphisms_of(lattice), dtype=np.int64)
-    # picks[c, j]: the automorphism candidate c assigns to generator j
-    picks = np.array(list(itertools.product(range(len(perms)), repeat=len(gens))), dtype=np.intp)
-    chosen = dict(zip(gens, perms[picks.T]))
-    identity = np.broadcast_to(np.arange(nb), (len(picks), nb))
-    columns = []
+    # picks[j, c]: the automorphism candidate c assigns to generator j, in product order
+    count = len(perms) ** len(gens)
+    picks = np.indices((len(perms),) * len(gens)).reshape(len(gens), count)
+    chosen = dict(zip(gens, perms[picks]))
+    rows = np.arange(count)[:, None]
+    acts = np.empty((count, lattice.order, group.order), dtype=np.int64)
     for u in range(group.order):
         # phi(x.g) = phi(g) o phi(x), so fold the word right-to-left
-        perm = identity
+        perm = np.arange(lattice.order)
         for g in words[u]:
-            perm = np.take_along_axis(chosen[g], perm, axis=1)
-        columns.append(perm)
-    acts = np.stack(columns, axis=-1)
-    ok = np.ones(len(acts), dtype=bool)
+            perm = chosen[g][rows, perm]
+        acts[..., u] = perm
+    ok = np.ones(count, dtype=bool)
     for mask in _action_laws(acts, group, lattice):
-        ok &= mask.reshape(len(acts), -1).all(axis=1)
+        ok &= mask.reshape(count, -1).all(axis=1)
     kept = [GroupAction(group, lattice, act) for act in acts[ok]]
     for action in kept:
         action._report = _PASSING_REPORT
@@ -335,9 +325,10 @@ def dedupe_actions(actions: list[GroupAction]) -> list[GroupAction]:
     first action of each orbit, in input order.  Every action must have the
     first action's group and lattice.  One relabellings gather renames every
     action by each (σ, τ) in Aut(B) x Aut(G), act'[a, u] = σ^-1(act[σ(a), τ(u)]);
-    an action's least_rows names its orbit."""
-    if not actions:
-        return []
+    the least lex_keys of an action's relabellings names its orbit.  A lone
+    action is its own orbit and comes back as it is."""
+    if len(actions) < 2:
+        return list(actions)
     group, lattice = actions[0].group, actions[0].lattice
     # identity first: the actions of one enumeration share their group and lattice
     if any(
@@ -348,9 +339,11 @@ def dedupe_actions(actions: list[GroupAction]) -> list[GroupAction]:
     gauts, bauts = automorphisms_of(group), automorphisms_of(lattice)
     sigma = np.repeat(np.asarray(bauts), len(gauts), axis=0)
     tau = np.tile(np.asarray(gauts), (len(bauts), 1))
-    moved = relabellings(np.array([a.act for a in actions]), sigma, tau, np.argsort(sigma, axis=1))
-    keys = lex_keys(least_rows(moved.reshape(*moved.shape[:2], -1)))
-    return [actions[i] for i in np.sort(np.unique(keys, return_index=True)[1])]
+    # renamed values lie below |B|, so the gather holds them in the least width
+    inverse = np.argsort(sigma, axis=1).astype(np.min_scalar_type(lattice.order))
+    moved = relabellings(np.array([a.act for a in actions]), sigma, tau, inverse)
+    least = np.sort(lex_keys(moved.reshape(*moved.shape[:2], -1)), axis=1)[:, 0]
+    return [actions[i] for i in np.sort(np.unique(least, return_index=True)[1])]
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,13 @@ each to its region, -1 outside.
 
 Each derived table has one owner, which computes it on first use and then
 keeps it, so a system that is only written out or compared table by table
-never pays for any of them: the groupoid pads its own tables
-(FiniteGroupoid.padded), the object lattice holds its preorders
-(SkewLatticeTable.preorders), the system derives its two pseudoproducts
-(RestrictionSystem._pseudoproducts), and each side of the system derives its
-two total operations (a∧g and g∧a, or a∨g and g∨a) as numpy tables. A system
-read only for its algebra derives the pseudoproducts and nothing else.
+never pays for any of them: the groupoid derives its units and pads its
+tables (FiniteGroupoid.identity_of, .padded), the object lattice holds its
+preorders (SkewLatticeTable.preorders), the system derives its two
+pseudoproducts (RestrictionSystem._pseudoproducts), and each side of the
+system derives its two total operations (a∧g and g∧a, or a∨g and g∨a) as
+numpy tables. A system read only for its algebra derives the pseudoproducts
+and nothing else.
 Undefined entries stay -1: each lookup table is padded with a -1 border
 row/column, and since take, like indexing, reads index -1 as the last
 position, sentinels flow through chained gathers without any masking logic.
@@ -54,7 +55,7 @@ from .algebra import BiBandAlgebra, skehr_statement_flags
 from .errors import MalformedSystemError
 from .groupoid import FiniteGroupoid, check_groupoid
 from .report import AxiomReport, flag
-from .tables import SkewLatticeTable, check_skew_lattice, frozen, padded
+from .tables import SkewLatticeTable, check_skew_lattice, frozen, out_of_range, padded
 
 __all__ = [
     "RestrictionSystem",
@@ -71,7 +72,7 @@ def _check_partial(name: str, table, shape, hi: int) -> np.ndarray:
     arr = frozen(table)
     if arr.shape != shape:
         raise MalformedSystemError(f"{name} must have shape {shape}, got {arr.shape}")
-    if arr.size and (arr.min() < -1 or arr.max() >= hi):
+    if out_of_range(arr, -1, hi):
         raise MalformedSystemError(f"{name} entries must lie in -1..{hi - 1}")
     return arr
 

@@ -48,6 +48,11 @@ def checked_index(i: int, n: int) -> int:
     return i
 
 
+def out_of_range(arr: np.ndarray, lo: int, hi: int) -> bool:
+    """True iff some entry of arr lies outside lo..hi-1; an empty arr has none."""
+    return bool(arr.size) and bool(arr.min() < lo or arr.max() >= hi)
+
+
 def _as_table(table) -> np.ndarray:
     arr = frozen(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -55,7 +60,7 @@ def _as_table(table) -> np.ndarray:
     n = arr.shape[0]
     if n == 0:
         raise ValueError("empty operation table")
-    if arr.min() < 0 or arr.max() >= n:
+    if out_of_range(arr, 0, n):
         raise ValueError("table entries must lie in 0..n-1")
     return arr
 

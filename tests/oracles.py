@@ -123,26 +123,42 @@ def associativity_ok(t, a, b, n):
     """Partial associativity test after cell (a, b) of t was filled.
 
     Checks every triple whose evaluation touches cell (a, b) and whose
-    intermediate products are all already decided (-1 means undecided).
+    intermediate products are all already decided (-1 means undecided):
+    (a, b, z) and (x, a, b) for every x and z, then (x, y, b) with xy = a
+    and (a, y, z) with yz = b, each of the last two with ab on one side.
+    That is at most 2n + 2n² triples, read from the rows, instead of a scan
+    of all n³.
     """
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if not (
-                    (x == a and y == b)
-                    or (y == a and z == b)
-                    or (t[x][y] == a and z == b)
-                    or (x == a and t[y][z] == b)
-                ):
-                    continue
-                xy = t[x][y]
-                yz = t[y][z]
-                if xy < 0 or yz < 0:
-                    continue
-                left = t[xy][z]
-                right = t[x][yz]
-                if left >= 0 and right >= 0 and left != right:
+    ab = t[a][b]
+    if ab < 0:
+        return True  # every such triple reads the undecided cell (a, b)
+    row_a, row_b, row_ab = t[a], t[b], t[ab]
+    for z in range(n):  # (ab)z against a(bz)
+        bz = row_b[z]
+        if bz >= 0:
+            left, right = row_ab[z], row_a[bz]
+            if left != right and left >= 0 and right >= 0:
+                return False
+    for row_x in t:  # (xa)b against x(ab)
+        xa = row_x[a]
+        if xa >= 0:
+            left, right = t[xa][b], row_x[ab]
+            if left != right and left >= 0 and right >= 0:
+                return False
+    for row_x in t:  # (xy)b = ab against x(yb), where xy = a
+        for y, xy in enumerate(row_x):
+            if xy == a and t[y][b] >= 0:
+                right = row_x[t[y][b]]
+                if right != ab and right >= 0:
                     return False
+    for y, row_y in enumerate(t):  # (ay)z against a(yz) = ab, where yz = b
+        ay = row_a[y]
+        if ay >= 0:
+            for z, yz in enumerate(row_y):
+                if yz == b:
+                    left = t[ay][z]
+                    if left != ab and left >= 0:
+                        return False
     return True
 
 
@@ -537,8 +553,7 @@ def pair_groupoid_tables(n):
 
 
 def groupoid_units(n, dom, cod, comp):
-    """units[b] = the morphism acting as identity at object b, or -1; on a
-    broken table offering several, the last one found wins."""
+    """units[b] = the morphism acting as identity at object b, or -1."""
     m = len(dom)
     units = [-1] * n
     for e in range(m):

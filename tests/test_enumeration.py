@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     absorption_holds,
+    associativity_ok,
     brute_force_bands,
     brute_force_skew_lattices,
     count_classes,
@@ -215,3 +216,27 @@ def _with_empty_cell():
 def test_stacked_fill_equals_the_depth_first_search_on_random_masks(allowed, chunk):
     with patch.object(enumeration, "_CHUNK", chunk):
         assert stacked_fill(allowed) == fill_roots(allowed)
+
+
+def _associative_by_scan(t, a, b, n):
+    """The test associativity_ok makes, by a plain scan of all n³ triples."""
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if (x, y) == (a, b) or (y, z) == (a, b) or (t[x][y] == a and z == b) or (x == a and t[y][z] == b):
+            xy, yz = t[x][y], t[y][z]
+            if xy >= 0 and yz >= 0 and min(t[xy][z], t[x][yz]) >= 0 and t[xy][z] != t[x][yz]:
+                return False
+    return True
+
+
+@st.composite
+def partial_tables(draw):
+    """A table on 1-4 elements with -1 for undecided cells, and a cell (a, b)."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-1, n - 1), min_size=n, max_size=n)
+    t = draw(st.lists(row, min_size=n, max_size=n))
+    return t, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), n
+
+
+@given(partial_tables())
+def test_associativity_oracle_agrees_with_the_full_scan(case):
+    assert associativity_ok(*case) == _associative_by_scan(*case)

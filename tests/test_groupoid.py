@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from skewalg import (
     chain_lattice,
     check_groupoid,
     discrete_system,
+    generate_model_suite,
     group_system,
 )
 
@@ -97,6 +99,27 @@ def test_identity_of_reports_missing_units():
     assert g.identity_of[0] == 0
     assert g.identity_of[1] == -1
     assert not check_groupoid(g).ok
+
+
+def test_identities_are_derived_on_first_read_and_kept_read_only():
+    g = pair_groupoid(2)
+    assert "identity_of" not in vars(g)
+    units = g.identity_of
+    assert units.tolist() == [0, 3] and not units.flags.writeable
+    assert g.identity_of is units
+    # a suite build derives none: only the checkers read the units
+    assert not any("identity_of" in vars(inst.system.groupoid) for inst in generate_model_suite())
+
+
+def test_no_table_offers_two_units_at_one_object():
+    # if e and e' were both units at one object, e then e' would be e' and
+    # e at once; checked over every table of two loops at one object
+    for cells in itertools.product(range(-1, 2), repeat=4):
+        comp = np.reshape(cells, (2, 2)).tolist()
+        units = [e for e in range(2) if all(comp[e][f] == f == comp[f][e] for f in range(2))]
+        assert len(units) <= 1
+        g = FiniteGroupoid(1, [0, 0], [0, 0], comp, [0, 1])
+        assert g.identity_of.tolist() == groupoid_units(1, [0, 0], [0, 0], comp) == (units or [-1])
 
 
 def test_groupoid_laws_match_scalar_oracle_on_suite_and_mutants(suite):

@@ -175,6 +175,19 @@ def test_dedupe_of_no_actions_is_empty():
     assert dedupe_actions([]) == []
 
 
+def test_dedupe_passes_a_lone_action_through_without_a_search(monkeypatch):
+    import skewalg.models as models
+
+    (action,) = enumerate_actions(GROUP_CATALOG["C3"], chain_lattice(2))
+
+    def refuse(structure):
+        raise AssertionError(f"searched {structure!r}")
+
+    monkeypatch.setattr(models, "automorphisms_of", refuse)
+    kept = dedupe_actions([action])
+    assert kept == [action] and kept[0] is action
+
+
 def _tables(actions):
     return [tuple(map(tuple, a.act.tolist())) for a in actions]
 
@@ -512,7 +525,9 @@ def test_suite_searches_each_structure_once(monkeypatch):
     # counts the automorphism searches themselves, each keyed by the first
     # table it reads, which belongs to one group or lattice object; the
     # catalog groups start unsearched, keep their automorphisms for the
-    # process, and the second build's fresh lattices are searched anew
+    # process, and the second build's fresh lattices are searched anew.
+    # C1 acts on each lattice in one way only, and dedupe_actions passes a
+    # lone action through, so the trivial group is never searched
     import skewalg.isomorphism as isomorphism
 
     for group in GROUP_CATALOG.values():
@@ -525,7 +540,7 @@ def test_suite_searches_each_structure_once(monkeypatch):
         return search(sig_a, sig_b)
 
     monkeypatch.setattr(isomorphism, "_isomorphisms", counted)
-    groups = {id(group.table.array): 1 for group in GROUP_CATALOG.values()}
+    groups = {id(group.table.array): 1 for name, group in GROUP_CATALOG.items() if name != "C1"}
     for _ in range(2):
         searches.clear()
         suite = generate_model_suite()

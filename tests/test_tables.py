@@ -1,19 +1,24 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from skewalg import (
+    ActionInvalidError,
     BiBandAlgebra,
     FiniteGroupoid,
     GroupAction,
     GroupTable,
+    MalformedSystemError,
     OperationTable,
+    RestrictionSystem,
     SkewLatticeTable,
     chain_lattice,
     check_band,
     check_skew_lattice,
+    discrete_system,
     greens_relations,
     left_zero,
     rectangular_skew,
@@ -21,7 +26,7 @@ from skewalg import (
 )
 from oracles import greens_partitions, group_identity_and_inverses, single_cell_mutants
 from skewalg.models import GROUP_CATALOG
-from skewalg.tables import greens_l, greens_r
+from skewalg.tables import greens_l, greens_r, out_of_range
 
 
 def test_left_zero_projects_onto_first_argument():
@@ -58,6 +63,83 @@ def test_rectangular_meet_is_left_zero_and_join_right_zero():
 def test_a_malformed_operation_table_is_refused(table, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         OperationTable(table)
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def ranged_arrays(draw):
+    """(arr, lo, hi): an int64 array of 0-6 entries, 1-D or 2-D, drawn near
+    lo and hi and at the int64 extremes, with lo from -1 up."""
+    lo = draw(st.integers(-1, 3))
+    hi = draw(st.integers(lo, lo + 4))
+    near = st.integers(lo - 2, hi + 1) | st.sampled_from([INT64.min, INT64.min + 1, INT64.max - 1, INT64.max])
+    values = draw(st.lists(near, max_size=6))
+    shape = draw(st.sampled_from([(len(values),), (1, len(values)), (len(values), 1)]))
+    return np.array(values, dtype=np.int64).reshape(shape), lo, hi
+
+
+@given(ranged_arrays())
+@example((np.zeros(0, dtype=np.int64), -1, 0))
+@example((np.array([-1, 2], dtype=np.int64), -1, 3))
+@example((np.array([3], dtype=np.int64), -1, 3))
+@example((np.array([[INT64.min], [INT64.max]], dtype=np.int64), 0, 1))
+def test_out_of_range_is_the_entrywise_definition(case):
+    arr, lo, hi = case
+    assert out_of_range(arr, lo, hi) is any(not lo <= v < hi for v in arr.ravel().tolist())
+
+
+def _ending_in(table, value):
+    """A copy of table with its last entry set to value."""
+    out = np.array(table)
+    out.flat[-1] = value
+    return out
+
+
+_S = discrete_system(chain_lattice(2))  # two objects, two morphisms
+
+
+def _groupoid(k):
+    """Build a groupoid on _S's two loops whose k-th table (dom, cod, comp, inv) ends in v."""
+    tables = [_S.groupoid.dom, _S.groupoid.cod, np.full((2, 2), -1), _S.groupoid.inv]
+    return lambda v: FiniteGroupoid(2, *[_ending_in(t, v) if i == k else t for i, t in enumerate(tables)])
+
+
+def _system(k):
+    """Build _S with its k-th operator table (restL, restR, extL, extR) ending in v."""
+    tables = [_S.restL, _S.restR, _S.extL, _S.extR]
+    ending = lambda v: [_ending_in(t, v) if i == k else t for i, t in enumerate(tables)]
+    return lambda v: RestrictionSystem(_S.groupoid, _S.objects, *ending(v))
+
+
+# site: (build with the site's last entry set to v, lo, hi, exception, message)
+_RANGE_SITES = {
+    "operation table": (lambda v: OperationTable(_ending_in([[0, 1], [1, 1]], v)), 0, 2, ValueError,
+                        "table entries must lie in 0..n-1"),
+    "star": (lambda v: BiBandAlgebra([[0, 1], [1, 1]], [[0, 0], [0, 1]], _ending_in([1, 0], v)), 0, 2,
+             ValueError, "star entries out of range"),
+    "dom": (_groupoid(0), 0, 2, MalformedSystemError, "dom entries out of range"),
+    "cod": (_groupoid(1), 0, 2, MalformedSystemError, "cod entries out of range"),
+    "composition": (_groupoid(2), -1, 2, MalformedSystemError, "composition entries out of range"),
+    "inv": (_groupoid(3), 0, 2, MalformedSystemError, "inv entries out of range"),
+    "restL": (_system(0), -1, 2, MalformedSystemError, "restL entries must lie in -1..1"),
+    "restR": (_system(1), -1, 2, MalformedSystemError, "restR entries must lie in -1..1"),
+    "extL": (_system(2), -1, 2, MalformedSystemError, "extL entries must lie in -1..1"),
+    "extR": (_system(3), -1, 2, MalformedSystemError, "extR entries must lie in -1..1"),
+    "action": (lambda v: GroupAction(GROUP_CATALOG["C2"], chain_lattice(2), _ending_in([[0, 0], [1, 1]], v)),
+               0, 2, ActionInvalidError, "action entries out of range"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_RANGE_SITES))
+def test_each_range_check_keeps_its_bounds_exception_and_message(site):
+    build, lo, hi, error, message = _RANGE_SITES[site]
+    for value in (lo, hi - 1):
+        build(value)
+    for value in (lo - 1, hi, INT64.min, INT64.max):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build(value)
 
 
 def test_check_band_rejects_non_idempotent_table():
