@@ -18,8 +18,8 @@ import numpy as np
 from .errors import SkeletonNotClosedError
 from .report import AxiomReport, flag
 from .tables import (
-    OperationTable, SkewLatticeTable, _ByValue, check_skew_lattice, checked_index, frozen, greens_l, greens_r,
-    out_of_range, padded,
+    OperationTable, SkewLatticeTable, _ByValue, check_skew_lattice, checked_index, equal, frozen, greens_l,
+    greens_r, out_of_range, padded,
 )
 
 __all__ = [
@@ -153,20 +153,12 @@ def skehr_statement_flags(prefix: str, op_p, star) -> tuple[list, np.ndarray, np
     idem = op.diagonal() == idx
     checks.append(flag(f"{prefix}_iii", ~idem | ((plus == idx) & (minus == idx))))
 
-    lhs = plus_p[op]
-    rhs = plus_p[op_p[:-1].take(plus, 1)]
-    ok = (lhs == rhs) & (lhs >= 0)
-    lhs = minus_p[op]
-    rhs = minus_p[op_p[:, :-1].take(minus, 0)]
-    ok &= (lhs == rhs) & (lhs >= 0)
+    ok = equal(plus_p[op], plus_p[op_p[:-1].take(plus, 1)])
+    ok &= equal(minus_p[op], minus_p[op_p[:, :-1].take(minus, 0)])
     checks.append(flag(f"{prefix}_iv", ok))
 
-    lhs = plus_p[op_p[:, :-1].take(plus, 0)]
-    rhs = op_p.take(plus, 0).take(plus, 1)
-    ok = (lhs == rhs) & (lhs >= 0)
-    lhs = minus_p[op_p[:-1].take(minus, 1)]
-    rhs = op_p.take(minus, 0).take(minus, 1)
-    ok &= (lhs == rhs) & (lhs >= 0)
+    ok = equal(plus_p[op_p[:, :-1].take(plus, 0)], op_p.take(plus, 0).take(plus, 1))
+    ok &= equal(minus_p[op_p[:-1].take(minus, 1)], op_p.take(minus, 0).take(minus, 1))
     checks.append(flag(f"{prefix}_v", ok))
     return checks, plus_p, minus_p
 
@@ -184,11 +176,10 @@ def check_skehr(S: BiBandAlgebra) -> AxiomReport:
     mt, st = S.meet.array, S.star
     n = S.order
     idx = np.arange(n)
-    checks = skehr_statement_flags("skehr_meet", padded(mt), st)[0]
+    checks, plus_p, minus_p = skehr_statement_flags("skehr_meet", padded(mt), st)
     checks += skehr_statement_flags("skehr_join", padded(S.join.array), st)[0]
 
-    plus = mt[idx, st]
-    minus = mt[st, idx]
+    plus, minus = plus_p[:-1], minus_p[:-1]
     checks.append(flag("star_swaps_sides", (mt[st, st[st]] == minus) & (mt[st[st], st] == plus)))
 
     r_rel = greens_r(mt)

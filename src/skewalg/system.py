@@ -55,7 +55,7 @@ from .algebra import BiBandAlgebra, skehr_statement_flags
 from .errors import MalformedSystemError
 from .groupoid import FiniteGroupoid, check_groupoid
 from .report import AxiomReport, flag
-from .tables import SkewLatticeTable, check_skew_lattice, frozen, out_of_range, padded
+from .tables import SkewLatticeTable, check_skew_lattice, equal, frozen, out_of_range, padded
 
 __all__ = [
     "RestrictionSystem",
@@ -255,11 +255,6 @@ def _memoised(body):
     return checker
 
 
-def _equal(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """lhs == rhs with lhs defined: a hole (-1) never satisfies a law."""
-    return (lhs == rhs) & (lhs >= 0)
-
-
 @_memoised
 def check_structure(sys: RestrictionSystem) -> AxiomReport:
     """Well-formedness: objects form a skew lattice, the groupoid laws hold,
@@ -323,10 +318,10 @@ def _order_axioms(sys: RestrictionSystem, side: _Side) -> AxiomReport:
 
     # a leL b  =>  _a|i_b = i_(a∧b), which is i_a
     val = L_p[:n].take(e, 1)
-    checks.append(flag(f"{left}_preorder", ~side.preorder[0] | _equal(val, e_p[op])))
+    checks.append(flag(f"{left}_preorder", ~side.preorder[0] | equal(val, e_p[op])))
     # a leR b  =>  i_b|_a = i_(b∧a), which is i_a
     val = R_p[:, :n].take(e, 0).T
-    checks.append(flag(f"{right}_preorder", ~side.preorder[1] | _equal(val, e_p[op.T])))
+    checks.append(flag(f"{right}_preorder", ~side.preorder[1] | equal(val, e_p[op.T])))
 
     # the chaining equations' two sides, which the transitivity laws reuse:
     # chain_l[a, b, g] = (a∧b)∧g, nested_l[a, b, g] = a∧(b∧g),
@@ -338,38 +333,38 @@ def _order_axioms(sys: RestrictionSystem, side: _Side) -> AxiomReport:
     rel = side.order[0]
     hyp = rel[:, :, None] & rel.take(dom, 1)[None, :, :]
     x = L[:, None, :]
-    checks.append(flag(f"{left}_transitivity", ~hyp | ((x == chain_l) & _equal(x, nested_l))))
+    checks.append(flag(f"{left}_transitivity", ~hyp | ((x == chain_l) & equal(x, nested_l))))
     # a leR b leR cod g  =>  g|_a = g|_(b∧a) = (g|_b)|_a, gathered over
     # (g, b, a) and transposed to the law's (a, b, g)
     rel = side.order[1]
     hyp = rel.take(cod, 1).T[:, :, None] & rel.T[None, :, :]
     x = R[:, None, :]
     checks.append(flag(
-        f"{right}_transitivity", (~hyp | ((x == nested_r) & _equal(x, chain_r))).transpose(2, 1, 0)
+        f"{right}_transitivity", (~hyp | ((x == nested_r) & equal(x, chain_r))).transpose(2, 1, 0)
     ))
 
     composable = comp >= 0
     # _a|(f∘g) = (_a|f)∘(_(cod _a|f)|g)
     lhs = L_p[:n].take(comp, 1)
     rhs = comp_p[L[:, :, None], L_p[:, :m].take(cod_p[L], 0)]
-    checks.append(flag(f"{left}_composition", ~composable[None, :, :] | _equal(lhs, rhs)))
+    checks.append(flag(f"{left}_composition", ~composable[None, :, :] | equal(lhs, rhs)))
     # (f∘g)|_d = (f|_(dom g|_d))∘(g|_d)
     lhs = R_p[:, :n].take(comp, 0)
     rhs = comp_p[R_p[:m].take(dom_p[R], 1), R[None, :, :]]
-    checks.append(flag(f"{right}_composition", ~composable[:, :, None] | _equal(lhs, rhs)))
+    checks.append(flag(f"{right}_composition", ~composable[:, :, None] | equal(lhs, rhs)))
 
     # (a∧b)∧g = a∧(b∧g) and (g∧a)∧b = g∧(a∧b), all tuples
-    checks.append(flag(f"{side.op}_chain_left", _equal(chain_l, nested_l)))
-    checks.append(flag(f"{side.op}_chain_right", _equal(chain_r, nested_r)))
+    checks.append(flag(f"{side.op}_chain_left", equal(chain_l, nested_l)))
+    checks.append(flag(f"{side.op}_chain_right", equal(chain_r, nested_r)))
 
     # dom(a∧g) = a∧dom g and cod(g∧a) = (cod g)∧a
-    checks.append(flag(f"{side.op}_endpoint_left", _equal(dom_p[L], op.take(dom, 1))))
-    checks.append(flag(f"{side.op}_endpoint_right", _equal(cod_p[R], op.take(cod, 0))))
+    checks.append(flag(f"{side.op}_endpoint_left", equal(dom_p[L], op.take(dom, 1))))
+    checks.append(flag(f"{side.op}_endpoint_right", equal(cod_p[R], op.take(cod, 0))))
 
     # (a∧f)∧b = a∧(f∧b)
     lhs = R_p[:, :n].take(L, 0)
     rhs = L_p[:n].take(R, 1)
-    checks.append(flag(f"{side.op}_compatibility", _equal(lhs, rhs)))
+    checks.append(flag(f"{side.op}_compatibility", equal(lhs, rhs)))
     return AxiomReport(f"{side.noun} axioms", checks)
 
 
@@ -407,7 +402,7 @@ def check_linking(sys: RestrictionSystem) -> AxiomReport:
 
     # equivalently ff* = (a∧f)∨f*: join pseudoproduct with the inverse
     val = sys._join.P_p[mr, inv[None, :]]
-    checks.append(flag("linking_equiv_pseudo", _equal(val, e_p[dom][None, :])))
+    checks.append(flag("linking_equiv_pseudo", equal(val, e_p[dom][None, :])))
 
     # lateral: f = (ff*)∨(f∧a)
     val = je_p[dom[None, :], mc.T]
@@ -423,7 +418,7 @@ def check_linking(sys: RestrictionSystem) -> AxiomReport:
 
     # on identity morphisms the axiom degenerates to skew-lattice absorption
     val = jc_p[mr_p[:n].take(e, 1), idx_n[None, :]]
-    checks.append(flag("idempotent_absorption", _equal(val, e[None, :])))
+    checks.append(flag("idempotent_absorption", equal(val, e[None, :])))
     return AxiomReport("linking axiom", checks)
 
 
@@ -451,7 +446,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
 
     # (f∧e)∧g = f∧(e∧g) over morphism, object, morphism
     for s, (L, R, P) in both:
-        checks.append(flag(f"mixed_assoc_{s.op}", _equal(s.P_p[:, :m].take(R, 0), s.P_p[:m].take(L, 1))))
+        checks.append(flag(f"mixed_assoc_{s.op}", equal(s.P_p[:, :m].take(R, 0), s.P_p[:m].take(L, 1))))
 
     # _e|(f∧g) over object, morphism, morphism, read by the next two laws
     into = [s.L_p[:n].take(P, 1) for s, (L, R, P) in both]
@@ -459,15 +454,15 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     # e^(f∧g) = (e^f)^g over object, morphism, morphism
     for (s, (L, R, P)), lhs in zip(both, into):
         rhs = s.L_p[:, :m].take(cod_p[L], 0)
-        checks.append(flag(f"action_chain_{s.op}", _equal(cod_p[lhs], cod_p[rhs])))
+        checks.append(flag(f"action_chain_{s.op}", equal(cod_p[lhs], cod_p[rhs])))
 
     # _e|(f∧g) = (_e|f)∧g
     for (s, (L, R, P)), lhs in zip(both, into):
-        checks.append(flag(f"{s.verb}_into_product_{s.op}", _equal(lhs, s.P_p[:, :m].take(L, 0))))
+        checks.append(flag(f"{s.verb}_into_product_{s.op}", equal(lhs, s.P_p[:, :m].take(L, 0))))
 
     # both pseudoproducts associative over all morphism triples
     for s, (L, R, P) in both:
-        checks.append(flag(f"assoc_{s.op}", _equal(s.P_p[:, :m].take(P, 0), s.P_p[:m].take(P, 1))))
+        checks.append(flag(f"assoc_{s.op}", equal(s.P_p[:, :m].take(P, 0), s.P_p[:m].take(P, 1))))
 
     # pseudoproduct extends composition and the object operations
     composable = comp >= 0
@@ -475,7 +470,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
         checks.append(flag(f"extends_composition_{s.op}", ~composable | (P == comp)))
     for s in sides:
         val = s.P_p.take(e, 0).take(e, 1)
-        checks.append(flag(f"identity_product_{s.op}", _equal(val, e_p[s.table])))
+        checks.append(flag(f"identity_product_{s.op}", equal(val, e_p[s.table])))
 
     # idempotents of each pseudoproduct are exactly the identity morphisms
     id_set = np.zeros(m, dtype=bool)
@@ -495,18 +490,18 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     # (_a|f)^-1 = _(a^f)|f^-1
     for s, (L, R, P) in both:
         rhs = s.L_p[cod_p[L], inv[None, :]]
-        checks.append(flag(f"invert_{s.noun}", _equal(inv_p[L], rhs)))
+        checks.append(flag(f"invert_{s.noun}", equal(inv_p[L], rhs)))
 
     # a^(i_b) = a∧b
     for s in sides:
         val = cod_p[s.L_p[:n].take(e, 1)]
-        checks.append(flag(f"identity_action_{s.op}", _equal(val, s.table)))
+        checks.append(flag(f"identity_action_{s.op}", equal(val, s.table)))
 
     # a∧f∧f* = a∧f∧(a∧f)*, and the printed join form a∨f∨f* = a∨f∨(a∨f)*
     for s, (L, R, P) in both:
         lhs = s.P_p[L, inv[None, :]]
         rhs = s.P_p[L, inv_p[L]]
-        checks.append(flag(f"range_invariance_{s.op}", _equal(lhs, rhs)))
+        checks.append(flag(f"range_invariance_{s.op}", equal(lhs, rhs)))
 
     # observations: these may fail, and for genuinely skew objects they should
     pm_p, mc_p = sys._meet.P_p, sys._meet.R_p
@@ -516,7 +511,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     rhs = pm_p[:m].take(plus, 1)
     checks.append(flag(
         "obs_restriction_identity_left",
-        _equal(lhs, rhs),
+        equal(lhs, rhs),
         required=False,
         note="(s∧t)+∧s = s∧t+: holds only over a semilattice of objects",
     ))
@@ -524,7 +519,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     rhs = pm_p[:, :m].take(minus, 0)
     checks.append(flag(
         "obs_restriction_identity_right",
-        _equal(lhs, rhs),
+        equal(lhs, rhs),
         required=False,
         note="t∧(s∧t)- = s-∧t: holds only over a semilattice of objects",
     ))
@@ -532,14 +527,14 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     rhs = dom_p[mc_p[:, :n].take(inv, 0)]
     checks.append(flag(
         "obs_action_inverse",
-        _equal(lhs, rhs),
+        equal(lhs, rhs),
         required=False,
         note="a^f = ^(f^-1)|a is not an axiom",
     ))
     rhs = mc_p[idx_m[None, :], cod_p[mr]]
     checks.append(flag(
         "obs_restrict_swap",
-        _equal(mr, rhs),
+        equal(mr, rhs),
         required=False,
         note="_a|f = f|_(a^f) is not an axiom",
     ))

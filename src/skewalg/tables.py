@@ -200,6 +200,12 @@ def padded(core) -> np.ndarray:
     return out
 
 
+def equal(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lhs == rhs with lhs defined: a hole (-1) that a padded gather leaves
+    never satisfies a law."""
+    return (lhs == rhs) & (lhs >= 0)
+
+
 def associativity_witness(t: OperationTable) -> tuple[int, int, int] | None:
     """The first (a, b, c) in row-major order with (ab)c ≠ a(bc), else None."""
     arr = t.array
