@@ -49,6 +49,9 @@ class BiBandAlgebra(_ByValue):
         if out_of_range(star, 0, self.join.order):
             raise ValueError("star entries out of range")
         self.star = star
+        # checks of laws on these very tables that a system's derived
+        # identities already made, by name (see build_algebra)
+        self._derived = {}
 
     @property
     def order(self) -> int:
@@ -66,8 +69,11 @@ def check_axioms(S: BiBandAlgebra) -> AxiomReport:
     agreement and star-fixedness of the positive part, regularity, star on
     idempotents, the four generalized absorption laws, the four idempotent
     prefix/suffix laws, the conditional composability consequences, and the
-    agreement of both products on composable pairs."""
+    agreement of both products on composable pairs.  assoc_* and
+    regularity_* are the system's own checks when build_algebra made S
+    after the system's derived identities ran; all else is computed here."""
     checks = []
+    kept = S._derived
     st = S.star
     idx = np.arange(S.order)
     # each dual law is written once, for the product t with positive part
@@ -78,8 +84,9 @@ def check_axioms(S: BiBandAlgebra) -> AxiomReport:
     neg = {k: t[st, idx] for k, t in ops.items()}
     dual = {"join": "meet", "meet": "join"}
 
+    # a Check is a non-empty tuple, so `or` computes only a law not kept
     for k, t in ops.items():
-        checks.append(flag(f"assoc_{k}", t.take(t, 0) == t.take(t, 1)))
+        checks.append(kept.get(f"assoc_{k}") or flag(f"assoc_{k}", t.take(t, 0) == t.take(t, 1)))
 
     checks.append(flag("star_involution", st[st] == idx))
 
@@ -87,7 +94,7 @@ def check_axioms(S: BiBandAlgebra) -> AxiomReport:
     checks.append(flag("positive_part_fixed", st[pos["meet"]] == pos["meet"]))
 
     for k, t in ops.items():
-        checks.append(flag(f"regularity_{k}", t[pos[k], idx] == idx))
+        checks.append(kept.get(f"regularity_{k}") or flag(f"regularity_{k}", t[pos[k], idx] == idx))
 
     for k in ("meet", "join"):
         idem = ops[k].diagonal() == idx
@@ -172,14 +179,19 @@ def _inverse_pairs(mt: np.ndarray) -> np.ndarray:
 def check_skehr(S: BiBandAlgebra) -> AxiomReport:
     """The plus/minus calculus for both operations, the Green's-relation
     positions of s⁺, s⁻ and s*, and uniqueness of star as the inverse
-    sitting at those positions."""
+    sitting at those positions.  skehr_meet_* and skehr_join_* are the
+    system's own checks when build_algebra made S after the system's
+    derived identities ran; all else is computed here."""
     mt, st = S.meet.array, S.star
     n = S.order
     idx = np.arange(n)
-    checks, plus_p, minus_p = skehr_statement_flags("skehr_meet", padded(mt), st)
-    checks += skehr_statement_flags("skehr_join", padded(S.join.array), st)[0]
-
-    plus, minus = plus_p[:-1], minus_p[:-1]
+    checks = [c for name, c in S._derived.items() if name.startswith("skehr_")]
+    if checks:
+        plus, minus = mt[idx, st], mt[st, idx]
+    else:
+        checks, plus_p, minus_p = skehr_statement_flags("skehr_meet", padded(mt), st)
+        checks += skehr_statement_flags("skehr_join", padded(S.join.array), st)[0]
+        plus, minus = plus_p[:-1], minus_p[:-1]
     checks.append(flag("star_swaps_sides", (mt[st, st[st]] == minus) & (mt[st[st], st] == plus)))
 
     r_rel = greens_r(mt)

@@ -265,10 +265,13 @@ def group_system(group: GroupTable) -> RestrictionSystem:
     return semidirect_groupoid(trivial_action(group, SkewLatticeTable([[0]], [[0]])))
 
 
-def _element_words(group: GroupTable) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+def _element_words(group: GroupTable) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
     """A generating set, each generator the least element outside the
     subgroup of those before it, and a shortest word in them for every
-    element, found breadth first from the identity."""
+    element, found breadth first from the identity, once per group object,
+    which keeps the pair in _words (as automorphisms_of keeps its result)."""
+    if (kept := getattr(group, "_words", None)) is not None:
+        return kept
     gt = group.table.array
     gens: list[int] = []
     while True:
@@ -283,7 +286,8 @@ def _element_words(group: GroupTable) -> tuple[list[int], dict[int, tuple[int, .
                     queue.append(y)
         missing = [g for g in range(group.order) if g not in words]
         if not missing:
-            return gens, words
+            group._words = tuple(gens), words
+            return group._words
         gens.append(missing[0])
 
 

@@ -546,6 +546,12 @@ def build_algebra(sys: RestrictionSystem, check: bool = True) -> BiBandAlgebra:
     with inversion as star. Element i of the algebra is morphism i.
 
     With check=True (the default) the system must pass its full report.
+
+    The system's derived identities own 14 laws that check_axioms and
+    check_skehr also check on these tables (assoc_*, regularity_*, skehr_*).
+    If that family has run, the algebra keeps its 14 checks privately and
+    both checkers take them; else they compute every law.  The system keeps
+    no reference to the algebra.
     """
     if check:
         sys.full_report().require()
@@ -554,4 +560,9 @@ def build_algebra(sys: RestrictionSystem, check: bool = True) -> BiBandAlgebra:
         if (P < 0).any():
             hole = tuple(int(v) for v in np.argwhere(P < 0)[0])
             raise MalformedSystemError(f"{name} pseudoproduct undefined at {hole}")
-    return BiBandAlgebra(join, meet, sys.groupoid.inv)
+    algebra = BiBandAlgebra(join, meet, sys.groupoid.inv)
+    derived = sys._reports.get(verify_derived_identities.__name__)
+    if derived is not None:
+        algebra._derived = {c.name: c for c in derived.checks()
+                            if c.name.startswith(("assoc_", "regularity_", "skehr_"))}
+    return algebra

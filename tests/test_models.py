@@ -282,6 +282,16 @@ def test_action_laws_read_the_identity_of_a_relabelled_group(data):
     assert report.ok == (not any(expect.values()))
 
 
+def test_a_group_finds_its_element_words_once():
+    # enumerate_actions reads them once per lattice, 32 times per catalog
+    # group in a suite build; a group object keeps the pair it found
+    group = GroupTable(GROUP_CATALOG["S3"].table)
+    words = _element_words(group)
+    assert _element_words(group) is words
+    assert enumerate_actions(group, SMALL_LATTICES[0]) and _element_words(group) is words
+    assert words == _element_words(GroupTable(group.table))
+
+
 @pytest.mark.parametrize("name", sorted(MOVED))
 def test_enumeration_for_a_relabelled_group_matches_the_candidate_loop(name):
     group = MOVED[name]

@@ -31,6 +31,7 @@ from skewalg import (
     check_groupoid,
     check_linking,
     check_restriction_axioms,
+    check_skehr,
     check_structure,
     discrete_system,
     enumerate_skew_lattices,
@@ -176,6 +177,28 @@ def damaged(sysm, table, where, value):
         sysm.groupoid, sysm.objects,
         arrays["restL"], arrays["restR"], arrays["extL"], arrays["extR"],
     )
+
+
+def algebra_mutants(suite, seed=1) -> list:
+    """Per suite system and operator table, one seeded one-cell mutant: a
+    cell drawn uniformly, set to another value drawn from -1..m-1.  The
+    (label, system) pairs of those whose pseudoproducts are total, so that
+    build_algebra(sys, check=False) accepts them, in suite order."""
+    rng = random.Random(seed)
+    kept = []
+    for inst in suite:
+        m = inst.system.morphism_count
+        for table in ("restL", "restR", "extL", "extR"):
+            cells = getattr(inst.system, table)
+            where = tuple(rng.randrange(k) for k in cells.shape)
+            value = rng.choice([v for v in range(-1, m) if v != cells[where]])
+            broken = damaged(inst.system, table, where, value)
+            try:
+                build_algebra(broken, check=False)
+            except MalformedSystemError:
+                continue
+            kept.append((f"{inst.name}.{table}{list(where)}={value}", broken))
+    return kept
 
 
 def test_mutating_restL_trips_a_restriction_flag():
@@ -401,6 +424,8 @@ MEMO_CALLS = {
     "meet_pseudoproduct": lambda s: build_algebra(s).meet(s.morphism_count - 1, 0),
     "join_pseudoproduct": lambda s: build_algebra(s).join(0, s.morphism_count - 1),
     "roundtrip_groupoid": roundtrip_groupoid,
+    "check_axioms": lambda s: check_axioms(build_algebra(s, check=False)),
+    "check_skehr": lambda s: check_skehr(build_algebra(s, check=False)),
 }
 
 
@@ -469,6 +494,68 @@ def test_each_family_runs_once_per_system(suite):
             for call in calls:
                 call(sysm)
             assert [misses[checker.__name__] for checker in checkers] == [1] * 5, inst.name
+
+
+# the algebra laws that verify_derived_identities checks on the pseudoproducts
+SHARED_LAWS = [f"{law}_{op}" for law in ("assoc", "regularity") for op in ("meet", "join")] + [
+    f"skehr_{op}_{part}" for op in ("meet", "join") for part in ("i", "ii", "iii", "iv", "v")
+]
+
+
+def test_a_built_algebra_reports_what_a_plain_algebra_of_its_tables_reports(suite):
+    # every suite system and its seeded mutants with total pseudoproducts;
+    # the derived family computed before build_algebra (the algebra keeps
+    # the 14 shared checks), after it and never (it keeps none)
+    orders = {
+        "before": lambda s: [verify_derived_identities(s), build_algebra(s, check=False)][1],
+        "after": lambda s: [build_algebra(s, check=False), verify_derived_identities(s)][0],
+        "never": lambda s: build_algebra(s, check=False),
+    }
+    failing = 0
+    for name, sysm in [(inst.name, inst.system) for inst in suite] + algebra_mutants(suite):
+        built = build_algebra(fresh(sysm), check=False)
+        plain = BiBandAlgebra(built.join, built.meet, built.star)
+        want = [check_axioms(plain).to_dict(), check_skehr(plain).to_dict()]
+        for order, build in orders.items():
+            built = build(fresh(sysm))
+            assert sorted(built._derived) == (sorted(SHARED_LAWS) if order == "before" else []), name
+            assert [check_axioms(built).to_dict(), check_skehr(built).to_dict()] == want, (name, order)
+        seen = {**want[0]["checks"], **want[1]["checks"]}
+        failing += any(not seen[law]["ok"] for law in SHARED_LAWS)
+    assert failing > 0  # some mutant fails a shared law, so witnesses are compared too
+
+
+def test_each_shared_law_is_flagged_once_per_certify(suite, monkeypatch):
+    # the certify-suite order on a system: the five checkers, build_algebra,
+    # check_axioms and check_skehr on the built algebra, the groupoid round
+    # trip; the derived family flags the 14 shared laws and the algebra
+    # checkers take them from it
+    flagged, statements = Counter(), Counter()
+    real_flag, real_statements = skewalg.algebra.flag, skewalg.algebra.skehr_statement_flags
+
+    def counting_flag(name, *args, **kwargs):
+        flagged[name] += 1
+        return real_flag(name, *args, **kwargs)
+
+    def counting_statements(prefix, *args):
+        statements[prefix] += 1
+        return real_statements(prefix, *args)
+
+    for module in (skewalg.algebra, skewalg.system):
+        monkeypatch.setattr(module, "flag", counting_flag)
+        monkeypatch.setattr(module, "skehr_statement_flags", counting_statements)
+    for inst in random.Random(14).sample(suite, 40):
+        sysm = fresh(inst.system)
+        flagged.clear()
+        statements.clear()
+        for _, checker in system_checkers():
+            checker(sysm)
+        built = build_algebra(sysm)
+        check_axioms(built)
+        check_skehr(built)
+        roundtrip_groupoid(sysm)
+        assert statements == {"skehr_meet": 1, "skehr_join": 1}, inst.name
+        assert [flagged[law] for law in SHARED_LAWS] == [1] * 14, inst.name
 
 
 @pytest.mark.parametrize("table", ["restL", "restR", "extL", "extR"])
