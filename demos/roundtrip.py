@@ -9,6 +9,7 @@ import skewalg as sk
 suite = sk.generate_model_suite()
 inst = next(i for i in suite if i.name == "C2xB2.2a1")
 S = inst.algebra
+nb = inst.action.band_order  # element u*|B| + a of S is the pair (u, a)
 print(f"model {inst.name}: |S| = {S.order}")
 
 # Algebra -> groupoid: objects are the idempotents, morphisms the elements,
@@ -16,9 +17,9 @@ print(f"model {inst.name}: |S| = {S.order}")
 # are the objects' elements.
 rec = sk.reconstruct(S)
 objects = rec.groupoid.identity_of.tolist()
-print("reconstructed objects:", [S.decode(e) for e in objects])
+print("reconstructed objects:", [divmod(e, nb) for e in objects])
 for s, (b, c) in enumerate(zip(rec.groupoid.dom.tolist(), rec.groupoid.cod.tolist())):
-    print(f"  {S.decode(s)}: {S.decode(objects[b])} -> {S.decode(objects[c])}")
+    print(f"  {divmod(s, nb)}: {divmod(objects[b], nb)} -> {divmod(objects[c], nb)}")
 
 iso = sk.find_isomorphism(rec, inst.system)
 print("reconstruction matches the original system:", iso is not None)

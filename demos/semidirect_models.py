@@ -14,16 +14,17 @@ action = sk.GroupAction(C2, B, [[0, 1], [1, 0]])
 print("action valid:", sk.check_action(action).ok)
 
 S = sk.semidirect_algebra(action)
+nb = B.order  # element u*|B| + a of S is the pair (u, a)
 print(f"|S| = {S.order}  (pairs (u, a) with u in C2, a in B)")
 
 for s in range(S.order):
-    u, a = S.decode(s)
-    star_u, star_a = S.decode(int(S.star[s]))
+    u, a = divmod(s, nb)
+    star_u, star_a = divmod(int(S.star[s]), nb)
     print(f"  ({u},{a})* = ({star_u},{star_a})   inverses: "
-          f"{[S.decode(t) for t in sk.inverses_of(S, s)]}")
+          f"{[divmod(t, nb) for t in sk.inverses_of(S, s)]}")
 
 skeleton, elements = sk.idempotent_skeleton(S)
-print("idempotents:", [S.decode(e) for e in elements])
+print("idempotents:", [divmod(e, nb) for e in elements])
 print("skeleton isomorphic to the base:",
       sk.find_isomorphism(skeleton, B) is not None)
 
@@ -34,12 +35,12 @@ else:
     s, t = w
     lhs = int(S.star[S.meet(s, t)])
     rhs = S.meet(int(S.star[t]), int(S.star[s]))
-    print(f"star is NOT an anti-automorphism: (s meet t)* = {S.decode(lhs)} "
-          f"but t* meet s* = {S.decode(rhs)} for s={S.decode(s)}, t={S.decode(t)}")
+    print(f"star is NOT an anti-automorphism: (s meet t)* = {divmod(lhs, nb)} "
+          f"but t* meet s* = {divmod(rhs, nb)} for s={divmod(s, nb)}, t={divmod(t, nb)}")
 
 for s in range(S.order):
     pos, neg = sk.plus_minus(S, s)
-    print(f"  s={S.decode(s)}  s+ = {S.decode(pos)}  s- = {S.decode(neg)}")
+    print(f"  s={divmod(s, nb)}  s+ = {divmod(pos, nb)}  s- = {divmod(neg, nb)}")
 
 suite = sk.generate_model_suite()
 print(f"\nthe full desk-scale suite holds {len(suite)} pairwise distinct models")

@@ -6,9 +6,8 @@ both band operations. From one action we build
 
   * the pair algebra on G x B with (u,a)(v,b) = (uv, a^v . b) for each band
     operation and star (u,a)* = (u^-1, a^{u^-1}); semidirect_algebra builds
-    it once per action while anything holds it, the action keeping it
-    through a weak reference, so the checkers below reuse a suite
-    instance's algebra,
+    it once per action and the action keeps it, so the checkers below
+    reuse a suite instance's algebra,
   * the groupoid with objects B and morphisms (b, g) : b -> b^g, carrying
     the restriction and extension operators by object-wise conjugation,
   * the congruence kernels K_a collected from the largest congruence of the
@@ -35,7 +34,6 @@ in the package.
 from __future__ import annotations
 
 import itertools
-import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -54,7 +52,6 @@ __all__ = [
     "GROUP_CATALOG",
     "GroupAction",
     "ModelInstance",
-    "SemidirectAlgebra",
     "check_action",
     "congruence_kernels",
     "cyclic_group",
@@ -111,8 +108,7 @@ class GroupAction(_ByValue):
     check_action computes the action's report once and keeps it in
     _report; an action whose laws are known to hold is given the shared
     passing report when it is built.  semidirect_algebra keeps the pair
-    algebra it builds in _algebra, through a weak reference, since the
-    algebra refers back to its action."""
+    algebra it builds in _algebra."""
 
     def __init__(self, group: GroupTable, lattice: SkewLatticeTable, act):
         if not isinstance(lattice, SkewLatticeTable):
@@ -129,7 +125,7 @@ class GroupAction(_ByValue):
         self.lattice = lattice
         self.act = act
         self._report: AxiomReport | None = None
-        self._algebra: weakref.ref | None = None
+        self._algebra: BiBandAlgebra | None = None
 
     @property
     def group_order(self) -> int:
@@ -193,10 +189,11 @@ def _guard(action: GroupAction) -> None:
         raise ActionInvalidError(f"action fails {bad.name} at {bad.witness}")
 
 
-class SemidirectAlgebra(BiBandAlgebra):
-    """Pair algebra on G x B; element u*|B| + a encodes (u, a)."""
-
-    def __init__(self, action: GroupAction):
+def semidirect_algebra(action: GroupAction) -> BiBandAlgebra:
+    """The (2,2,1)-algebra on pairs (u, a) with (u,a)(v,b) = (uv, a^v . b);
+    element u*|B| + a encodes (u, a).  Built on the first call and kept on
+    the action, so every later call returns that one algebra."""
+    if action._algebra is None:
         _guard(action)
         gt, ginv, act = action.group.table.array, action.group.inverse, action.act
         mt, jt = action.lattice.meet.array, action.lattice.join.array
@@ -206,25 +203,9 @@ class SemidirectAlgebra(BiBandAlgebra):
         heads = gt.take(u, 0).take(u, 1) * nb
         # cell (a^v, b) of a band table, for (u,a)(v,b), read flat
         cells = act.take(a, 0).take(u, 1) * nb + a
-        meet = heads + mt.take(cells)
-        join = heads + jt.take(cells)
         star = ginv[u] * nb + act[a, ginv[u]]
-        super().__init__(join, meet, star)
-        self.action = action
-
-    def decode(self, s: int) -> tuple[int, int]:
-        return divmod(s, self.action.band_order)
-
-
-def semidirect_algebra(action: GroupAction) -> SemidirectAlgebra:
-    """The (2,2,1)-algebra on pairs (u, a) with (u,a)(v,b) = (uv, a^v . b):
-    the one the action already has while anything else holds it, else a
-    new one, which the action then keeps weakly."""
-    S = action._algebra() if action._algebra is not None else None
-    if S is None:
-        S = SemidirectAlgebra(action)
-        action._algebra = weakref.ref(S)
-    return S
+        action._algebra = BiBandAlgebra(heads + jt.take(cells), heads + mt.take(cells), star)
+    return action._algebra
 
 
 def semidirect_groupoid(action: GroupAction) -> RestrictionSystem:
@@ -354,7 +335,7 @@ def dedupe_actions(actions: list[GroupAction]) -> list[GroupAction]:
 class ModelInstance:
     name: str
     action: GroupAction
-    algebra: SemidirectAlgebra
+    algebra: BiBandAlgebra
     system: RestrictionSystem
 
 

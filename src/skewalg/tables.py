@@ -11,6 +11,7 @@ Structures compare by value through one private base, _ByValue.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,12 @@ def frozen(values) -> np.ndarray:
 
 
 def checked_index(i: int, n: int) -> int:
-    """i if it lies in 0..n-1; numpy would read a negative index from the end."""
+    """i as an int if it is an integer in 0..n-1; numpy would read a
+    negative index from the end, a bool as a mask and a float as its own
+    IndexError."""
+    if isinstance(i, (bool, np.bool_)) or not hasattr(type(i), "__index__"):
+        raise ElementIndexError(f"index {i!r} is not an integer")
+    i = operator.index(i)
     if not 0 <= i < n:
         raise ElementIndexError(f"index {i} is outside 0..{n - 1}")
     return i

@@ -13,6 +13,9 @@ check_axioms as data, so that they only prune:
 Every (meet, join, star) candidate that passes check_axioms is kept, and the
 classes are the distinct least relabellings of (join, meet, star).
 
+orbit_sum gives the labelled count a list of classes stands for, by the
+orbit–stabiliser theorem.
+
 Run as a script, ``python3 tests/census.py N COUNT`` takes the census of
 order N and exits 1 unless it finds COUNT classes, equal to the model
 suite's algebras of order N as sets of canonical keys; a class that fails
@@ -20,11 +23,14 @@ either round trip raises.
 """
 
 import sys
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
 from skewalg import (
-    BiBandAlgebra, check_axioms, generate_model_suite, reconstruct, roundtrip_algebra, roundtrip_groupoid,
+    BiBandAlgebra, automorphisms_of, check_axioms, generate_model_suite, reconstruct, roundtrip_algebra,
+    roundtrip_groupoid,
 )
 from skewalg.enumeration import _classes, _fill
 from skewalg.isomorphism import canonical_tables
@@ -76,6 +82,15 @@ def algebra_keys(algebras):
     n = algebras[0].order
     tables = [[a.join.array for a in algebras], [a.meet.array for a in algebras]]
     return set(map(tuple, canonical_tables(n, tables, [[a.star for a in algebras]]).tolist()))
+
+
+def orbit_sum(n, classes):
+    """Σ n!/|Aut(C)| over the classes C of order n: each class has that many
+    labellings on 0..n-1, so the sum is the labelled count when the classes
+    are distinct and complete and each automorphism group is right.  An
+    exact fraction, so an automorphism list whose size does not divide n!
+    shows as a sum that is no integer."""
+    return sum(Fraction(factorial(n), len(automorphisms_of(c))) for c in classes)
 
 
 def main(argv):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from census import orbit_sum
 from oracles import (
     absorption_holds,
     associativity_ok,
@@ -143,6 +144,17 @@ def test_order_four_joins_are_exactly_the_absorbing_band_pairs():
     expected = {(m, j) for m in bands for j in bands if absorption_holds(m, j)}
     assert len(expected) == LABELED_SKEW_4
     assert labelled_pairs(4) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_labelled_counts_are_the_orbit_sums_of_the_classes(n):
+    # orbit–stabiliser ties the labelled fill, the canonical keys and the
+    # automorphism search together: merged or split classes, or a missed or
+    # invented automorphism, move the sum off the labelled count
+    bands, lattices = enumerate_bands(n), enumerate_skew_lattices(n)
+    assert (len(bands), len(lattices)) == ({**BAND_CLASSES, 4: 46}[n], {**SKEW_CLASSES, 4: 21}[n])
+    assert orbit_sum(n, bands) == len(labeled_bands(n)) == {**LABELED_BANDS, 4: LABELED_BANDS_4}[n]
+    assert orbit_sum(n, lattices) == len(labelled_pairs(n)) == {**LABELED_SKEW, 4: LABELED_SKEW_4}[n]
 
 
 def test_labeled_bands_keep_their_order():

@@ -1,4 +1,5 @@
 import gc
+import types
 import weakref
 from collections import Counter
 from itertools import permutations
@@ -46,7 +47,6 @@ from skewalg import (
 from skewalg.models import (
     GROUP_CATALOG,
     GroupAction,
-    SemidirectAlgebra,
     _certificate,
     _element_words,
     _max_idempotent_separating_congruence,
@@ -408,28 +408,49 @@ def test_normal_form_skipped_without_top():
 
 def test_kernels_and_normal_forms_use_the_pair_algebra_the_action_has(suite, monkeypatch):
     # each suite instance holds its action's pair algebra, so neither
-    # congruence_kernels nor normal_form_report builds it again
+    # congruence_kernels nor normal_form_report builds it again; every
+    # build makes one BiBandAlgebra in skewalg.models
+    import skewalg.models as models
+
     built = []
-    init = SemidirectAlgebra.__init__
-    monkeypatch.setattr(SemidirectAlgebra, "__init__", lambda S, action: built.append(action) or init(S, action))
+    monkeypatch.setattr(models, "BiBandAlgebra", lambda *tables: built.append(tables) or BiBandAlgebra(*tables))
     for inst in suite:
         assert semidirect_algebra(inst.action) is inst.algebra
         congruence_kernels(inst.action)
         normal_form_report(inst.action)
     assert built == []
+    # a fresh action builds its algebra once, on the first call
+    fresh = structure_from_dict(structure_to_dict(suite[-1].action))
+    assert semidirect_algebra(fresh) is semidirect_algebra(fresh) == suite[-1].algebra
+    assert len(built) == 1
 
 
-def test_an_action_keeps_its_pair_algebra_weakly():
-    # the algebra refers to its action, so a strong reference back would be
-    # a cycle that only the cycle collector frees: with it off, deleting the
-    # suite must free its actions at once
+def test_an_action_keeps_its_one_pair_algebra():
+    # the action holds its algebra and the algebra holds nothing of the
+    # action, so there is no cycle: with the cycle collector off, deleting
+    # the suite frees its actions and their algebras at once
+    def reachable(root):
+        # ids of the objects root refers to, directly or not, short of
+        # classes and modules
+        seen, stack = set(), [root]
+        while stack:
+            obj = stack.pop()
+            if id(obj) not in seen and not isinstance(obj, (type, types.ModuleType)):
+                seen.add(id(obj))
+                stack.extend(gc.get_referents(obj))
+        return seen
+
     suite = generate_model_suite(max_group=2, max_band=2)
-    action = weakref.ref(suite[0].action)
+    for inst in suite:
+        assert semidirect_algebra(inst.action) is semidirect_algebra(inst.action) is inst.algebra
+        assert id(inst.algebra) in reachable(inst.action)
+        assert id(inst.action) not in reachable(inst.algebra)
+    refs = [weakref.ref(obj) for inst in suite for obj in (inst.action, inst.algebra)]
     enabled = gc.isenabled()
     gc.disable()
     try:
-        del suite
-        assert action() is None
+        del suite, inst
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         if enabled:
             gc.enable()
@@ -501,7 +522,7 @@ def test_certificate_fails_when_one_label_is_corrupted(suite):
 
 def test_public_builders_keep_their_guard():
     bad = GroupAction(GROUP_CATALOG["C3"], rect2(), [[0, 1, 1], [1, 0, 0]])
-    for build in (semidirect_algebra, semidirect_groupoid, SemidirectAlgebra):
+    for build in (semidirect_algebra, semidirect_groupoid):
         with pytest.raises(ActionInvalidError):
             build(bad)
 
@@ -526,8 +547,7 @@ def test_suite_checks_each_action_once(monkeypatch):
     monkeypatch.undo()
     for inst in suite:
         assert check_action(inst.action).ok
-        assert inst.algebra == semidirect_algebra(inst.action)
-        assert inst.algebra.action is inst.action
+        assert semidirect_algebra(inst.action) is inst.algebra
         assert structure_to_dict(inst.system) == structure_to_dict(semidirect_groupoid(inst.action))
 
 

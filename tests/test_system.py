@@ -2,6 +2,7 @@
 derived identities, and the generalized total operations."""
 
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -700,8 +701,12 @@ def _scalar_entry_points() -> dict:
 def test_scalar_entry_points_refuse_indices_outside_the_carrier(entry):
     n, *calls = _scalar_entry_points()[entry]
     for call in calls:
-        call(n - 1)  # the last index is fine
-        for bad in (-1, n):
+        assert call(n - 1) == call(np.int64(n - 1))  # the last index is fine, as any integer
+        for bad in (-1, n, np.int64(n)):
             with pytest.raises(ElementIndexError, match=f"index {bad} is outside 0..{n - 1}"):
+                call(bad)
+        # numpy would read True as a mask and refuse a float with its own error
+        for bad in (True, False, np.True_, 1.0, 1.5, np.float64(1.0), "1", None):
+            with pytest.raises(ElementIndexError, match=re.escape(f"index {bad!r} is not an integer")):
                 call(bad)
     assert issubclass(ElementIndexError, SkewalgError) and issubclass(ElementIndexError, IndexError)
