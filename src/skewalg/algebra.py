@@ -49,9 +49,9 @@ class BiBandAlgebra(_ByValue):
         if out_of_range(star, 0, self.join.order):
             raise ValueError("star entries out of range")
         self.star = star
-        # checks of laws on these very tables that a system's derived
-        # identities already made, by name (see build_algebra)
-        self._derived = {}
+        # the derived-identities report of the system whose pseudoproducts
+        # these tables are, kept as it is, or None (see build_algebra)
+        self._derived = None
 
     @property
     def order(self) -> int:
@@ -84,9 +84,8 @@ def check_axioms(S: BiBandAlgebra) -> AxiomReport:
     neg = {k: t[st, idx] for k, t in ops.items()}
     dual = {"join": "meet", "meet": "join"}
 
-    # a Check is a non-empty tuple, so `or` computes only a law not kept
     for k, t in ops.items():
-        checks.append(kept.get(f"assoc_{k}") or flag(f"assoc_{k}", t.take(t, 0) == t.take(t, 1)))
+        checks.append(kept[f"assoc_{k}"] if kept else flag(f"assoc_{k}", t.take(t, 0) == t.take(t, 1)))
 
     checks.append(flag("star_involution", st[st] == idx))
 
@@ -94,7 +93,7 @@ def check_axioms(S: BiBandAlgebra) -> AxiomReport:
     checks.append(flag("positive_part_fixed", st[pos["meet"]] == pos["meet"]))
 
     for k, t in ops.items():
-        checks.append(kept.get(f"regularity_{k}") or flag(f"regularity_{k}", t[pos[k], idx] == idx))
+        checks.append(kept[f"regularity_{k}"] if kept else flag(f"regularity_{k}", t[pos[k], idx] == idx))
 
     for k in ("meet", "join"):
         idem = ops[k].diagonal() == idx
@@ -185,13 +184,12 @@ def check_skehr(S: BiBandAlgebra) -> AxiomReport:
     mt, st = S.meet.array, S.star
     n = S.order
     idx = np.arange(n)
-    checks = [c for name, c in S._derived.items() if name.startswith("skehr_")]
-    if checks:
-        plus, minus = mt[idx, st], mt[st, idx]
+    plus, minus = mt[idx, st], mt[st, idx]
+    if S._derived:
+        checks = [c for c in S._derived.checks() if c.name.startswith("skehr_")]
     else:
-        checks, plus_p, minus_p = skehr_statement_flags("skehr_meet", padded(mt), st)
+        checks = skehr_statement_flags("skehr_meet", padded(mt), st)[0]
         checks += skehr_statement_flags("skehr_join", padded(S.join.array), st)[0]
-        plus, minus = plus_p[:-1], minus_p[:-1]
     checks.append(flag("star_swaps_sides", (mt[st, st[st]] == minus) & (mt[st[st], st] == plus)))
 
     r_rel = greens_r(mt)

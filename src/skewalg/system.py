@@ -20,10 +20,10 @@ keeps it, so a system that is only written out or compared table by table
 never pays for any of them: the groupoid derives its units and pads its
 tables (FiniteGroupoid.identity_of, .padded), the object lattice holds its
 preorders (SkewLatticeTable.preorders), the system derives its two
-pseudoproducts (RestrictionSystem._pseudoproducts), and each side of the
-system derives its two total operations (a∧g and g∧a, or a∨g and g∨a) as
-numpy tables. A system read only for its algebra derives the pseudoproducts
-and nothing else.
+pseudoproducts (RestrictionSystem._pseudoproducts), and the system derives
+both sides together (RestrictionSystem._sides), each with its two total
+operations (a∧g and g∧a, or a∨g and g∨a) as numpy tables. A system read
+only for its algebra derives the pseudoproducts and nothing else.
 Undefined entries stay -1: each lookup table is padded with a -1 border
 row/column, and since take, like indexing, reads index -1 as the last
 position, sentinels flow through chained gathers without any masking logic.
@@ -40,7 +40,7 @@ law's axis order differs from the gather's, the mask is transposed, so each
 witness is still the first failing tuple in the law's row-major order.
 
 The join side (extL, extR, ∨) is the order dual of the meet side (restL,
-restR, ∧). Each side is one _Side record, derived apart from the other, and
+restR, ∧). Each side is one _Side record, both derived in one step, and
 every law that has a dual is written once and evaluated on both records.
 """
 
@@ -80,7 +80,8 @@ def _check_partial(name: str, table, shape, hi: int) -> np.ndarray:
 @dataclass(slots=True)
 class _Side:
     """One order side of a system: the meet side (restriction, restL, restR,
-    ∧) or its order dual, the join side (extension, extL, extR, ∨).
+    ∧) or its order dual, the join side (extension, extL, extR, ∨). The
+    system derives the two records together (RestrictionSystem._sides).
 
     L_p[a, g] = a∧g and R_p[g, a] = g∧a are the total operators and P_p the
     pseudoproduct, each padded with a -1 border (tables.padded); the system
@@ -180,34 +181,26 @@ class RestrictionSystem:
         return products[0], products[1]
 
     @functools.cached_property
-    def _meet(self) -> _Side:
+    def _sides(self) -> tuple[_Side, _Side]:
+        """The meet side and the join side, derived together."""
         pre = self.objects.preorders
-        return self._side(
-            ("meet", "restriction", "restrict", "restL", "restR"),
-            self.objects.meet.array, (self.restL, self.restR), self._pseudoproducts[0],
-            order=(pre.le_left, pre.le_right), preorder=(pre.le_left, pre.le_right),
-        )
-
-    @functools.cached_property
-    def _join(self) -> _Side:
-        pre = self.objects.preorders
-        return self._side(
-            ("join", "extension", "extend", "extL", "extR"),
-            self.objects.join.array, (self.extL, self.extR), self._pseudoproducts[1],
-            order=(pre.ge_left, pre.ge_right), preorder=(pre.ge_right, pre.ge_left),
-        )
-
-    def _side(self, names, op, partial, P_p, order, preorder) -> _Side:
-        left, right = partial
         idx_m = np.arange(self.morphism_count)
         dom, cod = self.groupoid.dom, self.groupoid.cod
-        # total operator tables; holes in the partial input surface as -1
-        L_p = padded(left[op.take(dom, 1), idx_m])
-        R_p = padded(right[idx_m[:, None], op.take(cod, 0)])
-        return _Side(
-            *names, table=op, partial=partial, L_p=L_p, R_p=R_p, P_p=P_p,
-            order=order, preorder=preorder,
-        )
+        sides = []
+        for names, op, partial, P_p, order, preorder in zip(
+            (("meet", "restriction", "restrict", "restL", "restR"),
+             ("join", "extension", "extend", "extL", "extR")),
+            (self.objects.meet.array, self.objects.join.array),
+            ((self.restL, self.restR), (self.extL, self.extR)),
+            self._pseudoproducts,
+            ((pre.le_left, pre.le_right), (pre.ge_left, pre.ge_right)),
+            ((pre.le_left, pre.le_right), (pre.ge_right, pre.ge_left)),
+        ):
+            # total operator tables; holes in the partial input surface as -1
+            L_p = padded(partial[0][op.take(dom, 1), idx_m])
+            R_p = padded(partial[1][idx_m[:, None], op.take(cod, 0)])
+            sides.append(_Side(*names, op, partial, L_p, R_p, P_p, order, preorder))
+        return sides[0], sides[1]
 
     def full_report(self) -> AxiomReport:
         """Structural, restriction, extension and linking checks in one
@@ -279,7 +272,7 @@ def check_structure(sys: RestrictionSystem) -> AxiomReport:
     # (restR, extR transposed); near is the endpoint that a replaces and far
     # the other, both padded; `back` returns a mask to the table's own
     # orientation
-    for side in (sys._meet, sys._join):
+    for side in sys._sides:
         for name, partial, rel, near_p, far_p, back in zip(
             (side.left, side.right), side.partial, side.order,
             (dom_p, cod_p), (cod_p, dom_p), (np.asarray, np.transpose),
@@ -292,7 +285,7 @@ def check_structure(sys: RestrictionSystem) -> AxiomReport:
             ends = (near_p[table] == idx[:, None]) & rel[far_p[table], far_p[:-1]]
             checks.append(flag(f"{name}_endpoints", back(~defined | ends)))
 
-    for side in (sys._meet, sys._join):
+    for side in sys._sides:
         checks.append(flag(f"{side.op}_pseudoproduct_total", side.P_p[:-1, :-1] >= 0))
     return AxiomReport("structure", checks)
 
@@ -373,13 +366,13 @@ def check_restriction_axioms(sys: RestrictionSystem) -> AxiomReport:
     """The restriction postulates: identities, preorders, transitivity and
     composition in left and right form, the two chaining equations on the
     generalized operation, and meet compatibility."""
-    return _order_axioms(sys, sys._meet)
+    return _order_axioms(sys, sys._sides[0])
 
 
 @_memoised
 def check_extension_axioms(sys: RestrictionSystem) -> AxiomReport:
     """The extension postulates, vertical duals of the restriction ones."""
-    return _order_axioms(sys, sys._join)
+    return _order_axioms(sys, sys._sides[1])
 
 
 @_memoised
@@ -393,7 +386,8 @@ def check_linking(sys: RestrictionSystem) -> AxiomReport:
     dom, cod = sys.groupoid.dom, sys.groupoid.cod
     inv, e = sys.groupoid.inv, sys.groupoid.identity_of
     e_p = sys.groupoid.padded[4]
-    mr_p, mc_p, je_p, jc_p = sys._meet.L_p, sys._meet.R_p, sys._join.L_p, sys._join.R_p
+    meet, join = sys._sides
+    mr_p, mc_p, je_p, jc_p = meet.L_p, meet.R_p, join.L_p, join.R_p
     mr, mc, je, jc = map(_core, (mr_p, mc_p, je_p, jc_p))
 
     # f = (a∧f)∨(f*f): restrict to a, then coextend back up to cod f
@@ -401,7 +395,7 @@ def check_linking(sys: RestrictionSystem) -> AxiomReport:
     checks.append(flag("linking_meet_join", val == idx_m[None, :]))
 
     # equivalently ff* = (a∧f)∨f*: join pseudoproduct with the inverse
-    val = sys._join.P_p[mr, inv[None, :]]
+    val = join.P_p[mr, inv[None, :]]
     checks.append(flag("linking_equiv_pseudo", equal(val, e_p[dom][None, :])))
 
     # lateral: f = (ff*)∨(f∧a)
@@ -439,7 +433,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     idx_m = np.arange(m)
     comp, inv, e = sys.groupoid.comp, sys.groupoid.inv, sys.groupoid.identity_of
     dom_p, cod_p, inv_p, _, e_p = sys.groupoid.padded
-    sides = (sys._meet, sys._join)
+    sides = sys._sides
     # each side's (L, R, P) as contiguous working copies, dropped on return
     cores = [tuple(map(_core, (s.L_p, s.R_p, s.P_p))) for s in sides]
     both = list(zip(sides, cores))
@@ -484,8 +478,8 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
 
     # the plus/minus calculus for both operations; the observations below
     # read the meet side's plus and minus
-    meet_flags, plus_p, minus_p = skehr_statement_flags("skehr_meet", sys._meet.P_p, inv)
-    checks += meet_flags + skehr_statement_flags("skehr_join", sys._join.P_p, inv)[0]
+    meet_flags, plus_p, minus_p = skehr_statement_flags("skehr_meet", sides[0].P_p, inv)
+    checks += meet_flags + skehr_statement_flags("skehr_join", sides[1].P_p, inv)[0]
 
     # (_a|f)^-1 = _(a^f)|f^-1
     for s, (L, R, P) in both:
@@ -504,7 +498,7 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
         checks.append(flag(f"range_invariance_{s.op}", equal(lhs, rhs)))
 
     # observations: these may fail, and for genuinely skew objects they should
-    pm_p, mc_p = sys._meet.P_p, sys._meet.R_p
+    pm_p, mc_p = sides[0].P_p, sides[0].R_p
     mr, _, pm = cores[0]
     plus, minus = plus_p[:-1], minus_p[:-1]
     lhs = pm_p[plus_p[pm], idx_m[:, None]]
@@ -547,11 +541,10 @@ def build_algebra(sys: RestrictionSystem, check: bool = True) -> BiBandAlgebra:
 
     With check=True (the default) the system must pass its full report.
 
-    The system's derived identities own 14 laws that check_axioms and
-    check_skehr also check on these tables (assoc_*, regularity_*, skehr_*).
-    If that family has run, the algebra keeps its 14 checks privately and
-    both checkers take them; else they compute every law.  The system keeps
-    no reference to the algebra.
+    If the system's derived identities have run, the algebra keeps that
+    report itself, and check_axioms and check_skehr take from it the laws
+    it checks on these same tables; else they compute every law.  The system
+    keeps no reference to the algebra.
     """
     if check:
         sys.full_report().require()
@@ -561,8 +554,5 @@ def build_algebra(sys: RestrictionSystem, check: bool = True) -> BiBandAlgebra:
             hole = tuple(int(v) for v in np.argwhere(P < 0)[0])
             raise MalformedSystemError(f"{name} pseudoproduct undefined at {hole}")
     algebra = BiBandAlgebra(join, meet, sys.groupoid.inv)
-    derived = sys._reports.get(verify_derived_identities.__name__)
-    if derived is not None:
-        algebra._derived = {c.name: c for c in derived.checks()
-                            if c.name.startswith(("assoc_", "regularity_", "skehr_"))}
+    algebra._derived = sys._reports.get(verify_derived_identities.__name__)
     return algebra

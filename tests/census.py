@@ -14,7 +14,8 @@ Every (meet, join, star) candidate that passes check_axioms is kept, and the
 classes are the distinct least relabellings of (join, meet, star).
 
 orbit_sum gives the labelled count a list of classes stands for, by the
-orbit–stabiliser theorem.
+orbit–stabiliser theorem; labelled_count counts the labelled algebras
+themselves, from the same fill without the reduction to classes.
 
 Run as a script, ``python3 tests/census.py N COUNT`` takes the census of
 order N and exits 1 unless it finds COUNT classes, equal to the model
@@ -55,24 +56,49 @@ def _masks(stars):
     return allowed, (np.arange(count)[:, None], idx, stars)
 
 
-def census(n):
-    """One BiBandAlgebra per isomorphism class of order n, in increasing
-    order of canonical key: its join, meet and star least relabelled."""
+def _regular_meets(n):
+    """(meets, swaps): every regular meet the fill keeps under each star of
+    stars(n), labelled, with the number of 2-cycles of its star."""
     idx, star = np.arange(n), stars(n)
     allowed, pos = _masks(star)
     allowed[pos] &= (star == idx)[:, None]
-    roots, meets = _fill(allowed)
-    star = star[roots]
+    swaps, meets = _fill(allowed)
+    star = star[swaps]
     k = np.arange(len(meets))[:, None]
     regular = (meets[k, meets[k, idx, star], idx] == idx).all(axis=1)
-    meets, star = _classes(n, [meets[regular]], [star[regular]])
+    return meets[regular], swaps[regular]
 
+
+def _algebras(meets, star):
+    """(joins, roots): every join over meets[r] under star[r] such that the
+    three tables pass check_axioms, with its r."""
+    idx = np.arange(meets.shape[1])
     allowed, pos = _masks(star)
     allowed[pos] = meets[pos][..., None] == idx
     roots, joins = _fill(allowed)
     ok = np.array([check_axioms(BiBandAlgebra(j, meets[r], star[r])).ok for r, j in zip(roots, joins)], dtype=bool)
-    joins, meets, star = _classes(n, [joins[ok], meets[roots[ok]]], [star[roots[ok]]])
+    return joins[ok], roots[ok]
+
+
+def census(n):
+    """One BiBandAlgebra per isomorphism class of order n, in increasing
+    order of canonical key: its join, meet and star least relabelled."""
+    meets, swaps = _regular_meets(n)
+    meets, star = _classes(n, [meets], [stars(n)[swaps]])
+    joins, roots = _algebras(meets, star)
+    joins, meets, star = _classes(n, [joins, meets[roots]], [star[roots]])
     return [BiBandAlgebra(*algebra) for algebra in zip(joins, meets, star)]
+
+
+def labelled_count(n):
+    """The number of (2,2,1)-algebras on 0..n-1 over every involution: the
+    census fill without its reduction to classes, each algebra under the
+    star with k 2-cycles weighted by the number of involutions with k
+    2-cycles, n!/(k! 2^k (n - 2k)!), since relabelling carries the algebras
+    under one star onto those under any star of its cycle type."""
+    meets, swaps = _regular_meets(n)
+    swaps = swaps[_algebras(meets, stars(n)[swaps])[1]]
+    return sum(factorial(n) // (factorial(k) * 2**k * factorial(n - 2 * k)) for k in swaps.tolist())
 
 
 def algebra_keys(algebras):

@@ -637,4 +637,4 @@ def test_no_array_of_a_suite_instance_or_catalog_group_is_writeable(suite):
 
 def test_generating_the_suite_leaves_its_systems_underived():
     # writing a system out reads only its input tables
-    assert not any("_meet" in vars(inst.system) for inst in generate_model_suite())
+    assert not any("_sides" in vars(inst.system) for inst in generate_model_suite())

@@ -506,7 +506,7 @@ SHARED_LAWS = [f"{law}_{op}" for law in ("assoc", "regularity") for op in ("meet
 def test_a_built_algebra_reports_what_a_plain_algebra_of_its_tables_reports(suite):
     # every suite system and its seeded mutants with total pseudoproducts;
     # the derived family computed before build_algebra (the algebra keeps
-    # the 14 shared checks), after it and never (it keeps none)
+    # the system's report object), after it and never (it keeps none)
     orders = {
         "before": lambda s: [verify_derived_identities(s), build_algebra(s, check=False)][1],
         "after": lambda s: [build_algebra(s, check=False), verify_derived_identities(s)][0],
@@ -518,8 +518,10 @@ def test_a_built_algebra_reports_what_a_plain_algebra_of_its_tables_reports(suit
         plain = BiBandAlgebra(built.join, built.meet, built.star)
         want = [check_axioms(plain).to_dict(), check_skehr(plain).to_dict()]
         for order, build in orders.items():
-            built = build(fresh(sysm))
-            assert sorted(built._derived) == (sorted(SHARED_LAWS) if order == "before" else []), name
+            system = fresh(sysm)
+            built = build(system)
+            derived = system._reports[verify_derived_identities.__name__] if order == "before" else None
+            assert built._derived is derived, (name, order)
             assert [check_axioms(built).to_dict(), check_skehr(built).to_dict()] == want, (name, order)
         seen = {**want[0]["checks"], **want[1]["checks"]}
         failing += any(not seen[law]["ok"] for law in SHARED_LAWS)
@@ -583,22 +585,27 @@ def _fresh_system(sysm) -> RestrictionSystem:
 def test_a_system_derives_its_checker_state_on_first_use():
     sysm = _fresh_system(semidirect_groupoid(swap_action()))
     groupoid, lattice = sysm.groupoid, sysm.objects
-    assert "_meet" not in vars(sysm) and "_join" not in vars(sysm)
+    assert "_sides" not in vars(sysm) and "_pseudoproducts" not in vars(sysm)
     assert "padded" not in vars(groupoid) and "preorders" not in vars(lattice)
-    meet = sysm._meet
-    assert "_join" not in vars(sysm)
-    # the side read the tables it needs from their owners, which now keep them
+    sides = sysm._sides
+    # the first read derives both records, from tables their owners now keep
+    assert vars(sysm)["_sides"] is sides and [side.op for side in sides] == ["meet", "join"]
     assert vars(groupoid)["padded"] is groupoid.padded
     assert vars(lattice)["preorders"] is lattice.preorders
-    assert meet.order[0] is lattice.preorders.le_left
-    assert sysm._meet is meet and sysm._join.op == "join" and "_join" in vars(sysm)
+    assert vars(sysm)["_pseudoproducts"] is sysm._pseudoproducts
+    pre = lattice.preorders
+    assert sides[0].order[0] is pre.le_left and sides[1].order[0] is pre.ge_left
+    assert sides[1].preorder[0] is pre.ge_right and sides[1].partial[0] is sysm.extL
+    assert sysm._sides is sides
 
 
 def test_each_side_stores_its_tables_once_padded(suite):
-    # a side keeps only the padded tables, its pseudoproduct the system's
-    # own; a checker's working copy is contiguous and shares nothing with them
+    # each side keeps only read-only padded tables, its pseudoproduct the
+    # system's own; a checker's working copy is contiguous and shares
+    # nothing with them
     sysm = _fresh_system(max(suite, key=lambda inst: inst.system.morphism_count).system)
-    for side, product in zip((sysm._meet, sysm._join), sysm._pseudoproducts):
+    assert len(sysm._sides) == len(sysm._pseudoproducts) == 2
+    for side, product in zip(sysm._sides, sysm._pseudoproducts):
         assert side.P_p is product
         assert not any(hasattr(side, name) for name in ("L", "R", "P"))
         for pad in (side.L_p, side.R_p, side.P_p):
@@ -661,7 +668,7 @@ def test_the_system_an_algebra_round_trip_rebuilds_derives_only_its_pseudoproduc
     assert roundtrip_algebra(S).mapping == tuple(range(S.order))
     sysm = rebuilt[0]
     assert "_pseudoproducts" in vars(sysm)
-    assert "_meet" not in vars(sysm) and "_join" not in vars(sysm)
+    assert "_sides" not in vars(sysm)
 
 
 def test_the_system_a_groupoid_round_trip_rebuilds_stays_underived(monkeypatch):
@@ -677,7 +684,7 @@ def test_the_system_a_groupoid_round_trip_rebuilds_stays_underived(monkeypatch):
     monkeypatch.setattr(skewalg.reconstruction, "reconstruct", spy)
     roundtrip_groupoid(semidirect_groupoid(swap_action()))
     assert len(rebuilt) == 1
-    assert "_meet" not in vars(rebuilt[0])
+    assert "_sides" not in vars(rebuilt[0])
 
 
 def _scalar_entry_points() -> dict:
