@@ -127,7 +127,8 @@ def _integers(value, what: str):
 
 
 def _tables(data: dict, *keys: str) -> list:
-    return [_integers(data[key], key) for key in keys]
+    """The tables under keys as int64 arrays, their entries checked here."""
+    return [np.array(_integers(data[key], key), dtype=np.int64) for key in keys]
 
 
 def _check_order(data: dict, size: int) -> None:
@@ -153,14 +154,14 @@ def structure_from_dict(data: dict):
             )
         if "morphisms" in data:
             morphisms = data["morphisms"]
-            (objects,) = _tables(data, "objects")
+            objects = _integers(data["objects"], "objects")
             if objects > len(morphisms):
                 raise MalformedSystemError(
                     f"{objects} objects but {len(morphisms)} morphisms: every object needs an identity"
                 )
             comp, inv = _tables(data, "comp", "inv")
-            if not morphisms and comp == []:
-                comp = np.zeros((0, 0), dtype=np.int64)  # [] alone reads as shape (0,)
+            if not morphisms and comp.shape == (0,):
+                comp = comp.reshape(0, 0)  # [] alone reads as shape (0,)
             return FiniteGroupoid(
                 objects,
                 _integers([m["dom"] for m in morphisms], "dom"),

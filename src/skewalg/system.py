@@ -19,10 +19,9 @@ Each derived table has one owner, which computes it on first use and then
 keeps it, so a system that is only written out or compared table by table
 never pays for any of them: the groupoid derives its units and pads its
 tables (FiniteGroupoid.identity_of, .padded), the object lattice holds its
-preorders (SkewLatticeTable.preorders), the system derives its two
-pseudoproducts (RestrictionSystem._pseudoproducts), and the system derives
-both sides together (RestrictionSystem._sides), each with its two total
-operations (a∧g and g∧a, or a∨g and g∨a) as numpy tables. A system read
+preorders (SkewLatticeTable.preorders), and the system derives its two
+pseudoproducts (_pseudoproducts) and both sides together (_sides), each
+with its two total operations (a∧g and g∧a, or a∨g and g∨a). A system read
 only for its algebra derives the pseudoproducts and nothing else.
 Undefined entries stay -1: each lookup table is padded with a -1 border
 row/column, and since take, like indexing, reads index -1 as the last
@@ -41,7 +40,11 @@ witness is still the first failing tuple in the law's row-major order.
 
 The join side (extL, extR, ∨) is the order dual of the meet side (restL,
 restR, ∧). Each side is one _Side record, both derived in one step, and
-every law that has a dual is written once and evaluated on both records.
+every law with an order dual is written once for both records. The right
+hand (restR, extR) is the left hand of the opposite system, which swaps dom
+and cod and reverses composition and the object operations, so each
+one-handed law is written once, in left form, and read on the left operator
+and on the transposed right one (check_structure, _left_laws).
 """
 
 from __future__ import annotations
@@ -290,73 +293,61 @@ def check_structure(sys: RestrictionSystem) -> AxiomReport:
     return AxiomReport("structure", checks)
 
 
-def _order_axioms(sys: RestrictionSystem, side: _Side) -> AxiomReport:
-    """The postulates of one side in left and right form: identities,
-    preorders, transitivity, composition, the two chaining equations on the
-    generalized operation, endpoints and compatibility. Comments state the
-    meet side; the join side reads ∨ for ∧ and ge for le, except that its
-    preorder flags read the lateral relations (see _Side)."""
-    checks = []
-    n, m = sys.object_count, sys.morphism_count
-    op, L_p, R_p = side.table, side.L_p, side.R_p
-    L, R = _core(L_p), _core(R_p)
-    dom, cod = sys.groupoid.dom, sys.groupoid.cod
-    comp, e = sys.groupoid.comp, sys.groupoid.identity_of
-    idx_m = np.arange(m)
-    dom_p, cod_p, _, comp_p, e_p = sys.groupoid.padded
-    left, right = side.left, side.right
-
-    checks.append(flag(f"{left}_identity", L[dom, idx_m] == idx_m))
-    checks.append(flag(f"{right}_identity", R[idx_m, cod] == idx_m))
+def _left_laws(T_p, T, op, rel, preorder, near_p, far_p, comp, comp_p, e, e_p) -> list:
+    """The masks of the six one-handed postulates in left form: identity
+    (g), preorder (a, b), transitivity (a, b, g), composition (a, f, g),
+    chaining (a, b, g) and endpoint (a, g). T[a, g] (padded T_p) moves the
+    near end of g to a; comments read restL, near dom and far cod."""
+    n, m = T.shape
+    near, idx_m = near_p[:-1], np.arange(m)
+    masks = [T[near, idx_m] == idx_m]
 
     # a leL b  =>  _a|i_b = i_(a∧b), which is i_a
-    val = L_p[:n].take(e, 1)
-    checks.append(flag(f"{left}_preorder", ~side.preorder[0] | equal(val, e_p[op])))
-    # a leR b  =>  i_b|_a = i_(b∧a), which is i_a
-    val = R_p[:, :n].take(e, 0).T
-    checks.append(flag(f"{right}_preorder", ~side.preorder[1] | equal(val, e_p[op.T])))
+    masks.append(~preorder | equal(T_p[:n].take(e, 1), e_p[op]))
 
-    # the chaining equations' two sides, which the transitivity laws reuse:
-    # chain_l[a, b, g] = (a∧b)∧g, nested_l[a, b, g] = a∧(b∧g),
-    # chain_r[g, a, b] = (g∧a)∧b, nested_r[g, a, b] = g∧(a∧b)
-    chain_l, nested_l = L.take(op, 0), L_p[:n].take(L, 1)
-    chain_r, nested_r = R_p[:, :n].take(R, 0), R_p[:m].take(op, 1)
-
+    # the chaining equation's two sides, which transitivity reuses:
+    # chain[a, b, g] = (a∧b)∧g, nested[a, b, g] = a∧(b∧g)
+    chain, nested = T.take(op, 0), T_p[:n].take(T, 1)
     # a leL b leL dom g  =>  _a|g = _(a∧b)|g = _a|(_b|g)
-    rel = side.order[0]
-    hyp = rel[:, :, None] & rel.take(dom, 1)[None, :, :]
-    x = L[:, None, :]
-    checks.append(flag(f"{left}_transitivity", ~hyp | ((x == chain_l) & equal(x, nested_l))))
-    # a leR b leR cod g  =>  g|_a = g|_(b∧a) = (g|_b)|_a, gathered over
-    # (g, b, a) and transposed to the law's (a, b, g)
-    rel = side.order[1]
-    hyp = rel.take(cod, 1).T[:, :, None] & rel.T[None, :, :]
-    x = R[:, None, :]
-    checks.append(flag(
-        f"{right}_transitivity", (~hyp | ((x == nested_r) & equal(x, chain_r))).transpose(2, 1, 0)
-    ))
+    hyp = rel[:, :, None] & rel.take(near, 1)[None, :, :]
+    x = T[:, None, :]
+    masks.append(~hyp | ((x == chain) & equal(x, nested)))
 
-    composable = comp >= 0
     # _a|(f∘g) = (_a|f)∘(_(cod _a|f)|g)
-    lhs = L_p[:n].take(comp, 1)
-    rhs = comp_p[L[:, :, None], L_p[:, :m].take(cod_p[L], 0)]
-    checks.append(flag(f"{left}_composition", ~composable[None, :, :] | equal(lhs, rhs)))
-    # (f∘g)|_d = (f|_(dom g|_d))∘(g|_d)
-    lhs = R_p[:, :n].take(comp, 0)
-    rhs = comp_p[R_p[:m].take(dom_p[R], 1), R[None, :, :]]
-    checks.append(flag(f"{right}_composition", ~composable[:, :, None] | equal(lhs, rhs)))
+    lhs, rhs = T_p[:n].take(comp, 1), comp_p[T[:, :, None], T_p[:, :m].take(far_p[T], 0)]
+    masks.append(~(comp >= 0)[None, :, :] | equal(lhs, rhs))
 
-    # (a∧b)∧g = a∧(b∧g) and (g∧a)∧b = g∧(a∧b), all tuples
-    checks.append(flag(f"{side.op}_chain_left", equal(chain_l, nested_l)))
-    checks.append(flag(f"{side.op}_chain_right", equal(chain_r, nested_r)))
+    # (a∧b)∧g = a∧(b∧g), all tuples, and dom(a∧g) = a∧dom g
+    masks.append(equal(chain, nested))
+    masks.append(equal(near_p[T], op.take(near, 1)))
+    return masks
 
-    # dom(a∧g) = a∧dom g and cod(g∧a) = (cod g)∧a
-    checks.append(flag(f"{side.op}_endpoint_left", equal(dom_p[L], op.take(dom, 1))))
-    checks.append(flag(f"{side.op}_endpoint_right", equal(cod_p[R], op.take(cod, 0))))
+
+def _order_axioms(sys: RestrictionSystem, side: _Side) -> AxiomReport:
+    """The postulates of one side in left then right form, then
+    compatibility. The right form is the left form (_left_laws) on the
+    opposite system, where g∧a reads a∧g: Rᵀ over cod→dom, with compᵀ and
+    opᵀ. Its composition, chaining and endpoint masks are transposed back
+    to their stated axes (f, g, d), (g, a, b) and (g, a). The join side
+    reads ∨ for ∧ and ge for le; its preorder flags read the lateral
+    relations (see _Side)."""
+    g = sys.groupoid
+    dom_p, cod_p, _, comp_p, e_p = g.padded
+    op, e = side.table, g.identity_of
+    Rt_p = np.ascontiguousarray(side.R_p.T)  # Rt_p[a, g] = g∧a
+    L, Rt = _core(side.L_p), _core(Rt_p)
+    left = _left_laws(side.L_p, L, op, side.order[0], side.preorder[0], dom_p, cod_p, g.comp, comp_p, e, e_p)
+    right = _left_laws(Rt_p, Rt, op.T, side.order[1], side.preorder[1], cod_p, dom_p, g.comp.T, comp_p.T, e, e_p)
+    right[3:] = [mask.T for mask in right[3:]]
+    names = [(f"{side.left}_{law}", f"{side.right}_{law}")
+             for law in ("identity", "preorder", "transitivity", "composition")]
+    names += [(f"{side.op}_{law}_left", f"{side.op}_{law}_right") for law in ("chain", "endpoint")]
+    checks = []
+    for (lname, rname), lmask, rmask in zip(names, left, right):
+        checks += [flag(lname, lmask), flag(rname, rmask)]
 
     # (a∧f)∧b = a∧(f∧b)
-    lhs = R_p[:, :n].take(L, 0)
-    rhs = L_p[:n].take(R, 1)
+    lhs, rhs = side.R_p[:, :-1].take(L, 0), side.L_p[:-1].take(Rt.T, 1)
     checks.append(flag(f"{side.op}_compatibility", equal(lhs, rhs)))
     return AxiomReport(f"{side.noun} axioms", checks)
 
@@ -380,40 +371,32 @@ def check_linking(sys: RestrictionSystem) -> AxiomReport:
     """The linking axiom tying restriction to extension across the two bands:
     (a∧f)∨(cod f) = f, its equivalent pseudoproduct form, the lateral and
     order duals, and the degeneration to absorption on identity morphisms."""
-    checks = []
-    n, m = sys.object_count, sys.morphism_count
-    idx_n, idx_m = np.arange(n), np.arange(m)
+    idx_n, idx_m = np.arange(sys.object_count), np.arange(sys.morphism_count)
     dom, cod = sys.groupoid.dom, sys.groupoid.cod
     inv, e = sys.groupoid.inv, sys.groupoid.identity_of
     e_p = sys.groupoid.padded[4]
     meet, join = sys._sides
-    mr_p, mc_p, je_p, jc_p = meet.L_p, meet.R_p, join.L_p, join.R_p
-    mr, mc, je, jc = map(_core, (mr_p, mc_p, je_p, jc_p))
+    (mr, mc), (je, jc) = [(_core(s.L_p), _core(s.R_p)) for s in (meet, join)]
 
-    # f = (a∧f)∨(f*f): restrict to a, then coextend back up to cod f
-    val = jc_p[mr, cod[None, :]]
-    checks.append(flag("linking_meet_join", val == idx_m[None, :]))
+    # f = (a∧f)∨(f*f): restrict to a, then coextend back up to cod f; and
+    # its lateral, f = (ff*)∨(f∧a). The order duals read the same two
+    # expressions with the sides swapped: f = (a∨f)∧(f*f), f = (ff*)∧(f∨a)
+    (meet_join, lateral), (order_dual, order_lateral) = [
+        (back.R_p[L, cod[None, :]] == idx_m[None, :], back.L_p[dom[None, :], R.T] == idx_m[None, :])
+        for (L, R), back in (((mr, mc), join), ((je, jc), meet))
+    ]
 
     # equivalently ff* = (a∧f)∨f*: join pseudoproduct with the inverse
-    val = join.P_p[mr, inv[None, :]]
-    checks.append(flag("linking_equiv_pseudo", equal(val, e_p[dom][None, :])))
-
-    # lateral: f = (ff*)∨(f∧a)
-    val = je_p[dom[None, :], mc.T]
-    checks.append(flag("linking_lateral", val == idx_m[None, :]))
-
-    # order dual: f = (a∨f)∧(f*f)
-    val = mc_p[je, cod[None, :]]
-    checks.append(flag("linking_order_dual", val == idx_m[None, :]))
-
-    # order lateral: f = (ff*)∧(f∨a)
-    val = mr_p[dom[None, :], jc.T]
-    checks.append(flag("linking_order_lateral", val == idx_m[None, :]))
+    pseudo = equal(join.P_p[mr, inv[None, :]], e_p[dom][None, :])
 
     # on identity morphisms the axiom degenerates to skew-lattice absorption
-    val = jc_p[mr_p[:n].take(e, 1), idx_n[None, :]]
-    checks.append(flag("idempotent_absorption", equal(val, e[None, :])))
-    return AxiomReport("linking axiom", checks)
+    absorption = equal(join.R_p[meet.L_p[:-1].take(e, 1), idx_n[None, :]], e[None, :])
+    return AxiomReport("linking axiom", list(map(
+        flag,
+        ("linking_meet_join", "linking_equiv_pseudo", "linking_lateral", "linking_order_dual",
+         "linking_order_lateral", "idempotent_absorption"),
+        (meet_join, pseudo, lateral, order_dual, order_lateral, absorption),
+    )))
 
 
 @_memoised
@@ -500,23 +483,15 @@ def verify_derived_identities(sys: RestrictionSystem) -> AxiomReport:
     # observations: these may fail, and for genuinely skew objects they should
     pm_p, mc_p = sides[0].P_p, sides[0].R_p
     mr, _, pm = cores[0]
-    plus, minus = plus_p[:-1], minus_p[:-1]
-    lhs = pm_p[plus_p[pm], idx_m[:, None]]
-    rhs = pm_p[:m].take(plus, 1)
-    checks.append(flag(
-        "obs_restriction_identity_left",
-        equal(lhs, rhs),
-        required=False,
-        note="(s∧t)+∧s = s∧t+: holds only over a semilattice of objects",
-    ))
-    lhs = pm_p[idx_m[None, :], minus_p[pm]]
-    rhs = pm_p[:, :m].take(minus, 0)
-    checks.append(flag(
-        "obs_restriction_identity_right",
-        equal(lhs, rhs),
-        required=False,
-        note="t∧(s∧t)- = s-∧t: holds only over a semilattice of objects",
-    ))
+    # (s∧t)+∧s = s∧t+, and its right form t∧(s∧t)- = s-∧t: the left form on
+    # the opposite product pmᵀ, where s+ reads s-, with the mask transposed
+    for hand, P_p, P, up_p, law, back in (
+        ("left", pm_p, pm, plus_p, "(s∧t)+∧s = s∧t+", np.asarray),
+        ("right", pm_p.T, pm.T, minus_p, "t∧(s∧t)- = s-∧t", np.transpose),
+    ):
+        mask = back(equal(P_p[up_p[P], idx_m[:, None]], P_p[:m].take(up_p[:-1], 1)))
+        note = f"{law}: holds only over a semilattice of objects"
+        checks.append(flag(f"obs_restriction_identity_{hand}", mask, required=False, note=note))
     lhs = cod_p[mr].T
     rhs = dom_p[mc_p[:, :n].take(inv, 0)]
     checks.append(flag(

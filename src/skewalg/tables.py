@@ -36,8 +36,13 @@ __all__ = [
 
 def frozen(values) -> np.ndarray:
     """A read-only int64 copy of values.  Structures keep their tables this
-    way, so a later write to the caller's array cannot change them."""
-    arr = np.array(values, dtype=np.int64)
+    way, so a later write to the caller's array cannot change them.  No
+    entry is coerced: non-empty bool, float, complex, str or bytes input is
+    a TypeError, and a Python int beyond int64 the cast's OverflowError."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iuO":
+        raise TypeError(f"table entries must be integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64)
     arr.setflags(write=False)
     return arr
 

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from test_system import swap_action
 
 import skewalg
 
@@ -23,7 +24,6 @@ from skewalg import (
     check_linking,
     check_restriction_axioms,
     check_structure,
-    enumerate_skew_lattices,
     generate_model_suite,
     load_structure,
     rectangular_skew,
@@ -34,13 +34,8 @@ from skewalg import (
     verify_derived_identities,
 )
 from skewalg.cli import COMMANDS, _HelpShown, _parser, _UsageError, dispatch, main
-from skewalg.models import GROUP_CATALOG, GroupAction
+from skewalg.models import GROUP_CATALOG
 from skewalg.serialize import json_text, structure_to_dict
-
-
-def swap_action():
-    rect = enumerate_skew_lattices(2)[2]
-    return GroupAction(GROUP_CATALOG["C2"], rect, [[0, 1], [1, 0]])
 
 
 @pytest.fixture()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from census import census
 from oracles import brute_force_biband_algebras, reconstruct_skeleton, relabel, relabel_unary
+from test_system import swap_action
 
 from skewalg import (
     AxiomViolationError,
@@ -14,7 +15,6 @@ from skewalg import (
     build_algebra,
     check_axioms,
     check_skehr,
-    enumerate_skew_lattices,
     find_isomorphism,
     reconstruct,
     roundtrip_algebra,
@@ -25,12 +25,6 @@ from skewalg import (
     verify_derived_identities,
 )
 from skewalg.cli import dispatch
-from skewalg.models import GROUP_CATALOG, GroupAction
-
-
-def swap_action():
-    rect = enumerate_skew_lattices(2)[2]
-    return GroupAction(GROUP_CATALOG["C2"], rect, [[0, 1], [1, 0]])
 
 
 def triples(rec):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from test_system import swap_action
 
 from skewalg import (
     BiBandAlgebra,
@@ -12,19 +13,13 @@ from skewalg import (
     RestrictionSystem,
     SkewLatticeTable,
     chain_lattice,
-    enumerate_skew_lattices,
     load_structure,
     save_structure,
     semidirect_algebra,
     semidirect_groupoid,
 )
-from skewalg.models import GROUP_CATALOG, GroupAction
+from skewalg.models import GroupAction
 from skewalg.serialize import json_text, structure_from_dict, structure_to_dict
-
-
-def swap_action():
-    rect = enumerate_skew_lattices(2)[2]
-    return GroupAction(GROUP_CATALOG["C2"], rect, [[0, 1], [1, 0]])
 
 
 def sample_structures():

@@ -53,6 +53,8 @@ from skewalg.system import system_checkers
 
 
 def swap_action():
+    """C2 acting on a rectangular pair by swapping it; the other test
+    modules import this one."""
     rect = enumerate_skew_lattices(2)[2]  # a rectangular pair
     return GroupAction(GROUP_CATALOG["C2"], rect, [[0, 1], [1, 0]])
 
@@ -180,25 +182,30 @@ def damaged(sysm, table, where, value):
     )
 
 
-def algebra_mutants(suite, seed=1) -> list:
+def seeded_mutants(suite, seed=1):
     """Per suite system and operator table, one seeded one-cell mutant: a
-    cell drawn uniformly, set to another value drawn from -1..m-1.  The
-    (label, system) pairs of those whose pseudoproducts are total, so that
-    build_algebra(sys, check=False) accepts them, in suite order."""
+    cell drawn uniformly, set to another value drawn from -1..m-1.  Yields
+    (label, system) pairs in suite order."""
     rng = random.Random(seed)
-    kept = []
     for inst in suite:
         m = inst.system.morphism_count
         for table in ("restL", "restR", "extL", "extR"):
             cells = getattr(inst.system, table)
             where = tuple(rng.randrange(k) for k in cells.shape)
             value = rng.choice([v for v in range(-1, m) if v != cells[where]])
-            broken = damaged(inst.system, table, where, value)
-            try:
-                build_algebra(broken, check=False)
-            except MalformedSystemError:
-                continue
-            kept.append((f"{inst.name}.{table}{list(where)}={value}", broken))
+            yield f"{inst.name}.{table}{list(where)}={value}", damaged(inst.system, table, where, value)
+
+
+def algebra_mutants(suite, seed=1) -> list:
+    """The seeded_mutants whose pseudoproducts are total, so that
+    build_algebra(sys, check=False) accepts them, in suite order."""
+    kept = []
+    for label, broken in seeded_mutants(suite, seed):
+        try:
+            build_algebra(broken, check=False)
+        except MalformedSystemError:
+            continue
+        kept.append((label, broken))
     return kept
 
 
@@ -380,6 +387,50 @@ def test_partial_table_flags_match_scalar_oracle_on_suite_and_mutants(suite):
                     left.tolist(), right.tolist(), side,
                 )
                 assert {name: report[name].witness for name in want} == want, (inst.name, side)
+
+
+def opposite(sysm):
+    """The opposite system: dom and cod swapped, composition and the object
+    operations reversed, and each left operator the transposed right one."""
+    g, objects = sysm.groupoid, sysm.objects
+    return RestrictionSystem(
+        FiniteGroupoid(g.object_count, g.cod, g.dom, g.comp.T, g.inv),
+        (objects.meet.array.T, objects.join.array.T),
+        sysm.restR.T, sysm.restL.T, sysm.extR.T, sysm.extL.T,
+    )
+
+
+_OTHER_HAND = {"restL": "restR", "restR": "restL", "extL": "extR", "extR": "extL", "left": "right", "right": "left"}
+
+
+def other_hand(name):
+    return re.sub("|".join(_OTHER_HAND), lambda hand: _OTHER_HAND[hand.group()], name)
+
+
+def test_the_opposite_system_swaps_the_hands_of_every_two_handed_flag(suite):
+    # the right-hand operators are the left-hand ones of the opposite
+    # system; each flag of a hand reads its twin there with the same verdict
+    # (compatibility, its own twin, too), and the laws whose masks share
+    # their axes with the twin's give the same witness. The linking axiom's
+    # lateral forms are its plain forms on the opposite system
+    same_axes = ("_identity", "_preorder", "_transitivity")
+    failing = 0
+    for label, sysm in [(inst.name, inst.system) for inst in suite] + list(seeded_mutants(suite)):
+        opp = opposite(sysm)
+        for checker in (check_structure, check_restriction_axioms, check_extension_axioms):
+            theirs = checker(opp)
+            for c in checker(sysm).checks():
+                twin = other_hand(c.name)
+                if checker is check_structure and twin == c.name:
+                    continue  # not a flag of one hand
+                assert theirs[twin].ok == c.ok, (label, c.name)
+                if c.name.endswith(same_axes):
+                    assert theirs[twin].witness == c.witness, (label, c.name)
+        mine, theirs = check_linking(sysm), check_linking(opp)
+        for a, b in (("linking_meet_join", "linking_lateral"), ("linking_order_dual", "linking_order_lateral")):
+            assert theirs[b] == mine[a]._replace(name=b) and theirs[a] == mine[b]._replace(name=a), (label, a)
+            failing += (not mine[a].ok) + (not mine[b].ok)
+    assert failing > 0  # mutants break the linking laws, so witnesses are compared too
 
 
 def test_discrete_and_group_systems_match_their_definitions():

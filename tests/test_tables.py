@@ -91,8 +91,8 @@ def test_out_of_range_is_the_entrywise_definition(case):
 
 
 def _ending_in(table, value):
-    """A copy of table with its last entry set to value."""
-    out = np.array(table)
+    """A copy of table in the dtype of value, with its last entry set to value."""
+    out = np.array(table).astype(np.asarray(value).dtype)
     out.flat[-1] = value
     return out
 
@@ -140,6 +140,15 @@ def test_each_range_check_keeps_its_bounds_exception_and_message(site):
     for value in (lo - 1, hi, INT64.min, INT64.max):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             build(value)
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, True, "1"], ids=["float", "integral-float", "bool", "str"])
+@pytest.mark.parametrize("site", sorted(_RANGE_SITES))
+def test_each_table_site_refuses_entries_that_are_not_integers(site, value):
+    # a cast would read 0.5 as 0, True as 1 and "1" as 1, each in range
+    dtype = re.escape(str(np.asarray(value).dtype))
+    with pytest.raises(TypeError, match=f"^table entries must be integers, got dtype {dtype}$"):
+        _RANGE_SITES[site][0](value)
 
 
 def test_check_band_rejects_non_idempotent_table():
